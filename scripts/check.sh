@@ -29,12 +29,22 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python scripts/fault_matrix.py
 echo "== chaos soak (supervised fleet under kills + faults + laggy renames)"
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python scripts/chaos_soak.py
 
-echo "== fsck CLI on a post-run store"
+echo "== fsck CLI on a post-run store, then a store hit off the solver stack"
 fsck_tmp=$(mktemp -d)
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python -m repro run fig7 --fast --store "$fsck_tmp/store" >/dev/null
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python -m repro fsck "$fsck_tmp/store"
+# the same run again is served from the store; scripts/import_set.py
+# fails it if it loaded scipy, networkx or any solver module
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
+    python scripts/import_set.py run fig7 --fast --store "$fsck_tmp/store" \
+    >"$fsck_tmp/hit.txt"
+if ! grep -q "served from run store" "$fsck_tmp/hit.txt"; then
+    echo "store hit expected, got:" >&2
+    head -5 "$fsck_tmp/hit.txt" >&2
+    exit 1
+fi
 rm -rf "$fsck_tmp"
 
 echo "== benchmark quick gate"

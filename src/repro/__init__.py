@@ -12,32 +12,40 @@ Quickstart
 True
 """
 
-from .core import (
-    Model1D,
-    ModelA,
-    ModelB,
-    ModelResult,
-    SegmentScheme,
-    SweepResult,
-    ThermalTSVModel,
-    make_model,
-    solve_three_plane_closed_form,
-    sweep,
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".core": (
+            "Model1D",
+            "ModelA",
+            "ModelB",
+            "ModelResult",
+            "SegmentScheme",
+            "SweepResult",
+            "ThermalTSVModel",
+            "make_model",
+            "solve_three_plane_closed_form",
+            "sweep",
+        ),
+        ".geometry": (
+            "TSV",
+            "DevicePlane",
+            "Layer",
+            "LayerKind",
+            "PowerSpec",
+            "Stack3D",
+            "TSVCluster",
+            "paper_stack",
+            "paper_tsv",
+        ),
+        ".materials": ("Material",),
+        ".resistances": ("FittingCoefficients", "compute_model_a_resistances"),
+    },
+    submodules=("perf",),
 )
-from .geometry import (
-    TSV,
-    DevicePlane,
-    Layer,
-    LayerKind,
-    PowerSpec,
-    Stack3D,
-    TSVCluster,
-    paper_stack,
-    paper_tsv,
-)
-from .materials import Material
-from .resistances import FittingCoefficients, compute_model_a_resistances
-from . import perf
 
 __version__ = "1.0.0"
 

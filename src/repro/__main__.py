@@ -39,23 +39,24 @@ import signal
 import sys
 from pathlib import Path
 
-from .analysis import export_json, format_table
+from .analysis.report import format_table
 from .errors import DrainError
-from .experiments import REGISTRY, case_study, render_markdown, run_all
 from .experiments.harness import ExperimentResult
-from .perf import RetryPolicy, get_executor
-from .scenarios import (
-    SCENARIOS,
-    RunStore,
-    ScenarioSpec,
-    run_batch,
-    run_fleet,
-    run_scenario,
-)
+from .perf.executors import get_executor
+from .perf.retry import RetryPolicy
+from .scenarios import SCENARIOS, ScenarioSpec
 from .scenarios.drain import DrainGuard, drain_exit_code
 from .scenarios.lease import DEFAULT_TTL_S
-from .scenarios.store import MANIFEST_NAME
+from .scenarios.runner import run_batch, run_scenario
+from .scenarios.store import MANIFEST_NAME, RunStore
 
+# Commands import what only they use (the fleet driver, fsck, the legacy
+# experiment runner) when they run: a store-hit ``run`` stays free of the
+# solver stack.
+
+#: the legacy experiment aliases, in ``repro.experiments.runner.REGISTRY``
+#: order (a test keeps the two in step)
+_LEGACY_EXPERIMENTS = ("fig4", "fig5", "table1", "fig6", "fig7", "case_study")
 #: legacy experiment names that accept --jobs (they run parameter sweeps)
 _SWEEP_EXPERIMENTS = ("all", "fig4", "fig5", "fig6", "fig7", "table1")
 
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
         "directory", type=Path, help="the run-store directory to migrate"
     )
 
-    for exp_id in (*REGISTRY, "all"):
+    for exp_id in (*_LEGACY_EXPERIMENTS, "all"):
         legacy_p = sub.add_parser(
             exp_id, help=f"(legacy alias) regenerate {exp_id}"
         )
@@ -361,7 +362,10 @@ def _print_result(result) -> None:
             print()
             print(format_table(result.metadata["table_rows"]))
     else:  # the case study (live or store-loaded) has its own shape
-        print(getattr(result, "title", None) or case_study.TITLE)
+        title = getattr(result, "title", None)
+        if not title:
+            from .experiments.case_study import TITLE as title
+        print(title)
         print()
         print(format_table(result.rows(), float_format="{:.2f}"))
 
@@ -543,6 +547,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print()
     _print_result(run.result)
     if args.output_dir:
+        from .analysis.export import export_json
+
         args.output_dir.mkdir(parents=True, exist_ok=True)
         export_json(
             args.output_dir / f"{run.spec.scenario_id}.json",
@@ -627,6 +633,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         _drain_notice(exc, store.root)
         return drain_exit_code(exc.signum)
     progress.close()
+    from .analysis.export import export_json
+
     solved = hits = failed = 0
     for path, run in zip(files, batch.runs):
         if run.failed:
@@ -682,6 +690,8 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             )
             return 2
         specs.append(ScenarioSpec.load(path))
+    from .scenarios.fleet import run_fleet
+
     outcome = run_fleet(
         specs,
         store=args.store,
@@ -767,6 +777,9 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
 # legacy experiment aliases
 # ---------------------------------------------------------------------------
 def _cmd_legacy(args: argparse.Namespace) -> int:
+    from .analysis.export import export_json
+    from .experiments.runner import REGISTRY, render_markdown, run_all
+
     kwargs = {"fem_resolution": args.fem_resolution, "fast": args.fast}
     if args.experiment in _SWEEP_EXPERIMENTS:
         kwargs["jobs"] = args.jobs

@@ -1,22 +1,32 @@
 """Analysis: error metrics, convergence studies, tables, plots, export."""
 
+from .._lazy import lazy_exports
+
+# eager: these functions share their submodules' names (see repro._lazy)
 from .ascii_plot import ascii_plot
-from .convergence import (
-    ConvergencePoint,
-    mesh_convergence,
-    richardson_extrapolate,
-    segment_convergence,
-)
-from .export import export_json, export_series_csv, read_series_csv
-from .metrics import (
-    ErrorMetrics,
-    crossover_points,
-    is_monotonic,
-    relative_errors,
-    series_errors,
-)
-from .report import format_kv_block, format_series_table, format_table
 from .sensitivity import Sensitivity, sensitivity, sensitivity_table
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".convergence": (
+            "ConvergencePoint",
+            "mesh_convergence",
+            "richardson_extrapolate",
+            "segment_convergence",
+        ),
+        ".export": ("export_json", "export_series_csv", "read_series_csv"),
+        ".metrics": (
+            "ErrorMetrics",
+            "crossover_points",
+            "is_monotonic",
+            "relative_errors",
+            "series_errors",
+        ),
+        ".report": ("format_kv_block", "format_series_table", "format_table"),
+    },
+)
 
 __all__ = [
     "ErrorMetrics",

@@ -12,15 +12,17 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ..core.base import ThermalTSVModel
-from ..core.model_a import ModelA
 from ..errors import ValidationError
-from ..geometry import PowerSpec, Stack3D, TSV
 from ..units import require_positive
 
+if TYPE_CHECKING:
+    from ..core.base import ThermalTSVModel
+    from ..geometry import PowerSpec, Stack3D, TSV
+
 #: parameter name -> (stack, via) updater with the new absolute value
-_Updater = Callable[[Stack3D, TSV, float], tuple[Stack3D, TSV]]
+_Updater = Callable[["Stack3D", "TSV", float], "tuple[Stack3D, TSV]"]
 
 PARAMETERS: dict[str, tuple[Callable[[Stack3D, TSV], float], _Updater]] = {
     "radius": (
@@ -82,7 +84,10 @@ def sensitivity(
             f"unknown parameter {parameter!r}; known: {sorted(PARAMETERS)}"
         ) from None
     require_positive("step", step)
-    model = model or ModelA()
+    if model is None:
+        from ..core.model_a import ModelA
+
+        model = ModelA()
     value = read(stack, via)
     delta = value * step
     lo_stack, lo_via = update(stack, via, value - delta)

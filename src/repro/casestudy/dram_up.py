@@ -122,7 +122,7 @@ def analyze_case_study(
     Model B uses the same effective bond conductance (c_{1,2}) as Model A —
     the paper's Fig. 8 lists the coefficient for the system, and without it
     the polyimide bond dominates and no model reproduces the reported 12-14
-    °C band (see DESIGN.md substitutions).
+    °C band (see README.md, "Substitutions and assumptions").
     """
     system = system or build_case_study()
     fit = fit or FittingCoefficients.paper_case_study()

@@ -3,7 +3,8 @@
 Every conductivity quoted in Section IV of the paper is collected here so
 experiments, tests and examples share a single source of truth.  Values the
 paper does not state (notably the silicon conductivity) are standard
-textbook numbers and are documented as assumptions in ``DESIGN.md``.
+textbook numbers, listed in README.md under "Substitutions and
+assumptions".
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ PAPER_DEVICE_POWER_DENSITY = w_per_mm3(700.0)
 #: interconnect Joule heat density in each ILD, W/m^3 (paper: 70 W/mm^3)
 PAPER_ILD_POWER_DENSITY = w_per_mm3(70.0)
 #: assumed thickness of the active device layer carrying the 700 W/mm^3
-#: (the paper says "on the top surface"; see DESIGN.md substitutions)
+#: (the paper says "on the top surface"; see README.md, "Substitutions
+#: and assumptions")
 PAPER_DEVICE_LAYER_THICKNESS = um(1.0)
 
 #: fitting coefficients used for Figs. 4-7 (captions): k1 = 1.3, k2 = 0.55
@@ -75,5 +77,6 @@ CASE_PLANE_POWERS = (70.0, 7.0, 7.0)
 #: case-study fitting coefficients (Fig. 8 caption)
 CASE_K1 = 1.6
 CASE_K2 = 0.8
-#: bond-layer conductance multiplier c_{1,2} (Fig. 8 caption, see DESIGN.md)
+#: bond-layer conductance multiplier c_{1,2} (Fig. 8 caption; see
+#: README.md, "Substitutions and assumptions")
 CASE_C_BOND = 3.5

@@ -1,13 +1,26 @@
 """Core analytical models: Model A, Model B, the 1-D baseline, sweeps."""
 
-from .base import AssembledSystem, ThermalTSVModel, solve_stacked
-from .factory import make_model
-from .model_1d import Model1D
-from .model_a import ModelA, build_model_a_circuit, solve_three_plane_closed_form
-from .model_b import ModelB, SegmentScheme, build_model_b_circuit
-from .nonlinear import NonlinearResult, NonlinearSolver
-from .result import ModelResult
+from .._lazy import lazy_exports
+
+# eager: the re-exported ``sweep`` function shares its submodule's name,
+# and binding it here keeps a later ``import repro.core.sweep`` from
+# rebinding the package attribute to the module (core.sweep is light)
 from .sweep import SweepPoint, SweepResult, sweep
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".base": ("AssembledSystem", "ThermalTSVModel", "solve_stacked"),
+        ".factory": ("make_model",),
+        ".model_1d": ("Model1D",),
+        ".model_a": ("ModelA", "build_model_a_circuit", "solve_three_plane_closed_form"),
+        ".model_b": ("ModelB", "build_model_b_circuit"),
+        ".nonlinear": ("NonlinearSolver",),
+        ".result": ("ModelResult", "NonlinearResult"),
+        ".segments": ("SegmentScheme",),
+    },
+)
 
 __all__ = [
     "ThermalTSVModel",

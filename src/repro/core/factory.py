@@ -31,14 +31,14 @@ time, not mid-sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..errors import ValidationError
-from ..resistances import FittingCoefficients
-from .base import ThermalTSVModel
-from .model_1d import Model1D
-from .model_a import ModelA
-from .model_b import ModelB, SegmentScheme
+from ..resistances.fitting import FittingCoefficients
+from .segments import SegmentScheme
+
+if TYPE_CHECKING:
+    from .base import ThermalTSVModel
 
 #: names a spec string may start with (after an optional ``model_`` prefix)
 MODEL_KINDS = ("a", "b", "1d", "fem", "fem3d")
@@ -134,10 +134,14 @@ def make_model(spec: str, **kwargs) -> ThermalTSVModel:
     """Create a model from a spec string (see the module grammar table).
 
     Extra keyword arguments are forwarded to the model constructor (e.g.
-    ``make_model("b:100", scheme="uniform")``).
+    ``make_model("b:100", scheme="uniform")``).  The model classes are
+    imported here, not with this module, so validating a spec with
+    :func:`parse_model_spec` loads no model code.
     """
     parsed = parse_model_spec(spec)
     if parsed.kind == "a":
+        from .model_a import ModelA
+
         if isinstance(parsed.arg, str):
             named = _A_NAMED_FITS[parsed.arg]
             if named is not None:
@@ -146,13 +150,15 @@ def make_model(spec: str, **kwargs) -> ThermalTSVModel:
             kwargs.setdefault("fit", parsed.arg)
         return ModelA(**kwargs)
     if parsed.kind == "b":
+        from .model_b import ModelB
+
         if parsed.arg is not None:
             kwargs.setdefault("segments", parsed.arg)
         return ModelB(**kwargs)
     if parsed.kind == "1d":
+        from .model_1d import Model1D
+
         return Model1D(**kwargs)
-    # FEM references live one package over; import lazily to keep
-    # repro.core importable without pulling the solvers in.
     from ..fem import FEMReference
 
     solver = "axisym" if parsed.kind == "fem" else "cartesian"

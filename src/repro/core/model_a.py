@@ -20,7 +20,7 @@ from ..errors import GeometryError
 from ..geometry import PowerSpec, Stack3D, TSV, TSVCluster, validate_tsv_in_stack
 from ..geometry.tsv import as_cluster
 from ..network import GROUND, ThermalCircuit
-from ..network.solve import DENSE_CUTOFF
+from ..network.circuit import DENSE_CUTOFF
 from ..perf import content_key
 from ..resistances import (
     FittingCoefficients,

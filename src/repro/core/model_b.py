@@ -36,64 +36,19 @@ from ..geometry import PowerSpec, Stack3D, TSV, TSVCluster, validate_tsv_in_stac
 from ..geometry.stack import LayerInterval
 from ..geometry.tsv import as_cluster
 from ..network import GROUND, NetworkSolution, ThermalCircuit
-from ..network.solve import DENSE_CUTOFF
+from ..network.circuit import DENSE_CUTOFF
 from ..perf import content_key, model_key
 from ..resistances import compute_model_b_resistances
 from ..resistances.model_a_set import _liner_lateral
 from ..units import require_positive_int
 from .base import AssembledSystem, ThermalTSVModel
 from .result import ModelResult
+from .segments import SegmentScheme
 
 #: name of the via-bottom node shared with Model A
 T0_NODE = "t0"
 
 _SCHEMES = ("paper", "uniform")
-
-
-@dataclass(frozen=True, slots=True)
-class SegmentScheme:
-    """How many π-segments each plane receives (bottom-up)."""
-
-    plane_segments: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.plane_segments:
-            raise ValidationError("plane_segments must be non-empty")
-        for n in self.plane_segments:
-            require_positive_int("plane segment count", n)
-
-    @classmethod
-    def paper(cls, n_upper: int, n_planes: int = 3, n_first: int | None = None) -> "SegmentScheme":
-        """The paper's convention: n_upper segments in planes 2..N and
-        roughly a tenth of that in plane 1 (Table I uses (1,1), (2,20),
-        (10,100), (50,500))."""
-        require_positive_int("n_upper", n_upper)
-        require_positive_int("n_planes", n_planes)
-        if n_first is None:
-            n_first = max(1, n_upper // 10)
-        require_positive_int("n_first", n_first)
-        return cls((n_first,) + (n_upper,) * (n_planes - 1))
-
-    @property
-    def total(self) -> int:
-        """The paper's n_A = Σ n_j."""
-        return sum(self.plane_segments)
-
-    def split(self, stack: Stack3D, plane_index: int) -> tuple[int, int]:
-        """(n_Si, n_ILD) for one plane: proportional to layer thickness,
-        at least one ILD segment (heat must be injectable), no substrate
-        segments in plane 1 (its substrate is the lumped Rs)."""
-        n = self.plane_segments[plane_index]
-        if plane_index == 0:
-            return 0, n
-        if n == 1:
-            return 0, 1
-        plane = stack.planes[plane_index]
-        t_si = plane.substrate.thickness
-        t_ild = plane.ild.thickness
-        n_si = round(n * t_si / (t_si + t_ild))
-        n_si = min(max(n_si, 1), n - 1)
-        return n_si, n - n_si
 
 
 @dataclass(frozen=True, slots=True)

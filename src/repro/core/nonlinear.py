@@ -16,13 +16,12 @@ layers whose material has a zero slope are untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import replace
 
 from ..core.base import ThermalTSVModel
 from ..core.model_a import ModelA
-from ..core.result import ModelResult
-from ..errors import ConvergenceError, ValidationError
+from ..core.result import ModelResult, NonlinearResult
+from ..errors import ConvergenceError
 from ..geometry import PowerSpec, Stack3D, TSV, TSVCluster
 from ..units import ZERO_CELSIUS, require_fraction, require_positive_int
 
@@ -107,55 +106,6 @@ def _stack_at_temperatures(
             )
         )
     return replace(base, planes=tuple(new_planes), bonds=tuple(new_bonds))
-
-
-@dataclass(frozen=True)
-class NonlinearResult:
-    """Converged nonlinear solution plus iteration diagnostics."""
-
-    result: ModelResult
-    iterations: int
-    history: tuple[float, ...]  # max ΔT per iteration
-
-    @property
-    def max_rise(self) -> float:
-        return self.result.max_rise
-
-    @property
-    def linear_rise(self) -> float:
-        """Max ΔT the constant-k (first-iteration) solve predicted."""
-        return self.history[0]
-
-    @property
-    def linear_error(self) -> float:
-        """Relative error a constant-k solve would have made."""
-        return (self.history[0] - self.max_rise) / self.max_rise
-
-    def to_payload(self) -> dict[str, Any]:
-        """JSON-serialisable dump (exact float round-trip via JSON doubles).
-
-        Wraps the converged :meth:`ModelResult.to_payload` plus the
-        iteration diagnostics — everything but the wall-clock
-        ``solve_time`` inside the model payload is deterministic.
-        """
-        return {
-            "kind": "nonlinear",
-            "result": self.result.to_payload(),
-            "iterations": self.iterations,
-            "history": list(self.history),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "NonlinearResult":
-        """Rebuild a result from :meth:`to_payload` output (store/JSON)."""
-        try:
-            return cls(
-                result=ModelResult.from_payload(payload["result"]),
-                iterations=int(payload["iterations"]),
-                history=tuple(payload["history"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed nonlinear payload: {exc!r}") from exc
 
 
 class NonlinearSolver:

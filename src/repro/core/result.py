@@ -4,6 +4,9 @@ Every model (A, B, 1-D, FEM reference) returns a :class:`ModelResult` so
 experiments can sweep and compare them uniformly.  Temperatures are stored
 as *rises* ΔT above the heat-sink face, the quantity the paper plots;
 absolute temperatures add the stack's sink temperature.
+:class:`NonlinearResult` wraps the converged result of a k(T) fixed point
+(:mod:`repro.core.nonlinear`) with its iteration history; it lives here,
+beside the result it wraps, so stored runs load back without a solver.
 """
 
 from __future__ import annotations
@@ -119,3 +122,52 @@ class ModelResult:
             )
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed point payload: {exc!r}") from exc
+
+
+@dataclass(frozen=True)
+class NonlinearResult:
+    """Converged nonlinear solution plus iteration diagnostics."""
+
+    result: ModelResult
+    iterations: int
+    history: tuple[float, ...]  # max ΔT per iteration
+
+    @property
+    def max_rise(self) -> float:
+        return self.result.max_rise
+
+    @property
+    def linear_rise(self) -> float:
+        """Max ΔT the constant-k (first-iteration) solve predicted."""
+        return self.history[0]
+
+    @property
+    def linear_error(self) -> float:
+        """Relative error a constant-k solve would have made."""
+        return (self.history[0] - self.max_rise) / self.max_rise
+
+    def to_payload(self) -> dict[str, Any]:
+        """JSON-serialisable dump (exact float round-trip via JSON doubles).
+
+        Wraps the converged :meth:`ModelResult.to_payload` plus the
+        iteration diagnostics — everything but the wall-clock
+        ``solve_time`` inside the model payload is deterministic.
+        """
+        return {
+            "kind": "nonlinear",
+            "result": self.result.to_payload(),
+            "iterations": self.iterations,
+            "history": list(self.history),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict[str, Any]) -> "NonlinearResult":
+        """Rebuild a result from :meth:`to_payload` output (store/JSON)."""
+        try:
+            return cls(
+                result=ModelResult.from_payload(payload["result"]),
+                iterations=int(payload["iterations"]),
+                history=tuple(payload["history"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"malformed nonlinear payload: {exc!r}") from exc

@@ -24,16 +24,20 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..errors import ValidationError
-from ..geometry import PowerSpec, Stack3D, TSV, TSVCluster
-from ..perf import PointTask, SerialExecutor, SweepExecutor, result_cache, solve_key
-from .base import ThermalTSVModel
+from ..perf.executors import PointTask, SerialExecutor
+from ..perf.keys import solve_key
 from .result import ModelResult
 
+if TYPE_CHECKING:
+    from ..geometry import PowerSpec, Stack3D, TSV, TSVCluster
+    from ..perf.executors import SweepExecutor
+    from .base import ThermalTSVModel
+
 #: a configuration callback maps a swept value to (stack, via, power)
-Configurator = Callable[[Any], tuple[Stack3D, "TSV | TSVCluster", PowerSpec]]
+Configurator = Callable[[Any], "tuple[Stack3D, TSV | TSVCluster, PowerSpec]"]
 
 
 def expand_points(
@@ -166,6 +170,8 @@ def sweep(
     values = list(values)
     if not values:
         raise ValidationError("sweep needs at least one value")
+    from ..perf.cache import result_cache  # scipy: load with the first sweep
+
     executor = executor or SerialExecutor()
     specs = expand_points(values, configure)
 

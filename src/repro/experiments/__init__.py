@@ -1,16 +1,24 @@
 """Experiments: one module per paper table/figure plus a combined runner."""
 
-from . import (
-    case_study,
-    fig4_radius,
-    fig5_liner,
-    fig6_substrate,
-    fig7_cluster,
-    paper_facts,
-    table1_segments,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".harness": ("ExperimentResult", "run_sweep_experiment"),
+        ".runner": ("REGISTRY", "render_markdown", "run_all"),
+    },
+    submodules=(
+        "case_study",
+        "fig4_radius",
+        "fig5_liner",
+        "fig6_substrate",
+        "fig7_cluster",
+        "paper_facts",
+        "table1_segments",
+    ),
 )
-from .harness import ExperimentResult, run_sweep_experiment
-from .runner import REGISTRY, render_markdown, run_all
 
 __all__ = [
     "ExperimentResult",

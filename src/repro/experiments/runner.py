@@ -105,9 +105,9 @@ def render_markdown(results: dict[str, Any]) -> str:
         "",
         "All temperatures are rises ΔT (K == °C) above the heat sink.",
         "Our FEM reference is the library's own finite-volume solver (see",
-        "DESIGN.md substitutions), so absolute agreement with the paper's",
-        "COMSOL numbers is not expected; curve *shapes* and model orderings",
-        "are.",
+        "README.md, \"Substitutions and assumptions\"), so absolute",
+        "agreement with the paper's COMSOL numbers is not expected; curve",
+        "*shapes* and model orderings are.",
         "",
     ]
     facts = {

@@ -140,7 +140,7 @@ class Stack3D:
 
         The via runs from ``extension`` below the top of the first
         substrate up to the top of the last substrate (the paper's
-        convention; see DESIGN.md).
+        convention; see README.md, "Substitutions and assumptions").
         """
         z_bottom = self.substrate_top(0) - extension
         if z_bottom < 0.0:
@@ -183,7 +183,7 @@ class Stack3D:
 
         Models the effective conductance of a bonding interface populated
         with metallic bond pads/bumps (the case study's c_{1,2}); see
-        DESIGN.md substitutions.
+        README.md, "Substitutions and assumptions".
         """
         require_positive("factor", factor)
         new_bonds = tuple(

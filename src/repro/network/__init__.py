@@ -5,15 +5,23 @@ Model A, Model B and the 1-D baseline are all assembled as
 machinery the paper's Eqs. (1)–(6) and (17)–(19) describe.
 """
 
-from .circuit import NetworkSolution, ThermalCircuit
-from .elements import GROUND, Capacitor, HeatSource, Resistor
-from .graph import dominant_paths, effective_resistance, to_networkx
-from .transient import (
-    TransientResult,
-    pulse_train_scales,
-    step_response,
-    time_constants,
-    transient_lhs,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".circuit": ("NetworkSolution", "ThermalCircuit"),
+        ".elements": ("GROUND", "Capacitor", "HeatSource", "Resistor"),
+        ".graph": ("dominant_paths", "effective_resistance", "to_networkx"),
+        ".trajectory": ("TransientResult",),
+        ".transient": (
+            "pulse_train_scales",
+            "step_response",
+            "time_constants",
+            "transient_lhs",
+        ),
+    },
 )
 
 __all__ = [

@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import NetworkError
 from .elements import GROUND, Capacitor, HeatSource, NodeId, Resistor
-from .solve import solve_linear_system
+
+#: below this many unknowns a dense solve is faster than sparse setup
+DENSE_CUTOFF = 200
 
 
 @dataclass(frozen=True)
@@ -193,11 +194,15 @@ class ThermalCircuit:
         ----------
         sparse:
             Force sparse (True) or dense (False) output; ``None`` picks
-            sparse for > 200 nodes.
+            sparse above :data:`DENSE_CUTOFF` nodes.
         """
+        # scipy loads with the first assembly, not with the circuit
+        # classes: a stored run reads back without it
+        import scipy.sparse as sp
+
         n = self.n_nodes
         if sparse is None:
-            sparse = n > 200
+            sparse = n > DENSE_CUTOFF
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
@@ -248,6 +253,8 @@ class ThermalCircuit:
 
     def solve(self) -> NetworkSolution:
         """Solve G·ΔT = q and return node temperature rises."""
+        from .solve import solve_linear_system
+
         self.validate()  # also primes the node→resistor adjacency index
         matrix = self.conductance_matrix()
         temps = solve_linear_system(matrix, self.source_vector())

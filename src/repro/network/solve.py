@@ -43,9 +43,7 @@ import scipy.sparse.linalg as spla
 
 from ..errors import SingularNetworkError, SolverError
 from ..perf import factor_cache, increment
-
-#: below this many unknowns a dense solve is faster than sparse setup
-DENSE_CUTOFF = 200
+from .circuit import DENSE_CUTOFF
 
 
 def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

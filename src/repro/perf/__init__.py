@@ -21,45 +21,55 @@ The benchmark-regression harness lives in :mod:`repro.perf.bench` and is
 reachable as ``python -m repro bench``.
 """
 
-from .cache import (
-    FactorizationCache,
-    LRUCache,
-    assembly_cache,
-    configure,
-    content_key,
-    factor_cache,
-    matrix_fingerprint,
-    reset,
-    result_cache,
-)
-from .executors import (
-    MatrixGroupTask,
-    ParallelExecutor,
-    PointTask,
-    SerialExecutor,
-    StackedBatchTask,
-    SweepExecutor,
-    SweepTask,
-    get_executor,
-    solve_task,
-    solve_work,
-)
-from .memo import (
-    cached_solve,
-    calibration_fit_key,
-    calibration_key,
-    model_key,
-    solve_key,
-)
-from .retry import (
-    DEFAULT_RETRY,
-    NodeFailure,
-    RetryPolicy,
-    TaskFailure,
-    failure_from_exception,
-    node_deadline,
-)
+from .._lazy import lazy_exports
+
+# eager: the ``stats`` function shares its submodule's name (see repro._lazy)
 from .stats import counter, increment, stats
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".cache": (
+            "FactorizationCache",
+            "LRUCache",
+            "assembly_cache",
+            "configure",
+            "factor_cache",
+            "matrix_fingerprint",
+            "reset",
+            "result_cache",
+        ),
+        ".executors": (
+            "MatrixGroupTask",
+            "ParallelExecutor",
+            "PointTask",
+            "SerialExecutor",
+            "StackedBatchTask",
+            "SweepExecutor",
+            "SweepTask",
+            "get_executor",
+            "solve_task",
+            "solve_work",
+        ),
+        ".keys": (
+            "calibration_fit_key",
+            "calibration_key",
+            "content_key",
+            "model_key",
+            "solve_key",
+        ),
+        ".memo": ("cached_solve",),
+        ".retry": (
+            "DEFAULT_RETRY",
+            "NodeFailure",
+            "RetryPolicy",
+            "TaskFailure",
+            "failure_from_exception",
+            "node_deadline",
+        ),
+    },
+)
 
 __all__ = [
     "DEFAULT_RETRY",

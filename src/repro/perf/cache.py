@@ -18,7 +18,6 @@ with size 0) each of them at runtime.
 from __future__ import annotations
 
 import hashlib
-import pickle
 import warnings
 from collections import OrderedDict
 from collections.abc import Callable
@@ -30,7 +29,8 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import stats as _stats
+from .keys import content_key  # noqa: F401  (re-exported)
+from .stats import register_provider, reset_counters
 
 #: defaults, overridable via :func:`configure`
 DEFAULT_ASSEMBLY_CACHE_SIZE = 32
@@ -56,7 +56,7 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        _stats.register_provider(name, self.stats)
+        register_provider(name, self.stats)
 
     def get(self, key: Any, default: Any = None) -> Any:
         with self._lock:
@@ -104,21 +104,6 @@ class LRUCache:
                 "maxsize": self.maxsize,
                 "hit_rate": self.hits / total if total else 0.0,
             }
-
-
-def content_key(*parts: Any) -> str | None:
-    """Stable digest of arbitrary (picklable) values, or None if unhashable.
-
-    Geometry objects are frozen dataclasses of floats/tuples, so their
-    pickle bytes are deterministic within a process; the blake2b digest of
-    those bytes keys the assembly/result caches.  Anything unpicklable
-    (open handles, closures) returns ``None`` and the caller skips caching.
-    """
-    try:
-        payload = pickle.dumps(parts, protocol=4)
-    except Exception:
-        return None
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
 def matrix_fingerprint(matrix: Any) -> bytes:
@@ -238,4 +223,4 @@ def reset() -> None:
     assembly_cache.clear()
     result_cache.clear()
     factor_cache.clear()
-    _stats.reset_counters()
+    reset_counters()

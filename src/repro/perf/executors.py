@@ -56,6 +56,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Union
 
 from .. import faults
+from .._lazy import import_solver_stack
 from ..errors import ValidationError
 from .retry import (
     PROPAGATE_TYPES,
@@ -275,6 +276,16 @@ class SerialExecutor(SweepExecutor):
             yield task, solve_work_safe(task, timeout_s)
 
 
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool whose forked workers inherit the solver stack.
+
+    The parent imports the stack once before the fork; otherwise every
+    worker would import it again on its first task.
+    """
+    import_solver_stack()
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 class ParallelExecutor(SweepExecutor):
     """Process-pool execution with chunked dispatch and ordered results.
 
@@ -323,7 +334,7 @@ class ParallelExecutor(SweepExecutor):
         workers = min(self.jobs, len(tasks))
         chunk = self.chunksize or max(1, math.ceil(len(tasks) / (workers * 2)))
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with _pool(workers) as pool:
                 return list(pool.map(solve_work, tasks, chunksize=chunk))
         except (pickle.PicklingError, BrokenProcessPool, OSError) as exc:
             warnings.warn(
@@ -398,7 +409,7 @@ class ParallelExecutor(SweepExecutor):
         chunks = [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]
         done: set[int] = set()
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with _pool(workers) as pool:
                 futures = {
                     pool.submit(solve_task_chunk, c): i
                     for i, c in enumerate(chunks)
@@ -456,7 +467,7 @@ class ParallelExecutor(SweepExecutor):
         deaths = 0
         while pending:
             try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+                with _pool(workers) as pool:
                     futures = {
                         pool.submit(solve_task_chunk_safe, c, timeout_s): i
                         for i, c in pending.items()

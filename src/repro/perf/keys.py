@@ -1,0 +1,79 @@
+"""Content keys: stable digests of models, geometries and coefficient fits.
+
+A sweep point is fully described by (model configuration, stack, via,
+power), all plain frozen dataclasses, so its pickle bytes digest to a
+key that names the solve wherever it appears: the result cache
+(:mod:`repro.perf.memo`), the execution plan's nodes and the run
+store's point space.  This module needs neither numpy nor scipy, so
+the models and the scenario layer can key work without loading a
+solver.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import pickle
+from typing import Any
+
+
+def content_key(*parts: Any) -> str | None:
+    """Stable digest of arbitrary (picklable) values, or None if unhashable.
+
+    Geometry objects are frozen dataclasses of floats/tuples, so their
+    pickle bytes are deterministic within a process; the blake2b digest of
+    those bytes keys the assembly/result caches.  Anything unpicklable
+    (open handles, closures) returns ``None`` and the caller skips caching.
+    """
+    try:
+        payload = pickle.dumps(parts, protocol=4)
+    except Exception:
+        return None
+    return hashlib.blake2b(payload, digest_size=16).hexdigest()
+
+
+def model_key(model: Any) -> str | None:
+    """Content digest of a model's type and configuration, or None."""
+    try:
+        state = vars(model)
+    except TypeError:
+        state = getattr(model, "name", repr(model))
+    return content_key(type(model).__module__, type(model).__qualname__, state)
+
+
+def solve_key(model: Any, stack: Any, via: Any, power: Any) -> str | None:
+    """Cache key for one (model, geometry, power) solve, or None."""
+    mkey = model_key(model)
+    if mkey is None:
+        return None
+    return content_key(mkey, stack, via, power)
+
+
+def calibration_key(
+    reference_key: str | None, sample_keys: Any, name: str
+) -> str | None:
+    """Identity of one coefficient fit: reference config + sample solves.
+
+    The same formula keys the execution plan's CalibrationNode and the
+    eager path's fit, so both address one result-cache entry (see
+    :func:`calibration_fit_key`).  ``sample_keys`` are the reference
+    solve keys at the calibration samples, in sample order; any missing
+    piece (unpicklable model) disables the identity.
+    """
+    if reference_key is None:
+        return None
+    sample_keys = tuple(sample_keys)
+    if any(key is None for key in sample_keys):
+        return None
+    return content_key("calibration/v1", reference_key, sample_keys, name)
+
+
+def calibration_fit_key(cal_key: str | None) -> str | None:
+    """Result-cache key of a finished coefficient fit.
+
+    Derived from (not equal to) the calibration identity so a cached
+    :class:`~repro.calibration.fit.CalibrationResult` can never collide
+    with a plan-node result stored under the identity itself.
+    """
+    if cal_key is None:
+        return None
+    return content_key("calibration_fit/v1", cal_key)

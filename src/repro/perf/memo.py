@@ -14,55 +14,14 @@ from __future__ import annotations
 
 from typing import Any
 
-from .cache import content_key, result_cache
-
-
-def model_key(model: Any) -> str | None:
-    """Content digest of a model's type and configuration, or None."""
-    try:
-        state = vars(model)
-    except TypeError:
-        state = getattr(model, "name", repr(model))
-    return content_key(type(model).__module__, type(model).__qualname__, state)
-
-
-def solve_key(model: Any, stack: Any, via: Any, power: Any) -> str | None:
-    """Cache key for one (model, geometry, power) solve, or None."""
-    mkey = model_key(model)
-    if mkey is None:
-        return None
-    return content_key(mkey, stack, via, power)
-
-
-def calibration_key(
-    reference_key: str | None, sample_keys: Any, name: str
-) -> str | None:
-    """Identity of one coefficient fit: reference config + sample solves.
-
-    The same formula keys the execution plan's CalibrationNode and the
-    eager path's fit, so both address one result-cache entry (see
-    :func:`calibration_fit_key`).  ``sample_keys`` are the reference
-    solve keys at the calibration samples, in sample order; any missing
-    piece (unpicklable model) disables the identity.
-    """
-    if reference_key is None:
-        return None
-    sample_keys = tuple(sample_keys)
-    if any(key is None for key in sample_keys):
-        return None
-    return content_key("calibration/v1", reference_key, sample_keys, name)
-
-
-def calibration_fit_key(cal_key: str | None) -> str | None:
-    """Result-cache key of a finished coefficient fit.
-
-    Derived from (not equal to) the calibration identity so a cached
-    :class:`~repro.calibration.fit.CalibrationResult` can never collide
-    with a plan-node result stored under the identity itself.
-    """
-    if cal_key is None:
-        return None
-    return content_key("calibration_fit/v1", cal_key)
+from .cache import result_cache
+from .keys import (  # noqa: F401  (re-exported)
+    calibration_fit_key,
+    calibration_key,
+    content_key,
+    model_key,
+    solve_key,
+)
 
 
 def memoized_fit(fit_key: str | None, compute: Any) -> Any:

@@ -38,6 +38,8 @@ def register_provider(name: str, provider: Callable[[], dict[str, Any]]) -> None
 
 def stats() -> dict[str, Any]:
     """Snapshot of every cache and counter in the process."""
+    from . import cache  # noqa: F401  (the caches register as it loads)
+
     with _lock:
         providers = dict(_providers)
         counters = dict(_counters)

@@ -1,30 +1,38 @@
 """Thermal-resistance formulas: Eqs. (7)–(16), (21) aggregates, Eq. (22)
 cluster transform and conduction primitives."""
 
-from .fitting import FittingCoefficients
-from .model_a_set import (
-    ModelAResistances,
-    PlaneResistances,
-    compute_model_a_resistances,
-)
-from .model_b_set import (
-    ModelBResistances,
-    PlaneLadderQuantities,
-    compute_model_b_resistances,
-)
-from .primitives import (
-    annulus_axial_resistance,
-    cylinder_axial_resistance,
-    cylindrical_shell_resistance,
-    parallel,
-    series,
-    slab_resistance,
-)
-from .spreading import (
-    finite_slab_spreading,
-    semi_infinite_spreading,
-    truncated_cone_resistance,
-    via_cell_spreading,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".fitting": ("FittingCoefficients",),
+        ".model_a_set": (
+            "ModelAResistances",
+            "PlaneResistances",
+            "compute_model_a_resistances",
+        ),
+        ".model_b_set": (
+            "ModelBResistances",
+            "PlaneLadderQuantities",
+            "compute_model_b_resistances",
+        ),
+        ".primitives": (
+            "annulus_axial_resistance",
+            "cylinder_axial_resistance",
+            "cylindrical_shell_resistance",
+            "parallel",
+            "series",
+            "slab_resistance",
+        ),
+        ".spreading": (
+            "finite_slab_spreading",
+            "semi_infinite_spreading",
+            "truncated_cone_resistance",
+            "via_cell_spreading",
+        ),
+    },
 )
 
 __all__ = [

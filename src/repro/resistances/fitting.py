@@ -4,7 +4,7 @@ The paper's k1 scales every *vertical* conductance and k2 every *lateral*
 (liner) conductance; both absorb the mismatch between the three-path
 abstraction and true 3-D spreading.  The case study additionally quotes a
 coefficient c_{1,2} = 3.5 that we interpret as an effective bond-layer
-conductance multiplier (see DESIGN.md, substitutions).
+conductance multiplier (see README.md, "Substitutions and assumptions").
 
 ``FittingCoefficients(1, 1, 1)`` makes Model A coefficient-free, which is
 exactly the resistance set Model B distributes (Section III: "obtained

@@ -10,7 +10,8 @@ Per plane j the set holds the triple (bulk, metal, liner):
 
 plus ``rs``, the lumped first-plane substrate (Eq. (16)).
 
-Span conventions (paper Fig. 2; see DESIGN.md §4):
+Span conventions (paper Fig. 2; see README.md, "Substitutions and
+assumptions"):
 
 * plane 1 via span: tD1 + l_ext (the via crosses ILD1 and dips l_ext into
   the first substrate);

@@ -18,22 +18,8 @@ CLI: ``python -m repro run <id|file.json>``, ``python -m repro list``,
 ``python -m repro batch <dir>``.
 """
 
-from .physics import (
-    NonlinearExperiment,
-    NonlinearModel,
-    TransientExperiment,
-    TransientModel,
-    build_transient_circuit,
-    run_nonlinear_spec_direct,
-    run_transient_spec_direct,
-)
-from .fleet import FleetOutcome, WorkerReport, run_fleet
-from .fsck import FsckReport, scrub
-from .lease import LeaseManager
-from .plan import ExecutionPlan, ScenarioPlan, compile_plan
+from .._lazy import lazy_exports
 from .registry import SCENARIOS, ScenarioRegistry
-from .runner import BatchRun, ScenarioRun, StoredCaseStudy, run_batch, run_scenario
-from .scheduler import ScheduleOutcome, execute_plan
 from .spec import (
     AXIS_LABELS,
     AXIS_PARAMETERS,
@@ -44,11 +30,32 @@ from .spec import (
     ScenarioSpec,
     TransientParams,
 )
-from .store import RunStore
 
 # registering the builtin scenarios is an import side effect by design:
 # any importer of repro.scenarios sees the paper's six entries
 from . import builtin as _builtin  # noqa: F401  (registration side effect)
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        ".fleet": ("FleetOutcome", "WorkerReport", "run_fleet"),
+        ".fsck": ("FsckReport", "scrub"),
+        ".lease": ("LeaseManager",),
+        ".physics": (
+            "NonlinearModel",
+            "TransientModel",
+            "build_transient_circuit",
+            "run_nonlinear_spec_direct",
+            "run_transient_spec_direct",
+        ),
+        ".plan": ("ExecutionPlan", "ScenarioPlan", "compile_plan"),
+        ".results": ("NonlinearExperiment", "StoredCaseStudy", "TransientExperiment"),
+        ".runner": ("BatchRun", "ScenarioRun", "run_batch", "run_scenario"),
+        ".scheduler": ("ScheduleOutcome", "execute_plan"),
+        ".store": ("RunStore",),
+    },
+)
 
 __all__ = [
     "AXIS_LABELS",

@@ -47,6 +47,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from .. import fsshim, perf
+from .._lazy import import_solver_stack
 from ..errors import DrainError, ValidationError
 from ..perf.retry import DEFAULT_RETRY, RetryPolicy
 from .drain import DrainGuard, drain_exit_code
@@ -330,6 +331,11 @@ def run_fleet(
 
     spec_dicts = [spec.to_dict() for spec in resolved]
     ctx = multiprocessing.get_context()
+    # import the solver stack once, before the fork: every worker then
+    # starts on its plan at once instead of importing it first, so no
+    # worker lags the others by a whole import (and forked children
+    # share the imported pages)
+    import_solver_stack()
 
     def spawn(rank: int):
         proc = ctx.Process(

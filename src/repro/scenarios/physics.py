@@ -21,7 +21,8 @@ steady-state sweeps use:
   with steady-state scenarios at the same point);
 * :class:`TransientExperiment` / :class:`NonlinearExperiment` — the
   scenario-level result containers with exact JSON payload round-trips
-  for the run store;
+  for the run store (defined in :mod:`repro.scenarios.results`, which
+  loads without the solvers);
 * :func:`run_transient_spec_direct` / :func:`run_nonlinear_spec_direct` —
   the reference implementations: plain :func:`~repro.network.step_response`
   / :class:`~repro.core.nonlinear.NonlinearSolver` library calls, which
@@ -32,7 +33,6 @@ steady-state sweeps use:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -53,6 +53,7 @@ from ..network import (
 )
 from ..network.solve import factorized_solver
 from ..perf import content_key, model_key
+from .results import NonlinearExperiment, TransientExperiment
 from .spec import NonlinearParams, ScenarioSpec, TransientParams
 
 #: x-axis placeholder for axis-less physics scenarios (one base-geometry point)
@@ -282,204 +283,6 @@ class NonlinearModel:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<NonlinearModel {self.name!r}>"
-
-
-# ---------------------------------------------------------------------------
-# scenario-level result containers
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class TransientExperiment:
-    """A completed transient scenario: one trajectory per (model, value).
-
-    ``results[name][i]`` is the observed-node trajectory of adapter
-    ``name`` at ``x_values[i]``.  The payload round-trips exactly —
-    trajectories are deterministic and carry no wall-clock times.
-    """
-
-    experiment_id: str
-    title: str
-    x_label: str
-    x_values: list[Any]
-    results: dict[str, list[TransientResult]]
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def series(self) -> dict[str, list[float]]:
-        """Final (steady-state) max rise per model per value."""
-        return {
-            name: [float(r.final.max()) for r in trajectories]
-            for name, trajectories in self.results.items()
-        }
-
-    def result_at(self, model_name: str, value: Any) -> TransientResult:
-        """The trajectory of one model at one axis value."""
-        try:
-            i = self.x_values.index(value)
-            return self.results[model_name][i]
-        except (KeyError, ValueError):
-            raise ValidationError(
-                f"no trajectory for ({model_name!r}, {value!r}); models: "
-                f"{sorted(self.results)}, values: {self.x_values}"
-            ) from None
-
-    def rows(self) -> list[list[Any]]:
-        """Report rows: final/peak rise and the 90 % settle time per point."""
-        out: list[list[Any]] = [
-            ["value", "model", "final ΔT [°C]", "peak ΔT [°C]", "t90 [µs]"]
-        ]
-        for i, value in enumerate(self.x_values):
-            for name, trajectories in self.results.items():
-                r = trajectories[i]
-                hottest = r.nodes[int(np.argmax(r.final))]
-                out.append(
-                    [
-                        value,
-                        name,
-                        float(r.final.max()),
-                        r.peak_rise,
-                        r.settle_time(hottest) * 1e6,
-                    ]
-                )
-        return out
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "kind": "transient",
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "x_label": self.x_label,
-            "x_values": list(self.x_values),
-            "series": self.series,
-            "results": {
-                name: [r.to_payload() for r in trajectories]
-                for name, trajectories in self.results.items()
-            },
-            "metadata": self.metadata,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "TransientExperiment":
-        try:
-            return cls(
-                experiment_id=payload["experiment_id"],
-                title=payload["title"],
-                x_label=payload["x_label"],
-                x_values=list(payload["x_values"]),
-                results={
-                    name: [TransientResult.from_payload(p) for p in trajectories]
-                    for name, trajectories in payload["results"].items()
-                },
-                metadata=dict(payload.get("metadata", {})),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ExperimentError(
-                f"malformed transient experiment payload: {exc!r}"
-            ) from exc
-
-
-@dataclass(frozen=True)
-class NonlinearExperiment:
-    """A completed nonlinear scenario: one fixed point per (model, value).
-
-    Every :class:`~repro.core.nonlinear.NonlinearResult` carries its
-    constant-k baseline (``history[0]``), so the linear-vs-nonlinear
-    comparison needs no separate reference sweep.
-    """
-
-    experiment_id: str
-    title: str
-    x_label: str
-    x_values: list[Any]
-    results: dict[str, list[NonlinearResult]]
-    metadata: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def series(self) -> dict[str, list[float]]:
-        """Converged max rise per model per value."""
-        return {
-            name: [r.max_rise for r in results]
-            for name, results in self.results.items()
-        }
-
-    def result_at(self, model_name: str, value: Any) -> NonlinearResult:
-        """The fixed-point result of one model at one axis value."""
-        try:
-            i = self.x_values.index(value)
-            return self.results[model_name][i]
-        except (KeyError, ValueError):
-            raise ValidationError(
-                f"no result for ({model_name!r}, {value!r}); models: "
-                f"{sorted(self.results)}, values: {self.x_values}"
-            ) from None
-
-    def rows(self) -> list[list[Any]]:
-        """Report rows: linear vs converged rise and loop diagnostics."""
-        out: list[list[Any]] = [
-            ["value", "model", "linear ΔT [°C]", "k(T) ΔT [°C]", "lin err %", "iters"]
-        ]
-        for i, value in enumerate(self.x_values):
-            for name, results in self.results.items():
-                r = results[i]
-                out.append(
-                    [
-                        value,
-                        name,
-                        r.linear_rise,
-                        r.max_rise,
-                        r.linear_error * 100.0,
-                        r.iterations,
-                    ]
-                )
-        return out
-
-    def to_payload(self) -> dict[str, Any]:
-        return {
-            "kind": "nonlinear",
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "x_label": self.x_label,
-            "x_values": list(self.x_values),
-            "series": self.series,
-            "results": {
-                name: [r.to_payload() for r in results]
-                for name, results in self.results.items()
-            },
-            "metadata": self.metadata,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "NonlinearExperiment":
-        try:
-            return cls(
-                experiment_id=payload["experiment_id"],
-                title=payload["title"],
-                x_label=payload["x_label"],
-                x_values=list(payload["x_values"]),
-                results={
-                    name: [NonlinearResult.from_payload(p) for p in results]
-                    for name, results in payload["results"].items()
-                },
-                metadata=dict(payload.get("metadata", {})),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ExperimentError(
-                f"malformed nonlinear experiment payload: {exc!r}"
-            ) from exc
-
-
-def result_from_store_payload(spec: ScenarioSpec, payload: dict[str, Any]) -> Any:
-    """Reconstruct a run-level store payload into the kind's result type."""
-    if spec.kind == "transient":
-        return TransientExperiment.from_payload(payload)
-    if spec.kind == "nonlinear":
-        return NonlinearExperiment.from_payload(payload)
-    if spec.kind == "case_study":
-        from .plan import StoredCaseStudy
-
-        return StoredCaseStudy(payload)
-    from ..experiments.harness import ExperimentResult
-
-    return ExperimentResult.from_payload(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -68,39 +68,6 @@ def is_content_key(key: str) -> bool:
     return not key.startswith("opaque:")
 
 
-@dataclass(frozen=True)
-class StoredCaseStudy:
-    """A case-study run reloaded from the store (payload-backed view)."""
-
-    payload: dict[str, Any]
-
-    @property
-    def title(self) -> str:
-        return self.payload.get("title", case_study_module.TITLE)
-
-    def rises(self) -> dict[str, float]:
-        return dict(self.payload["rises"])
-
-    def rows(self) -> list[list[Any]]:
-        out: list[list[Any]] = [["model", "max ΔT [°C]", "solve time [ms]"]]
-        runtimes = self.payload.get("runtimes_ms", {})
-        for name, rise in self.payload["rises"].items():
-            out.append([name, rise, runtimes.get(name, float("nan"))])
-        recal = self.payload.get("recalibrated")
-        if recal is not None:
-            out.append(
-                [
-                    f"model_a (recal. k1={recal['k1']:.2f}, k2={recal['k2']:.2f})",
-                    recal["max_rise"],
-                    float("nan"),
-                ]
-            )
-        return out
-
-    def to_payload(self) -> dict[str, Any]:
-        return self.payload
-
-
 def _power_spec(spec: ScenarioSpec) -> PowerSpec:
     kwargs = dict(spec.power)
     if kwargs.get("plane_powers") is not None:
@@ -715,7 +682,7 @@ def assemble_scenario(
     result directly.
     """
     if entry.physics is not None:
-        from .physics import NonlinearExperiment, TransientExperiment
+        from .results import NonlinearExperiment, TransientExperiment
 
         a = entry.physics
         container = (

@@ -18,35 +18,20 @@ equivalence tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from ..core.factory import make_model
-from ..experiments.harness import (
-    ExperimentResult,
-    calibrated_model_a,
-    run_sweep_experiment,
-)
-from ..experiments.table1_segments import rows_from_fig5
-from ..perf import DEFAULT_RETRY, NodeFailure, RetryPolicy, SweepExecutor
-from .physics import (
-    result_from_store_payload,
-    run_nonlinear_spec_direct,
-    run_transient_spec_direct,
-)
-from .plan import (
-    StoredCaseStudy,
-    _configurator,
-    _power_spec,
-    assemble_scenario,
-    compile_plan,
-    run_case_study_spec,
-)
-from .drain import DrainGuard
-from .lease import LeaseManager
+from ..perf.retry import DEFAULT_RETRY, NodeFailure, RetryPolicy
 from .registry import SCENARIOS
-from .scheduler import ProgressFn, execute_plan
+from .results import StoredCaseStudy, result_from_store_payload
 from .spec import ScenarioSpec
-from .store import RunStore
+
+if TYPE_CHECKING:
+    from ..experiments.harness import ExperimentResult
+    from ..perf.executors import SweepExecutor
+    from .drain import DrainGuard
+    from .lease import LeaseManager
+    from .scheduler import ProgressFn
+    from .store import RunStore
 
 __all__ = [
     "BatchRun",
@@ -108,6 +93,11 @@ def _run_sweep_eager(
     Kept as the reference implementation: the equivalence tests assert the
     plan-compiled path produces byte-identical payloads to this.
     """
+    from ..core.factory import make_model
+    from ..experiments.harness import calibrated_model_a, run_sweep_experiment
+    from ..experiments.table1_segments import rows_from_fig5
+    from .plan import _configurator
+
     axis = spec.axis
     configure = _configurator(spec)
     reference = make_model(spec.reference)
@@ -157,6 +147,9 @@ def _run_scenario_eager(
         if payload is not None:
             result: Any = result_from_store_payload(spec, payload)
             return ScenarioRun(spec=spec, key=key, result=result, from_store=True)
+    from .physics import run_nonlinear_spec_direct, run_transient_spec_direct
+    from .plan import run_case_study_spec
+
     if spec.kind == "case_study":
         result = run_case_study_spec(spec)
     elif spec.kind == "transient":
@@ -243,6 +236,10 @@ def run_batch(
 
     stats: dict[str, int] = {"run_store_hits": run_store_hits}
     if to_plan:
+        # the solver stack loads only when something missed the store
+        from .plan import assemble_scenario, compile_plan
+        from .scheduler import execute_plan
+
         plan = compile_plan([spec for _, spec in to_plan], fast=fast)
 
         # assemble and store each scenario the moment its last node lands,

@@ -141,13 +141,13 @@ from .plan import (
     ExecutionPlan,
     NonlinearNode,
     SolveNode,
-    StoredCaseStudy,
     TransientNode,
     is_content_key,
     run_case_study_spec,
 )
 from .drain import DrainGuard
 from .lease import LeaseManager
+from .results import StoredCaseStudy
 from .store import RunStore
 
 #: progress callback: one event dict per completed node

@@ -1,0 +1,149 @@
+"""What each command imports: light commands stay off the solver stack.
+
+Every check runs in a fresh interpreter, because this test process has
+long since imported everything.  None of them measures time: they check
+which modules got loaded.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+IMPORT_SET = ROOT / "scripts" / "import_set.py"
+
+
+def _load_import_set():
+    spec = importlib.util.spec_from_file_location("import_set", IMPORT_SET)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+import_set = _load_import_set()
+
+
+def _env() -> dict[str, str]:
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=_env(), cwd=ROOT,
+        timeout=300,
+    )
+
+
+def _modules_after(code: str) -> list[str]:
+    """``sys.modules`` of a fresh interpreter after running ``code``."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = _python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportSet:
+    def test_importing_the_cli_loads_no_heavy_module(self):
+        modules = _modules_after("import repro.__main__")
+        assert import_set.heavy_loaded(modules) == []
+        assert "numpy" in modules
+
+    @pytest.mark.parametrize("argv", [["list"], ["--help"]])
+    def test_light_commands_load_no_heavy_module(self, argv):
+        proc = _python(str(IMPORT_SET), *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert "import-set check" not in proc.stderr
+
+    def test_store_hit_run_loads_no_heavy_module(self, tmp_path):
+        store = tmp_path / "store"
+        fill = _python("-m", "repro", "run", "fig7", "--fast", "--store", str(store))
+        assert fill.returncode == 0, fill.stderr
+        assert "[fig7] solved" in fill.stdout
+        hit = _python(str(IMPORT_SET), "run", "fig7", "--fast", "--store", str(store))
+        assert hit.returncode == 0, hit.stderr
+        assert "[fig7] served from run store" in hit.stdout
+        # the same tables either way
+        assert hit.stdout.split("\n", 1)[1] == fill.stdout.split("\n", 1)[1]
+
+    def test_the_check_sees_a_heavy_import(self):
+        # the guard itself: a command that does load the stack is caught
+        assert import_set.heavy_loaded(["scipy.sparse", "repro.fem", "repro.core"]) == [
+            "repro.fem",
+            "scipy.sparse",
+        ]
+
+    def test_miss_path_still_loads_the_solvers(self):
+        modules = _modules_after(
+            "from repro.scenarios import run_scenario\n"
+            "run_scenario('fig7', fast=True)"
+        )
+        assert "repro.scenarios.scheduler" in modules
+        assert "scipy" in modules
+
+
+class TestNameShadowing:
+    """A package re-exporting a function under its submodule's name keeps the function."""
+
+    @pytest.mark.parametrize(
+        "package, name",
+        [
+            ("repro.core", "sweep"),
+            ("repro.perf", "stats"),
+            ("repro.analysis", "ascii_plot"),
+            ("repro.analysis", "sensitivity"),
+        ],
+    )
+    def test_importing_the_submodule_first_keeps_the_function(self, package, name):
+        code = (
+            f"import importlib, types\n"
+            f"importlib.import_module('{package}.{name}')\n"
+            f"import {package} as pkg\n"
+            f"value = getattr(pkg, '{name}')\n"
+            f"assert not isinstance(value, types.ModuleType), value\n"
+            f"assert callable(value) and value.__name__ == '{name}', value\n"
+        )
+        if package == "repro.core":
+            code += "import repro\nassert callable(repro.sweep) and repro.sweep is pkg.sweep\n"
+        _modules_after(code)
+
+    def test_perf_stats_reports_every_cache_in_a_fresh_process(self):
+        code = (
+            "from repro import perf\n"
+            "snapshot = perf.stats()\n"
+            "assert set(snapshot) == {'caches', 'counters'}, snapshot\n"
+            "assert set(snapshot['caches']) == "
+            "{'assembly_cache', 'result_cache', 'factor_cache'}, snapshot\n"
+            "for info in snapshot['caches'].values():\n"
+            "    assert set(info) == "
+            "{'evictions', 'hit_rate', 'hits', 'maxsize', 'misses', 'size'}, info\n"
+        )
+        _modules_after(code)
+
+
+def test_legacy_aliases_follow_the_experiment_registry():
+    from repro.__main__ import _LEGACY_EXPERIMENTS
+    from repro.experiments.runner import REGISTRY
+
+    assert _LEGACY_EXPERIMENTS == tuple(REGISTRY)
+
+
+def test_lazy_packages_keep_their_public_names():
+    import repro
+    from repro import analysis, core, experiments, network, perf, resistances, scenarios
+
+    for package in (repro, analysis, core, experiments, network, perf, resistances, scenarios):
+        for name in package.__all__:
+            assert getattr(package, name) is not None, f"{package.__name__}.{name}"
+        assert set(package.__all__) <= set(dir(package))
+        with pytest.raises(AttributeError):
+            getattr(package, "no_such_name")

@@ -301,7 +301,7 @@ class TestScenarioFromJson:
                 GeometryRule(set={"t_si_upper_um": 45.0}, above=5.0),
             ),
         )
-        from repro.scenarios.runner import _configurator
+        from repro.scenarios.plan import _configurator
 
         configure = _configurator(spec)
         thin_stack, _, _ = configure(3.0)
@@ -311,7 +311,7 @@ class TestScenarioFromJson:
 
     def test_power_mapping(self):
         spec = tiny_spec(power={"plane_powers": (1.0, 2.0, 3.0), "ild_fraction": 0.2})
-        from repro.scenarios.runner import _power_spec
+        from repro.scenarios.plan import _power_spec
 
         power = _power_spec(spec)
         assert power.plane_powers == (1.0, 2.0, 3.0)
