@@ -25,8 +25,8 @@ cd "$(dirname "$0")/.."
 # right after a pytest run, mimicking CI's hot state, to centre it in
 # that band; the comparison anchors on the baseline's *median*, not its
 # lucky minimum, for the same reason.)  Entries
-# flagged "noisy" in the report (process-pool spawns, big 3-D
-# factorizations) get double tolerance on top.  The real structural
+# flagged "noisy" in the report (process-pool spawns, filesystem-bound
+# lookups) get double tolerance on top.  The real structural
 # guarantees are carried by the load-immune same-run checks
 # (multi_rhs_batched_wins, parallel_group_dispatch_wins, *_identical),
 # which fail the gate at any load.

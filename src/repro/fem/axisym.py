@@ -21,7 +21,8 @@ side — each returned field is bit-for-bit identical to the corresponding
 :func:`solve_axisymmetric` call.
 
 Systems up to :data:`NATURAL_ORDERING_CUTOFF` unknowns factorise with
-SuperLU's *natural* column ordering instead of the default COLAMD.
+SuperLU's *natural* column ordering instead of the default
+(symmetric-mode minimum degree on ``A + Aᵀ``).
 Natural ordering is what makes a solo solve bit-for-bit identical to its
 slice of a block-diagonal stacked solve
 (:func:`repro.network.solve.solve_sparse_stacked`), which is how coarse
@@ -43,8 +44,8 @@ from ..network.solve import solve_sparse, solve_sparse_multi
 
 #: up to this many unknowns the axisymmetric factorisation uses natural
 #: ordering (batch-size invariant, hence stackable); the coarse preset
-#: (24×60 = 1440) is under it, medium (36×90 = 3240) and above keep
-#: COLAMD's cheaper fill-in
+#: (24×60 = 1440) is under it, medium (36×90 = 3240) and above keep the
+#: default ordering's cheaper fill-in
 NATURAL_ORDERING_CUTOFF = 2048
 
 

@@ -7,10 +7,12 @@ scipy.sparse.  :func:`solve_linear_system` picks automatically.
 The sparse direct path factorises with SuperLU through the global
 :data:`repro.perf.factor_cache`: solving the same matrix again (transient
 stepping, duplicated sweep points) reuses the factor and pays only the
-triangular solves.  Factorisation is deterministic, so cached and fresh
-solves produce identical results.  :func:`factorized_solver` exposes the
-same machinery for callers that solve one matrix against many right-hand
-sides.
+triangular solves.  The default factor is symmetric-mode SuperLU with a
+minimum-degree ordering on ``A + Aᵀ`` (every conductance matrix here is
+symmetric), which has about half the fill of COLAMD on 3-D FEM grids.
+Factorisation is deterministic, so cached and fresh solves produce
+identical results.  :func:`factorized_solver` exposes the same machinery
+for callers that solve one matrix against many right-hand sides.
 
 Multi-RHS entry points (:func:`solve_sparse_multi`,
 :func:`solve_dense_multi`, :func:`solve_linear_system_multi`) solve one
@@ -27,9 +29,9 @@ Stacked entry points (:func:`solve_dense_stacked`,
 :func:`solve_sparse_stacked`) solve *many independent systems* at once —
 the tier below multi-RHS: ``m`` different matrices with one RHS each,
 hoisted into a single ``(m, n, n)`` batched LAPACK call (dense) or one
-block-diagonal SuperLU factorisation (sparse).  The dense path is
-bit-for-bit identical per item to :func:`solve_dense`; guards name the
-offending stacked item.
+block-diagonal SuperLU factorisation with natural ordering (sparse).
+The dense path is bit-for-bit identical per item to :func:`solve_dense`;
+guards name the offending stacked item.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ def solve_sparse(
     definite, for which CG is the method of choice and avoids 3-D fill-in
     blow-up.
 
-    ``permc_spec`` overrides SuperLU's column ordering (default COLAMD).
+    ``permc_spec`` overrides SuperLU's column ordering.  The default
+    (None) is the symmetric-mode minimum-degree factor on ``A + Aᵀ`` of
+    :class:`~repro.perf.cache.FactorizationCache`.
     Callers whose solves must slot bit-for-bit into the block-diagonal
     stacked tier (:func:`solve_sparse_stacked`) pass ``"NATURAL"`` so solo
     and stacked factors agree exactly.
@@ -239,10 +243,10 @@ def solve_sparse_stacked(
     (``permc_spec="NATURAL"``): the block-diagonal structure makes natural
     ordering batch-size invariant — item ``i``'s slice of the solution is
     identical whether it is factorised alone or inside any batch — which
-    the identity tests assert.  (The default COLAMD ordering is *not*
-    batch-size invariant, and natural ordering differs from
-    :func:`solve_sparse`'s COLAMD factor in the last ulps, so this path
-    trades exact equality with the solo sparse path for batch-size
+    the identity tests assert.  (The default minimum-degree ordering on
+    ``A + Aᵀ`` is *not* batch-size invariant, and natural ordering differs
+    from :func:`solve_sparse`'s default factor in the last ulps, so this
+    path trades exact equality with the solo sparse path for batch-size
     invariance; use it where the batch itself is the reference.)
 
     A singular item fails the combined factorisation, so on failure each

@@ -126,8 +126,8 @@ class TestSolveSparseStacked:
         assert np.array_equal(full[1], pair[1])
 
     def test_close_to_solo_sparse_solves(self):
-        # COLAMD (solve_sparse) vs natural ordering differ in the last
-        # ulps only
+        # the default symmetric-mode MMD(A+Aᵀ) factor (solve_sparse) vs
+        # natural ordering differ in the last ulps only
         mats = [_spd_sparse(n, seed=n + 1) for n in (50, 70)]
         rhs = [np.random.RandomState(n).randn(n) for n in (50, 70)]
         stacked = solve_sparse_stacked(mats, rhs)
