@@ -33,6 +33,15 @@ benchmark-regression harness.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread per CLI process: the engine parallelises over processes
+# (``--jobs`` pools, fleet workers), which inherit this environment, and
+# OpenBLAS threads in each of them would oversubscribe the CPUs.  It must
+# be set before anything imports numpy (``import repro`` loads none); a
+# value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import json
 import signal

@@ -4,12 +4,14 @@ Small systems (Model A: a handful of nodes) use a dense LAPACK solve;
 large systems (Model B with hundreds of π-segments, FVM grids) use
 scipy.sparse.  :func:`solve_linear_system` picks automatically.
 
-The sparse direct path factorises with SuperLU through the global
+The sparse direct path factorises through the global
 :data:`repro.perf.factor_cache`: solving the same matrix again (transient
 stepping, duplicated sweep points) reuses the factor and pays only the
-triangular solves.  The default factor is symmetric-mode SuperLU with a
-minimum-degree ordering on ``A + Aᵀ`` (every conductance matrix here is
-symmetric), which has about half the fill of COLAMD on 3-D FEM grids.
+triangular solves.  Every conductance matrix here is symmetric positive
+definite, so the default factor is a banded Cholesky (reverse
+Cuthill–McKee ordering, LAPACK ``dpbtrf``); a matrix that is not
+symmetric, or not positive definite, falls back to symmetric-mode
+SuperLU (see :class:`~repro.perf.cache.FactorizationCache`).
 Factorisation is deterministic, so cached and fresh solves produce
 identical results.  :func:`factorized_solver` exposes the same machinery
 for callers that solve one matrix against many right-hand sides.
@@ -59,8 +61,9 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 #: above this many unknowns, prefer preconditioned CG over direct solve
-#: (SuperLU remains faster than ILU+CG for the moderately sized 3-D grids
-#: used here; CG is the safety net against fill-in blow-up on huge grids)
+#: (the direct factor remains faster than ILU+CG for the moderately sized
+#: 3-D grids used here; CG is the safety net against the band or fill-in
+#: blowing up on huge grids)
 ITERATIVE_CUTOFF = 150_000
 
 
@@ -76,15 +79,17 @@ def solve_sparse(
 ) -> np.ndarray:
     """Solve a sparse SPD system.
 
-    Direct factorisation (SuperLU, cached) up to :data:`ITERATIVE_CUTOFF`
+    Direct factorisation (cached) up to :data:`ITERATIVE_CUTOFF`
     unknowns; beyond that, conjugate gradients with an incomplete-LU
     preconditioner — the conductance matrices here are symmetric positive
     definite, for which CG is the method of choice and avoids 3-D fill-in
     blow-up.
 
-    ``permc_spec`` overrides SuperLU's column ordering.  The default
-    (None) is the symmetric-mode minimum-degree factor on ``A + Aᵀ`` of
-    :class:`~repro.perf.cache.FactorizationCache`.
+    The default (``permc_spec=None``) direct factor is the banded
+    Cholesky of :class:`~repro.perf.cache.FactorizationCache`, with
+    symmetric-mode SuperLU as its fallback; a singular matrix raises
+    :class:`~repro.errors.SingularNetworkError` either way.  A
+    ``permc_spec`` asks for a SuperLU factor with that column ordering.
     Callers whose solves must slot bit-for-bit into the block-diagonal
     stacked tier (:func:`solve_sparse_stacked`) pass ``"NATURAL"`` so solo
     and stacked factors agree exactly.
@@ -243,10 +248,10 @@ def solve_sparse_stacked(
     (``permc_spec="NATURAL"``): the block-diagonal structure makes natural
     ordering batch-size invariant — item ``i``'s slice of the solution is
     identical whether it is factorised alone or inside any batch — which
-    the identity tests assert.  (The default minimum-degree ordering on
-    ``A + Aᵀ`` is *not* batch-size invariant, and natural ordering differs
-    from :func:`solve_sparse`'s default factor in the last ulps, so this
-    path trades exact equality with the solo sparse path for batch-size
+    the identity tests assert.  (The default banded Cholesky is *not*
+    batch-size invariant, and natural ordering differs from
+    :func:`solve_sparse`'s default factor in the last ulps, so this path
+    trades exact equality with the solo sparse path for batch-size
     invariance; use it where the batch itself is the reference.)
 
     A singular item fails the combined factorisation, so on failure each
@@ -313,7 +318,7 @@ def solve_sparse_multi(
 ) -> np.ndarray:
     """Solve a sparse SPD system against an ``(n, k)`` RHS block.
 
-    One SuperLU factorisation (through the global factor cache) plus one
+    One factorisation (through the global factor cache) plus one
     back-substitution per column; column ``j`` of the result is bit-for-bit
     identical to ``solve_sparse(matrix, rhs_block[:, j])`` under the same
     ``permc_spec`` (see :func:`solve_sparse`).  Above
@@ -358,7 +363,7 @@ def solve_dense_multi(matrix: np.ndarray, rhs_block: np.ndarray) -> np.ndarray:
     build (asserted by the identity tests on this environment; on split
     BLAS installs the columns may differ in the last ulp).  The sparse
     path — the one the FEM matrix groups actually use — carries the
-    unconditional guarantee: both sides share one cached SuperLU factor.
+    unconditional guarantee: both sides share one cached sparse factor.
     """
     block = _as_rhs_block(rhs_block)
     if block.shape[1] == 0:
@@ -390,15 +395,15 @@ def factorized_solver(matrix) -> Callable[[np.ndarray], np.ndarray]:
     """A reusable ``solve(rhs)`` for repeated solves against one matrix.
 
     Dispatches like :func:`solve_linear_system` (dense LAPACK LU below
-    :data:`DENSE_CUTOFF` unknowns, SuperLU above) but factorises exactly
-    once, through the global factor cache.  Transient stepping uses this
-    to turn n_steps full solves into one factorisation plus n_steps
-    back-substitutions.
+    :data:`DENSE_CUTOFF` unknowns, the sparse factor above) but
+    factorises exactly once, through the global factor cache.  Transient
+    stepping uses this to turn n_steps full solves into one factorisation
+    plus n_steps back-substitutions.
 
-    The returned solve also accepts an ``(n, k)`` RHS block (SuperLU and
-    LAPACK back-substitute blocks natively); note that blocked triangular
-    solves are *not* bit-identical to per-column solves — callers that
-    need column-exact identity with single-RHS solves use
+    The returned solve also accepts an ``(n, k)`` RHS block; the dense LU
+    and a SuperLU fallback back-substitute blocks natively, and blocked
+    triangular solves are *not* bit-identical to per-column solves —
+    callers that need column-exact identity with single-RHS solves use
     :func:`solve_linear_system_multi` instead.
 
     Every returned solve applies the same finite-temperature guard as

@@ -914,9 +914,9 @@ def bench_fem3d(repeats: int) -> dict[str, Any]:
     """The builtin 3-D FEM power sweep, cold — the expensive, cache-
     sensitive workload the matrix-batched plane was built for.
 
-    Gated at the plain tolerance: with the default symmetric-mode
-    minimum-degree factor, 9 quick runs on 2 CPUs spread by IQR/median
-    0.14 (best-of-5) and 0.05 (median-of-5)."""
+    Gated at the plain tolerance: with the symmetric-mode minimum-degree
+    SuperLU factor that preceded the banded Cholesky, 9 quick runs on 2
+    CPUs spread by IQR/median 0.14 (best-of-5) and 0.05 (median-of-5)."""
     from ..scenarios import run_scenario
     from .stats import counter
 

@@ -1,4 +1,4 @@
-"""The default sparse factor: symmetric inputs, halved fill, fill counters.
+"""The default sparse factor: symmetric inputs, banded Cholesky, counters.
 
 Every sparse factorisation goes through
 :meth:`repro.perf.cache.FactorizationCache._factorize`.  Wrapping it while
@@ -6,12 +6,14 @@ the fast builtins plus one 3-D (``fem3d:16x16x32``) and one 2-D
 (``fem:fine``) Fig. 7 point run checks that
 
 * every matrix factored with the default ordering is exactly symmetric —
-  the premise of symmetric-mode SuperLU on ``A + Aᵀ``;
-* its fill (``L.nnz + U.nnz``) is well under scipy's COLAMD default on the
-  two FEM matrices, with solutions that agree to ``rtol=1e-10``;
+  the premise of its Cholesky factor;
+* on the two FEM matrices the default factor is the banded Cholesky (no
+  SuperLU fallback), its solutions agree with scipy's COLAMD ``splu`` to
+  ``rtol=1e-10``, and its band stores at most 1.75x the entries of the
+  symmetric-mode minimum-degree SuperLU factor it replaced;
 * the ``sparse_factorizations`` / ``sparse_factor_nnz`` counters of
   :func:`repro.perf.stats` count exactly those factors and the entries
-  SuperLU stores for them.
+  they store.
 
 Deterministic: fill and counts, no timings.
 """
@@ -26,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro import perf
-from repro.perf.cache import FactorizationCache
+from repro.perf.cache import SYMMETRIC_SPLU, BandedCholesky, FactorizationCache
 from repro.scenarios import SCENARIOS, run_scenario
 from repro.scenarios.spec import AxisSpec
 
@@ -36,14 +38,19 @@ BUILTIN_SPARSE_FACTORIZATIONS = 40
 FIG7_3D_UNKNOWNS = 14_161
 #: unknowns of the Fig. 7 block on the 2-D ``fine`` mesh
 FIG7_FINE_UNKNOWNS = 8_512
+#: band entries allowed per entry of the minimum-degree SuperLU factor
+#: (measured: 1.38x in 3-D, 1.60x in 2-D ``fine``)
+MAX_BAND_TO_SUPERLU_NNZ = 1.75
 
 
 @dataclass
 class Factored:
     matrix: object
     permc_spec: str | None
-    stored_nnz: int | None  # ``SuperLU.nnz``; None for a dense factor
-    fill: int | None  # ``L.nnz + U.nnz``; None for a dense factor
+    banded: bool  # a BandedCholesky, not a SuperLU (or dense) factor
+    #: entries the factor stores: the size of the band array for a
+    #: BandedCholesky, ``SuperLU.nnz``; None for a dense factor
+    stored_nnz: int | None
     solution: np.ndarray  # the factor applied to :func:`_rhs`
 
 
@@ -77,15 +84,17 @@ def factored():
 
     def recording(matrix, permc_spec=None):
         solve = original(matrix, permc_spec)
-        lu = getattr(solve, "__self__", None)  # SuperLU.solve is bound
-        sparse = isinstance(lu, spla.SuperLU)
+        lu = getattr(solve, "__self__", None)  # sparse solves are bound
+        banded = isinstance(lu, BandedCholesky)
+        if banded:
+            stored = lu.factor.shape[0] * lu.factor.shape[1]
+        elif isinstance(lu, spla.SuperLU):
+            stored = lu.nnz
+        else:
+            stored = None
         calls.append(
             Factored(
-                matrix,
-                permc_spec,
-                lu.nnz if sparse else None,
-                lu.L.nnz + lu.U.nnz if sparse else None,
-                solve(_rhs(matrix.shape[0])),
+                matrix, permc_spec, banded, stored, solve(_rhs(matrix.shape[0]))
             )
         )
         return solve
@@ -129,21 +138,25 @@ def test_fill_counters_count_every_sparse_factor_exactly(factored):
     assert counters["sparse_factorizations"] == BUILTIN_SPARSE_FACTORIZATIONS + 2
     assert counters["sparse_factorizations"] == len(sparse_calls)
     assert counters["sparse_factor_nnz"] == sum(c.stored_nnz for c in sparse_calls)
-    # with the default ordering SuperLU stores no entry beyond L and U
-    assert all(c.stored_nnz == c.fill for c in sparse_calls if c.permc_spec is None)
+    # every default-ordered matrix of the run is SPD: none fell back
+    assert "sparse_factor_fallbacks" not in counters
+    assert all(c.banded for c in sparse_calls if c.permc_spec is None)
+    assert not any(c.banded for c in sparse_calls if c.permc_spec is not None)
 
 
 @pytest.mark.parametrize(
-    ("n_unknowns", "max_fill_ratio"),
-    [(FIG7_3D_UNKNOWNS, 0.55), (FIG7_FINE_UNKNOWNS, 0.75)],
+    "n_unknowns",
+    [FIG7_3D_UNKNOWNS, FIG7_FINE_UNKNOWNS],
     ids=["fem3d_16x16x32", "fem_fine"],
 )
-def test_fem_factor_fill_beats_colamd(factored, n_unknowns, max_fill_ratio):
+def test_fem_default_factor_is_banded_cholesky(factored, n_unknowns):
     calls, _, _ = factored
     call = _only(calls, n_unknowns)
     assert call.permc_spec is None
+    assert call.banded
     colamd = spla.splu(call.matrix.tocsc())  # scipy's default ordering
-    assert call.fill <= max_fill_ratio * (colamd.L.nnz + colamd.U.nnz)
     np.testing.assert_allclose(
         call.solution, colamd.solve(_rhs(n_unknowns)), rtol=1e-10
     )
+    mmd = spla.splu(call.matrix.tocsc(), **SYMMETRIC_SPLU)
+    assert call.stored_nnz <= MAX_BAND_TO_SUPERLU_NNZ * mmd.nnz

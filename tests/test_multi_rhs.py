@@ -29,6 +29,7 @@ from repro.network.solve import (
     solve_sparse_multi,
 )
 from repro.perf import MatrixGroupTask, ParallelExecutor, SerialExecutor
+from repro.perf.cache import BandedCholesky
 from repro.scenarios import SCENARIOS, AxisSpec, ScenarioSpec, run_scenario
 from repro.scenarios.plan import _configurator
 from repro.scenarios.runner import _run_scenario_eager
@@ -64,6 +65,8 @@ class TestSolveMulti:
         multi = solve_sparse_multi(matrix, block)
         for j in range(block.shape[1]):
             assert np.array_equal(multi[:, j], solve_sparse(matrix, block[:, j]))
+        # the identity holds for the default factor, a banded Cholesky
+        assert isinstance(perf.factor_cache.solver(matrix).__self__, BandedCholesky)
 
     def test_dense_columns_bitwise_equal_single_solves(self):
         rng = np.random.RandomState(2)

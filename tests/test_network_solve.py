@@ -15,6 +15,7 @@ from repro.network.solve import (
     solve_linear_system,
     solve_sparse,
 )
+from repro.perf.cache import BandedCholesky
 
 
 def laplacian_chain(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -65,10 +66,45 @@ class TestBackends:
             solve_dense(g, np.ones(3))
 
     def test_sparse_nonfinite_detected(self):
-        # a floating block makes the system singular; SuperLU returns inf/nan
+        # a floating block makes the system singular: LAPACK rejects it as
+        # not positive definite, and SuperLU, the fallback, as singular
         g = sp.csr_matrix(np.diag([1.0, 0.0, 1.0]))
-        with pytest.raises(Exception):
+        before = perf.counter("sparse_factor_fallbacks")
+        with pytest.raises(SingularNetworkError):
             solve_sparse(g, np.array([1.0, 1.0, 1.0]))
+        assert perf.counter("sparse_factor_fallbacks") == before + 1
+
+
+class TestSparseFactor:
+    """The default sparse factor: banded Cholesky, SuperLU as fallback."""
+
+    def test_spd_matrix_gets_a_banded_cholesky(self):
+        g, rhs = laplacian_chain(DENSE_CUTOFF + 60)
+        before = perf.counter("sparse_factor_fallbacks")
+        solve = perf.factor_cache.solver(sp.csr_matrix(g))
+        assert isinstance(solve.__self__, BandedCholesky)
+        assert solve.__self__.nnz == 2 * g.shape[0]  # bandwidth 1
+        assert np.allclose(solve(rhs), solve_dense(g, rhs))
+        assert perf.counter("sparse_factor_fallbacks") == before
+
+    def test_nonsymmetric_matrix_falls_back_to_superlu(self):
+        g, rhs = laplacian_chain(DENSE_CUTOFF + 40)
+        g[0, 7] = -0.5  # a one-way coupling: no longer symmetric
+        before = perf.counter("sparse_factor_fallbacks")
+        out = solve_sparse(sp.csr_matrix(g), rhs)
+        assert perf.counter("sparse_factor_fallbacks") == before + 1
+        assert isinstance(
+            perf.factor_cache.solver(sp.csr_matrix(g)).__self__, spla.SuperLU
+        )
+        np.testing.assert_allclose(out, np.linalg.solve(g, rhs), rtol=1e-10)
+
+    def test_indefinite_symmetric_matrix_falls_back_to_superlu(self):
+        g, rhs = laplacian_chain(DENSE_CUTOFF + 20)
+        g[3, 3] = -2.0  # symmetric and regular, but not positive definite
+        before = perf.counter("sparse_factor_fallbacks")
+        out = solve_sparse(sp.csr_matrix(g), rhs)
+        assert perf.counter("sparse_factor_fallbacks") == before + 1
+        np.testing.assert_allclose(out, np.linalg.solve(g, rhs), rtol=1e-10)
 
 
 class TestIterativePath:
