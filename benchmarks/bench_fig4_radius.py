@@ -3,9 +3,9 @@
 import pytest
 
 from repro import Model1D, ModelA, ModelB
-from repro.experiments import fig4_radius
 from repro.experiments.params import fig4_config
 from repro.fem import FEMReference
+from repro.scenarios import run_scenario
 
 from conftest import print_experiment
 
@@ -31,7 +31,7 @@ def test_fig4_point_solve(benchmark, fig4_point, model):
 def test_fig4_reproduction(benchmark):
     """Regenerate the full Fig. 4 series (all models, all radii)."""
     result = benchmark.pedantic(
-        lambda: fig4_radius.run(fem_resolution="medium", fast=False),
+        lambda: run_scenario("fig4", fem_resolution="medium").result,
         rounds=1,
         iterations=1,
     )

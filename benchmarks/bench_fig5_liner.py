@@ -3,8 +3,8 @@
 import pytest
 
 from repro import Model1D, ModelA, ModelB
-from repro.experiments import fig5_liner
 from repro.fem import FEMReference
+from repro.scenarios import run_scenario
 
 from conftest import print_experiment
 
@@ -24,7 +24,7 @@ def test_fig5_point_solve(benchmark, fig5_block, model):
 def test_fig5_reproduction(benchmark):
     """Regenerate Fig. 5: A, B(1/20/100/500), 1-D and FEM across liners."""
     result = benchmark.pedantic(
-        lambda: fig5_liner.run(fem_resolution="medium", fast=False),
+        lambda: run_scenario("fig5", fem_resolution="medium").result,
         rounds=1,
         iterations=1,
     )

@@ -4,8 +4,8 @@ import pytest
 
 from repro import Model1D, ModelA, ModelB, PowerSpec, paper_stack, paper_tsv
 from repro.analysis import crossover_points
-from repro.experiments import fig6_substrate
 from repro.fem import FEMReference
+from repro.scenarios import run_scenario
 from repro.units import um
 
 from conftest import print_experiment
@@ -33,7 +33,7 @@ def test_fig6_point_solve(benchmark, fig6_point, model):
 def test_fig6_reproduction(benchmark):
     """Regenerate Fig. 6 and check the non-monotonicity headline."""
     result = benchmark.pedantic(
-        lambda: fig6_substrate.run(fem_resolution="medium", fast=False),
+        lambda: run_scenario("fig6", fem_resolution="medium").result,
         rounds=1,
         iterations=1,
     )

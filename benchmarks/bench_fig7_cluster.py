@@ -3,9 +3,9 @@
 import pytest
 
 from repro import ModelA, PowerSpec, TSVCluster, paper_tsv
-from repro.experiments import fig7_cluster
 from repro.experiments.params import fig7_config
 from repro.fem import FEMReference
+from repro.scenarios import run_scenario
 from repro.units import um
 
 from conftest import print_experiment
@@ -35,7 +35,7 @@ def test_fem_unit_cell_solve(benchmark, n):
 def test_fig7_reproduction(benchmark):
     """Regenerate Fig. 7; the 1-D curve must be flat, the others falling."""
     result = benchmark.pedantic(
-        lambda: fig7_cluster.run(fem_resolution="medium", fast=False),
+        lambda: run_scenario("fig7", fem_resolution="medium").result,
         rounds=1,
         iterations=1,
     )

@@ -9,7 +9,8 @@ import pytest
 
 from repro import Model1D, ModelA, ModelB
 from repro.analysis import format_table
-from repro.experiments import fig5_liner, table1_segments
+from repro.experiments import table1_segments
+from repro.scenarios import run_scenario
 
 
 @pytest.mark.parametrize("segments", [1, 20, 100, 500], ids=lambda n: f"B({n})")
@@ -32,11 +33,11 @@ def test_reference_models(benchmark, fig5_block, model):
 
 def test_table1_reproduction(benchmark):
     """Regenerate Table I (errors vs FEM over the Fig. 5 sweep)."""
-    def build():
-        fig5 = fig5_liner.run(fem_resolution="medium", fast=False, calibrate=False)
-        return table1_segments.run(fig5_result=fig5)
-
-    result = benchmark.pedantic(build, rounds=1, iterations=1)
+    result = benchmark.pedantic(
+        lambda: run_scenario("table1", fem_resolution="medium", calibrate=False).result,
+        rounds=1,
+        iterations=1,
+    )
     print()
     print(table1_segments.TITLE)
     print(format_table(result.metadata["table_rows"]))

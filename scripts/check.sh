@@ -47,6 +47,15 @@ if ! grep -q "served from run store" "$fsck_tmp/hit.txt"; then
 fi
 rm -rf "$fsck_tmp"
 
+# no tier-1 test imports benchmarks/bench_*.py, so without ruff a reference
+# to a deleted module would otherwise surface only in CI
+echo "== benchmark modules import"
+PYTHONPATH="src:benchmarks${PYTHONPATH:+:$PYTHONPATH}" python -c '
+import importlib, pathlib
+for path in sorted(pathlib.Path("benchmarks").glob("bench_*.py")):
+    importlib.import_module(path.stem)
+'
+
 echo "== benchmark quick gate"
 benchmarks/run_bench.sh
 

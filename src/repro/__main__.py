@@ -25,9 +25,11 @@ Scenario subcommands (the declarative path — :mod:`repro.scenarios`):
   sharded ``<space>/<xx>/<key>.json`` layout (reads understand both, so
   migrating is optional).
 
-Legacy aliases keep working: ``python -m repro fig4 …`` (also ``fig5``,
-``fig6``, ``fig7``, ``table1``, ``case_study``, ``all``) runs the paper
-experiments directly, and ``python -m repro bench`` delegates to the
+The paper's results have aliases: ``python -m repro fig4 …`` (also
+``fig5``, ``fig6``, ``fig7``, ``table1``, ``case_study``) is ``run fig4 …``
+with the same flags, and ``all`` runs those six as one batch (shared
+points are solved once) and, with ``--output-dir``, renders
+EXPERIMENTS.md.  ``python -m repro bench`` delegates to the
 benchmark-regression harness.
 """
 
@@ -56,18 +58,16 @@ from .perf.retry import RetryPolicy
 from .scenarios import SCENARIOS, ScenarioSpec
 from .scenarios.drain import DrainGuard, drain_exit_code
 from .scenarios.lease import DEFAULT_TTL_S
-from .scenarios.runner import run_batch, run_scenario
+from .scenarios.runner import run_batch
 from .scenarios.store import MANIFEST_NAME, RunStore
 
-# Commands import what only they use (the fleet driver, fsck, the legacy
-# experiment runner) when they run: a store-hit ``run`` stays free of the
-# solver stack.
+# Commands import what only they use (the fleet driver, fsck, the report
+# renderer) when they run: a store-hit ``run`` stays free of the solver
+# stack.
 
-#: the legacy experiment aliases, in ``repro.experiments.runner.REGISTRY``
-#: order (a test keeps the two in step)
-_LEGACY_EXPERIMENTS = ("fig4", "fig5", "table1", "fig6", "fig7", "case_study")
-#: legacy experiment names that accept --jobs (they run parameter sweeps)
-_SWEEP_EXPERIMENTS = ("all", "fig4", "fig5", "fig6", "fig7", "table1")
+#: the paper's results, in EXPERIMENTS.md order: each id is a command that
+#: means ``run <id>``, and ``all`` runs them as one batch
+_PAPER_ALIASES = ("fig4", "fig5", "fig6", "fig7", "table1", "case_study")
 
 
 def _positive_int(text: str) -> int:
@@ -77,13 +77,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_run_flags(parser: argparse.ArgumentParser, *, legacy: bool) -> None:
-    """The flag set shared by the scenario and legacy subcommands.
-
-    Legacy commands keep their historical ``--fem-resolution`` default
-    (``medium``); scenario commands default to None so the spec's own
-    reference wins unless the user overrides it.
-    """
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flag set of ``run``, ``batch``, the paper aliases and ``all``."""
     parser.add_argument(
         "--fast", action="store_true", help="reduced sweeps (CI-speed)"
     )
@@ -97,10 +92,9 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, legacy: bool) -> None:
     )
     parser.add_argument(
         "--fem-resolution",
-        default="medium" if legacy else None,
+        default=None,
         choices=["coarse", "medium", "fine"],
-        help="mesh preset for the FEM reference"
-        + (" (default: medium)" if legacy else " (default: the spec's own)"),
+        help="mesh preset for the FEM reference (default: the spec's own)",
     )
     parser.add_argument(
         "--no-calibrate",
@@ -111,66 +105,65 @@ def _add_run_flags(parser: argparse.ArgumentParser, *, legacy: bool) -> None:
         "--output-dir",
         type=Path,
         default=None,
-        help="also write JSON payloads here"
-        + (" (and EXPERIMENTS.md for 'all')" if legacy else " (payload + spec)"),
+        help="also write JSON payloads here (payload + spec; 'all' adds "
+        "EXPERIMENTS.md)",
     )
-    if not legacy:
-        parser.add_argument(
-            "--no-matrix-groups",
-            action="store_true",
-            help="disable matrix-batched dispatch (nodes sharing a system "
-            "matrix are otherwise solved as one group: factor once, one "
-            "RHS per point; results are identical either way)",
-        )
-        parser.add_argument(
-            "--no-stacked-batches",
-            action="store_true",
-            help="disable the cross-matrix stacked solve tier (ungrouped "
-            "nodes sharing a system structure are otherwise solved as one "
-            "batched dense call; results are identical either way)",
-        )
-        parser.add_argument(
-            "--store",
-            type=Path,
-            default=None,
-            metavar="DIR",
-            help="content-addressed run store: artifacts land here and "
-            "re-running an unchanged scenario is a store hit, not a solve",
-        )
-        parser.add_argument(
-            "--resume",
-            action="store_true",
-            help="reuse point-level artifacts (points/<key>.json) from an "
-            "interrupted earlier run instead of re-solving them (needs a "
-            "store)",
-        )
-        parser.add_argument(
-            "--progress",
-            choices=["bar", "json"],
-            default="bar",
-            help="execution-plan progress on stderr: 'bar' (default) is the "
-            "live one-line counter; 'json' emits one JSON event per "
-            "completed plan node (kind, key, cache/store provenance, "
-            "elapsed seconds)",
-        )
-        parser.add_argument(
-            "--max-retries",
-            type=int,
-            default=2,
-            metavar="N",
-            help="how many times a transiently-failed plan node is "
-            "re-dispatched before being quarantined (default 2; 0 "
-            "quarantines on first failure)",
-        )
-        parser.add_argument(
-            "--node-timeout",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="per-node wall-clock budget; a node exceeding it counts "
-            "as a transient failure and is retried (scaled by member "
-            "count for matrix groups; default: unbounded)",
-        )
+    parser.add_argument(
+        "--no-matrix-groups",
+        action="store_true",
+        help="disable matrix-batched dispatch (nodes sharing a system "
+        "matrix are otherwise solved as one group: factor once, one "
+        "RHS per point; results are identical either way)",
+    )
+    parser.add_argument(
+        "--no-stacked-batches",
+        action="store_true",
+        help="disable the cross-matrix stacked solve tier (ungrouped "
+        "nodes sharing a system structure are otherwise solved as one "
+        "batched dense call; results are identical either way)",
+    )
+    parser.add_argument(
+        "--store",
+        type=Path,
+        default=None,
+        metavar="DIR",
+        help="content-addressed run store: artifacts land here and "
+        "re-running an unchanged scenario is a store hit, not a solve",
+    )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help="reuse point-level artifacts (points/<key>.json) from an "
+        "interrupted earlier run instead of re-solving them (needs a "
+        "store)",
+    )
+    parser.add_argument(
+        "--progress",
+        choices=["bar", "json"],
+        default="bar",
+        help="execution-plan progress on stderr: 'bar' (default) is the "
+        "live one-line counter; 'json' emits one JSON event per "
+        "completed plan node (kind, key, cache/store provenance, "
+        "elapsed seconds)",
+    )
+    parser.add_argument(
+        "--max-retries",
+        type=int,
+        default=2,
+        metavar="N",
+        help="how many times a transiently-failed plan node is "
+        "re-dispatched before being quarantined (default 2; 0 "
+        "quarantines on first failure)",
+    )
+    parser.add_argument(
+        "--node-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-node wall-clock budget; a node exceeding it counts "
+        "as a transient failure and is retried (scaled by member "
+        "count for matrix groups; default: unbounded)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description=(
             "Run declarative scenarios ('run', 'list', 'batch'), regenerate "
-            "the DATE 2011 TTSV paper's tables and figures (legacy "
-            "fig4..case_study/all aliases), or run the benchmark-regression "
-            "harness ('bench')."
+            "the DATE 2011 TTSV paper's tables and figures (fig4..case_study "
+            "are aliases of 'run <id>'; 'all' runs them as one batch), or "
+            "run the benchmark-regression harness ('bench')."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -193,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "target", help="a registered scenario id (see 'list') or a JSON spec file"
     )
-    _add_run_flags(run_p, legacy=False)
+    _add_run_flags(run_p)
 
     sub.add_parser(
         "list",
@@ -212,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_p.add_argument(
         "directory", type=Path, help="directory containing scenario *.json files"
     )
-    _add_run_flags(batch_p, legacy=False)
+    _add_run_flags(batch_p)
 
     fleet_p = sub.add_parser(
         "fleet",
@@ -349,12 +342,19 @@ def build_parser() -> argparse.ArgumentParser:
         "directory", type=Path, help="the run-store directory to migrate"
     )
 
-    for exp_id in (*_LEGACY_EXPERIMENTS, "all"):
-        legacy_p = sub.add_parser(
-            exp_id, help=f"(legacy alias) regenerate {exp_id}"
-        )
-        _add_run_flags(legacy_p, legacy=True)
-        legacy_p.set_defaults(experiment=exp_id)
+    for exp_id in _PAPER_ALIASES:
+        alias_p = sub.add_parser(exp_id, help=f"alias of 'run {exp_id}'")
+        _add_run_flags(alias_p)
+        alias_p.set_defaults(target=exp_id)
+    all_p = sub.add_parser(
+        "all",
+        help="run every paper result as one batch",
+        description=(
+            f"Run {', '.join(_PAPER_ALIASES)} as one merged plan; with "
+            "--output-dir also write their payloads and EXPERIMENTS.md."
+        ),
+    )
+    _add_run_flags(all_p)
     return parser
 
 
@@ -508,28 +508,20 @@ class _PlanProgress:
             print(file=sys.stderr)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    if args.target in SCENARIOS:
-        spec = SCENARIOS.get(args.target)
-    else:
-        path = Path(args.target)
-        if not path.exists():
-            print(
-                f"error: {args.target!r} is neither a registered scenario id "
-                f"nor an existing file; see 'python -m repro list'",
-                file=sys.stderr,
-            )
-            return 2
-        spec = ScenarioSpec.load(path)
-    store = RunStore(args.store) if args.store else None
+def _execute(args: argparse.Namespace, specs: list, store: RunStore | None):
+    """Run ``specs`` as one plan under the shared run flags.
+
+    Returns the :class:`~repro.scenarios.runner.BatchRun`, or the exit
+    code when a shutdown signal drained the run.
+    """
     if args.resume and store is None:
         print("note: --resume needs a --store; ignored", file=sys.stderr)
     progress = _make_progress(args)
     guard = DrainGuard()
     try:
         with guard.installed():
-            run = run_scenario(
-                spec,
+            batch = run_batch(
+                specs,
                 executor=get_executor(args.jobs),
                 store=store,
                 resume=args.resume,
@@ -544,27 +536,83 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
     except DrainError as exc:
         progress.close()
-        _drain_notice(exc, args.store)
+        _drain_notice(exc, store.root if store is not None else None)
         return drain_exit_code(exc.signum)
     progress.close()
-    if run.failed:
-        print(f"[{run.spec.scenario_id}] FAILED (key {run.key})")
-        _print_failures(run.failures)
-        return 3
+    return batch
+
+
+def _print_run(run) -> None:
     source = "served from run store" if run.from_store else "solved"
     print(f"[{run.spec.scenario_id}] {source} (key {run.key})")
     print()
     _print_result(run.result)
+
+
+def _write_outputs(output_dir: Path, run) -> None:
+    """``--output-dir``: the run's JSON payload and its resolved spec."""
+    from .analysis.export import export_json
+
+    output_dir.mkdir(parents=True, exist_ok=True)
+    scenario_id = run.spec.scenario_id
+    export_json(output_dir / f"{scenario_id}.json", run.result.to_payload())
+    run.spec.dump(output_dir / f"{scenario_id}.spec.json")
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    if args.target in SCENARIOS:
+        spec = SCENARIOS.get(args.target)
+    else:
+        path = Path(args.target)
+        if not path.exists():
+            print(
+                f"error: {args.target!r} is neither a registered scenario id "
+                f"nor an existing file; see 'python -m repro list'",
+                file=sys.stderr,
+            )
+            return 2
+        spec = ScenarioSpec.load(path)
+    batch = _execute(args, [spec], RunStore(args.store) if args.store else None)
+    if isinstance(batch, int):
+        return batch
+    (run,) = batch.runs
+    if run.failed:
+        print(f"[{run.spec.scenario_id}] FAILED (key {run.key})")
+        _print_failures(run.failures)
+        return 3
+    _print_run(run)
     if args.output_dir:
-        from .analysis.export import export_json
+        _write_outputs(args.output_dir, run)
+        print(f"\npayload and spec written to {args.output_dir}")
+    return 0
+
+
+def _cmd_all(args: argparse.Namespace) -> int:
+    """Every paper result as one batch; ``--output-dir`` adds EXPERIMENTS.md."""
+    batch = _execute(
+        args, list(_PAPER_ALIASES), RunStore(args.store) if args.store else None
+    )
+    if isinstance(batch, int):
+        return batch
+    results = {}
+    for run in batch.runs:
+        print()
+        if run.failed:
+            print(f"[{run.spec.scenario_id}] FAILED (key {run.key})")
+            continue
+        _print_run(run)
+        results[run.spec.scenario_id] = run.result
+        if args.output_dir:
+            _write_outputs(args.output_dir, run)
+    if args.output_dir:
+        from .experiments.runner import render_markdown
 
         args.output_dir.mkdir(parents=True, exist_ok=True)
-        export_json(
-            args.output_dir / f"{run.spec.scenario_id}.json",
-            run.result.to_payload(),
-        )
-        run.spec.dump(args.output_dir / f"{run.spec.scenario_id}.spec.json")
-        print(f"\npayload and spec written to {args.output_dir}")
+        (args.output_dir / "EXPERIMENTS.md").write_text(render_markdown(results))
+        print(f"\nreports written to {args.output_dir}")
+    if batch.failures:
+        _print_failures(batch.failures)
+        return 3
     return 0
 
 
@@ -618,32 +666,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"error: no scenario *.json files in {directory}", file=sys.stderr)
         return 2
     store = RunStore(args.store if args.store else directory / "runs")
-    specs = [ScenarioSpec.load(path) for path in files]
-    progress = _make_progress(args)
-    guard = DrainGuard()
-    try:
-        with guard.installed():
-            batch = run_batch(
-                specs,
-                executor=get_executor(args.jobs),
-                store=store,
-                resume=args.resume,
-                fast=args.fast,
-                fem_resolution=args.fem_resolution,
-                calibrate=False if args.no_calibrate else None,
-                progress=progress,
-                group_matrices=not args.no_matrix_groups,
-                stack_batches=not args.no_stacked_batches,
-                retry=_retry_policy(args),
-                drain=guard,
-            )
-    except DrainError as exc:
-        progress.close()
-        _drain_notice(exc, store.root)
-        return drain_exit_code(exc.signum)
-    progress.close()
-    from .analysis.export import export_json
-
+    batch = _execute(args, [ScenarioSpec.load(path) for path in files], store)
+    if isinstance(batch, int):
+        return batch
     solved = hits = failed = 0
     for path, run in zip(files, batch.runs):
         if run.failed:
@@ -657,12 +682,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             tag = "solved"
         print(f"[{run.spec.scenario_id}] {tag:9s} {path.name} -> {run.key}")
         if args.output_dir and not run.failed:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            export_json(
-                args.output_dir / f"{run.spec.scenario_id}.json",
-                run.result.to_payload(),
-            )
-            run.spec.dump(args.output_dir / f"{run.spec.scenario_id}.spec.json")
+            _write_outputs(args.output_dir, run)
     stats = batch.stats
     if stats.get("nodes_total"):
         print(
@@ -782,51 +802,6 @@ def _cmd_migrate(args: argparse.Namespace) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# legacy experiment aliases
-# ---------------------------------------------------------------------------
-def _cmd_legacy(args: argparse.Namespace) -> int:
-    from .analysis.export import export_json
-    from .experiments.runner import REGISTRY, render_markdown, run_all
-
-    kwargs = {"fem_resolution": args.fem_resolution, "fast": args.fast}
-    if args.experiment in _SWEEP_EXPERIMENTS:
-        kwargs["jobs"] = args.jobs
-    elif args.jobs != 1:
-        print(
-            f"note: {args.experiment} has no parameter sweep; --jobs ignored",
-            file=sys.stderr,
-        )
-    if args.experiment == "all":
-        results = run_all(**kwargs, calibrate=not args.no_calibrate)
-        for result in results.values():
-            print()
-            _print_result(result)
-        if args.output_dir:
-            args.output_dir.mkdir(parents=True, exist_ok=True)
-            (args.output_dir / "EXPERIMENTS.md").write_text(render_markdown(results))
-            for exp_id, result in results.items():
-                export_json(
-                    args.output_dir / f"{exp_id}.json", result.to_payload()
-                )
-            print(f"\nreports written to {args.output_dir}")
-        return 0
-    run = REGISTRY[args.experiment]
-    if args.experiment in ("fig4", "fig5", "fig6", "fig7", "table1"):
-        kwargs["calibrate"] = not args.no_calibrate
-    if args.experiment == "case_study":
-        kwargs["recalibrate"] = not args.no_calibrate
-    result = run(**kwargs)
-    _print_result(result)
-    if args.output_dir:
-        args.output_dir.mkdir(parents=True, exist_ok=True)
-        export_json(
-            args.output_dir / f"{args.experiment}.json", result.to_payload()
-        )
-        print(f"\npayload written to {args.output_dir}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # env-armed laggy-filesystem shim (chaos soak / NFS-semantics drills)
@@ -839,8 +814,10 @@ def main(argv: list[str] | None = None) -> int:
 
         return bench_main(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.command == "run":
+    if args.command in ("run", *_PAPER_ALIASES):
         return _cmd_run(args)
+    if args.command == "all":
+        return _cmd_all(args)
     if args.command == "list":
         return _cmd_list()
     if args.command == "batch":
@@ -849,9 +826,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_fleet(args)
     if args.command == "fsck":
         return _cmd_fsck(args)
-    if args.command == "migrate":
-        return _cmd_migrate(args)
-    return _cmd_legacy(args)
+    return _cmd_migrate(args)
 
 
 if __name__ == "__main__":

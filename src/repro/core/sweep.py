@@ -3,14 +3,16 @@
 Every figure of the paper is a sweep: vary one parameter (radius, liner
 thickness, substrate thickness, cluster size), run several models on each
 point, and compare the resulting max-ΔT series.  :func:`sweep` captures that
-pattern once; the experiment modules supply the per-point configuration
-callback.
+pattern once for the eager reference path
+(:func:`repro.experiments.harness.run_sweep_experiment`), which supplies the
+per-point configuration callback; the planned path lowers the same points
+with :func:`expand_points` and reassembles them with :func:`assemble_sweep`.
 
 Execution is pluggable: the default :class:`~repro.perf.SerialExecutor`
 runs the historical in-process loop, while
 :class:`~repro.perf.ParallelExecutor` fans sweep points out over a process
-pool (the CLI's ``--jobs N``).  Either way the configure callback runs in
-the parent, results come back in sweep order, and — because every solve is
+pool.  Either way the configure callback runs in the parent, streamed
+results are merged back by point index, and — because every solve is
 deterministic — serial and parallel sweeps are numerically identical.
 
 Solved points are also memoized in the global result cache keyed on
@@ -202,7 +204,7 @@ def sweep(
                 )
             )
 
-    for task, solved in zip(tasks, executor.run_tasks(tasks)):
+    for task, solved in executor.submit_stream(tasks):
         point_results[task.index].update(solved)
         for name, result in solved.items():
             key = point_keys[task.index].get(name)

@@ -1,4 +1,5 @@
-"""Experiments: one module per paper table/figure plus a combined runner."""
+"""Experiments: the paper's parameters and facts, the sweep harness the
+reference path uses, the case study and the EXPERIMENTS.md renderer."""
 
 from .._lazy import lazy_exports
 
@@ -7,14 +8,10 @@ __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         ".harness": ("ExperimentResult", "run_sweep_experiment"),
-        ".runner": ("REGISTRY", "render_markdown", "run_all"),
+        ".runner": ("render_markdown",),
     },
     submodules=(
         "case_study",
-        "fig4_radius",
-        "fig5_liner",
-        "fig6_substrate",
-        "fig7_cluster",
         "paper_facts",
         "table1_segments",
     ),
@@ -23,13 +20,7 @@ __getattr__, __dir__ = lazy_exports(
 __all__ = [
     "ExperimentResult",
     "run_sweep_experiment",
-    "run_all",
     "render_markdown",
-    "REGISTRY",
-    "fig4_radius",
-    "fig5_liner",
-    "fig6_substrate",
-    "fig7_cluster",
     "table1_segments",
     "case_study",
     "paper_facts",

@@ -70,15 +70,8 @@ def run(
     fast: bool = False,
     recalibrate: bool = True,
     model_b_segments: int = 1000,
-    jobs: int = 1,
 ) -> CaseStudyExperiment:
-    """Run the case study; ``fast`` trims Model B to 100 segments.
-
-    ``jobs`` is accepted for interface symmetry with the sweep experiments
-    (``run_all`` forwards it everywhere) but unused: the case study solves
-    a single operating point, so there is nothing to fan out.
-    """
-    del jobs
+    """Run the case study; ``fast`` trims Model B to 100 segments."""
     if fast:
         model_b_segments = 100
     report = analyze_case_study(

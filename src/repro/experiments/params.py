@@ -1,9 +1,11 @@
-"""Paper parameters for every experiment, straight from the captions.
+"""Paper block geometries, straight from the captions.
 
 Figs. 4–7 all use the Section-IV block (100 µm × 100 µm, 500 µm first
 substrate, SiO2 ILD/liner, polyimide bond, copper fill, k1 = 1.3,
 k2 = 0.55); each figure varies one parameter and fixes the rest as listed
-in its caption.
+in its caption.  The swept values live in the builtin scenario specs
+(:mod:`repro.scenarios.builtin`); these builders give single points of
+those sweeps to tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ def _block(
 # Fig. 4 — radius sweep.  Caption: tL = 0.5 µm, tD = 4 µm, tb = 1 µm;
 # tSi2 = tSi3 = 5 µm for r ≤ 5 µm, 45 µm for r > 5 µm (aspect-ratio limit).
 # ---------------------------------------------------------------------------
-FIG4_RADII_UM = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 16.0, 20.0]
-FIG4_RADII_UM_FAST = [1.0, 3.0, 5.0, 8.0, 12.0, 20.0]
 FIG4_THIN_SUBSTRATE_UM = 5.0
 FIG4_THICK_SUBSTRATE_UM = 45.0
 FIG4_RADIUS_SWITCH_UM = 5.0
@@ -70,11 +70,6 @@ def fig4_config(radius_um: float) -> BlockConfig:
 # Fig. 5 / Table I — liner sweep.  Caption: r = 5 µm, tD = 7 µm, tb = 1 µm,
 # tSi2 = tSi3 = 45 µm.
 # ---------------------------------------------------------------------------
-FIG5_LINERS_UM = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-FIG5_LINERS_UM_FAST = [0.5, 1.5, 3.0]
-TABLE1_SEGMENTS = [1, 20, 100, 500]
-
-
 def fig5_config(liner_um: float) -> BlockConfig:
     """The Fig. 5 block at one swept liner thickness (µm)."""
     return _block(
@@ -87,31 +82,9 @@ def fig5_config(liner_um: float) -> BlockConfig:
 
 
 # ---------------------------------------------------------------------------
-# Fig. 6 — substrate sweep.  Caption: tL = 1 µm, tD = 7 µm, tb = 1 µm,
-# r = 8 µm.
-# ---------------------------------------------------------------------------
-FIG6_SUBSTRATES_UM = [5.0, 10.0, 15.0, 20.0, 30.0, 45.0, 60.0, 80.0]
-FIG6_SUBSTRATES_UM_FAST = [5.0, 20.0, 45.0, 80.0]
-
-
-def fig6_config(t_si_um: float) -> BlockConfig:
-    """The Fig. 6 block at one swept upper-substrate thickness (µm)."""
-    return _block(
-        t_si_upper=um(t_si_um),
-        t_ild=um(7.0),
-        t_bond=um(1.0),
-        radius=um(8.0),
-        liner=um(1.0),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Fig. 7 — cluster sweep.  Caption: tL = 1 µm, tD = 4 µm, tb = 1 µm,
 # tSi2 = tSi3 = 20 µm, r0 = 10 µm; a via divided into 1/2/4/9/16 members.
 # ---------------------------------------------------------------------------
-FIG7_COUNTS = [1, 2, 4, 9, 16]
-
-
 def fig7_config() -> BlockConfig:
     """The (fixed) Fig. 7 block; the sweep varies only the member count."""
     return _block(

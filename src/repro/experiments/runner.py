@@ -1,75 +1,19 @@
-"""Run every paper experiment and render a combined report.
+"""Render the combined EXPERIMENTS.md report.
 
-``run_all`` executes figs. 4–7, Table I and the case study;
-``render_markdown`` produces the EXPERIMENTS.md content comparing measured
-numbers against the paper's stated facts.
+``render_markdown`` compares the measured numbers of figs. 4–7, Table I
+and the case study (``python -m repro all --output-dir DIR`` runs them)
+against the paper's stated facts.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..analysis import format_table
-from . import (
-    case_study,
-    fig4_radius,
-    fig5_liner,
-    fig6_substrate,
-    fig7_cluster,
-    paper_facts,
-    table1_segments,
-)
-from .case_study import CaseStudyExperiment
-from .harness import ExperimentResult
+from . import paper_facts
 
-#: experiment id -> module run() callable
-REGISTRY: dict[str, Callable[..., Any]] = {
-    "fig4": fig4_radius.run,
-    "fig5": fig5_liner.run,
-    "table1": table1_segments.run,
-    "fig6": fig6_substrate.run,
-    "fig7": fig7_cluster.run,
-    "case_study": case_study.run,
-}
-
-
-def run_all(
-    *,
-    fem_resolution: str | tuple[int, int] = "medium",
-    fast: bool = False,
-    verbose: bool = True,
-    jobs: int = 1,
-    calibrate: bool = True,
-) -> dict[str, Any]:
-    """Run every experiment; Table I reuses the Fig. 5 sweep.
-
-    ``jobs`` sets the per-sweep worker-process count (1 = serial) and
-    ``calibrate`` toggles the recalibrated Model A variant everywhere —
-    the same knobs the single-experiment entry points take (the CLI's
-    ``--jobs`` / ``--no-calibrate`` for ``all`` land here).
-    """
-    results: dict[str, Any] = {}
-    for exp_id in ("fig4", "fig5", "fig6", "fig7"):
-        if verbose:
-            print(f"[{exp_id}] running ...")
-        results[exp_id] = REGISTRY[exp_id](
-            fem_resolution=fem_resolution, fast=fast, jobs=jobs, calibrate=calibrate
-        )
-    if verbose:
-        print("[table1] deriving from fig5 ...")
-    results["table1"] = table1_segments.run(
-        fem_resolution=fem_resolution,
-        fast=fast,
-        fig5_result=results["fig5"],
-        jobs=jobs,
-    )
-    if verbose:
-        print("[case_study] running ...")
-    results["case_study"] = case_study.run(
-        fem_resolution=fem_resolution, fast=fast, recalibrate=calibrate, jobs=jobs
-    )
-    return results
+if TYPE_CHECKING:
+    from .harness import ExperimentResult
 
 
 def _figure_section(result: ExperimentResult, paper_errors: dict[str, tuple]) -> str:
@@ -137,7 +81,7 @@ def render_markdown(results: dict[str, Any]) -> str:
         sections.append("```")
         sections.append("")
     if "case_study" in results:
-        exp: CaseStudyExperiment = results["case_study"]
+        exp = results["case_study"]
         sections.append("## Case study: 3-D DRAM-uP")
         sections.append("")
         sections.append("```")

@@ -2,18 +2,16 @@
 
 The paper evaluates B(1)/B(20)/B(100)/B(500), Model A and the 1-D model
 over the Fig. 5 liner sweep and reports max/avg error against FEM plus the
-solve time.  This module re-derives the table from the Fig. 5 experiment.
+solve time.  The ``table1`` scenario runs the Fig. 5 sweep and
+:func:`rows_from_fig5` derives the table from it.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..analysis import format_table
 from .harness import ExperimentResult
-from . import fig5_liner
 
-EXPERIMENT_ID = "table1"
 TITLE = "Table I: error and run time vs # of segments in Model B"
 
 
@@ -32,40 +30,3 @@ def rows_from_fig5(result: ExperimentResult) -> list[list[Any]]:
         pct = result.errors[name].as_percentages()
         out.append([name, pct["max_%"], pct["avg_%"], result.runtimes_ms[name]])
     return out
-
-
-def run(
-    *,
-    fem_resolution: str | tuple[int, int] = "medium",
-    fast: bool = False,
-    fig5_result: ExperimentResult | None = None,
-    jobs: int = 1,
-    calibrate: bool = True,
-) -> ExperimentResult:
-    """Reproduce Table I (reusing a Fig. 5 run when provided).
-
-    ``jobs`` and ``calibrate`` only matter when the Fig. 5 sweep is run
-    here rather than passed in.
-    """
-    result = fig5_result or fig5_liner.run(
-        fem_resolution=fem_resolution, fast=fast, jobs=jobs, calibrate=calibrate
-    )
-    metadata = dict(result.metadata)
-    metadata["table_rows"] = rows_from_fig5(result)
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title=TITLE,
-        x_label=result.x_label,
-        x_values=result.x_values,
-        series=result.series,
-        reference_name=result.reference_name,
-        errors=result.errors,
-        runtimes_ms=result.runtimes_ms,
-        metadata=metadata,
-        sweep_result=result.sweep_result,
-    )
-
-
-def table_text(result: ExperimentResult) -> str:
-    """Render Table I as aligned text."""
-    return format_table(result.metadata["table_rows"])

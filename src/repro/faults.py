@@ -22,7 +22,10 @@ Sites (each guards one seam of the execute path):
   write (corruption simulates data lost between write and fsync);
 * ``lease`` — a :mod:`repro.scenarios.lease` claim acquisition (a crash
   here kills a fleet worker while it *holds* leases — the shape that
-  exercises expiry and takeover on the surviving workers).
+  exercises expiry and takeover on the surviving workers);
+* ``worker-start`` — a fleet worker's start, before it compiles its plan
+  (a delay here is a slow-booting worker: it lets a drill hold the
+  survivors back until an armed peer has claimed its first node).
 
 Kinds (not every kind makes sense at every site — see
 :data:`SITE_KINDS`):
@@ -72,7 +75,14 @@ __all__ = [
 KINDS = ("crash", "delay", "error", "corrupt")
 
 #: every instrumented site
-SITES = ("solve", "group-solve", "stacked-solve", "store-write", "lease")
+SITES = (
+    "solve",
+    "group-solve",
+    "stacked-solve",
+    "store-write",
+    "lease",
+    "worker-start",
+)
 
 #: which kinds are meaningful at which site: execution sites take the
 #: execution faults, the store site takes the data faults (a crash inside
@@ -83,6 +93,7 @@ SITE_KINDS = {
     "stacked-solve": ("crash", "delay", "error"),
     "store-write": ("delay", "corrupt"),
     "lease": ("crash", "delay"),
+    "worker-start": ("delay",),
 }
 
 ENV_RATE = "REPRO_FAULT_RATE"

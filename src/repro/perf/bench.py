@@ -81,11 +81,19 @@ def _series_identical(a: Any, b: Any) -> bool:
 
 
 def bench_fig7_sweep(jobs: int, repeats: int) -> dict[str, Any]:
-    """The Fig. 7 cluster sweep: serial cold, parallel cold, cache-warm."""
-    from ..experiments import fig7_cluster
+    """The Fig. 7 cluster sweep: serial cold, parallel cold, cache-warm.
+
+    Timed on the eager reference path (``harness.run_sweep_experiment`` →
+    ``core.sweep.sweep``), which dispatches every point in one executor
+    call; the planned path builds a process pool per scheduler wave.
+    """
+    from ..scenarios.runner import _run_scenario_eager
+    from .executors import get_executor
 
     def run(n_jobs: int = 1):
-        return fig7_cluster.run(fem_resolution="medium", fast=False, jobs=n_jobs)
+        return _run_scenario_eager(
+            "fig7", executor=get_executor(n_jobs), fem_resolution="medium"
+        ).result
 
     def cold(n_jobs: int = 1):
         perf_cache.reset()

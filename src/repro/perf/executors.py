@@ -1,7 +1,9 @@
 """Pluggable sweep execution: serial today, process-parallel when asked.
 
-The sweep engine hands an executor a list of work specs and expects the
-solved results back *in task order*.  Three task shapes exist:
+The sweep engine and the execution-plan scheduler hand an executor a list
+of work specs and consume ``(task, result)`` pairs as they complete; each
+task carries the index its caller merges it back by.  Three task shapes
+exist:
 
 * :class:`PointTask` — one sweep point's worth of solves (one geometry,
   several models), the historical unit of dispatch;
@@ -26,11 +28,10 @@ plain dataclass geometry and the model instances themselves, all of which
 pickle cleanly; the configure callback (often a closure) is evaluated in
 the parent before dispatch, so it never crosses the process boundary.
 
-Determinism: ``ProcessPoolExecutor.map`` preserves input order, every
-model solve is deterministic, and batched solves are bit-identical to
-per-point solves, so serial, parallel, grouped and ungrouped execution
-all produce numerically identical results regardless of how tasks land
-on workers.
+Determinism: every model solve is deterministic and batched solves are
+bit-identical to per-point solves, so serial, parallel, grouped and
+ungrouped execution all produce numerically identical results regardless
+of how tasks land on workers or in which order they complete.
 
 Fault tolerance: :meth:`SweepExecutor.submit_stream_safe` is the
 capture-mode stream — worker exceptions come back as picklable
@@ -205,27 +206,20 @@ def solve_task_chunk_safe(
 
 
 class SweepExecutor(abc.ABC):
-    """Strategy interface: run tasks, return results aligned with input."""
+    """Strategy interface: solve tasks, streaming results as they land."""
 
     @abc.abstractmethod
-    def run_tasks(self, tasks: list[SweepTask]) -> list[Any]:
-        """Solve every task, returning one result per task, in order."""
-
     def submit_stream(
         self, tasks: Iterable[SweepTask]
     ) -> Iterator[tuple[SweepTask, Any]]:
-        """Yield ``(task, results)`` pairs as tasks complete.
+        """Yield one ``(task, results)`` pair per task as tasks complete.
 
-        Completion order is unspecified — the execution-plan scheduler
-        consumes this to react to each solved point (or matrix group) as
-        soon as it lands (progress callbacks, point-store writes,
-        unlocking dependents).  The default implementation delegates to
-        :meth:`run_tasks`, so any executor that only implements the batch
-        interface still streams (in task order); :class:`ParallelExecutor`
-        overrides it with true as-completed delivery.
+        Completion order is unspecified — callers route results by
+        ``task.index``.  The execution-plan scheduler consumes this to
+        react to each solved point (or matrix group) as soon as it lands
+        (progress callbacks, point-store writes, unlocking dependents).
+        A worker exception unwinds the iterator.
         """
-        tasks = list(tasks)
-        yield from zip(tasks, self.run_tasks(tasks))
 
     def submit_stream_safe(
         self, tasks: Iterable[SweepTask], *, timeout_s: float | None = None
@@ -260,9 +254,6 @@ class SweepExecutor(abc.ABC):
 class SerialExecutor(SweepExecutor):
     """The default in-process loop — identical to the historical sweep."""
 
-    def run_tasks(self, tasks: list[SweepTask]) -> list[Any]:
-        return [solve_work(t) for t in tasks]
-
     def submit_stream(
         self, tasks: Iterable[SweepTask]
     ) -> Iterator[tuple[SweepTask, Any]]:
@@ -287,7 +278,7 @@ def _pool(workers: int) -> ProcessPoolExecutor:
 
 
 class ParallelExecutor(SweepExecutor):
-    """Process-pool execution with chunked dispatch and ordered results.
+    """Process-pool execution with chunked dispatch.
 
     Parameters
     ----------
@@ -327,22 +318,6 @@ class ParallelExecutor(SweepExecutor):
                 f"max_pool_rebuilds must be >= 0, got {max_pool_rebuilds}"
             )
         self.max_pool_rebuilds = max_pool_rebuilds
-
-    def run_tasks(self, tasks: list[SweepTask]) -> list[Any]:
-        if self.jobs == 1 or len(tasks) <= 1:
-            return SerialExecutor().run_tasks(tasks)
-        workers = min(self.jobs, len(tasks))
-        chunk = self.chunksize or max(1, math.ceil(len(tasks) / (workers * 2)))
-        try:
-            with _pool(workers) as pool:
-                return list(pool.map(solve_work, tasks, chunksize=chunk))
-        except (pickle.PicklingError, BrokenProcessPool, OSError) as exc:
-            warnings.warn(
-                f"parallel sweep degraded to serial execution: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return SerialExecutor().run_tasks(tasks)
 
     def _split_groups(self, tasks: list[SweepTask]) -> list[SweepTask]:
         """Split large batch tasks into per-worker sub-blocks.
@@ -403,8 +378,7 @@ class ParallelExecutor(SweepExecutor):
             yield from SerialExecutor().submit_stream(tasks)
             return
         workers = min(self.jobs, len(tasks))
-        # same chunked dispatch as run_tasks: one future per chunk, so the
-        # streaming path amortises pickling overhead identically
+        # one future per chunk amortises pickling overhead
         chunk = self.chunksize or max(1, math.ceil(len(tasks) / (workers * 2)))
         chunks = [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]
         done: set[int] = set()

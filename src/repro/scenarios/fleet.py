@@ -33,7 +33,10 @@ respawned, and an optional whole-run deadline bounds the worst case.
 ``extra_env`` injects per-rank environment overrides into the children
 before any work starts; the fault matrix uses it to arm a
 ``lease``-site crash in one worker only (rate 1.0), killing it the
-moment it holds claims — the canonical expiry-and-takeover drill.
+moment it holds claims — the canonical expiry-and-takeover drill.  A
+``worker-start`` delay armed in the other ranks holds them back until
+that rank has claimed, so the drill does not depend on which worker the
+OS schedules first.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .. import fsshim, perf
+from .. import faults, fsshim, perf
 from .._lazy import import_solver_stack
 from ..errors import DrainError, ValidationError
 from ..perf.retry import DEFAULT_RETRY, RetryPolicy
@@ -213,6 +216,8 @@ def _worker_main(
     guard.install()
     beats = HeartbeatWriter(store.root, rank)
     beats.beat(force=True)  # visible before the first (possibly slow) solve
+    if faults.active():
+        faults.inject("worker-start", f"rank{rank}")
 
     def progress(event: dict[str, Any]) -> None:
         beats.beat(

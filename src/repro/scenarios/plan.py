@@ -646,7 +646,7 @@ def compile_plan(
 # case-study execution (shared by the scheduler and the eager runner)
 # ---------------------------------------------------------------------------
 def run_case_study_spec(spec: ScenarioSpec):
-    """Run a resolved case-study spec through the legacy experiment code."""
+    """Run a resolved case-study spec through :func:`experiments.case_study.run`."""
     parsed = parse_model_spec(spec.reference)
     if parsed.kind != "fem":
         raise ValidationError(

@@ -103,7 +103,7 @@ def _run_sweep_eager(
     reference = make_model(spec.reference)
     models = [make_model(m) for m in spec.models]
     if spec.calibrate:
-        # same slot the legacy experiments used: right after the first model
+        # right after the first model, the slot the planned path uses too
         models.insert(
             min(1, len(models)),
             calibrated_model_a(

@@ -1,13 +1,31 @@
 """The ``python -m repro`` command-line interface."""
 
 import json
+import re
 
 import pytest
 
 from repro import perf
 from repro.__main__ import build_parser, main
 from repro.experiments.harness import ExperimentResult
-from repro.scenarios import RunStore, ScenarioSpec
+from repro.scenarios import SCENARIOS, RunStore, ScenarioSpec
+
+PAPER_IDS = ("fig4", "fig5", "fig6", "fig7", "table1", "case_study")
+
+
+def _mask_times(text: str) -> str:
+    """Blank the wall-clock cells of every table with a time column."""
+    lines = []
+    column = None
+    for line in text.splitlines():
+        if "time [ms]" in line:
+            column = line.index("time [ms]")
+        elif not line.strip():
+            column = None
+        elif column is not None and not re.fullmatch(r"[- ]+", line):
+            line = line[:column]
+        lines.append(line)
+    return "\n".join(lines)
 
 
 class TestParser:
@@ -21,8 +39,12 @@ class TestParser:
 
     def test_defaults(self):
         args = build_parser().parse_args(["fig4"])
-        assert args.fem_resolution == "medium"
+        assert args.command == "fig4" and args.target == "fig4"
         assert not args.fast
+        spec = SCENARIOS.get(args.target).resolved(
+            fast=args.fast, fem_resolution=args.fem_resolution
+        )
+        assert spec.reference == "fem:medium"
 
     def test_flags(self):
         args = build_parser().parse_args(
@@ -80,6 +102,35 @@ class TestMain:
 
 
 FAST_FLAGS = ["--fast", "--fem-resolution", "coarse", "--no-calibrate"]
+
+
+def test_all_exits_3_on_quarantined_nodes(capsys, tmp_path):
+    from repro import faults
+
+    faults.configure(rate=0.3, kinds=("error",), sites=("solve",), seed=0)
+    try:
+        code = main(
+            ["all", *FAST_FLAGS, "--max-retries", "0",
+             "--output-dir", str(tmp_path)]
+        )
+    finally:
+        faults.reset()
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "FAILED" in captured.out
+    assert "quarantined" in captured.err
+    # the scenarios that did complete are still reported
+    assert (tmp_path / "EXPERIMENTS.md").exists()
+
+
+@pytest.mark.parametrize("scenario_id", PAPER_IDS)
+def test_paper_alias_is_run(capsys, scenario_id):
+    assert main([scenario_id, *FAST_FLAGS]) == 0
+    alias = capsys.readouterr().out
+    assert main(["run", scenario_id, *FAST_FLAGS]) == 0
+    run = capsys.readouterr().out
+    assert alias.startswith(f"[{scenario_id}] solved (key ")
+    assert _mask_times(alias) == _mask_times(run)
 
 
 class TestRunSubcommand:

@@ -1,29 +1,41 @@
-"""Experiment harness and the paper experiments end-to-end (coarse/fast)."""
+"""The paper experiments end-to-end (coarse mesh) against the paper's claims."""
+
+import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.analysis import crossover_points, is_monotonic
-from repro.experiments import (
-    case_study,
-    fig4_radius,
-    fig5_liner,
-    fig6_substrate,
-    fig7_cluster,
-    render_markdown,
-    table1_segments,
-)
+from repro.experiments import case_study, paper_facts, render_markdown
+from repro.experiments.harness import ExperimentResult
 from repro.experiments.table1_segments import rows_from_fig5
+from repro.scenarios import run_batch, run_scenario
+
+
+def _run(scenario_id, *, fast):
+    return run_scenario(
+        scenario_id, fem_resolution="coarse", calibrate=False, fast=fast
+    ).result
 
 
 @pytest.fixture(scope="module")
 def fig5_result():
-    return fig5_liner.run(fem_resolution="coarse", fast=True, calibrate=False)
+    return _run("fig5", fast=True)
+
+
+@pytest.fixture(scope="module")
+def calibrated():
+    """Figs. 4–7 with the recalibrated Model A, as one batch."""
+    batch = run_batch(
+        ["fig4", "fig5", "fig6", "fig7"], fem_resolution="coarse", fast=True
+    )
+    return {run.spec.scenario_id: run.result for run in batch.runs}
 
 
 class TestFig4:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig4_radius.run(fem_resolution="coarse", fast=True, calibrate=False)
+        return _run("fig4", fast=True)
 
     def test_series_present(self, result):
         assert {"model_a", "model_b(100)", "model_1d", "fem"} <= set(result.series)
@@ -75,20 +87,22 @@ class TestFig5Table1:
         assert times[3] > times[0]
 
     def test_table1_rows_order(self, fig5_result):
-        result = table1_segments.run(fig5_result=fig5_result)
+        result = _run("table1", fast=True)
         rows = rows_from_fig5(fig5_result)
         assert [r[0] for r in rows[1:]] == [
             "model_b(1)", "model_b(20)", "model_b(100)", "model_b(500)",
             "model_a", "model_1d",
         ]
-        assert result.metadata["table_rows"] == rows
-        assert "model" in table1_segments.table_text(result)
+        # the same errors as the Fig. 5 sweep; only the time column differs
+        assert [r[:3] for r in result.metadata["table_rows"]] == [
+            r[:3] for r in rows
+        ]
 
 
 class TestFig6:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig6_substrate.run(fem_resolution="coarse", fast=False, calibrate=False)
+        return _run("fig6", fast=False)
 
     def test_fem_non_monotonic(self, result):
         assert crossover_points(result.x_values, result.series["fem"])
@@ -100,11 +114,17 @@ class TestFig6:
     def test_1d_monotonic(self, result):
         assert is_monotonic(result.series["model_1d"], increasing=True)
 
+    def test_fem_minimum_inside_paper_range(self, result):
+        fem = result.series["fem"]
+        x_min = result.x_values[fem.index(min(fem))]
+        low, high = paper_facts.FIG6_MINIMUM_RANGE_UM
+        assert low < x_min < high
+
 
 class TestFig7:
     @pytest.fixture(scope="class")
     def result(self):
-        return fig7_cluster.run(fem_resolution="coarse", fast=False, calibrate=False)
+        return _run("fig7", fast=False)
 
     def test_models_fall_with_n(self, result):
         for name in ("model_a", "model_b(100)", "fem"):
@@ -138,25 +158,53 @@ class TestCaseStudyExperiment:
         assert "recalibrated" not in payload
 
 
+class TestPaperClaims:
+    """Claims of the paper that hold for our FEM at coarse and medium mesh."""
+
+    @pytest.mark.parametrize("scenario_id", ["fig4", "fig5", "fig6", "fig7"])
+    def test_calibration_lowers_model_a_error(self, calibrated, scenario_id):
+        errors = calibrated[scenario_id].errors
+        assert errors["model_a_cal"].avg_error < errors["model_a"].avg_error
+
+    @pytest.mark.parametrize(
+        "scenario_id, paper_errors, fast",
+        [
+            ("fig4", paper_facts.FIG4_ERRORS, True),
+            ("fig6", paper_facts.FIG6_ERRORS, False),
+            ("fig7", paper_facts.FIG7_ERRORS, False),
+        ],
+    )
+    def test_1d_has_the_largest_max_error(self, scenario_id, paper_errors, fast):
+        paper_worst = max(paper_errors, key=lambda name: paper_errors[name][0])
+        errors = _run(scenario_id, fast=fast).errors
+        ours_worst = max(errors, key=lambda name: errors[name].max_error)
+        assert ours_worst == paper_worst == "model_1d"
+
+
 class TestRunAll:
-    def test_no_calibrate_and_jobs_forwarded(self):
-        from repro.experiments.runner import run_all
-
-        results = run_all(
-            fem_resolution="coarse", fast=True, verbose=False, calibrate=False
+    def test_all_alias_writes_reports_without_calibration(self, capsys, tmp_path):
+        code = main(
+            ["all", "--fast", "--fem-resolution", "coarse", "--no-calibrate",
+             "--output-dir", str(tmp_path)]
         )
-        # --no-calibrate reaches every experiment (it used to be dropped)
-        for exp_id in ("fig4", "fig5", "fig6", "fig7", "table1"):
-            assert "model_a_cal" not in results[exp_id].series, exp_id
-        assert results["case_study"].recalibrated is None
-        # table1 is derived from the shared fig5 sweep
-        assert results["table1"].series == results["fig5"].series
-
-    def test_case_study_accepts_jobs(self):
-        exp = case_study.run(
-            fem_resolution="coarse", fast=True, recalibrate=False, jobs=4
-        )
-        assert exp.report.rises()["fem"] > 0
+        assert code == 0
+        capsys.readouterr()
+        assert "# EXPERIMENTS" in (tmp_path / "EXPERIMENTS.md").read_text()
+        payloads = {
+            exp_id: json.loads((tmp_path / f"{exp_id}.json").read_text())
+            for exp_id in ("fig4", "fig5", "fig6", "fig7", "table1", "case_study")
+        }
+        sweeps = {
+            exp_id: ExperimentResult.from_payload(payload)
+            for exp_id, payload in payloads.items()
+            if exp_id != "case_study"
+        }
+        # --no-calibrate reaches every scenario
+        for exp_id, result in sweeps.items():
+            assert "model_a_cal" not in result.series, exp_id
+        assert "recalibrated" not in payloads["case_study"]
+        # table1 is the fig5 sweep
+        assert sweeps["table1"].series == sweeps["fig5"].series
 
 
 class TestRenderMarkdown:

@@ -121,6 +121,13 @@ class TestDecide:
         faults.configure(rate=1.0, kinds=("crash", "error"), seed=0)
         assert faults.decide("store-write", "k") is None
 
+    def test_worker_start_only_delays(self):
+        # a worker's start takes only the slow-boot fault
+        faults.configure(rate=1.0, kinds=("crash", "error", "corrupt"), seed=0)
+        assert faults.decide("worker-start", "rank1") is None
+        faults.configure(rate=1.0, kinds=("crash", "delay"), seed=0)
+        assert faults.decide("worker-start", "rank1") == "delay"
+
     def test_unconfigured_site_never_fires(self):
         faults.configure(rate=1.0, kinds=("error",), sites=("solve",))
         assert faults.decide("group-solve", "k") is None

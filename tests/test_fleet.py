@@ -18,6 +18,16 @@ from repro.scenarios.fleet import EXIT_OK, run_fleet
 from repro.__main__ import main
 
 
+#: ranks 1-2 of the crash drills start late, so rank 0 is sure to claim
+#: (and crash) before they can finish the whole plan without it
+SLOW_START_ENV = {
+    faults.ENV_RATE: "1.0",
+    faults.ENV_SITES: "worker-start",
+    faults.ENV_KINDS: "delay",
+    faults.ENV_DELAY_S: "1.0",
+}
+
+
 def fleet_spec(scenario_id="fleet_tiny", values=(2.0, 3.0, 4.0, 5.0)):
     return ScenarioSpec(
         scenario_id=scenario_id,
@@ -83,8 +93,8 @@ class TestFleet:
     def test_worker_kill_loses_no_completed_points(self, single, tmp_path):
         spec, single_store, single_solves = single
         # worker 0 is armed to crash the moment it holds a lease; the
-        # survivors inherit clean environments and take over its claims
-        # once the (short) TTL expires
+        # survivors start late, then take over its claims once the
+        # (short) TTL expires
         outcome = run_fleet(
             [spec],
             store=tmp_path / "fleet",
@@ -97,7 +107,9 @@ class TestFleet:
                     faults.ENV_SITES: "lease",
                     faults.ENV_KINDS: "crash",
                     faults.ENV_SEED: "1",
-                }
+                },
+                1: SLOW_START_ENV,
+                2: SLOW_START_ENV,
             },
         )
         assert outcome.complete

@@ -69,11 +69,13 @@ class TestImportSet:
         fill = _python("-m", "repro", "run", "fig7", "--fast", "--store", str(store))
         assert fill.returncode == 0, fill.stderr
         assert "[fig7] solved" in fill.stdout
-        hit = _python(str(IMPORT_SET), "run", "fig7", "--fast", "--store", str(store))
-        assert hit.returncode == 0, hit.stderr
-        assert "[fig7] served from run store" in hit.stdout
-        # the same tables either way
-        assert hit.stdout.split("\n", 1)[1] == fill.stdout.split("\n", 1)[1]
+        # ``fig7`` is an alias of ``run fig7``: a store hit either way
+        for command in (["run", "fig7"], ["fig7"]):
+            hit = _python(str(IMPORT_SET), *command, "--fast", "--store", str(store))
+            assert hit.returncode == 0, hit.stderr
+            assert "[fig7] served from run store" in hit.stdout
+            # the same tables either way
+            assert hit.stdout.split("\n", 1)[1] == fill.stdout.split("\n", 1)[1]
 
     def test_the_check_sees_a_heavy_import(self):
         # the guard itself: a command that does load the stack is caught
@@ -130,11 +132,11 @@ class TestNameShadowing:
         _modules_after(code)
 
 
-def test_legacy_aliases_follow_the_experiment_registry():
-    from repro.__main__ import _LEGACY_EXPERIMENTS
-    from repro.experiments.runner import REGISTRY
+def test_paper_aliases_are_registered_scenarios():
+    from repro.__main__ import _PAPER_ALIASES
+    from repro.scenarios import SCENARIOS
 
-    assert _LEGACY_EXPERIMENTS == tuple(REGISTRY)
+    assert all(alias in SCENARIOS for alias in _PAPER_ALIASES)
 
 
 def test_lazy_packages_keep_their_public_names():

@@ -28,7 +28,7 @@ from repro.network.solve import (
     solve_sparse,
     solve_sparse_multi,
 )
-from repro.perf import MatrixGroupTask, ParallelExecutor, SerialExecutor
+from repro.perf import MatrixGroupTask, ParallelExecutor, SerialExecutor, solve_work
 from repro.perf.cache import BandedCholesky
 from repro.scenarios import SCENARIOS, AxisSpec, ScenarioSpec, run_scenario
 from repro.scenarios.plan import _configurator
@@ -316,10 +316,15 @@ class TestMatrixGroupTask:
 
     def test_parallel_executor_solves_groups(self):
         task = self._group((0.5, 1.0))
-        serial = SerialExecutor().run_tasks([task])
-        parallel = ParallelExecutor(2).run_tasks([task, self._group((1.5, 2.0))])
-        assert [r.max_rise for r in parallel[0]] == [
-            r.max_rise for r in serial[0]
+        serial = solve_work(task)
+        parallel = {
+            id(t): results
+            for t, results in ParallelExecutor(2).submit_stream(
+                [task, self._group((1.5, 2.0))]
+            )
+        }
+        assert [r.max_rise for r in parallel[id(task)]] == [
+            r.max_rise for r in serial
         ]
 
     def test_parallel_executor_splits_large_groups(self):
@@ -336,7 +341,7 @@ class TestMatrixGroupTask:
         for sub, results in executor.submit_stream([task]):
             for i, result in enumerate(results):
                 landed[sub.offset + i] = result.max_rise
-        serial = SerialExecutor().run_tasks([task])[0]
+        serial = solve_work(task)
         assert [landed[i] for i in range(5)] == [r.max_rise for r in serial]
 
     def test_no_split_when_pool_already_saturated(self):

@@ -1,18 +1,30 @@
 """Sweep executors: parallel results must match serial bit-for-bit."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro import Model1D, ModelA, perf, paper_tsv, sweep
 from repro.errors import ValidationError
-from repro.experiments import fig5_liner, fig7_cluster
 from repro.perf import (
     ParallelExecutor,
     PointTask,
     SerialExecutor,
     get_executor,
     solve_task,
+    solve_work,
 )
+from repro.scenarios import SCENARIOS
+from repro.scenarios.runner import _run_scenario_eager
 from repro.units import um
+
+
+def _eager(spec, jobs=1):
+    """A coarse, fast, uncalibrated sweep on the eager (``core.sweep``) path."""
+    return _run_scenario_eager(
+        spec, executor=get_executor(jobs), fast=True, fem_resolution="coarse",
+        calibrate=False,
+    ).result
 
 
 @pytest.fixture(autouse=True)
@@ -72,12 +84,12 @@ class TestExecutors:
             for i, r in enumerate([2.0, 4.0, 6.0, 8.0][:n])
         ]
 
-    def test_serial_submit_stream_matches_run_tasks(self, block_stack, block_power):
+    def test_serial_submit_stream_matches_solve_work(self, block_stack, block_power):
         tasks = self._tasks(block_stack, block_power)
         streamed = list(SerialExecutor().submit_stream(tasks))
-        batch = SerialExecutor().run_tasks(tasks)
         assert [t.index for t, _ in streamed] == [0, 1, 2, 3]  # in order
-        for (_, solved), expected in zip(streamed, batch):
+        for task, solved in streamed:
+            expected = solve_work(task)
             assert solved["model_1d"].max_rise == expected["model_1d"].max_rise
 
     def test_parallel_submit_stream_complete_and_identical(
@@ -88,24 +100,13 @@ class TestExecutors:
             (t.index, solved)
             for t, solved in ParallelExecutor(2).submit_stream(tasks)
         )
-        batch = SerialExecutor().run_tasks(tasks)
         assert sorted(streamed) == [0, 1, 2, 3]  # every task lands once
-        for i, expected in enumerate(batch):
-            assert streamed[i]["model_1d"].max_rise == expected["model_1d"].max_rise
-
-    def test_default_submit_stream_covers_custom_executors(
-        self, block_stack, block_power
-    ):
-        from repro.perf import SweepExecutor
-
-        class BatchOnly(SweepExecutor):
-            def run_tasks(self, tasks):
-                return [solve_task(t) for t in tasks]
-
-        tasks = self._tasks(block_stack, block_power, n=2)
-        streamed = list(BatchOnly().submit_stream(tasks))
-        assert [t.index for t, _ in streamed] == [0, 1]
-        assert all(solved["model_1d"].max_rise > 0 for _, solved in streamed)
+        for task in tasks:
+            expected = solve_work(task)
+            assert (
+                streamed[task.index]["model_1d"].max_rise
+                == expected["model_1d"].max_rise
+            )
 
     def test_parallel_single_task_stays_serial(self, block_stack, block_power):
         # one task never pays pool startup; exercised via the sweep API
@@ -139,35 +140,26 @@ class TestParallelEqualsSerial:
 
     def test_fig5_sweep_equality(self):
         """Fig. 5 liner sweep: parallel run is byte-identical to serial."""
+        spec = replace(SCENARIOS.get("fig5"), models=("a:paper", "b:2,20,20", "1d"))
         perf.reset()
-        serial = fig5_liner.run(
-            fem_resolution="coarse", fast=True, calibrate=False,
-            segment_counts=(20,),
-        )
+        serial = _eager(spec)
         perf.reset()
-        parallel = fig5_liner.run(
-            fem_resolution="coarse", fast=True, calibrate=False,
-            segment_counts=(20,), jobs=2,
-        )
+        parallel = _eager(spec, jobs=2)
         _exact_equal(serial, parallel)
 
     def test_fig7_sweep_equality(self):
         """Fig. 7 cluster sweep: parallel run is byte-identical to serial."""
         perf.reset()
-        serial = fig7_cluster.run(
-            fem_resolution="coarse", fast=True, calibrate=False
-        )
+        serial = _eager("fig7")
         perf.reset()
-        parallel = fig7_cluster.run(
-            fem_resolution="coarse", fast=True, calibrate=False, jobs=3
-        )
+        parallel = _eager("fig7", jobs=3)
         _exact_equal(serial, parallel)
 
     def test_warm_cache_rerun_identical(self):
         """A cache-warm rerun returns the same numbers as the cold run."""
         perf.reset()
-        cold = fig7_cluster.run(fem_resolution="coarse", fast=True, calibrate=False)
-        warm = fig7_cluster.run(fem_resolution="coarse", fast=True, calibrate=False)
+        cold = _eager("fig7")
+        warm = _eager("fig7")
         _exact_equal(cold, warm)
         assert perf.result_cache.stats()["hits"] > 0
 

@@ -6,7 +6,6 @@ import pytest
 
 from repro import perf
 from repro.errors import ValidationError
-from repro.experiments import fig4_radius, fig7_cluster
 from repro.experiments.harness import ExperimentResult
 from repro.scenarios import (
     SCENARIOS,
@@ -154,21 +153,7 @@ class TestRegistry:
 
 
 class TestLegacyEquivalence:
-    """`run <id>` (registry path) must match the legacy module runs exactly."""
-
-    def test_fig4_matches_legacy(self):
-        legacy = fig4_radius.run(fem_resolution="coarse", fast=True, calibrate=True)
-        run = run_scenario("fig4", fast=True, fem_resolution="coarse")
-        assert run.result.x_values == legacy.x_values
-        assert run.result.series == legacy.series  # exact float equality
-        assert run.result.errors == legacy.errors
-        assert run.result.reference_name == legacy.reference_name
-
-    def test_fig7_matches_legacy_without_calibration(self):
-        legacy = fig7_cluster.run(fem_resolution="coarse", fast=True, calibrate=False)
-        run = run_scenario("fig7", fast=True, fem_resolution="coarse", calibrate=False)
-        assert run.result.series == legacy.series
-        assert run.result.errors == legacy.errors
+    """Post-processing the legacy drivers did now happens in the scenario run."""
 
     def test_table1_postprocess_rows(self):
         run = run_scenario("table1", fast=True, fem_resolution="coarse", calibrate=False)

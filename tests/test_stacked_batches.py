@@ -21,7 +21,7 @@ from repro.network.solve import (
     solve_sparse,
     solve_sparse_stacked,
 )
-from repro.perf import ParallelExecutor, SerialExecutor, StackedBatchTask
+from repro.perf import ParallelExecutor, SerialExecutor, StackedBatchTask, solve_work
 from repro.scenarios import SCENARIOS, AxisSpec, ScenarioSpec, run_scenario
 
 
@@ -329,7 +329,7 @@ class TestStackedBatchTask:
         for sub, results in executor.submit_stream([task]):
             for i, result in enumerate(results):
                 landed[sub.offset + i] = result.max_rise
-        serial = SerialExecutor().run_tasks([task])[0]
+        serial = solve_work(task)
         assert [landed[i] for i in range(5)] == [r.max_rise for r in serial]
 
     def test_no_split_when_pool_saturated(self):

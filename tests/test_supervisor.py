@@ -30,6 +30,15 @@ from repro.scenarios.supervisor import (
     read_heartbeat,
 )
 
+#: ranks 1-2 of the crash drill start late, so rank 0 is sure to claim
+#: (and crash) before they can finish the whole plan without it
+SLOW_START_ENV = {
+    faults.ENV_RATE: "1.0",
+    faults.ENV_SITES: "worker-start",
+    faults.ENV_KINDS: "delay",
+    faults.ENV_DELAY_S: "1.0",
+}
+
 
 @pytest.fixture(autouse=True)
 def _reset_counters():
@@ -322,7 +331,9 @@ class TestSupervisedFleet:
                     faults.ENV_SITES: "lease",
                     faults.ENV_KINDS: "crash",
                     faults.ENV_SEED: "1",
-                }
+                },
+                1: SLOW_START_ENV,
+                2: SLOW_START_ENV,
             },
         )
         assert outcome.complete
