@@ -36,5 +36,5 @@ cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python -m repro bench --quick --no-write \
     --jobs "${JOBS:-4}" --tolerance 0.50 --min-delta-ms 25 \
-    --require multi_rhs_per_point,multi_rhs_batched,parallel_group_dispatch,stacked_per_point,stacked_vs_per_point,fem3d_power_cold,transient_planned_cold,transient_planned_resume,nonlinear_planned,fault_recovery_overhead,fleet_single_process,fleet_four_workers,flat_lookup_10k,sharded_lookup_10k,checksum_overhead \
+    --require multi_rhs_per_point,multi_rhs_batched,parallel_group_dispatch,stacked_per_point,stacked_vs_per_point,fem3d_power_cold,transient_planned_cold,transient_planned_resume,nonlinear_planned,fault_recovery_overhead,fleet_single_process,fleet_four_workers,sharded_lookup_10k,checksum_overhead \
     "$@"

@@ -33,8 +33,14 @@ echo "== fsck CLI on a post-run store, then a store hit off the solver stack"
 fsck_tmp=$(mktemp -d)
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python -m repro run fig7 --fast --store "$fsck_tmp/store" >/dev/null
+# a fresh store must have no findings at all, notes included
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
-    python -m repro fsck "$fsck_tmp/store"
+    python -m repro fsck "$fsck_tmp/store" >"$fsck_tmp/fsck.txt"
+cat "$fsck_tmp/fsck.txt"
+if ! grep -q "store is clean" "$fsck_tmp/fsck.txt"; then
+    echo "fsck expected 'store is clean' on a fresh store" >&2
+    exit 1
+fi
 # the same run again is served from the store; scripts/import_set.py
 # fails it if it loaded scipy, networkx or any solver module
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \

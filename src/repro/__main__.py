@@ -21,9 +21,8 @@ Scenario subcommands (the declarative path — :mod:`repro.scenarios`):
   from the point space, and a killed worker's leases expire and its
   nodes reschedule on the survivors (see
   :mod:`repro.scenarios.fleet`);
-* ``migrate <dir>`` — move a legacy flat-layout run store into the
-  sharded ``<space>/<xx>/<key>.json`` layout (reads understand both, so
-  migrating is optional).
+* ``fsck <dir>`` — scrub a run store for damage, ``--repair`` heals it
+  (see :mod:`repro.scenarios.fsck`).
 
 The paper's results have aliases: ``python -m repro fig4 …`` (also
 ``fig5``, ``fig6``, ``fig7``, ``table1``, ``case_study``) is ``run fig4 …``
@@ -107,20 +106,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="also write JSON payloads here (payload + spec; 'all' adds "
         "EXPERIMENTS.md)",
-    )
-    parser.add_argument(
-        "--no-matrix-groups",
-        action="store_true",
-        help="disable matrix-batched dispatch (nodes sharing a system "
-        "matrix are otherwise solved as one group: factor once, one "
-        "RHS per point; results are identical either way)",
-    )
-    parser.add_argument(
-        "--no-stacked-batches",
-        action="store_true",
-        help="disable the cross-matrix stacked solve tier (ungrouped "
-        "nodes sharing a system structure are otherwise solved as one "
-        "batched dense call; results are identical either way)",
     )
     parser.add_argument(
         "--store",
@@ -329,19 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         "artifacts, clear expired claims and litter",
     )
 
-    migrate_p = sub.add_parser(
-        "migrate",
-        help="move a legacy flat run store into the sharded layout",
-        description=(
-            "Move every artifact of a flat-layout run store into the sharded "
-            "<space>/<xx>/<key>.json layout.  Idempotent; reads understand "
-            "both layouts, so this only matters for very large stores."
-        ),
-    )
-    migrate_p.add_argument(
-        "directory", type=Path, help="the run-store directory to migrate"
-    )
-
     for exp_id in _PAPER_ALIASES:
         alias_p = sub.add_parser(exp_id, help=f"alias of 'run {exp_id}'")
         _add_run_flags(alias_p)
@@ -529,8 +501,6 @@ def _execute(args: argparse.Namespace, specs: list, store: RunStore | None):
                 fem_resolution=args.fem_resolution,
                 calibrate=False if args.no_calibrate else None,
                 progress=progress,
-                group_matrices=not args.no_matrix_groups,
-                stack_batches=not args.no_stacked_batches,
                 retry=_retry_policy(args),
                 drain=guard,
             )
@@ -790,18 +760,6 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _cmd_migrate(args: argparse.Namespace) -> int:
-    directory: Path = args.directory
-    if not directory.is_dir():
-        print(f"error: {directory} is not a directory", file=sys.stderr)
-        return 2
-    moved = RunStore(directory).migrate()
-    total = sum(moved.values())
-    detail = ", ".join(f"{space}: {n}" for space, n in moved.items())
-    print(f"migrated {total} artifact(s) into shards ({detail})")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # env-armed laggy-filesystem shim (chaos soak / NFS-semantics drills)
@@ -824,9 +782,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_batch(args)
     if args.command == "fleet":
         return _cmd_fleet(args)
-    if args.command == "fsck":
-        return _cmd_fsck(args)
-    return _cmd_migrate(args)
+    return _cmd_fsck(args)
 
 
 if __name__ == "__main__":

@@ -28,9 +28,10 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from ..errors import ValidationError
+from ..errors import ExperimentError, ValidationError
 from ..perf.executors import PointTask, SerialExecutor
 from ..perf.keys import solve_key
+from ..perf.retry import TaskFailure
 from .result import ModelResult
 
 if TYPE_CHECKING:
@@ -164,6 +165,10 @@ def sweep(
     cache:
         Consult/populate the global result cache for each (model, point)
         pair (default on; identical results either way).
+
+    The first failed point raises :class:`~repro.errors.ExperimentError`
+    naming its swept value and the captured failure;
+    :class:`~repro.errors.ValidationError` propagates unchanged.
     """
     models = list(models)
     names = [m.name for m in models]
@@ -205,6 +210,11 @@ def sweep(
             )
 
     for task, solved in executor.submit_stream(tasks):
+        if isinstance(solved, TaskFailure):
+            raise ExperimentError(
+                f"sweep point {parameter}={task.value!r} failed: "
+                f"{solved.summary()}"
+            )
         point_results[task.index].update(solved)
         for name, result in solved.items():
             key = point_keys[task.index].get(name)

@@ -611,76 +611,29 @@ def bench_physics(repeats: int) -> dict[str, Any]:
 
 
 def bench_fault_recovery(repeats: int) -> dict[str, Any]:
-    """No-fault cost of the fault-tolerance plumbing on the fig7 plan.
+    """Cold fig7 planned run under the default :class:`~repro.perf.RetryPolicy`.
 
-    The same builtin ``fig7`` scenario runs cold twice: once with
-    ``retry=None`` (the historical plain stream — failures unwind the
-    scheduler) and once under the default :class:`~repro.perf.RetryPolicy`
-    (the capture-mode stream: per-task failure capture, retry/quarantine
-    bookkeeping, ledger checks).  With no faults armed the two paths must
-    produce byte-identical payloads (modulo wall-clock ``runtimes_ms``)
-    and the plumbing must cost under 5% — gated as a same-run paired
-    ratio (``checks.fault_plumbing_under_5pct``) with the usual absolute
-    floor so millisecond jitter on a loaded machine cannot trip it.
-
-    The two paths are timed *interleaved* (plain, safe, plain, safe, ...)
-    rather than as two back-to-back blocks, and the gated ratio is the
-    **median of per-pair ratios**, not min-vs-min: this is a near-1.0
-    paired comparison, and on a shared container the low-frequency drift
-    (CPU steal, frequency steps) that spans a whole multi-second block
-    biases block-vs-block statistics by up to ~10% in either direction.
-    Adjacent pairs see the same pressure, so their ratio stays honest —
-    while the two *minima* of an interleaved run can still come from
-    different load moments.
+    Every planned run streams through the capture-mode executor stream
+    (per-task failure capture, retry/quarantine bookkeeping, ledger
+    checks), so this entry is the no-fault cost of that plumbing on the
+    builtin ``fig7`` scenario.
     """
     from ..scenarios import run_scenario
-    from .retry import DEFAULT_RETRY
 
-    def run(retry):
+    def run():
         perf_cache.reset()
-        return run_scenario("fig7", retry=retry)
+        return run_scenario("fig7")
 
-    plain_times: list[float] = []
-    safe_times: list[float] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        plain_run = run(None)
-        plain_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        safe_run = run(DEFAULT_RETRY)
-        safe_times.append(time.perf_counter() - start)
-    plain_median = statistics.median(plain_times)
-    safe_median = statistics.median(safe_times)
-    plain_payload = plain_run.result.to_payload()
-    safe_payload = safe_run.result.to_payload()
-    plain_payload.pop("runtimes_ms", None)
-    safe_payload.pop("runtimes_ms", None)
-    overhead = statistics.median(
-        s / p for s, p in zip(safe_times, plain_times)
-    )
+    median, times, _ = _time(run, repeats)
     return {
-        "benchmarks": {
-            "fig7_planned_plain_stream": _entry(plain_median, plain_times),
-            "fault_recovery_overhead": _entry(
-                safe_median, safe_times, overhead_ratio=overhead
-            ),
-        },
-        "speedups": {"fault_plumbing_overhead_ratio": overhead},
-        "checks": {
-            "fault_plumbing_identical": plain_payload == safe_payload,
-            "fault_plumbing_under_5pct": (
-                overhead <= 1.05
-                or statistics.median(
-                    s - p for s, p in zip(safe_times, plain_times)
-                )
-                < 0.005
-            ),
-        },
+        "benchmarks": {"fault_recovery_overhead": _entry(median, times)},
+        "speedups": {},
+        "checks": {},
     }
 
 
 def bench_fleet(repeats: int) -> dict[str, Any]:
-    """Fleet execution vs the single-process path, plus sharded lookups.
+    """Fleet execution vs the single-process path, plus store lookups.
 
     ``fleet_single_process`` runs a small radius sweep through
     ``run_scenario`` against a fresh store; ``fleet_four_workers`` runs
@@ -695,18 +648,17 @@ def bench_fleet(repeats: int) -> dict[str, Any]:
     node solved twice despite 4 contending workers
     (``fleet_no_double_solve``).
 
-    ``flat_lookup_10k`` / ``sharded_lookup_10k`` time 10 000
+    ``sharded_lookup_10k`` times 10 000
     :meth:`~repro.scenarios.store.RunStore.get_point` reads against a
-    flat (legacy) and a sharded store of 10 000 points each (artifacts
-    written directly, no solver in the loop).
-    ``sharded_lookup_no_slower`` gates the layout change: sharding must
-    not tax the read path (ratio ≤ 1.25, with the usual absolute floor
-    for sub-millisecond jitter).
+    store of 10 000 points (enveloped artifacts written directly, no
+    solver in the loop); ``sharded_lookup_all_hits`` checks that every
+    read was a hit, so the entry never times misses.
     """
     import shutil
 
     from ..scenarios import AxisSpec, RunStore, ScenarioSpec, run_scenario
     from ..scenarios.fleet import run_fleet
+    from ..scenarios.store import render_artifact
     from .stats import counter
 
     spec = ScenarioSpec(
@@ -757,72 +709,39 @@ def bench_fleet(repeats: int) -> dict[str, Any]:
             outcome.counters.get("plan_point_solves") == single_solves
         )
 
-        # sharded vs flat lookups at 10k points: artifacts written
-        # directly so only the read path is measured
+        # lookups at 10k points: artifacts written directly so only the
+        # read path is measured
         n_points = 10_000
-        flat_store = RunStore(root / "flat")
-        sharded_store = RunStore(root / "sharded")
+        lookup_store = RunStore(root / "sharded")
         keys = [f"{i:064x}" for i in range(n_points)]
         for i, key in enumerate(keys):
-            text = f'{{"i": {i}}}'
-            (flat_store.points / f"{key}.json").write_text(text)
-            target = RunStore._sharded_path(sharded_store.points, key)
+            target = RunStore._sharded_path(lookup_store.points, key)
             target.parent.mkdir(exist_ok=True)
-            target.write_text(text)
+            target.write_text(render_artifact({"i": i}))
 
-        def lookup(store: RunStore):
-            for key in keys:
-                store.get_point(key)
+        def lookup() -> int:
+            return sum(lookup_store.get_point(key) is not None for key in keys)
 
-        # interleaved pairs, like bench_fault_recovery: this is a
-        # near-1.0 paired comparison and the 10k stat() calls make both
-        # sides hostage to dcache/page-cache pressure from the rest of
-        # the machine — adjacent pairs see the same pressure
-        flat_times: list[float] = []
-        sharded_times: list[float] = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            lookup(flat_store)
-            flat_times.append(time.perf_counter() - start)
-            start = time.perf_counter()
-            lookup(sharded_store)
-            sharded_times.append(time.perf_counter() - start)
-        flat_median = statistics.median(flat_times)
-        sharded_median = statistics.median(sharded_times)
+        lookup_median, lookup_times, hits = _time(lookup, repeats)
     finally:
         shutil.rmtree(root, ignore_errors=True)
-    lookup_ratio = statistics.median(
-        s / f for s, f in zip(sharded_times, flat_times)
-    )
     return {
         "benchmarks": {
             "fleet_single_process": _entry(single_median, single_times),
             "fleet_four_workers": _entry(
                 fleet_median, fleet_times, workers=4, noisy=True
             ),
-            # filesystem-bound entries: 10k per-key lookups swing with
+            # filesystem-bound entry: 10k per-key lookups swing with
             # ambient dcache pressure far beyond solver-entry jitter
-            "flat_lookup_10k": _entry(
-                flat_median, flat_times, points=n_points, noisy=True
-            ),
             "sharded_lookup_10k": _entry(
-                sharded_median, sharded_times, points=n_points, noisy=True
+                lookup_median, lookup_times, points=n_points, noisy=True
             ),
         },
-        "speedups": {
-            "fleet_vs_single": single_median / fleet_median,
-            "sharded_vs_flat_lookup": flat_median / sharded_median,
-        },
+        "speedups": {"fleet_vs_single": single_median / fleet_median},
         "checks": {
             "fleet_identical": identical,
             "fleet_no_double_solve": no_double_solve,
-            "sharded_lookup_no_slower": (
-                lookup_ratio <= 1.25
-                or statistics.median(
-                    s - f for s, f in zip(sharded_times, flat_times)
-                )
-                < 0.005
-            ),
+            "sharded_lookup_all_hits": hits == n_points,
         },
     }
 

@@ -33,14 +33,12 @@ bit-identical to per-point solves, so serial, parallel, grouped and
 ungrouped execution all produce numerically identical results regardless
 of how tasks land on workers or in which order they complete.
 
-Fault tolerance: :meth:`SweepExecutor.submit_stream_safe` is the
-capture-mode stream — worker exceptions come back as picklable
-:class:`~repro.perf.retry.TaskFailure` results instead of unwinding the
-iterator, per-task wall-clock deadlines are enforced worker-side, and
-:class:`ParallelExecutor` survives a broken pool by rebuilding it and
-resubmitting only unacknowledged tasks (degrading to in-parent execution
-after repeated pool deaths).  The plain :meth:`~SweepExecutor.submit_stream`
-keeps its historical raise-on-failure contract.
+Failures are results: :meth:`SweepExecutor.submit_stream` returns a
+worker exception as a picklable :class:`~repro.perf.retry.TaskFailure`
+instead of unwinding the iterator, per-task wall-clock deadlines are
+enforced worker-side, and :class:`ParallelExecutor` survives a broken
+pool by rebuilding it and resubmitting only unacknowledged tasks
+(degrading to in-parent execution after repeated pool deaths).
 """
 
 from __future__ import annotations
@@ -170,11 +168,6 @@ def solve_work(task: SweepTask) -> Any:
     return solve_task(task)
 
 
-def solve_task_chunk(tasks: list[SweepTask]) -> list[Any]:
-    """Solve a chunk of tasks in one dispatch message (worker side)."""
-    return [solve_work(t) for t in tasks]
-
-
 def solve_work_safe(task: SweepTask, timeout_s: float | None = None) -> Any:
     """Solve one task, capturing failures as :class:`TaskFailure` results.
 
@@ -198,7 +191,7 @@ def solve_work_safe(task: SweepTask, timeout_s: float | None = None) -> Any:
         return failure_from_exception(exc)
 
 
-def solve_task_chunk_safe(
+def solve_chunk(
     tasks: list[SweepTask], timeout_s: float | None = None
 ) -> list[Any]:
     """Capture-mode chunk dispatch: one result-or-failure per task."""
@@ -210,57 +203,24 @@ class SweepExecutor(abc.ABC):
 
     @abc.abstractmethod
     def submit_stream(
-        self, tasks: Iterable[SweepTask]
+        self, tasks: Iterable[SweepTask], *, timeout_s: float | None = None
     ) -> Iterator[tuple[SweepTask, Any]]:
-        """Yield one ``(task, results)`` pair per task as tasks complete.
+        """Yield one ``(task, result)`` pair per task as tasks complete.
 
         Completion order is unspecified — callers route results by
         ``task.index``.  The execution-plan scheduler consumes this to
         react to each solved point (or matrix group) as soon as it lands
         (progress callbacks, point-store writes, unlocking dependents).
-        A worker exception unwinds the iterator.
+        A failed task yields ``(task, TaskFailure)`` instead of raising;
+        only :data:`~repro.perf.retry.PROPAGATE_TYPES` unwind the
+        iterator.  ``timeout_s`` bounds each task's solve wall-clock.
         """
-
-    def submit_stream_safe(
-        self, tasks: Iterable[SweepTask], *, timeout_s: float | None = None
-    ) -> Iterator[tuple[SweepTask, Any]]:
-        """Capture-mode stream: failures arrive as :class:`TaskFailure`.
-
-        Same contract as :meth:`submit_stream`, except a failed task
-        yields ``(task, TaskFailure)`` instead of raising, and
-        ``timeout_s`` bounds each task's solve wall-clock.  The default
-        implementation streams through :meth:`submit_stream` and — if the
-        underlying stream dies mid-iteration — finishes every
-        unacknowledged task in-parent, one at a time, so a single bad
-        task can only fail itself.  Subclasses with a native capture path
-        (:class:`SerialExecutor`, :class:`ParallelExecutor`) override.
-        """
-        tasks = list(tasks)
-        remaining = {id(t): t for t in tasks}
-        try:
-            for task, result in self.submit_stream(tasks):
-                remaining.pop(id(task), None)
-                yield task, result
-        except PROPAGATE_TYPES:
-            raise
-        except Exception:
-            # blame is ambiguous mid-stream — the failing task is still
-            # unacknowledged, so re-running the remainder individually
-            # captures its failure and completes the innocents
-            for task in remaining.values():
-                yield task, solve_work_safe(task, timeout_s)
 
 
 class SerialExecutor(SweepExecutor):
     """The default in-process loop — identical to the historical sweep."""
 
     def submit_stream(
-        self, tasks: Iterable[SweepTask]
-    ) -> Iterator[tuple[SweepTask, Any]]:
-        for task in tasks:
-            yield task, solve_work(task)
-
-    def submit_stream_safe(
         self, tasks: Iterable[SweepTask], *, timeout_s: float | None = None
     ) -> Iterator[tuple[SweepTask, Any]]:
         for task in tasks:
@@ -291,13 +251,13 @@ class ParallelExecutor(SweepExecutor):
         group — its shared payload is pickled once however the chunks
         fall.
     max_pool_rebuilds:
-        How many broken pools :meth:`submit_stream_safe` rebuilds before
+        How many broken pools :meth:`submit_stream` rebuilds before
         degrading to in-parent execution of whatever is left.
 
-    Worker exceptions (bad geometry, singular systems) propagate to the
-    caller exactly as in serial mode.  A broken pool or unpicklable work
-    degrades to the serial path with a warning instead of failing the
-    sweep.
+    Worker exceptions (bad geometry, singular systems) come back as
+    :class:`~repro.perf.retry.TaskFailure` results exactly as in serial
+    mode.  Unpicklable work degrades to in-parent execution with a
+    warning instead of failing the sweep.
     """
 
     def __init__(
@@ -369,51 +329,12 @@ class ParallelExecutor(SweepExecutor):
         return expanded
 
     def submit_stream(
-        self, tasks: Iterable[SweepTask]
-    ) -> Iterator[tuple[SweepTask, Any]]:
-        tasks = list(tasks)
-        if self.jobs > 1:
-            tasks = self._split_groups(tasks)
-        if self.jobs == 1 or len(tasks) <= 1:
-            yield from SerialExecutor().submit_stream(tasks)
-            return
-        workers = min(self.jobs, len(tasks))
-        # one future per chunk amortises pickling overhead
-        chunk = self.chunksize or max(1, math.ceil(len(tasks) / (workers * 2)))
-        chunks = [tasks[i : i + chunk] for i in range(0, len(tasks), chunk)]
-        done: set[int] = set()
-        try:
-            with _pool(workers) as pool:
-                futures = {
-                    pool.submit(solve_task_chunk, c): i
-                    for i, c in enumerate(chunks)
-                }
-                for future in as_completed(futures):
-                    index = futures[future]
-                    # worker exceptions (bad geometry, singular systems)
-                    # propagate exactly as in serial mode
-                    results = future.result()
-                    done.add(index)
-                    yield from zip(chunks[index], results)
-        except (pickle.PicklingError, BrokenProcessPool, OSError) as exc:
-            warnings.warn(
-                f"parallel sweep degraded to serial execution: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            for i, c in enumerate(chunks):
-                if i not in done:
-                    for task in c:
-                        yield task, solve_work(task)
-
-    def submit_stream_safe(
         self, tasks: Iterable[SweepTask], *, timeout_s: float | None = None
     ) -> Iterator[tuple[SweepTask, Any]]:
-        """Capture-mode stream that survives worker death.
+        """Chunked capture-mode stream that survives worker death.
 
-        Tasks dispatch in the same chunks as :meth:`submit_stream`, but a
-        broken pool (a worker ``os._exit``/OOM-kill takes every pending
-        future down with it) no longer unwinds the stream: results that
+        A broken pool (a worker ``os._exit``/OOM-kill takes every pending
+        future down with it) does not unwind the stream: results that
         already landed are kept, the pool is rebuilt, and only the
         *unacknowledged* chunks are resubmitted — one task per dispatch on
         the rebuilt pool, so a deterministic crasher can take down at most
@@ -428,9 +349,7 @@ class ParallelExecutor(SweepExecutor):
         if self.jobs > 1:
             tasks = self._split_groups(tasks)
         if self.jobs == 1 or len(tasks) <= 1:
-            yield from SerialExecutor().submit_stream_safe(
-                tasks, timeout_s=timeout_s
-            )
+            yield from SerialExecutor().submit_stream(tasks, timeout_s=timeout_s)
             return
         workers = min(self.jobs, len(tasks))
         chunk = self.chunksize or max(1, math.ceil(len(tasks) / (workers * 2)))
@@ -443,7 +362,7 @@ class ParallelExecutor(SweepExecutor):
             try:
                 with _pool(workers) as pool:
                     futures = {
-                        pool.submit(solve_task_chunk_safe, c, timeout_s): i
+                        pool.submit(solve_chunk, c, timeout_s): i
                         for i, c in pending.items()
                     }
                     for future in as_completed(futures):

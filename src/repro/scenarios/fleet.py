@@ -189,7 +189,7 @@ def _worker_main(
     fast: bool,
     ttl_s: float,
     poll_s: float,
-    retry: RetryPolicy | None,
+    retry: RetryPolicy,
     env: Mapping[str, str] | None,
 ) -> None:
     """One fleet worker: claim, solve, beat, read back, report, exit.
@@ -295,7 +295,7 @@ def run_fleet(
     calibrate: bool | None = None,
     ttl_s: float = DEFAULT_TTL_S,
     poll_s: float = 0.05,
-    retry: RetryPolicy | None = DEFAULT_RETRY,
+    retry: RetryPolicy = DEFAULT_RETRY,
     extra_env: Mapping[int, Mapping[str, str]] | None = None,
     timeout_s: float | None = None,
     supervise: bool = False,

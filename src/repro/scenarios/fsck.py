@@ -16,9 +16,10 @@ store offline and classifies every file it finds:
 * ``unindexed-object`` — a run object exists on disk with no manifest
   entry, so no reader will ever return it.  Repair deletes it (the
   entry cannot be reconstructed — it carries the producing spec).
-* ``mis-sharded`` — an artifact filed under the wrong shard directory,
-  invisible to every reader.  Repair moves it to its correct shard
-  (or deletes it when the correct path is already occupied).
+* ``mis-sharded`` — an artifact filed under the wrong shard directory
+  or directly under its space directory, invisible to every reader.
+  Repair moves it to its correct shard (or deletes it when the correct
+  path is already occupied).
 * ``corrupt-manifest`` — ``manifest.json`` itself does not parse.
   Repair resets it to an empty index, which makes every healthy run
   object read as ``unindexed-object`` — those are *reported but never
@@ -34,18 +35,13 @@ store that just survived a chaotic fleet run still fscks clean):
   any live worker would steal it).  Judged by the claim's wall-clock
   ``deadline_unix`` — the monotonic deadline the live protocol uses is
   only meaningful within the boot that wrote it, and fsck may run after
-  a reboot or against a store copied from another host.  Legacy claims
-  without a wall deadline fall back to the monotonic clock, with a
-  deadline more than one TTL beyond this boot's clock read as
-  cross-boot (and therefore expired).
-* ``torn-claim`` — an unreadable claim file (died mid-write; stealable
-  for the same reason).
+  a reboot or against a store copied from another host.
+* ``torn-claim`` — an unreadable claim file, or one without a
+  ``deadline_unix`` (died mid-write; stealable for the same reason).
 * ``stale-tombstone`` — a leftover rename-tombstone or unique temp file
   from the lease steal dance.
 * ``tmp-litter`` — an atomic-write temp file whose writer was killed
   between creation and rename.
-* ``legacy-flat`` — an artifact still in the pre-shard flat layout
-  (readable; ``python -m repro migrate`` moves it).
 
 The scrub never *writes* anything unless ``--repair`` is given.
 """
@@ -59,6 +55,7 @@ from pathlib import Path
 from typing import Iterator
 
 from ..errors import CorruptArtifactError
+from .lease import Lease
 from .store import (
     BLAME_DIR,
     FAILURES_DIR,
@@ -165,12 +162,10 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def _artifact_files(space: Path, suffix: str = ".json") -> Iterator[tuple[Path, bool]]:
-    """Every ``(path, sharded)`` artifact in a space, deterministic order."""
-    for path in sorted(space.glob(f"*{suffix}")):
-        yield path, False
-    for path in sorted(space.glob(f"*/*{suffix}")):
-        yield path, True
+def _artifact_files(space: Path) -> Iterator[Path]:
+    """Every artifact in a space, shard-level or not, deterministic order."""
+    yield from sorted(space.glob("*.json"))
+    yield from sorted(space.glob("*/*.json"))
 
 
 def _unlink(path: Path, finding: Finding, repair: bool) -> None:
@@ -186,17 +181,18 @@ def _scrub_artifact_space(
     space = root / space_name
     healthy: dict[str, Path] = {}
     count = 0
-    for path, sharded in _artifact_files(space):
+    for path in _artifact_files(space):
         count += 1
         key = path.stem
         rel = str(path.relative_to(root))
-        if sharded and path.parent.name != shard_prefix(key):
+        if path.parent.name != shard_prefix(key):
             finding = Finding(
                 space_name,
                 "mis-sharded",
                 rel,
                 key,
-                f"filed under {path.parent.name}/, belongs in {shard_prefix(key)}/",
+                f"filed under {path.parent.relative_to(root)}/, belongs in "
+                f"{space_name}/{shard_prefix(key)}/",
             )
             report.findings.append(finding)
             if repair:
@@ -216,10 +212,6 @@ def _scrub_artifact_space(
             report.findings.append(finding)
             _unlink(path, finding, repair)
             continue
-        if not sharded:
-            report.findings.append(
-                Finding(space_name, "legacy-flat", rel, key, "flat legacy layout")
-            )
         healthy[key] = path
     report.scanned[space_name] = count
     return healthy
@@ -321,10 +313,7 @@ def _scrub_leases(report: FsckReport, root: Path, *, repair: bool) -> None:
             continue
         key = path.stem
         try:
-            claim = json.loads(path.read_text())
-            deadline = float(claim["deadline"])
-            ttl_s = float(claim["ttl_s"])
-            deadline_unix = float(claim.get("deadline_unix", 0.0))
+            claim = Lease.from_payload(json.loads(path.read_text()))
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError):
             finding = Finding(
                 LEASES_DIR, "torn-claim", rel, key, "unreadable claim (stealable)"
@@ -332,29 +321,18 @@ def _scrub_leases(report: FsckReport, root: Path, *, repair: bool) -> None:
             report.findings.append(finding)
             _unlink(path, finding, repair)
             continue
-        # Expiry must be judged on a clock that survives the writer's
-        # process: the claim's monotonic deadline only means anything
-        # within the boot that wrote it, and fsck runs offline — maybe
-        # after a reboot, maybe against a store copied from another
-        # host.  Claims carry a wall-clock twin for exactly this; for
-        # legacy claims without one, fall back to the monotonic clock
-        # but treat a deadline implausibly far beyond this boot's clock
-        # (more than one TTL out, which no renewal can produce) as
-        # cross-boot — its holder cannot be alive here.
-        if deadline_unix > 0.0:
-            expired = time.time() >= deadline_unix
-            detail = "claim past its deadline (holder presumed dead)"
-        else:
-            now = time.monotonic()
-            cross_boot = deadline - now > ttl_s + 1.0
-            expired = cross_boot or now >= deadline
-            detail = (
-                "claim deadline from another boot (holder cannot be alive)"
-                if cross_boot
-                else "claim past its deadline (holder presumed dead)"
+        # expiry is judged on the wall clock: the claim's monotonic
+        # deadline only means anything within the boot that wrote it, and
+        # fsck runs offline — maybe after a reboot, maybe against a store
+        # copied from another host
+        if time.time() >= claim.deadline_unix:
+            finding = Finding(
+                LEASES_DIR,
+                "expired-claim",
+                rel,
+                key,
+                "claim past its deadline (holder presumed dead)",
             )
-        if expired:
-            finding = Finding(LEASES_DIR, "expired-claim", rel, key, detail)
             report.findings.append(finding)
             _unlink(path, finding, repair)
     report.scanned[LEASES_DIR] = count

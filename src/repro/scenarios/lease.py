@@ -23,10 +23,11 @@ Protocol (plain POSIX filesystem operations, no daemon, no sidecar):
   (``time.monotonic()`` + TTL), comparable across processes on one
   machine and immune to wall-clock steps.  Holders renew well before
   the deadline; a claim past its deadline is *stale* and up for grabs.
-  A wall-clock twin (``deadline_unix``) rides along purely for offline
-  tooling: monotonic clocks are per-boot, so ``fsck`` scanning a store
-  after a reboot (or copied from another host) classifies expiry by
-  wall time instead.
+  Every claim also carries a wall-clock twin (``deadline_unix``) for
+  offline tooling: monotonic clocks are per-boot, so ``fsck`` scanning a
+  store after a reboot (or copied from another host) classifies expiry
+  by wall time instead.  A claim without it is unparseable, like a torn
+  one, and therefore stealable.
 * **Steal** — a worker takes a stale (or unparseable) claim by renaming
   it to a unique tombstone.  ``rename(2)`` succeeds for exactly one
   contender — the losers see ``ENOENT`` and back off — after which the
@@ -94,8 +95,7 @@ class Lease:
     #: processes — but monotonic clocks are only meaningful within one
     #: boot of one machine, so an *offline* scrubber (``fsck``) on a
     #: rebooted or foreign host classifies expiry by this instead.
-    #: 0.0 on claims written by older versions.
-    deadline_unix: float = 0.0
+    deadline_unix: float
 
     @property
     def expired(self) -> bool:
@@ -119,7 +119,7 @@ class Lease:
             token=int(payload["token"]),
             deadline=float(payload["deadline"]),
             ttl_s=float(payload["ttl_s"]),
-            deadline_unix=float(payload.get("deadline_unix", 0.0)),
+            deadline_unix=float(payload["deadline_unix"]),
         )
 
 

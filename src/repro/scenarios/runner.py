@@ -175,7 +175,7 @@ def run_batch(
     progress: ProgressFn | None = None,
     group_matrices: bool = True,
     stack_batches: bool = True,
-    retry: RetryPolicy | None = DEFAULT_RETRY,
+    retry: RetryPolicy = DEFAULT_RETRY,
     claims: LeaseManager | None = None,
     poll_s: float = 0.05,
     drain: DrainGuard | None = None,
@@ -330,7 +330,7 @@ def run_scenario(
     progress: ProgressFn | None = None,
     group_matrices: bool = True,
     stack_batches: bool = True,
-    retry: RetryPolicy | None = DEFAULT_RETRY,
+    retry: RetryPolicy = DEFAULT_RETRY,
     drain: DrainGuard | None = None,
 ) -> ScenarioRun:
     """Run one scenario (a spec, or a registered scenario id).

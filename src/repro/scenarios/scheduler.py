@@ -47,19 +47,19 @@
 * every completed node is written into the store's point space
   (``points/<key>.json``) so a killed batch resumes from its solved
   points;
-* failures are *results*, not scheduler-unwinding exceptions: tasks
-  stream over the executor's capture-mode
-  :meth:`~repro.perf.SweepExecutor.submit_stream_safe`, a failed
-  multi-node task (a matrix group, a multi-model point bucket) degrades
-  to per-member solo dispatch so one bad RHS cannot sink its group, solo
-  failures retry under the :class:`~repro.perf.RetryPolicy` (exponential
-  backoff with deterministic jitter; each attempt is an independent
-  fault-injection draw), and whatever exhausts its budget is
+* failures are *results*, not scheduler-unwinding exceptions: the
+  executor stream yields a :class:`~repro.perf.retry.TaskFailure` for a
+  failed task, a failed multi-node task (a matrix group, a multi-model
+  point bucket) degrades to per-member solo dispatch so one bad RHS
+  cannot sink its group, solo failures retry under the
+  :class:`~repro.perf.RetryPolicy` (exponential backoff with
+  deterministic jitter; each attempt is an independent fault-injection
+  draw), and whatever exhausts its budget is
   *quarantined*: recorded as a :class:`~repro.perf.NodeFailure` in
   ``ScheduleOutcome.failures`` (and the store's ``failures/`` space)
   while the rest of the plan completes.  Nodes depending on a
   quarantined node cascade into the ledger instead of deadlocking the
-  walk.  ``retry=None`` restores the historical raise-on-failure path;
+  walk;
 * with a :class:`~repro.scenarios.lease.LeaseManager` (``claims=...``)
   the scheduler runs as one member of a cooperating *fleet*
   (:mod:`repro.scenarios.fleet`): content-keyed dispatch nodes are
@@ -217,7 +217,7 @@ def execute_plan(
     on_node: OnNodeFn | None = None,
     group_matrices: bool = True,
     stack_batches: bool = True,
-    retry: RetryPolicy | None = DEFAULT_RETRY,
+    retry: RetryPolicy = DEFAULT_RETRY,
     claims: LeaseManager | None = None,
     poll_s: float = 0.05,
     drain: DrainGuard | None = None,
@@ -237,8 +237,7 @@ def execute_plan(
     retried up to ``retry.max_attempts`` dispatches (solo, with backoff),
     multi-node tasks degrade to per-member dispatch on failure, and
     exhausted nodes land in ``ScheduleOutcome.failures`` instead of
-    raising; ``retry=None`` disables capture entirely — the historical
-    behaviour where the first worker exception unwinds the scheduler.
+    raising.
 
     ``claims`` turns this scheduler into one cooperating member of a
     *fleet*: every content-keyed dispatch node is solved only under an
@@ -428,8 +427,6 @@ def execute_plan(
         except PROPAGATE_TYPES:
             raise
         except Exception as exc:
-            if retry is None:
-                raise
             # parent-side nodes get no retries: a deterministic fit that
             # failed once will fail again, so it goes straight to the ledger
             quarantine_task_failure(node, failure_from_exception(exc), 1)
@@ -460,8 +457,6 @@ def execute_plan(
         except PROPAGATE_TYPES:
             raise
         except Exception as exc:
-            if retry is None:
-                raise
             quarantine_task_failure(node, failure_from_exception(exc), 1)
             return
         if store is not None and is_content_key(node.key):
@@ -723,7 +718,7 @@ def execute_plan(
         # solo dispatch; past poison_quarantine_after it goes straight to
         # the failure ledger without costing this worker a single pool
         # rebuild.
-        if store is not None and retry is not None and dispatch:
+        if store is not None and dispatch:
             blame_snapshot = store.blame_counts()
             if blame_snapshot:
                 kept: list[tuple[Any, Any, str | None]] = []
@@ -846,11 +841,10 @@ def execute_plan(
         if claims is not None:
             grouped, stacks, buckets = claim_units(grouped, stacks, buckets)
 
-        # multi-node tiers dispatch before the point buckets: their
-        # results land (and unlock dependents inline) while the solo
-        # stream is still running, so a late solo failure under
-        # ``retry=None`` cannot unwind scenarios whose batched nodes
-        # already completed
+        # multi-node tiers dispatch before the point buckets: each of
+        # their tasks commits many nodes at once, so the stream persists
+        # the most points (and unlocks their dependents inline) earliest,
+        # and a drain or kill mid-wave leaves the least to re-solve
         tasks: list[SweepTask] = []
         groups = list(grouped.values())
         for i, members in enumerate(groups):
@@ -977,13 +971,9 @@ def execute_plan(
                 return
             quarantine_task_failure(node, failure, n)
 
-        if retry is None:
-            stream = executor.submit_stream(tasks)
-        else:
-            stream = executor.submit_stream_safe(
-                tasks, timeout_s=retry.node_timeout_s
-            )
-        for task, solved in stream:
+        for task, solved in executor.submit_stream(
+            tasks, timeout_s=retry.node_timeout_s
+        ):
             # drain between completions: the finished result has been
             # committed by land(); anything still in flight is abandoned
             # (its lease is released, a peer or a resume re-solves it)

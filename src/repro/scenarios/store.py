@@ -38,8 +38,7 @@ a blake2b checksum of the body, followed by the body document itself ::
 Readers verify the checksum against the raw body bytes before parsing —
 a bit flip, a truncation, or bytes lost between write and fsync all read
 as a *miss* (plus the usual healing), never as silently different
-physics.  Envelope-less artifacts written by earlier versions parse as
-legacy documents without verification, so old stores keep working;
+physics.  Text without an envelope is damage of the same kind;
 ``python -m repro fsck <store>`` (see :mod:`repro.scenarios.fsck`)
 scrubs a whole store for damage and ``--repair`` heals it in place.
 
@@ -71,11 +70,8 @@ artifacts and listings stay fast at millions of stored points)::
     <root>/leases/<xx>/<key>.claim     (fleet worker claims; see
                                         :mod:`repro.scenarios.lease`)
 
-Stores written by earlier versions kept every artifact flat in its space
-directory.  Reads fall back to the flat path transparently, so a legacy
-store keeps working unmodified; writes always land sharded, and
-:meth:`RunStore.migrate` (CLI: ``python -m repro migrate <dir>``) moves a
-legacy store over wholesale.
+An artifact anywhere else in a space is invisible to every reader;
+``fsck`` reports it as ``mis-sharded``.
 """
 
 from __future__ import annotations
@@ -105,7 +101,7 @@ MANIFEST_VERSION = 1
 ENVELOPE_KEY = "repro_envelope"
 ENVELOPE_VERSION = 1
 #: every envelope header starts with exactly these bytes (json.dumps of a
-#: dict whose first key is ENVELOPE_KEY) — the legacy/envelope detector
+#: dict whose first key is ENVELOPE_KEY)
 ENVELOPE_PREFIX = f'{{"{ENVELOPE_KEY}"'
 
 
@@ -130,41 +126,35 @@ def render_artifact(payload: Any, *, envelope: bool = True) -> str:
     return header + "\n" + body
 
 
-def parse_artifact(text: str, *, verify: bool = True) -> tuple[Any, bool]:
-    """``(payload, enveloped)`` for a stored artifact's text.
+def parse_artifact(text: str, *, verify: bool = True) -> Any:
+    """The payload of a stored artifact's text.
 
-    Enveloped artifacts are checksum-verified (unless ``verify=False``)
-    before the body is parsed; envelope-less text parses as a legacy
-    single-document artifact.  Any damage — torn header, checksum
+    The envelope checksum is verified (unless ``verify=False``) before
+    the body is parsed.  Any damage — no envelope, torn header, checksum
     mismatch, unparseable body — raises
     :class:`~repro.errors.CorruptArtifactError`, which every store reader
     treats as a miss-plus-heal.
     """
-    if text.startswith(ENVELOPE_PREFIX):
-        header_text, sep, body = text.partition("\n")
-        if not sep:
-            raise CorruptArtifactError("artifact envelope has no body")
-        try:
-            header = json.loads(header_text)
-        except json.JSONDecodeError as exc:
-            raise CorruptArtifactError(
-                f"unreadable artifact envelope header: {exc}"
-            ) from None
-        if verify and header.get("checksum") != artifact_checksum(body):
-            increment("store_checksum_failures")
-            raise CorruptArtifactError(
-                "artifact body does not match its envelope checksum"
-            )
-        try:
-            return json.loads(body), True
-        except json.JSONDecodeError as exc:
-            raise CorruptArtifactError(
-                f"unparseable artifact body: {exc}"
-            ) from None
+    if not text.startswith(ENVELOPE_PREFIX):
+        raise CorruptArtifactError("artifact has no integrity envelope")
+    header_text, sep, body = text.partition("\n")
+    if not sep:
+        raise CorruptArtifactError("artifact envelope has no body")
     try:
-        return json.loads(text), False
+        header = json.loads(header_text)
     except json.JSONDecodeError as exc:
-        raise CorruptArtifactError(f"unparseable legacy artifact: {exc}") from None
+        raise CorruptArtifactError(
+            f"unreadable artifact envelope header: {exc}"
+        ) from None
+    if verify and header.get("checksum") != artifact_checksum(body):
+        increment("store_checksum_failures")
+        raise CorruptArtifactError(
+            "artifact body does not match its envelope checksum"
+        )
+    try:
+        return json.loads(body)
+    except json.JSONDecodeError as exc:
+        raise CorruptArtifactError(f"unparseable artifact body: {exc}") from None
 
 
 def shard_prefix(key: str) -> str:
@@ -173,8 +163,8 @@ def shard_prefix(key: str) -> str:
     Content keys are blake2b hex digests, so this spreads artifacts
     uniformly over 256 buckets; the handful of non-hex keys (e.g.
     ``case_study:<hash>``) simply bucket by their prefix, which is still a
-    valid directory name.  Keys shorter than two characters are padded so
-    the shard name never collides with a flat ``<key>.json`` artifact.
+    valid directory name.  Keys shorter than two characters are padded, so
+    every shard name has exactly two characters.
     """
     return key[:2] if len(key) >= 2 else (key + "__")[:2]
 
@@ -248,77 +238,34 @@ class RunStore:
         if path is None:
             return None
         try:
-            payload, _ = parse_artifact(path.read_text(), verify=self.verify)
+            return parse_artifact(path.read_text(), verify=self.verify)
         except (OSError, CorruptArtifactError):
             return None
-        return payload
 
     # ------------------------------------------------------------------
-    # sharded layout with transparent legacy (flat) read-back
+    # sharded layout
     # ------------------------------------------------------------------
     @staticmethod
     def _sharded_path(space: Path, key: str, suffix: str = ".json") -> Path:
         return space / shard_prefix(key) / f"{key}{suffix}"
 
-    @staticmethod
-    def _flat_path(space: Path, key: str, suffix: str = ".json") -> Path:
-        return space / f"{key}{suffix}"
-
     @classmethod
     def _read_path(cls, space: Path, key: str) -> Path | None:
-        """The existing artifact for ``key``, sharded layout preferred."""
+        """The existing artifact for ``key``, or None."""
         path = cls._sharded_path(space, key)
-        if path.exists():
-            return path
-        legacy = cls._flat_path(space, key)
-        if legacy.exists():
-            return legacy
-        return None
+        return path if path.exists() else None
 
     @classmethod
     def _write_path(cls, space: Path, key: str) -> Path:
-        """The (sharded) path a fresh artifact for ``key`` lands at."""
+        """The path a fresh artifact for ``key`` lands at."""
         path = cls._sharded_path(space, key)
         path.parent.mkdir(exist_ok=True)
-        # a rewrite must not leave a stale flat twin shadow-readable
-        cls._flat_path(space, key).unlink(missing_ok=True)
         return path
 
     @staticmethod
-    def _space_paths(space: Path, suffix: str = ".json") -> list[Path]:
-        """Every artifact in a space, flat and sharded layouts combined."""
-        return [*space.glob(f"*{suffix}"), *space.glob(f"*/*{suffix}")]
-
-    def migrate(self) -> dict[str, int]:
-        """Move a legacy flat layout into shards; returns moved counts.
-
-        Idempotent: an already-sharded store migrates zero artifacts.
-        Run objects keep their manifest entries pointing at the new
-        relative paths.
-        """
-        moved: dict[str, int] = {}
-        spaces = (
-            ("objects", self.objects, ".json"),
-            ("points", self.points, ".json"),
-            ("failures", self.failures, ".json"),
-            ("blame", self.blame, ".json"),
-            ("leases", self.leases, ".claim"),
-        )
-        for name, space, suffix in spaces:
-            count = 0
-            for path in sorted(space.glob(f"*{suffix}")):
-                target = self._sharded_path(space, path.stem, suffix)
-                target.parent.mkdir(exist_ok=True)
-                path.replace(target)
-                count += 1
-            moved[name] = count
-        if moved["objects"]:
-            for key, entry in self._manifest["runs"].items():
-                path = self._sharded_path(self.objects, key)
-                if path.exists():
-                    entry["path"] = str(path.relative_to(self.root))
-            self._write_manifest()
-        return moved
+    def _space_paths(space: Path) -> list[Path]:
+        """Every artifact in a space."""
+        return list(space.glob("*/*.json"))
 
     def _load_manifest(self) -> dict[str, Any]:
         if not self._manifest_path.exists():
@@ -336,7 +283,22 @@ class RunStore:
             )
         return manifest
 
-    def _write_manifest(self) -> None:
+    def _commit_manifest(self, drop: str | None = None) -> None:
+        """Write the manifest, merged with the runs a peer indexed since
+        this instance loaded it, minus ``drop``.
+
+        A plain overwrite would un-index a cooperating worker's runs (the
+        read-modify-write race stays, but every writer converges on the
+        union because run objects themselves are immutable).
+        """
+        try:
+            disk_runs = self._load_manifest()["runs"]
+        except ValidationError:
+            disk_runs = {}
+        runs = {**disk_runs, **self._manifest["runs"]}
+        if drop is not None:
+            runs.pop(drop, None)
+        self._manifest["runs"] = runs
         _write_json_atomic(self._manifest_path, self._manifest)
 
     # ------------------------------------------------------------------
@@ -355,11 +317,10 @@ class RunStore:
             increment("run_store_misses")
             return None
         try:
-            payload, _ = parse_artifact(path.read_text(), verify=self.verify)
+            payload = parse_artifact(path.read_text(), verify=self.verify)
         except (CorruptArtifactError, OSError):
             # heal: drop the manifest entry for the corrupt artifact
-            del self._manifest["runs"][key]
-            self._write_manifest()
+            self._commit_manifest(drop=key)
             path.unlink(missing_ok=True)
             increment("store_integrity_heals")
             increment("run_store_misses")
@@ -379,16 +340,7 @@ class RunStore:
             "spec": spec.to_dict(),
             "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         }
-        # merge entries a cooperating fleet worker indexed since we loaded
-        # the manifest — a plain overwrite would un-index its runs (the
-        # read-modify-write race stays, but every writer converges on the
-        # union because run objects themselves are immutable)
-        try:
-            disk_runs = self._load_manifest()["runs"]
-        except ValidationError:
-            disk_runs = {}
-        self._manifest["runs"] = {**disk_runs, **self._manifest["runs"]}
-        self._write_manifest()
+        self._commit_manifest()
         return path
 
     # ------------------------------------------------------------------
@@ -405,7 +357,7 @@ class RunStore:
             increment("point_store_misses")
             return None
         try:
-            payload, _ = parse_artifact(path.read_text(), verify=self.verify)
+            payload = parse_artifact(path.read_text(), verify=self.verify)
         except (CorruptArtifactError, OSError):
             path.unlink(missing_ok=True)
             increment("store_integrity_heals")
@@ -435,10 +387,9 @@ class RunStore:
         the scheduler deletes them so the node re-solves cleanly.
         """
         self._sharded_path(self.points, key).unlink(missing_ok=True)
-        self._flat_path(self.points, key).unlink(missing_ok=True)
 
     def point_keys(self) -> list[str]:
-        """Keys of every stored point object (both layouts)."""
+        """Keys of every stored point object."""
         return sorted(p.stem for p in self._space_paths(self.points))
 
     # ------------------------------------------------------------------
@@ -457,8 +408,9 @@ class RunStore:
         if path is None:
             return None
         try:
-            payload, _ = parse_artifact(path.read_text(), verify=self.verify)
-            return NodeFailure.from_payload(payload)
+            return NodeFailure.from_payload(
+                parse_artifact(path.read_text(), verify=self.verify)
+            )
         except (CorruptArtifactError, OSError, KeyError, TypeError):
             path.unlink(missing_ok=True)
             return None
@@ -483,7 +435,6 @@ class RunStore:
         """Erase ``key``'s quarantine record (a later solve succeeded)."""
         if self._has_failures:
             self._sharded_path(self.failures, key).unlink(missing_ok=True)
-            self._flat_path(self.failures, key).unlink(missing_ok=True)
 
     def failure_keys(self) -> list[str]:
         """Keys of every quarantined node, sorted."""
@@ -530,7 +481,6 @@ class RunStore:
     def clear_blame(self, key: str) -> None:
         """Erase ``key``'s blame record (it finally solved cleanly)."""
         self._sharded_path(self.blame, key).unlink(missing_ok=True)
-        self._flat_path(self.blame, key).unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
     # introspection

@@ -80,7 +80,7 @@ class TestExecutorCapture:
     def test_serial_safe_stream_captures_injected_errors(self):
         faults.configure(rate=1.0, kinds=("error",), sites=("solve",), seed=0)
         [(task, result)] = list(
-            SerialExecutor().submit_stream_safe([self._task()])
+            SerialExecutor().submit_stream([self._task()])
         )
         assert isinstance(result, TaskFailure)
         assert result.error_class == "SolverError"
@@ -90,7 +90,7 @@ class TestExecutorCapture:
     def test_crash_in_parent_is_captured_not_fatal(self):
         faults.configure(rate=1.0, kinds=("crash",), sites=("solve",), seed=0)
         [(_, result)] = list(
-            SerialExecutor().submit_stream_safe([self._task()])
+            SerialExecutor().submit_stream([self._task()])
         )
         assert isinstance(result, TaskFailure)
         assert result.error_class == "WorkerCrashError" and result.transient
@@ -120,14 +120,14 @@ class TestExecutorCapture:
         """A worker ``os._exit`` breaks the pool; the stream rebuilds it and
         every task still lands, bit-identical where it succeeded."""
         tasks = [self._task(index=i) for i in range(5)]
-        expected = [r for _, r in SerialExecutor().submit_stream_safe(tasks)]
+        expected = [r for _, r in SerialExecutor().submit_stream(tasks)]
         perf.reset()
         faults.configure(rate=0.35, kinds=("crash",), sites=("solve",), seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             landed = dict(
                 (t.index, r)
-                for t, r in ParallelExecutor(2).submit_stream_safe(tasks)
+                for t, r in ParallelExecutor(2).submit_stream(tasks)
             )
         assert sorted(landed) == [0, 1, 2, 3, 4]  # nothing lost to the crash
         assert perf.stats()["counters"]["pool_rebuilds"] >= 1
@@ -225,13 +225,6 @@ class TestPlanRecovery:
         assert by_source["store"] == completed  # everything else resumed
         assert store.failure_keys() == []  # the ledger emptied on success
 
-    def test_retry_none_restores_raise_on_failure(self):
-        from repro.errors import SolverError
-
-        faults.configure(rate=1.0, kinds=("error",), sites=("solve",), seed=0)
-        with pytest.raises(SolverError):
-            run_scenario(ft_spec(), retry=None)
-
 
 class TestStoreDurability:
     def test_corrupt_point_write_heals_to_a_miss(self, tmp_path):
@@ -290,9 +283,10 @@ class TestStoreDurability:
 
     def test_corrupt_ledger_record_reads_as_none(self, tmp_path):
         store = RunStore(tmp_path / "store")
-        (store.failures / "bad.json").write_text("{ not json")
+        path = RunStore._write_path(store.failures, "bad")
+        path.write_text("{ not json")
         assert store.get_failure("bad") is None
-        assert not (store.failures / "bad.json").exists()
+        assert not path.exists()
 
     def test_heal_point_drops_wrong_shape_payloads(self, tmp_path):
         store = RunStore(tmp_path / "store")

@@ -170,14 +170,6 @@ class TestFleetCLI:
         assert "store complete" in out
         assert RunStore(tmp_path / "store").get(spec.content_hash())
 
-    def test_cli_migrate_smoke(self, tmp_path, capsys):
-        store = RunStore(tmp_path / "store")
-        (store.points / ("ab" * 32 + ".json")).write_text('{"x": 1}')
-        code = main(["migrate", str(tmp_path / "store")])
-        assert code == 0
-        assert "migrated 1 artifact(s)" in capsys.readouterr().out
-        assert RunStore(tmp_path / "store").get_point("ab" * 32) == {"x": 1}
-
 
 class TestReportAggregation:
     def test_missing_truncated_and_garbled_reports_are_skipped(self, tmp_path):

@@ -3,8 +3,7 @@
 Two :class:`LeaseManager` drivers on one store stand in for two fleet
 workers: claim conflicts, renewals, expiry, steals of stale and corrupt
 claims, and the fencing-token guard that stops a zombie holder from
-publishing over its usurper.  The store half covers the sharded layout's
-transparent legacy (flat) read-back and the ``migrate`` sweep.
+publishing over its usurper.  The store half covers the sharded layout.
 """
 
 import json
@@ -15,7 +14,6 @@ import pytest
 from repro import perf
 from repro.errors import LeaseLostError, ValidationError
 from repro.perf import counter
-from repro.perf.retry import NodeFailure
 from repro.scenarios import RunStore
 from repro.scenarios.lease import Lease, LeaseManager
 from repro.scenarios.store import shard_prefix
@@ -58,10 +56,11 @@ class TestLeaseProtocol:
         assert first > 0.0
         assert w1.renew(KEY)
         assert w1.peek(KEY).deadline_unix >= first
-        # legacy claims without the field parse with the 0.0 sentinel
-        legacy = dict(w1.peek(KEY).to_payload())
-        legacy.pop("deadline_unix")
-        assert Lease.from_payload(legacy).deadline_unix == 0.0
+        # a claim without the field is unparseable (and so stealable)
+        partial = dict(w1.peek(KEY).to_payload())
+        partial.pop("deadline_unix")
+        with pytest.raises(KeyError):
+            Lease.from_payload(partial)
 
     def test_reacquire_is_reentrant_and_renews(self, store):
         w1 = manager(store, "w1")
@@ -127,6 +126,7 @@ class TestLeaseProtocol:
             token=w1.held[KEY] + 1,
             deadline=time.monotonic() + 30.0,
             ttl_s=30.0,
+            deadline_unix=time.time() + 30.0,
         )
         claim_path.write_text(json.dumps(newer.to_payload()))
         with pytest.raises(LeaseLostError):
@@ -178,74 +178,6 @@ class TestShardedLayout:
     def test_writes_land_sharded(self, store):
         store.put_point(KEY, {"x": 1})
         assert (store.points / shard_prefix(KEY) / f"{KEY}.json").exists()
-
-    def test_legacy_flat_points_read_back(self, store):
-        legacy = store.points / f"{KEY}.json"
-        legacy.write_text(json.dumps({"x": 41}))
-        assert store.get_point(KEY) == {"x": 41}
-        # a rewrite lands sharded and retires the flat twin
-        store.put_point(KEY, {"x": 42})
-        assert not legacy.exists()
-        assert store.get_point(KEY) == {"x": 42}
-        assert KEY in store.point_keys()
-
-    def test_legacy_flat_runs_read_back(self, store, tmp_path):
-        from repro.scenarios import SCENARIOS
-
-        spec = SCENARIOS.get("fig7").resolved(fast=True)
-        key = spec.content_hash()
-        store.put(key, {"kind": "sweep"}, spec)
-        # rewrite history: flatten the object like a pre-shard store
-        sharded = store.objects / shard_prefix(key) / f"{key}.json"
-        flat = store.objects / f"{key}.json"
-        flat.write_text(sharded.read_text())
-        sharded.unlink()
-        reopened = RunStore(store.root)
-        assert reopened.get(key) == {"kind": "sweep"}
-
-    def test_migrate_moves_flat_artifacts_and_is_idempotent(self, store):
-        from repro.scenarios import SCENARIOS
-
-        spec = SCENARIOS.get("fig7").resolved(fast=True)
-        run_key = spec.content_hash()
-        store.put(run_key, {"kind": "sweep"}, spec)
-        # flatten every space the way a legacy store laid them out
-        for space, key, suffix, text in (
-            (store.objects, run_key, ".json", None),
-            (store.points, KEY, ".json", json.dumps({"x": 1})),
-            (store.failures, "ab" * 32, ".json", None),
-            (store.leases, "cd" * 32, ".claim", json.dumps({"torn": 1})),
-        ):
-            if text is None and suffix == ".json" and space is store.objects:
-                sharded = space / shard_prefix(key) / f"{key}{suffix}"
-                (space / f"{key}{suffix}").write_text(sharded.read_text())
-                sharded.unlink()
-                continue
-            if space is store.failures:
-                failure = NodeFailure(
-                    key=key, kind="solve", error_class="SolverError",
-                    message="m", traceback_digest="d", attempts=1,
-                )
-                (space / f"{key}{suffix}").write_text(
-                    json.dumps(failure.to_payload())
-                )
-                continue
-            (space / f"{key}{suffix}").write_text(text)
-
-        migrated = RunStore(store.root)
-        moved = migrated.migrate()
-        assert moved == {
-            "objects": 1, "points": 1, "failures": 1, "blame": 0, "leases": 1,
-        }
-        assert migrated.get(run_key) == {"kind": "sweep"}
-        assert migrated.get_point(KEY) == {"x": 1}
-        assert migrated.get_failure("ab" * 32) is not None
-        entry = migrated.manifest["runs"][run_key]
-        assert entry["path"].startswith(f"objects/{shard_prefix(run_key)}/")
-        # idempotent: nothing flat remains
-        assert RunStore(store.root).migrate() == {
-            "objects": 0, "points": 0, "failures": 0, "blame": 0, "leases": 0,
-        }
 
     def test_short_keys_pad_into_a_distinct_shard(self, store):
         store.put_point("a", {"v": 1})

@@ -1,6 +1,8 @@
 """The benchmark-regression harness: comparison gate and report plumbing."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +214,17 @@ class TestScenarios:
         assert "s" in table and "2.00x" in table
         assert "PASS" in table
         assert "a" in table and "200.00ms" in table
+
+
+def test_every_required_bench_entry_exists():
+    """Each ``--require`` name of the CI gate is an entry of the harness.
+
+    The gate fails on a missing entry only when the slow bench runs;
+    this catches a required entry whose code was deleted in tier-1.
+    """
+    root = Path(__file__).resolve().parents[1]
+    script = (root / "benchmarks" / "run_bench.sh").read_text()
+    (required,) = re.findall(r"^\s*--require\s+(\S+)", script, re.M)
+    source = Path(bench.__file__).read_text()
+    missing = [name for name in required.split(",") if f'"{name}"' not in source]
+    assert not missing

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from repro import Model1D, ModelA, perf, paper_tsv, sweep
-from repro.errors import ValidationError
+from repro.errors import ExperimentError, SolverError, ValidationError
 from repro.perf import (
     ParallelExecutor,
     PointTask,
@@ -25,6 +25,15 @@ def _eager(spec, jobs=1):
         spec, executor=get_executor(jobs), fast=True, fem_resolution="coarse",
         calibrate=False,
     ).result
+
+
+class _FailingModel(Model1D):
+    """A picklable model whose every solve fails like a singular system."""
+
+    name = "failing_1d"
+
+    def solve(self, stack, via, power):
+        raise SolverError("singular system")
 
 
 @pytest.fixture(autouse=True)
@@ -184,3 +193,18 @@ class TestSweepEngineContract:
 
         with pytest.raises(ValidationError):
             sweep("x", [], [ModelA()], configure)
+
+    @pytest.mark.parametrize(
+        "executor", [SerialExecutor(), ParallelExecutor(2)], ids=["serial", "parallel"]
+    )
+    def test_failed_point_raises_experiment_error(
+        self, executor, block_stack, block_power
+    ):
+        """A captured solve failure surfaces as one ExperimentError naming
+        the point and the original error class, whatever the executor."""
+
+        def configure(r_um):
+            return block_stack, paper_tsv(radius=um(r_um), liner_thickness=um(1)), block_power
+
+        with pytest.raises(ExperimentError, match="SolverError: singular system"):
+            sweep("radius", [2.0, 5.0], [_FailingModel()], configure, executor=executor)

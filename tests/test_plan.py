@@ -229,7 +229,7 @@ class TestResume:
         victim = next(
             p
             for p in (tmp_path / "store" / "points").glob("**/*.json")
-            if "model_name" in parse_artifact(p.read_text())[0]
+            if "model_name" in parse_artifact(p.read_text())
         )
         victim.unlink()
         perf.reset()
@@ -263,35 +263,6 @@ class TestResume:
 
 
 class TestPartialBatchFailure:
-    def test_finished_scenarios_are_stored_before_a_later_failure(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.core.model_1d import Model1D
-        from repro.errors import SolverError
-
-        ok = tiny_spec(scenario_id="ok_first")
-        bad = tiny_spec(
-            scenario_id="fails_second",
-            axis=AxisSpec(parameter="radius_um", values=(3.0, 7.0)),
-        )
-        real_solve = Model1D.solve
-
-        def failing_solve(self, stack, via, power):
-            if abs(via.radius - 7e-6) < 1e-12:
-                raise SolverError("injected failure at r=7um")
-            return real_solve(self, stack, via, power)
-
-        monkeypatch.setattr(Model1D, "solve", failing_solve)
-        perf.reset()  # the poisoned point must not be served from cache
-        store = RunStore(tmp_path / "store")
-        # retry=None restores the historical contract: the first worker
-        # exception unwinds the whole batch
-        with pytest.raises(SolverError):
-            run_batch([ok, bad], store=store, retry=None)
-        # the scenario that finished before the failure kept its artifact
-        assert ok.resolved().content_hash() in store
-        assert bad.resolved().content_hash() not in store
-
     def test_persistent_failure_quarantines_instead_of_unwinding(
         self, tmp_path, monkeypatch
     ):

@@ -347,7 +347,7 @@ class TestStackedBatchTask:
         try:
             task = self._task()
             ((_, outcome),) = list(
-                SerialExecutor().submit_stream_safe([task], timeout_s=None)
+                SerialExecutor().submit_stream([task], timeout_s=None)
             )
         finally:
             faults.reset()
@@ -466,27 +466,6 @@ class TestBuiltinByteIdentity:
             )
         assert payloads[0] == payloads[1]
         assert payloads[1] == payloads[2]
-
-
-class TestCLIFlag:
-    def test_parser_accepts_no_stacked_batches(self):
-        from repro.__main__ import build_parser
-
-        args = build_parser().parse_args(["run", "fig4", "--no-stacked-batches"])
-        assert args.no_stacked_batches
-        args = build_parser().parse_args(["run", "fig4"])
-        assert not args.no_stacked_batches
-
-    def test_flag_restores_per_point_dispatch(self):
-        from repro.__main__ import main
-
-        flags = ["--fast", "--fem-resolution", "coarse", "--no-calibrate"]
-        perf.reset()
-        assert main(["run", "fig5", *flags]) == 0
-        assert perf.stats()["counters"]["plan_stacked_batches"] > 0
-        perf.reset()
-        assert main(["run", "fig5", *flags, "--no-stacked-batches"]) == 0
-        assert perf.stats()["counters"].get("plan_stacked_batches", 0) == 0
 
 
 class TestVoxelFrameCache:

@@ -1,6 +1,6 @@
 """Store integrity: envelopes, read-side healing, blame, fsck, poison.
 
-The contract under test is PR 9's integrity layer: every artifact is
+The contract under test is the store's integrity layer: every artifact is
 wrapped in a checksum envelope, a flipped bit reads as a miss-plus-heal
 (never as different physics), ``fsck`` finds and repairs whole-store
 damage offline, and the fleet-wide blame ledger isolates poison units
@@ -70,14 +70,17 @@ class TestEnvelope:
     def test_render_parse_round_trip(self):
         text = render_artifact({"max_rise": 4.0})
         assert text.startswith(ENVELOPE_PREFIX)
-        payload, enveloped = parse_artifact(text)
-        assert payload == {"max_rise": 4.0}
-        assert enveloped
+        assert parse_artifact(text) == {"max_rise": 4.0}
 
-    def test_legacy_document_parses_without_envelope(self):
-        payload, enveloped = parse_artifact('{"max_rise": 4.0}\n')
-        assert payload == {"max_rise": 4.0}
-        assert not enveloped
+    def test_envelope_less_artifact_is_corrupt_and_heals(self, tmp_path):
+        with pytest.raises(CorruptArtifactError, match="no integrity envelope"):
+            parse_artifact('{"max_rise": 4.0}\n')
+        store = RunStore(tmp_path / "store")
+        path = RunStore._write_path(store.points, KEY)
+        path.write_text('{"max_rise": 4.0}\n')
+        assert store.get_point(KEY) is None  # a miss...
+        assert not path.exists()  # ...healed away like any corrupt artifact
+        assert counter("store_integrity_heals") == 1
 
     def test_tampered_body_fails_its_checksum(self):
         text = render_artifact({"max_rise": 4.0})
@@ -88,8 +91,7 @@ class TestEnvelope:
         assert counter("store_checksum_failures") == 1
         # the tampered body is valid JSON: without verification it would
         # have been silently accepted as different physics
-        payload, _ = parse_artifact(tampered, verify=False)
-        assert payload == {"max_rise": 5.0}
+        assert parse_artifact(tampered, verify=False) == {"max_rise": 5.0}
 
     def test_checksum_covers_exact_body_bytes(self):
         body = json.dumps({"a": 1}, indent=2) + "\n"
@@ -130,10 +132,19 @@ class TestReadSideHealing:
         assert raw.get_point(KEY) == {"kind": "solve", "max_rise": 1.1}
         assert path.exists()  # the unverified reader never heals
 
-    def test_legacy_flat_plain_artifact_still_reads(self, tmp_path):
-        store = RunStore(tmp_path / "store")
-        (store.points / f"{KEY}.json").write_text('{"max_rise": 1.0}')
-        assert store.get_point(KEY) == {"max_rise": 1.0}
+    def test_heal_keeps_runs_a_peer_indexed_meanwhile(self, tmp_path):
+        root = tmp_path / "store"
+        writer = RunStore(root)
+        writer.put(KEY, {"experiment": {"v": 1}}, SPEC)
+        healer = RunStore(root)  # loads the manifest between the two puts
+        writer.put(KEY2, {"experiment": {"v": 2}}, SPEC)
+        path = writer._sharded_path(writer.objects, KEY)
+        path.write_text(path.read_text()[:20])  # truncated
+        assert healer.get(KEY) is None
+        reopened = RunStore(root)
+        assert KEY not in reopened
+        assert reopened.get(KEY2) == {"experiment": {"v": 2}}
+        assert scrub(root).clean  # no unindexed-object for the peer's run
 
 
 class TestBlameLedger:
@@ -251,6 +262,7 @@ class TestFsck:
                     "token": 1,
                     "ttl_s": 0.01,
                     "deadline": _time.monotonic() - 1.0,
+                    "deadline_unix": _time.time() - 1.0,
                 }
             )
         )
@@ -301,16 +313,15 @@ class TestFsck:
         expired = [f for f in report.notes if f.kind == "expired-claim"]
         assert [f.key for f in expired] == [KEY2]
 
-    def test_legacy_claim_from_another_boot_reads_as_expired(self, tmp_path):
+    def test_claim_without_wall_deadline_is_torn_and_stolen(self, tmp_path):
         import time as _time
+
+        from repro.scenarios.lease import LeaseManager
 
         store = seeded_store(tmp_path / "store")
         shard = store.leases / shard_prefix(KEY)
         shard.mkdir(exist_ok=True)
-        # no deadline_unix (pre-wall-clock claim), and a monotonic
-        # deadline no renewal on this boot could have produced: the
-        # writer's clock belonged to another boot, its holder cannot
-        # be alive here
+        # a live-looking monotonic deadline, but no deadline_unix
         (shard / f"{KEY}.claim").write_text(
             json.dumps(
                 {
@@ -318,14 +329,28 @@ class TestFsck:
                     "owner": "w1",
                     "token": 1,
                     "ttl_s": 30.0,
-                    "deadline": _time.monotonic() + 1e9,
+                    "deadline": _time.monotonic() + 30.0,
                 }
             )
         )
         report = scrub(store.root)
-        (finding,) = [f for f in report.notes if f.kind == "expired-claim"]
-        assert finding.key == KEY
-        assert "another boot" in finding.detail
+        assert [(f.kind, f.key) for f in report.notes] == [("torn-claim", KEY)]
+        assert LeaseManager(store, owner="w2").acquire(KEY)
+        assert counter("lease_steals") == 1
+
+    def test_flat_artifact_is_invisible_and_mis_sharded(self, tmp_path):
+        store = seeded_store(tmp_path / "store")
+        good = store._sharded_path(store.points, KEY)
+        flat = store.points / good.name
+        good.replace(flat)
+        assert RunStore(store.root).get_point(KEY) is None  # invisible
+        report = scrub(store.root)
+        assert [(f.kind, f.path) for f in report.damage] == [
+            ("mis-sharded", f"points/{good.name}")
+        ]
+        assert scrub(store.root, repair=True).exit_code == 0
+        assert good.exists() and not flat.exists()
+        assert RunStore(store.root).get_point(KEY) is not None
 
     def test_cli_exit_codes_and_repair(self, tmp_path, capsys):
         store = seeded_store(tmp_path / "store")
