@@ -42,7 +42,8 @@ if ! grep -q "store is clean" "$fsck_tmp/fsck.txt"; then
     exit 1
 fi
 # the same run again is served from the store; scripts/import_set.py
-# fails it if it loaded scipy, networkx or any solver module
+# fails it if it loaded scipy, networkx, any solver module, numpy or the
+# process-pool machinery
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python scripts/import_set.py run fig7 --fast --store "$fsck_tmp/store" \
     >"$fsck_tmp/hit.txt"

@@ -26,7 +26,8 @@ or failing the scenario.
 
 The final cell kills a fleet worker: one worker of a 3-worker fleet is
 armed (via per-rank environment) to crash the moment it holds a lease
-claim.  The gate asserts the armed worker dies with the injected exit
+claim, and the other two start late, so the armed one always claims
+first.  The gate asserts the armed worker dies with the injected exit
 code, the survivors steal its expired claims, the shared store finishes
 byte-identical to the fault-free run, and no completed point is lost.
 
@@ -55,6 +56,16 @@ SCENARIO = "fig7"
 #: needs 5 independent draws for a ~3e-4 chance of exhausting them, so a
 #: failed matrix means broken recovery machinery, not an unlucky seed
 MATRIX_RETRY = RetryPolicy(max_attempts=5, backoff_s=0.0)
+
+#: the fleet cell's ranks 1-2 wait this ``worker-start`` delay (the one
+#: tests/test_fleet.py uses) before they claim anything: without it they
+#: can finish the plan before the armed rank 0 claims, and it exits 0
+SLOW_START_ENV = {
+    faults.ENV_RATE: "1.0",
+    faults.ENV_SITES: "worker-start",
+    faults.ENV_KINDS: "delay",
+    faults.ENV_DELAY_S: "1.0",
+}
 
 
 def normalized_run(result) -> dict:
@@ -220,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
 
         # fleet worker-kill cell: worker 0 of a 3-worker fleet is armed to
         # crash (rate 1.0) the moment it holds a lease claim — os._exit,
-        # no cleanup, no report.  The survivors must steal its expired
+        # no cleanup, no report.  Ranks 1-2 start SLOW_START_ENV late, so
+        # rank 0 always claims first.  The survivors must steal its expired
         # claims, finish the store byte-identically, and lose none of the
         # points any worker completed.
         perf.reset()
@@ -239,7 +251,9 @@ def main(argv: list[str] | None = None) -> int:
                     faults.ENV_SITES: "lease",
                     faults.ENV_KINDS: "crash",
                     faults.ENV_SEED: "1",
-                }
+                },
+                1: SLOW_START_ENV,
+                2: SLOW_START_ENV,
             },
         )
         verdicts = []

@@ -1,4 +1,4 @@
-"""Fail when a light ``python -m repro`` command loads the solver stack.
+"""Fail when a light ``python -m repro`` command loads more than it prints.
 
 Usage (from the repository root)::
 
@@ -6,18 +6,24 @@ Usage (from the repository root)::
 
 Runs the command in this process exactly as ``python -m repro <args>``
 would and passes its output through.  Afterwards it lists on stderr every
-module of :data:`HEAVY_MODULES` the command loaded.  The exit code is 1
-when there is any, otherwise the command's own exit code.  A store-hit
-``run``, ``list`` and ``--help`` must load none of them: they read JSON
-and print tables, and the solver stack (scipy, networkx, the FEM and
-calibration code, the plan compiler and scheduler, the fleet) is what
-made them slow.
+module of :data:`HEAVY_MODULES` and :data:`HIT_PATH_MODULES` the command
+loaded.  The exit code is 1 when there is any, otherwise the command's own
+exit code.  A store-hit ``run``, ``list`` and ``--help`` must load none of
+them: a hit parses the spec, derives the key, reads one JSON file and
+prints tables.  The solver stack (scipy, networkx, the FEM and calibration
+code, the plan compiler and scheduler, the fleet) is what made them slow;
+numpy, the process-pool machinery and the sweep harness are what is left
+of that start-up cost.
+
+One exception: a store hit of a transient scenario loads its trajectories
+back as numpy arrays, so it may load :data:`TRANSIENT_HIT_ALLOWED`.
 """
 
 from __future__ import annotations
 
 import runpy
 import sys
+from pathlib import Path
 
 #: modules (and their submodules) no light command may load
 HEAVY_MODULES = (
@@ -37,14 +43,60 @@ HEAVY_MODULES = (
     "repro.scenarios.fsck",
 )
 
+#: modules (and their submodules) a store hit, ``list`` and ``--help`` do
+#: not use either, on top of :data:`HEAVY_MODULES`
+HIT_PATH_MODULES = (
+    "numpy",
+    "multiprocessing",
+    "concurrent.futures",
+    "repro.perf.executors",
+    "repro.network",
+    "repro.experiments.harness",
+)
 
-def heavy_loaded(modules) -> list[str]:
-    """The names in ``modules`` that are, or live under, a heavy module."""
+#: what a transient store hit may load of the two sets: numpy and the
+#: trajectory container with its node types (plus their parent packages)
+TRANSIENT_HIT_ALLOWED = ("numpy", "repro.network.trajectory", "repro.network.elements")
+
+
+def _under(name: str, prefixes) -> bool:
+    return any(name == prefix or name.startswith(prefix + ".") for prefix in prefixes)
+
+
+def heavy_loaded(modules, *, allowed=()) -> list[str]:
+    """The names in ``modules`` a light command must not load.
+
+    A name counts when it is, or lives under, a module of
+    :data:`HEAVY_MODULES` or :data:`HIT_PATH_MODULES`, and is neither
+    under a module of ``allowed`` nor a parent package of one.
+    """
     return sorted(
         name
         for name in modules
-        if any(name == heavy or name.startswith(heavy + ".") for heavy in HEAVY_MODULES)
+        if _under(name, HEAVY_MODULES + HIT_PATH_MODULES)
+        and not _under(name, allowed)
+        and not any(module.startswith(name + ".") for module in allowed)
     )
+
+
+def allowed_for(argv: list[str]) -> tuple[str, ...]:
+    """:data:`TRANSIENT_HIT_ALLOWED` for a ``run`` of a transient spec, else none.
+
+    Called after the command ran, so the registry and the spec loader are
+    already imported.
+    """
+    if argv[:1] != ["run"] or len(argv) < 2:
+        return ()
+    from repro.scenarios import SCENARIOS, ScenarioSpec
+
+    target = argv[1]
+    if target in SCENARIOS:
+        spec = SCENARIOS.get(target)
+    elif Path(target).is_file():
+        spec = ScenarioSpec.load(Path(target))
+    else:
+        return ()
+    return TRANSIENT_HIT_ALLOWED if spec.kind == "transient" else ()
 
 
 def main(argv: list[str]) -> int:
@@ -55,9 +107,11 @@ def main(argv: list[str]) -> int:
     except SystemExit as exc:
         code = exc.code
     sys.stdout.flush()
-    loaded = heavy_loaded(sys.modules)
+    loaded = heavy_loaded(sys.modules, allowed=allowed_for(argv))
     if loaded:
-        print(f"import-set check: the command loaded {', '.join(loaded)}", file=sys.stderr)
+        # name a package once, not each of its submodules
+        roots = [name for name in loaded if not any(name.startswith(o + ".") for o in loaded)]
+        print(f"import-set check: the command loaded {', '.join(roots)}", file=sys.stderr)
         return 1
     if isinstance(code, str):  # SystemExit("message"), as the interpreter prints it
         print(code, file=sys.stderr)

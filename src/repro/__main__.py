@@ -51,18 +51,17 @@ from pathlib import Path
 
 from .analysis.report import format_table
 from .errors import DrainError
-from .experiments.harness import ExperimentResult
-from .perf.executors import get_executor
 from .perf.retry import RetryPolicy
 from .scenarios import SCENARIOS, ScenarioSpec
 from .scenarios.drain import DrainGuard, drain_exit_code
 from .scenarios.lease import DEFAULT_TTL_S
+from .scenarios.results import ExperimentResult
 from .scenarios.runner import run_batch
 from .scenarios.store import MANIFEST_NAME, RunStore
 
 # Commands import what only they use (the fleet driver, fsck, the report
-# renderer) when they run: a store-hit ``run`` stays free of the solver
-# stack.
+# renderer, the process pool of --jobs N) when they run: a store-hit
+# ``run`` stays free of numpy, the executors and the solver stack.
 
 #: the paper's results, in EXPERIMENTS.md order: each id is a command that
 #: means ``run <id>``, and ``all`` runs them as one batch
@@ -343,10 +342,7 @@ def _print_result(result) -> None:
             print()
             print(format_table(result.metadata["table_rows"]))
     else:  # the case study (live or store-loaded) has its own shape
-        title = getattr(result, "title", None)
-        if not title:
-            from .experiments.case_study import TITLE as title
-        print(title)
+        print(result.title)
         print()
         print(format_table(result.rows(), float_format="{:.2f}"))
 
@@ -488,13 +484,18 @@ def _execute(args: argparse.Namespace, specs: list, store: RunStore | None):
     """
     if args.resume and store is None:
         print("note: --resume needs a --store; ignored", file=sys.stderr)
+    executor = None  # run_batch's default: serial, in this process
+    if args.jobs > 1:
+        from .perf.executors import get_executor
+
+        executor = get_executor(args.jobs)
     progress = _make_progress(args)
     guard = DrainGuard()
     try:
         with guard.installed():
             batch = run_batch(
                 specs,
-                executor=get_executor(args.jobs),
+                executor=executor,
                 store=store,
                 resume=args.resume,
                 fast=args.fast,

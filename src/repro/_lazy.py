@@ -6,7 +6,8 @@ module-level ``__getattr__`` / ``__dir__`` pair.  A name's submodule is
 imported on first access and the value is cached in the package
 namespace, so ``from repro import ModelA`` keeps working while ``import
 repro`` loads nothing heavy.  A store-hit ``python -m repro run`` then
-imports numpy and a few light modules instead of scipy and the solvers.
+imports a few light modules and no numpy, scipy or solver (a transient
+run's hit adds numpy for its trajectories).
 
 One trap comes with laziness: importing a submodule binds it as an
 attribute of its package.  A package that re-exports a function under its

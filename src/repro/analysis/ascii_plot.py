@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from ..errors import ValidationError
 
 #: marker characters assigned to series in order
@@ -38,29 +36,31 @@ def ascii_plot(
         raise ValidationError(f"at most {len(MARKERS)} series supported")
     if width < 16 or height < 6:
         raise ValidationError("canvas too small (min 16x6)")
-    xs = np.asarray(list(x), dtype=float)
-    if xs.size < 2:
+    xs = [float(v) for v in x]
+    if len(xs) < 2:
         raise ValidationError("need at least two x points")
-    all_y: list[np.ndarray] = []
+    all_y: list[list[float]] = []
     for name, ys in series.items():
-        arr = np.asarray(list(ys), dtype=float)
-        if arr.shape != xs.shape:
+        column = [float(v) for v in ys]
+        if len(column) != len(xs):
             raise ValidationError(
-                f"series {name!r} has {arr.size} points, x has {xs.size}"
+                f"series {name!r} has {len(column)} points, x has {len(xs)}"
             )
-        all_y.append(arr)
-    y_min = min(float(a.min()) for a in all_y)
-    y_max = max(float(a.max()) for a in all_y)
+        all_y.append(column)
+    y_min = min(min(column) for column in all_y)
+    y_max = max(max(column) for column in all_y)
     if y_max == y_min:
         y_max = y_min + 1.0
-    x_min, x_max = float(xs.min()), float(xs.max())
+    x_min, x_max = min(xs), max(xs)
 
+    # round() rounds half to even, as np.rint does, and each cell position
+    # is the same sequence of double operations, so the canvas matches a
+    # numpy rendering cell for cell
     canvas = [[" "] * width for _ in range(height)]
-    for marker, (name, ys) in zip(MARKERS, series.items()):
-        arr = np.asarray(list(ys), dtype=float)
-        cols = np.rint((xs - x_min) / (x_max - x_min) * (width - 1)).astype(int)
-        rows = np.rint((arr - y_min) / (y_max - y_min) * (height - 1)).astype(int)
-        for c, r in zip(cols, rows):
+    cols = [round((v - x_min) / (x_max - x_min) * (width - 1)) for v in xs]
+    for marker, column in zip(MARKERS, all_y):
+        for c, y in zip(cols, column):
+            r = round((y - y_min) / (y_max - y_min) * (height - 1))
             canvas[height - 1 - r][c] = marker
 
     left = [f"{y_max:10.2f} |", *(["           |"] * (height - 2)), f"{y_min:10.2f} |"]

@@ -3,16 +3,21 @@
 The paper reports "maximum difference (absolute value)" and "average
 difference" of each model's ΔT against FEM over a sweep (e.g. Table I);
 :func:`series_errors` computes exactly those.
+
+The functions import numpy when they run: a stored run reads
+:class:`ErrorMetrics` back without it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,6 +43,8 @@ def relative_errors(
     series: Sequence[float], reference: Sequence[float]
 ) -> np.ndarray:
     """Pointwise (series − reference)/reference."""
+    import numpy as np
+
     s = np.asarray(series, dtype=float)
     ref = np.asarray(reference, dtype=float)
     if s.shape != ref.shape:
@@ -55,6 +62,8 @@ def series_errors(
     series: Sequence[float], reference: Sequence[float]
 ) -> ErrorMetrics:
     """The paper's max/avg |relative error| plus RMS and signed mean."""
+    import numpy as np
+
     err = relative_errors(series, reference)
     return ErrorMetrics(
         max_error=float(np.max(np.abs(err))),
@@ -72,6 +81,8 @@ def crossover_points(
     Used to locate the Fig. 6 minimum (ΔT vs substrate thickness is
     non-monotonic); returns an empty list for monotonic series.
     """
+    import numpy as np
+
     x = np.asarray(values, dtype=float)
     y = np.asarray(series, dtype=float)
     if x.shape != y.shape or x.size < 3:
@@ -92,6 +103,8 @@ def crossover_points(
 
 def is_monotonic(series: Sequence[float], *, increasing: bool) -> bool:
     """Weak monotonicity check used by shape assertions in experiments."""
+    import numpy as np
+
     y = np.asarray(series, dtype=float)
     if y.size < 2:
         raise ValidationError("need at least two points")

@@ -29,8 +29,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ExperimentError, ValidationError
-from ..perf.executors import PointTask, SerialExecutor
-from ..perf.keys import solve_key
 from ..perf.retry import TaskFailure
 from .result import ModelResult
 
@@ -177,7 +175,11 @@ def sweep(
     values = list(values)
     if not values:
         raise ValidationError("sweep needs at least one value")
-    from ..perf.cache import result_cache  # scipy: load with the first sweep
+    # the executors and scipy (via the cache) load with the first sweep:
+    # importing repro.core, as every spec does, stays light
+    from ..perf.cache import result_cache
+    from ..perf.executors import PointTask, SerialExecutor
+    from ..perf.keys import solve_key
 
     executor = executor or SerialExecutor()
     specs = expand_points(values, configure)

@@ -7,7 +7,7 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     globals(),
     {
-        ".harness": ("ExperimentResult", "run_sweep_experiment"),
+        ".harness": ("run_sweep_experiment",),
         ".runner": ("render_markdown",),
     },
     submodules=(
@@ -18,7 +18,6 @@ __getattr__, __dir__ = lazy_exports(
 )
 
 __all__ = [
-    "ExperimentResult",
     "run_sweep_experiment",
     "render_markdown",
     "table1_segments",

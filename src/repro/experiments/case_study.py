@@ -30,6 +30,10 @@ class CaseStudyExperiment:
     recalibrated_rise: float | None = None
     metadata: dict[str, Any] = field(default_factory=dict)
 
+    @property
+    def title(self) -> str:
+        return TITLE
+
     def rows(self) -> list[list[Any]]:
         out = self.report.rows()
         if self.recalibrated is not None:

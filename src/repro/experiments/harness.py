@@ -1,145 +1,34 @@
 """Shared experiment harness.
 
-An experiment = a sweep + a reference model + error metrics + report
-rendering.  Each ``figN``/``table1``/``case_study`` module configures this
-harness with the paper's parameters; the benchmark suite then prints the
-same rows/series the paper reports.
+An experiment = a sweep + a reference model + error metrics.  The eager
+reference path (:func:`run_sweep_experiment`) and the execution-plan
+reassembly (:mod:`repro.scenarios.plan`) both build their
+:class:`~repro.scenarios.results.ExperimentResult` through
+:func:`assemble_experiment`, and both pick calibration samples with
+:func:`calibration_sample_indexes`.
 
-:class:`ExperimentResult` is also what a stored sweep run loads back
-into, so this module imports only numpy and the report helpers at load
-time; the sweep driver, the models and the calibration fit load when a
-function here first solves something.
+A stored run never loads this module: its result type lives in
+:mod:`repro.scenarios.results`.  The sweep driver, the models and the
+calibration fit load when a function here first solves something.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from ..analysis.ascii_plot import ascii_plot
-from ..analysis.metrics import ErrorMetrics, series_errors
-from ..analysis.report import format_series_table
+from ..analysis.metrics import series_errors
 from ..errors import ExperimentError
 from ..perf.keys import calibration_fit_key, calibration_key, model_key, solve_key
+from ..scenarios.results import ExperimentResult
 
 if TYPE_CHECKING:
     from ..core.base import ThermalTSVModel
     from ..core.model_a import ModelA
     from ..core.sweep import Configurator, SweepResult
     from ..perf.executors import SweepExecutor
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """A completed experiment, ready for reporting."""
-
-    experiment_id: str
-    title: str
-    x_label: str
-    x_values: list[Any]
-    series: dict[str, list[float]]  # model name -> max ΔT series
-    reference_name: str
-    errors: dict[str, ErrorMetrics]  # vs the reference, per non-reference model
-    runtimes_ms: dict[str, float]  # mean solve time per model
-    metadata: dict[str, Any] = field(default_factory=dict)
-    sweep_result: SweepResult | None = None
-
-    def table_text(self) -> str:
-        """The figure's data as an aligned table (ΔT in °C rise)."""
-        return format_series_table(self.x_label, self.x_values, self.series)
-
-    def plot_text(self, *, width: int = 72, height: int = 18) -> str:
-        """ASCII rendition of the figure."""
-        x = [float(v) for v in self.x_values]
-        return ascii_plot(
-            x,
-            self.series,
-            width=width,
-            height=height,
-            x_label=self.x_label,
-            y_label="max ΔT [°C]",
-        )
-
-    def error_rows(self) -> list[list[Any]]:
-        """Error table rows: model, max %, avg %, mean runtime ms."""
-        rows: list[list[Any]] = [["model", "max err %", "avg err %", "time [ms]"]]
-        for name, err in self.errors.items():
-            pct = err.as_percentages()
-            rows.append([name, pct["max_%"], pct["avg_%"], self.runtimes_ms[name]])
-        return rows
-
-    def to_payload(self) -> dict[str, Any]:
-        """JSON-serialisable dump for the export helpers and the run store.
-
-        ``errors`` holds the raw fractions (exact float round-trip via
-        :meth:`from_payload`); ``errors_pct`` keeps the human-readable
-        percentages the reports use.
-        """
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "x_label": self.x_label,
-            "x_values": self.x_values,
-            "series": self.series,
-            "reference": self.reference_name,
-            "errors": {
-                name: {
-                    "max_error": err.max_error,
-                    "avg_error": err.avg_error,
-                    "rms_error": err.rms_error,
-                    "signed_mean": err.signed_mean,
-                }
-                for name, err in self.errors.items()
-            },
-            "errors_pct": {
-                name: err.as_percentages() for name, err in self.errors.items()
-            },
-            "runtimes_ms": self.runtimes_ms,
-            "metadata": self.metadata,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "ExperimentResult":
-        """Rebuild a result from :meth:`to_payload` output (store/JSON).
-
-        The numeric content round-trips exactly (JSON preserves doubles);
-        only ``sweep_result`` — the raw per-point solver output — is not
-        serialised and comes back as ``None``.
-        """
-        try:
-            raw_errors = payload.get("errors")
-            if raw_errors is not None:
-                errors = {
-                    name: ErrorMetrics(**values) for name, values in raw_errors.items()
-                }
-            else:  # pre-store payloads carried percentages only
-                errors = {
-                    name: ErrorMetrics(
-                        max_error=pct["max_%"] / 100.0,
-                        avg_error=pct["avg_%"] / 100.0,
-                        rms_error=pct["rms_%"] / 100.0,
-                        signed_mean=pct["signed_mean_%"] / 100.0,
-                    )
-                    for name, pct in payload["errors_pct"].items()
-                }
-            return cls(
-                experiment_id=payload["experiment_id"],
-                title=payload["title"],
-                x_label=payload["x_label"],
-                x_values=list(payload["x_values"]),
-                series={name: list(ys) for name, ys in payload["series"].items()},
-                reference_name=payload["reference"],
-                errors=errors,
-                runtimes_ms=dict(payload["runtimes_ms"]),
-                metadata=dict(payload.get("metadata", {})),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ExperimentError(
-                f"malformed experiment payload: {exc!r}"
-            ) from exc
 
 
 def calibration_sample_indexes(n_values: int, n_samples: int = 4) -> list[int]:

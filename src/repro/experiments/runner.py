@@ -13,7 +13,7 @@ from ..analysis import format_table
 from . import paper_facts
 
 if TYPE_CHECKING:
-    from .harness import ExperimentResult
+    from ..scenarios.results import ExperimentResult
 
 
 def _figure_section(result: ExperimentResult, paper_errors: dict[str, tuple]) -> str:

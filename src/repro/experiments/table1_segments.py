@@ -8,9 +8,10 @@ solve time.  The ``table1`` scenario runs the Fig. 5 sweep and
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .harness import ExperimentResult
+if TYPE_CHECKING:
+    from ..scenarios.results import ExperimentResult
 
 TITLE = "Table I: error and run time vs # of segments in Model B"
 

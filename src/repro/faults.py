@@ -50,7 +50,6 @@ dictionary lookup — the production path pays nothing measurable.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -243,6 +242,8 @@ def decide(site: str, key: str) -> str | None:
 
 
 def _in_pool_worker() -> bool:
+    import multiprocessing  # only a crash site asks; most runs never load it
+
     return multiprocessing.parent_process() is not None
 
 

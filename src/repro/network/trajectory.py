@@ -3,6 +3,9 @@
 :class:`TransientResult` lives apart from the backward-Euler integrator
 (:mod:`repro.network.transient`) so that stored transient runs load
 back with numpy alone: reading a trajectory never imports scipy.
+:mod:`repro.scenarios.results` imports it only when a transient payload
+loads, so the store hits of the other kinds load neither this module
+nor numpy.
 """
 
 from __future__ import annotations

@@ -50,7 +50,12 @@ __getattr__, __dir__ = lazy_exports(
             "run_transient_spec_direct",
         ),
         ".plan": ("ExecutionPlan", "ScenarioPlan", "compile_plan"),
-        ".results": ("NonlinearExperiment", "StoredCaseStudy", "TransientExperiment"),
+        ".results": (
+            "ExperimentResult",
+            "NonlinearExperiment",
+            "StoredCaseStudy",
+            "TransientExperiment",
+        ),
         ".runner": ("BatchRun", "ScenarioRun", "run_batch", "run_scenario"),
         ".scheduler": ("ScheduleOutcome", "execute_plan"),
         ".store": ("RunStore",),
@@ -63,6 +68,7 @@ __all__ = [
     "AxisSpec",
     "BatchRun",
     "ExecutionPlan",
+    "ExperimentResult",
     "FleetOutcome",
     "FsckReport",
     "GeometryParams",

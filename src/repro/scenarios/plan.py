@@ -19,7 +19,7 @@ sweep points solves each shared point exactly once (the
 amortize-shared-structure win; counted as ``plan_nodes_deduped`` in
 :func:`repro.perf.stats`).  The :mod:`~repro.scenarios.scheduler`
 topologically executes the merged graph; :func:`assemble_scenario` then
-rebuilds each scenario's :class:`~repro.experiments.harness.ExperimentResult`
+rebuilds each scenario's :class:`~repro.scenarios.results.ExperimentResult`
 from the executed nodes through the exact same assembly code the eager
 path uses (:func:`repro.experiments.harness.assemble_experiment`), so the
 planned and eager paths produce byte-identical payloads.

@@ -2,24 +2,129 @@
 
 A run-store hit turns the stored payload back into the result type of its
 scenario kind (:func:`result_from_store_payload`): an
-:class:`~repro.experiments.harness.ExperimentResult` for sweeps, a
-:class:`TransientExperiment` or :class:`NonlinearExperiment` for the
-physics kinds and a :class:`StoredCaseStudy` for the case study.  They
-live here, apart from the plan compiler and the physics adapters, and
-need numpy alone: serving a run from the store imports no solver.
+:class:`ExperimentResult` for sweeps, a :class:`TransientExperiment` or
+:class:`NonlinearExperiment` for the physics kinds and a
+:class:`StoredCaseStudy` for the case study.  They live here, apart from
+the plan compiler, the sweep harness and the physics adapters, and load
+with the standard library and the report helpers alone: serving a sweep,
+nonlinear or case-study run from the store imports neither numpy nor a
+solver.  A transient run is the exception: its trajectories load back as
+numpy arrays (:mod:`repro.network.trajectory`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
+from ..analysis.ascii_plot import ascii_plot
+from ..analysis.metrics import ErrorMetrics
+from ..analysis.report import format_series_table
 from ..core.result import NonlinearResult
 from ..errors import ExperimentError, ValidationError
-from ..network.trajectory import TransientResult
 from .spec import ScenarioSpec
+
+if TYPE_CHECKING:
+    from ..core.sweep import SweepResult
+    from ..network.trajectory import TransientResult
+
+
+@dataclass(frozen=True)
+class ExperimentResult:
+    """A completed sweep experiment, ready for reporting."""
+
+    experiment_id: str
+    title: str
+    x_label: str
+    x_values: list[Any]
+    series: dict[str, list[float]]  # model name -> max ΔT series
+    reference_name: str
+    errors: dict[str, ErrorMetrics]  # vs the reference, per non-reference model
+    runtimes_ms: dict[str, float]  # mean solve time per model
+    metadata: dict[str, Any] = field(default_factory=dict)
+    sweep_result: SweepResult | None = None
+
+    def table_text(self) -> str:
+        """The figure's data as an aligned table (ΔT in °C rise)."""
+        return format_series_table(self.x_label, self.x_values, self.series)
+
+    def plot_text(self, *, width: int = 72, height: int = 18) -> str:
+        """ASCII rendition of the figure."""
+        x = [float(v) for v in self.x_values]
+        return ascii_plot(
+            x,
+            self.series,
+            width=width,
+            height=height,
+            x_label=self.x_label,
+            y_label="max ΔT [°C]",
+        )
+
+    def error_rows(self) -> list[list[Any]]:
+        """Error table rows: model, max %, avg %, mean runtime ms."""
+        rows: list[list[Any]] = [["model", "max err %", "avg err %", "time [ms]"]]
+        for name, err in self.errors.items():
+            pct = err.as_percentages()
+            rows.append([name, pct["max_%"], pct["avg_%"], self.runtimes_ms[name]])
+        return rows
+
+    def to_payload(self) -> dict[str, Any]:
+        """JSON-serialisable dump for the export helpers and the run store.
+
+        ``errors`` holds the raw fractions (exact float round-trip via
+        :meth:`from_payload`); ``errors_pct`` keeps the human-readable
+        percentages the reports use.
+        """
+        return {
+            "experiment_id": self.experiment_id,
+            "title": self.title,
+            "x_label": self.x_label,
+            "x_values": self.x_values,
+            "series": self.series,
+            "reference": self.reference_name,
+            "errors": {
+                name: {
+                    "max_error": err.max_error,
+                    "avg_error": err.avg_error,
+                    "rms_error": err.rms_error,
+                    "signed_mean": err.signed_mean,
+                }
+                for name, err in self.errors.items()
+            },
+            "errors_pct": {
+                name: err.as_percentages() for name, err in self.errors.items()
+            },
+            "runtimes_ms": self.runtimes_ms,
+            "metadata": self.metadata,
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict[str, Any]) -> "ExperimentResult":
+        """Rebuild a result from :meth:`to_payload` output (store/JSON).
+
+        The numeric content round-trips exactly (JSON preserves doubles);
+        only ``sweep_result`` — the raw per-point solver output — is not
+        serialised and comes back as ``None``.
+        """
+        try:
+            return cls(
+                experiment_id=payload["experiment_id"],
+                title=payload["title"],
+                x_label=payload["x_label"],
+                x_values=list(payload["x_values"]),
+                series={name: list(ys) for name, ys in payload["series"].items()},
+                reference_name=payload["reference"],
+                errors={
+                    name: ErrorMetrics(**values)
+                    for name, values in payload["errors"].items()
+                },
+                runtimes_ms=dict(payload["runtimes_ms"]),
+                metadata=dict(payload.get("metadata", {})),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ExperimentError(
+                f"malformed experiment payload: {exc!r}"
+            ) from exc
 
 
 @dataclass(frozen=True)
@@ -28,13 +133,13 @@ class StoredCaseStudy:
 
     payload: dict[str, Any]
 
+    def __post_init__(self) -> None:
+        if "title" not in self.payload:
+            raise ExperimentError("malformed case-study payload: no 'title'")
+
     @property
     def title(self) -> str:
-        if "title" in self.payload:
-            return self.payload["title"]
-        from ..experiments.case_study import TITLE
-
-        return TITLE
+        return self.payload["title"]
 
     def rises(self) -> dict[str, float]:
         return dict(self.payload["rises"])
@@ -96,6 +201,8 @@ class TransientExperiment:
 
     def rows(self) -> list[list[Any]]:
         """Report rows: final/peak rise and the 90 % settle time per point."""
+        import numpy as np
+
         out: list[list[Any]] = [
             ["value", "model", "final ΔT [°C]", "peak ΔT [°C]", "t90 [µs]"]
         ]
@@ -131,6 +238,8 @@ class TransientExperiment:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "TransientExperiment":
+        from ..network.trajectory import TransientResult
+
         try:
             return cls(
                 experiment_id=payload["experiment_id"],
@@ -247,6 +356,4 @@ def result_from_store_payload(spec: ScenarioSpec, payload: dict[str, Any]) -> An
         return NonlinearExperiment.from_payload(payload)
     if spec.kind == "case_study":
         return StoredCaseStudy(payload)
-    from ..experiments.harness import ExperimentResult
-
     return ExperimentResult.from_payload(payload)

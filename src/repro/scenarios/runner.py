@@ -9,7 +9,7 @@ content hash, and compile whatever missed into ONE merged
 content-keyed point/calibration/reference nodes, deduplicated across
 scenarios — which the :mod:`~repro.scenarios.scheduler` streams over the
 pluggable :class:`repro.perf.SweepExecutor` engine.  Per-scenario
-:class:`~repro.experiments.harness.ExperimentResult`\\ s are then
+:class:`~repro.scenarios.results.ExperimentResult`\\ s are then
 reassembled from the executed nodes, byte-identically to the historical
 eager path (kept here as :func:`_run_sweep_eager` and pinned by the
 equivalence tests).
@@ -22,11 +22,10 @@ from typing import TYPE_CHECKING, Any
 
 from ..perf.retry import DEFAULT_RETRY, NodeFailure, RetryPolicy
 from .registry import SCENARIOS
-from .results import StoredCaseStudy, result_from_store_payload
+from .results import ExperimentResult, StoredCaseStudy, result_from_store_payload
 from .spec import ScenarioSpec
 
 if TYPE_CHECKING:
-    from ..experiments.harness import ExperimentResult
     from ..perf.executors import SweepExecutor
     from .drain import DrainGuard
     from .lease import LeaseManager
@@ -46,7 +45,7 @@ __all__ = [
 class ScenarioRun:
     """One completed scenario run.
 
-    ``result`` is an :class:`~repro.experiments.harness.ExperimentResult`
+    ``result`` is an :class:`~repro.scenarios.results.ExperimentResult`
     for sweeps (reconstructed from the payload on a store hit) or a
     :class:`~repro.experiments.case_study.CaseStudyExperiment` /
     :class:`StoredCaseStudy` for the case study; ``from_store`` says

@@ -18,8 +18,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: runs ``python -m repro list`` (what ``-m`` does, via runpy) and prints,
-#: last, the OPENBLAS_NUM_THREADS that numpy's first import saw
+#: runs ``python -m repro run fig7 --fast --no-calibrate`` (what ``-m``
+#: does, via runpy) and prints, last, the OPENBLAS_NUM_THREADS that numpy's
+#: first import saw; it has to be a solve, as ``list`` loads no numpy
 _CLI_PROBE = """
 import atexit, os, runpy, sys
 seen = []
@@ -30,7 +31,7 @@ class Probe:
         return None
 sys.meta_path.insert(0, Probe())
 atexit.register(lambda: print("numpy saw", seen))
-sys.argv = ["repro", "list"]
+sys.argv = ["repro", "run", "fig7", "--fast", "--no-calibrate"]
 runpy.run_module("repro", run_name="__main__", alter_sys=True)
 """
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro import perf
 from repro.__main__ import build_parser, main
-from repro.experiments.harness import ExperimentResult
+from repro.scenarios.results import ExperimentResult
 from repro.scenarios import SCENARIOS, RunStore, ScenarioSpec
 
 PAPER_IDS = ("fig4", "fig5", "fig6", "fig7", "table1", "case_study")

@@ -7,7 +7,7 @@ import pytest
 from repro.__main__ import main
 from repro.analysis import crossover_points, is_monotonic
 from repro.experiments import case_study, paper_facts, render_markdown
-from repro.experiments.harness import ExperimentResult
+from repro.scenarios.results import ExperimentResult
 from repro.experiments.table1_segments import rows_from_fig5
 from repro.scenarios import run_batch, run_scenario
 

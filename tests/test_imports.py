@@ -52,11 +52,26 @@ def _modules_after(code: str) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+#: every builtin scenario, and one scenario JSON file
+HIT_TARGETS = (
+    "fig4",
+    "fig5",
+    "table1",
+    "fig6",
+    "fig7",
+    "fem3d_power",
+    "transient_spike",
+    "nonlinear_hotspot",
+    "case_study",
+    "examples/custom_scenario.json",
+)
+
+
 class TestImportSet:
     def test_importing_the_cli_loads_no_heavy_module(self):
         modules = _modules_after("import repro.__main__")
         assert import_set.heavy_loaded(modules) == []
-        assert "numpy" in modules
+        assert "numpy" not in modules
 
     @pytest.mark.parametrize("argv", [["list"], ["--help"]])
     def test_light_commands_load_no_heavy_module(self, argv):
@@ -64,18 +79,44 @@ class TestImportSet:
         assert proc.returncode == 0, proc.stderr
         assert "import-set check" not in proc.stderr
 
-    def test_store_hit_run_loads_no_heavy_module(self, tmp_path):
+    @pytest.mark.parametrize("target", HIT_TARGETS)
+    def test_store_hit_run_loads_no_heavy_module(self, tmp_path, target):
         store = tmp_path / "store"
-        fill = _python("-m", "repro", "run", "fig7", "--fast", "--store", str(store))
+        fill = _python("-m", "repro", "run", target, "--fast", "--store", str(store))
         assert fill.returncode == 0, fill.stderr
-        assert "[fig7] solved" in fill.stdout
-        # ``fig7`` is an alias of ``run fig7``: a store hit either way
-        for command in (["run", "fig7"], ["fig7"]):
+        assert "] solved (key" in fill.stdout.split("\n", 1)[0]
+        commands = [["run", target]]
+        if target == "fig7":  # ``fig7`` is an alias of ``run fig7``: a hit either way
+            commands.append(["fig7"])
+        for command in commands:
             hit = _python(str(IMPORT_SET), *command, "--fast", "--store", str(store))
             assert hit.returncode == 0, hit.stderr
-            assert "[fig7] served from run store" in hit.stdout
-            # the same tables either way
+            assert "] served from run store (key" in hit.stdout.split("\n", 1)[0]
+            # the same tables and plot either way
             assert hit.stdout.split("\n", 1)[1] == fill.stdout.split("\n", 1)[1]
+
+    def test_only_a_transient_hit_may_load_numpy_and_its_trajectories(self):
+        assert import_set.allowed_for(["run", "fig7"]) == ()
+        assert import_set.allowed_for(["list"]) == ()
+        allowed = import_set.allowed_for(["run", "transient_spike"])
+        assert allowed == import_set.TRANSIENT_HIT_ALLOWED
+        assert import_set.allowed_for(["run", "examples/transient_scenario.json"]) == allowed
+        modules = [
+            "numpy",
+            "numpy.linalg",
+            "repro.network",
+            "repro.network.elements",
+            "repro.network.trajectory",
+            "repro.network.solve",
+            "repro.perf.executors",
+            "multiprocessing",
+        ]
+        assert import_set.heavy_loaded(modules, allowed=allowed) == [
+            "multiprocessing",
+            "repro.network.solve",
+            "repro.perf.executors",
+        ]
+        assert import_set.heavy_loaded(modules) == sorted(modules)
 
     def test_the_check_sees_a_heavy_import(self):
         # the guard itself: a command that does load the stack is caught

@@ -6,7 +6,7 @@ import pytest
 
 from repro import perf
 from repro.errors import ValidationError
-from repro.experiments.harness import ExperimentResult
+from repro.scenarios.results import ExperimentResult
 from repro.scenarios import (
     SCENARIOS,
     AxisSpec,
@@ -362,15 +362,26 @@ class TestPayloadRoundTrip:
         assert loaded.runtimes_ms == result.runtimes_ms
         assert loaded.table_text() == result.table_text()
 
-    def test_from_payload_accepts_legacy_percent_only(self):
+    def test_from_payload_rejects_legacy_percent_only(self):
+        from repro.errors import ExperimentError
+
         result = run_scenario(
             "fig7", fast=True, fem_resolution="coarse", calibrate=False
         ).result
         payload = result.to_payload()
         del payload["errors"]  # pre-store payloads had only errors_pct
-        loaded = ExperimentResult.from_payload(json.loads(json.dumps(payload)))
-        for name, err in loaded.errors.items():
-            assert err.max_error == pytest.approx(result.errors[name].max_error)
+        with pytest.raises(ExperimentError, match="malformed experiment payload"):
+            ExperimentResult.from_payload(json.loads(json.dumps(payload)))
+
+    def test_stored_case_study_needs_its_title(self):
+        from repro.errors import ExperimentError
+        from repro.scenarios import StoredCaseStudy
+
+        payload = {"title": "t", "rises": {"fem": 1.0}}
+        assert StoredCaseStudy(payload).title == "t"
+        del payload["title"]
+        with pytest.raises(ExperimentError, match="malformed case-study payload"):
+            StoredCaseStudy(payload)
 
     def test_malformed_payload(self):
         from repro.errors import ExperimentError
