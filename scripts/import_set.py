@@ -17,6 +17,10 @@ of that start-up cost.
 
 One exception: a store hit of a transient scenario loads its trajectories
 back as numpy arrays, so it may load :data:`TRANSIENT_HIT_ALLOWED`.
+
+:data:`NEVER_MODULES` holds what no command loads at all, cold solving
+runs included; ``tests/test_imports.py`` checks a cold calibrating run
+against it with :func:`never_loaded`.
 """
 
 from __future__ import annotations
@@ -54,6 +58,10 @@ HIT_PATH_MODULES = (
     "repro.experiments.harness",
 )
 
+#: modules (and their submodules) no command may load, not even a cold
+#: solving run: the calibration fit is a numpy Levenberg–Marquardt
+NEVER_MODULES = ("scipy.optimize",)
+
 #: what a transient store hit may load of the two sets: numpy and the
 #: trajectory container with its node types (plus their parent packages)
 TRANSIENT_HIT_ALLOWED = ("numpy", "repro.network.trajectory", "repro.network.elements")
@@ -61,6 +69,11 @@ TRANSIENT_HIT_ALLOWED = ("numpy", "repro.network.trajectory", "repro.network.ele
 
 def _under(name: str, prefixes) -> bool:
     return any(name == prefix or name.startswith(prefix + ".") for prefix in prefixes)
+
+
+def never_loaded(modules) -> list[str]:
+    """The names in ``modules`` that are, or live under, :data:`NEVER_MODULES`."""
+    return sorted(name for name in modules if _under(name, NEVER_MODULES))
 
 
 def heavy_loaded(modules, *, allowed=()) -> list[str]:

@@ -30,8 +30,8 @@ import importlib
 from collections.abc import Callable, Iterable, Mapping
 from typing import Any
 
-#: the modules a solving process uses: plan compile and scheduling (with
-#: the calibration fit's scipy.optimize), every model and solver back-end
+#: the modules a solving process uses: plan compile and scheduling, every
+#: model and solver back-end
 SOLVER_STACK = (
     "repro.scenarios.scheduler",
     "repro.scenarios.plan",

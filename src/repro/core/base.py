@@ -110,6 +110,24 @@ class ThermalTSVModel(abc.ABC):
         """
         return None
 
+    def assemble_batch(
+        self, members: Sequence[StackedMember]
+    ) -> list[AssembledSystem] | None:
+        """Assemble every member of one stacked batch, or None if any declines.
+
+        :func:`solve_stacked` asks the first member's model; the default
+        calls each member's own :meth:`assemble_system`.  A model may
+        override it to stamp the whole batch at once, as long as each
+        system equals its member's :meth:`assemble_system` bit for bit.
+        """
+        systems = []
+        for model, stack, via, power in members:
+            system = model.assemble_system(stack, via, power)
+            if system is None:
+                return None
+            systems.append(system)
+        return systems
+
     def solve_batch(
         self,
         stack: Stack3D,
@@ -146,8 +164,8 @@ StackedMember = tuple[
 def solve_stacked(members: Sequence[StackedMember]) -> list[ModelResult]:
     """Solve many structurally-congruent points as one batched solve.
 
-    Each member assembles its system via
-    :meth:`ThermalTSVModel.assemble_system`.  An all-dense batch stacks
+    The first member's model assembles every member's system
+    (:meth:`ThermalTSVModel.assemble_batch`).  An all-dense batch stacks
     into ``(m, n, n)`` / ``(m, n)`` arrays solved by one
     :func:`repro.network.solve.solve_dense_stacked` call; an all-sparse
     batch (small FEM meshes) runs through one block-diagonal
@@ -157,7 +175,7 @@ def solve_stacked(members: Sequence[StackedMember]) -> list[ModelResult]:
     ``members`` and bit-identical to per-member ``model.solve`` calls
     (wall-clock ``solve_time`` excepted).
 
-    Any member that declines to assemble (``assemble_system`` returning
+    A batch that declines to assemble (``assemble_batch`` returning
     None) — or a dense/sparse mix, which a single
     :meth:`~ThermalTSVModel.batch_class_key` never produces — drops the
     whole batch back to per-member solo solves: a safety net, not a hot
@@ -172,15 +190,11 @@ def solve_stacked(members: Sequence[StackedMember]) -> list[ModelResult]:
 
     if not members:
         return []
-    systems = []
-    for model, stack, via, power in members:
-        system = model.assemble_system(stack, via, power)
-        if system is None:
-            return [
-                model.solve(stack, via, power)
-                for model, stack, via, power in members
-            ]
-        systems.append(system)
+    systems = members[0][0].assemble_batch(members)
+    if systems is None:
+        return [
+            model.solve(stack, via, power) for model, stack, via, power in members
+        ]
     sparse_count = sum(sp.issparse(s.matrix) for s in systems)
     if sparse_count == len(systems):
         temps = solve_sparse_stacked(

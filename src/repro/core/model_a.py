@@ -3,16 +3,19 @@
 Each plane contributes one *bulk* node and one *via-metal* node; the
 resistance triple of :mod:`repro.resistances.model_a_set` links them to the
 plane below, and the lumped first-plane substrate Rs ties the whole ladder
-to the heat-sink ground (Fig. 2).  ``ModelA.solve`` assembles this network
-with the generic :class:`~repro.network.ThermalCircuit` stamper; for the
-paper's three-plane case :func:`solve_three_plane_closed_form` additionally
-writes out Eqs. (1)–(6) literally, which the test-suite uses to verify the
-generic assembly.
+to the heat-sink ground (Fig. 2).  ``ModelA.solve`` stamps this network
+directly (:meth:`ModelA.assemble_system`), bit-identical to the generic
+:class:`~repro.network.ThermalCircuit` that :func:`build_model_a_circuit`
+wires; for the paper's three-plane case
+:func:`solve_three_plane_closed_form` additionally writes out Eqs. (1)–(6)
+literally, which the test-suite uses to verify the generic assembly.
 """
 
 from __future__ import annotations
 
+import functools
 import time
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from ..resistances import (
     ModelAResistances,
     compute_model_a_resistances,
 )
-from .base import AssembledSystem, ThermalTSVModel
+from .base import AssembledSystem, StackedMember, ThermalTSVModel
 from .result import ModelResult
 
 
@@ -67,6 +70,76 @@ def build_model_a_circuit(
         circuit.add_resistor(bulk_node(j), metal_node(j), triple.liner, label=f"Rliner{j + 1}")
         circuit.add_source(bulk_node(j), plane_heats[j], label=f"q{j + 1}")
     return circuit
+
+
+def _edges(
+    resistances: ModelAResistances,
+) -> list[tuple[int, int | None, float, bool]]:
+    """Fig. 2's resistors in :func:`build_model_a_circuit`'s order.
+
+    Each is ``(row, other row or None for ground, R, lateral)``; rows
+    follow the circuit's node insertion order: t0 = 0, bulk_j = 2j + 1,
+    metal_j = 2j + 2.  ``lateral`` marks the liner resistors, the only
+    ones k2 divides (k1 divides all the others).
+    """
+    edges = [(0, None, resistances.rs, False)]  # Rs: t0 — ground
+    for j, triple in enumerate(resistances.planes):
+        bulk, metal = 2 * j + 1, 2 * j + 2
+        edges += [
+            (bulk, 0 if j == 0 else bulk - 2, triple.bulk, False),
+            (metal, 0 if j == 0 else metal - 2, triple.metal, False),
+            (bulk, metal, triple.liner, True),
+        ]
+    return edges
+
+
+@functools.lru_cache(maxsize=None)
+def _node_names(n_planes: int) -> tuple[str, ...]:
+    """Row order of the Fig. 2 system: t0, then each plane's bulk and metal."""
+    names = [T0_NODE]
+    for j in range(n_planes):
+        names.extend((bulk_node(j), metal_node(j)))
+    return tuple(names)
+
+
+def _stamp(matrix: np.ndarray, ia: int, ib: int | None, resistance: float) -> None:
+    """Add one resistor's ``g = 1/R`` to a dense conductance matrix."""
+    g = 1.0 / resistance
+    matrix[ia, ia] += g
+    if ib is not None:
+        matrix[ib, ib] += g
+        matrix[ia, ib] -= g
+        matrix[ib, ia] -= g
+
+
+def _heat_vector(heats: tuple[float, ...]) -> np.ndarray:
+    """Plane j's heat at its bulk node (row 2j + 1)."""
+    rhs = np.zeros(2 * len(heats) + 1)
+    rhs[1::2] += heats
+    return rhs
+
+
+def split_system(
+    stack: Stack3D, via: TSV | TSVCluster, power: PowerSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(G_vert, G_lat, q)`` of the Fig. 2 system at unit coefficients.
+
+    k1 divides every vertical resistance and k2 every lateral one
+    (:mod:`repro.resistances.model_a_set`), so with ``c_bond = 1`` Model
+    A's conductance matrix is ``k1·G_vert + k2·G_lat`` — equal, up to
+    rounding, to the one :meth:`ModelA.assemble_system` stamps for
+    ``FittingCoefficients(k1, k2)``.  The calibration fit stamps each
+    sample once this way.
+    """
+    cluster = as_cluster(via)
+    validate_tsv_in_stack(stack, cluster.member)
+    resistances = compute_model_a_resistances(stack, cluster)
+    n = 2 * stack.n_planes + 1
+    vertical, lateral = np.zeros((n, n)), np.zeros((n, n))
+    for ia, ib, resistance, is_lateral in _edges(resistances):
+        _stamp(lateral if is_lateral else vertical, ia, ib, resistance)
+    heats = tuple(power.plane_heat(stack, j) for j in range(stack.n_planes))
+    return vertical, lateral, _heat_vector(heats)
 
 
 class ModelA(ThermalTSVModel):
@@ -127,50 +200,90 @@ class ModelA(ThermalTSVModel):
         """
         cluster = as_cluster(via)
         validate_tsv_in_stack(stack, cluster.member)
+        return self._assemble(stack, cluster, power)
+
+    def _assemble(
+        self, stack: Stack3D, cluster: TSVCluster, power: PowerSpec
+    ) -> AssembledSystem:
+        """:meth:`assemble_system` on an already validated cluster."""
         heats = tuple(power.plane_heat(stack, j) for j in range(stack.n_planes))
         start = time.perf_counter()
         resistances = self.resistances(stack, cluster)
-        n_planes = stack.n_planes
-        n = 2 * n_planes + 1
+        n = 2 * stack.n_planes + 1
         matrix = np.zeros((n, n))
-        rhs = np.zeros(n)
+        for ia, ib, resistance, _lateral in _edges(resistances):
+            _stamp(matrix, ia, ib, resistance)
+        return AssembledSystem(
+            matrix=matrix,
+            rhs=_heat_vector(heats),
+            finish=self._finisher(stack, cluster, start),
+        )
 
-        def stamp(ia: int, ib: int | None, resistance: float) -> None:
-            g = 1.0 / resistance
-            matrix[ia, ia] += g
+    def assemble_batch(
+        self, members: Sequence[StackedMember]
+    ) -> list[AssembledSystem] | None:
+        """Stamp a stacked batch of Model A points in one vectorised pass.
+
+        The members share one batch class, so one plane count and one
+        edge pattern.  Every member's resistances come from its own model
+        (fits may differ); the conductances ``1/R`` of edge ``e`` across
+        all members form one column, added to the ``(m, n, n)`` stack in
+        :func:`_edges` order.  Each matrix entry therefore receives the
+        same float additions in the same order as :meth:`assemble_system`
+        makes them, so every member's matrix is bit-identical to its solo
+        stamp.
+        """
+        if not all(type(model) is ModelA for model, *_ in members):
+            return super().assemble_batch(members)
+        finishes, rhs, resistances = [], [], []
+        # a geometry sweep shares its stack and power objects: one heat
+        # vector per distinct pair (keyed by identity, alive for the call)
+        heat_vectors: dict[tuple[int, int], np.ndarray] = {}
+        for model, stack, via, power in members:
+            cluster = as_cluster(via)
+            validate_tsv_in_stack(stack, cluster.member)
+            pair = (id(stack), id(power))
+            if pair not in heat_vectors:
+                heat_vectors[pair] = _heat_vector(
+                    tuple(power.plane_heat(stack, j) for j in range(stack.n_planes))
+                )
+            start = time.perf_counter()
+            edges = _edges(model.resistances(stack, cluster))
+            resistances.append([r for _, _, r, _ in edges])
+            rhs.append(heat_vectors[pair])
+            finishes.append(model._finisher(stack, cluster, start))
+        n = len(rhs[0])
+        conductance = 1.0 / np.array(resistances)  # (m, edges)
+        matrices = np.zeros((len(members), n, n))
+        for e, (ia, ib, _, _) in enumerate(edges):  # one pattern per plane count
+            g = conductance[:, e]
+            matrices[:, ia, ia] += g
             if ib is not None:
-                matrix[ib, ib] += g
-                matrix[ia, ib] -= g
-                matrix[ib, ia] -= g
+                matrices[:, ib, ib] += g
+                matrices[:, ia, ib] -= g
+                matrices[:, ib, ia] -= g
+        return [
+            AssembledSystem(matrix=matrix, rhs=q, finish=finish)
+            for matrix, q, finish in zip(matrices, rhs, finishes)
+        ]
 
-        # node order matches circuit insertion: t0=0, bulk_j=2j+1, metal_j=2j+2
-        stamp(0, None, resistances.rs)  # Rs: t0 — ground
-        for j, triple in enumerate(resistances.planes):
-            bulk, metal = 2 * j + 1, 2 * j + 2
-            stamp(bulk, 0 if j == 0 else bulk - 2, triple.bulk)
-            stamp(metal, 0 if j == 0 else metal - 2, triple.metal)
-            stamp(bulk, metal, triple.liner)
-            rhs[bulk] += heats[j]
-
-        node_names = [T0_NODE]
-        for j in range(n_planes):
-            node_names.extend((bulk_node(j), metal_node(j)))
+    def _finisher(
+        self, stack: Stack3D, cluster: TSVCluster, start: float
+    ) -> Callable[[np.ndarray], ModelResult]:
+        """Turn a solved temperature vector into this point's result."""
+        node_names = _node_names(stack.n_planes)
 
         def finish(temps: np.ndarray) -> ModelResult:
             elapsed = time.perf_counter() - start
-            temperatures = {
-                name: float(temps[i]) for i, name in enumerate(node_names)
-            }
+            values = temps.tolist()
             return ModelResult(
                 model_name=self.name,
-                max_rise=max(temperatures.values()),
-                plane_rises=tuple(
-                    temperatures[bulk_node(j)] for j in range(n_planes)
-                ),
+                max_rise=max(values),
+                plane_rises=tuple(values[1::2]),  # bulk_j is row 2j + 1
                 sink_temperature=stack.sink_temperature,
                 solve_time=elapsed,
-                n_unknowns=n,
-                node_temperatures=temperatures,
+                n_unknowns=len(node_names),
+                node_temperatures=dict(zip(node_names, values)),
                 metadata={
                     "k1": self.fit.k1,
                     "k2": self.fit.k2,
@@ -179,33 +292,15 @@ class ModelA(ThermalTSVModel):
                 },
             )
 
-        return AssembledSystem(matrix=matrix, rhs=rhs, finish=finish)
+        return finish
 
     def _solve(
         self, stack: Stack3D, via: TSVCluster, power: PowerSpec
     ) -> ModelResult:
-        heats = tuple(power.plane_heat(stack, j) for j in range(stack.n_planes))
-        start = time.perf_counter()
-        resistances = self.resistances(stack, via)
-        circuit = build_model_a_circuit(resistances, heats)
-        solution = circuit.solve()
-        elapsed = time.perf_counter() - start
-        plane_rises = tuple(solution[bulk_node(j)] for j in range(stack.n_planes))
-        return ModelResult(
-            model_name=self.name,
-            max_rise=solution.max_rise,
-            plane_rises=plane_rises,
-            sink_temperature=stack.sink_temperature,
-            solve_time=elapsed,
-            n_unknowns=circuit.n_nodes,
-            node_temperatures=dict(solution.temperatures),
-            metadata={
-                "k1": self.fit.k1,
-                "k2": self.fit.k2,
-                "c_bond": self.fit.c_bond,
-                "cluster_count": via.count,
-            },
-        )
+        from ..network.solve import solve_dense
+
+        system = self._assemble(stack, via, power)
+        return system.finish(solve_dense(system.matrix, system.rhs))
 
 
 def solve_three_plane_closed_form(

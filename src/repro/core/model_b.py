@@ -28,15 +28,15 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from ..errors import ValidationError
 from ..geometry import PowerSpec, Stack3D, TSV, TSVCluster, validate_tsv_in_stack
-from ..geometry.stack import LayerInterval
 from ..geometry.tsv import as_cluster
-from ..network import GROUND, NetworkSolution, ThermalCircuit
-from ..network.circuit import DENSE_CUTOFF
+from ..network import GROUND, ThermalCircuit
+from ..network.circuit import DENSE_CUTOFF, stamp_conductances
 from ..perf import content_key, model_key
 from ..resistances import compute_model_b_resistances
 from ..resistances.model_a_set import _liner_lateral
@@ -51,15 +51,24 @@ T0_NODE = "t0"
 _SCHEMES = ("paper", "uniform")
 
 
-@dataclass(frozen=True, slots=True)
-class _Segment:
-    """One assembled π-segment (resistances in K/W)."""
+@dataclass(frozen=True)
+class _Segments:
+    """The π-segments bottom-up across all planes, as arrays.
 
-    bulk: float
-    metal: float | None  # None above the via top (no metal column)
-    lateral: float | None
-    heat: float  # W injected at the bulk node
-    plane_index: int
+    Resistances are in K/W; ``metal`` and ``lateral`` are NaN above the
+    via top (no metal column).  ``heat`` (W) is injected at each
+    segment's bulk node; ``rs`` is the lumped first-plane substrate.
+    """
+
+    bulk: np.ndarray
+    metal: np.ndarray
+    lateral: np.ndarray
+    heat: np.ndarray
+    plane_index: np.ndarray
+    rs: float
+
+    def __len__(self) -> int:
+        return len(self.bulk)
 
 
 def _paper_segments(
@@ -69,33 +78,48 @@ def _paper_segments(
     power: PowerSpec,
     bond_factor: float,
     exact_area: bool,
-) -> list[_Segment]:
-    """Eq. (21) segment list, bottom-up across all planes."""
+) -> _Segments:
+    """Eq. (21) segments, bottom-up across all planes.
+
+    Within a plane every segment has the same metal and lateral
+    resistance, and every substrate (ILD) segment the same bulk one, bar
+    the first, which also carries the lumped bond (substrate + bond when
+    the plane has no substrate segments).  Each value is computed once,
+    with scalar float operations, and repeated.
+    """
     quantities = compute_model_b_resistances(
         stack, via, bond_factor=bond_factor, exact_area=exact_area
     )
-    segments: list[_Segment] = []
+    bulk, heat, plane_index = [], [], []
+    metal, lateral = [], []
     for j in range(stack.n_planes):
         q = quantities.planes[j]
         n_si, n_ild = scheme.split(stack, j)
         n_j = n_si + n_ild
-        metal = q.metal_total / n_j
-        lateral = n_j * q.liner_total
         heat_per_ild = power.plane_heat(stack, j) / n_ild
         extra_bulk = 0.0  # substrate+bond folded into the first ILD segment
         if n_si == 0 and q.substrate_bulk is not None:
             extra_bulk = q.substrate_bulk + (q.bond_bulk or 0.0)
-        for i in range(n_si):
-            bulk = (q.substrate_bulk or 0.0) / n_si
-            if i == 0:
-                bulk += q.bond_bulk or 0.0
-            segments.append(_Segment(bulk, metal, lateral, 0.0, j))
-        for i in range(n_ild):
-            bulk = q.ild_bulk / n_ild
-            if i == 0:
-                bulk += extra_bulk
-            segments.append(_Segment(bulk, metal, lateral, heat_per_ild, j))
-    return segments
+        if n_si:
+            si_bulk = np.full(n_si, (q.substrate_bulk or 0.0) / n_si)
+            si_bulk[0] = si_bulk[0] + (q.bond_bulk or 0.0)
+            bulk.append(si_bulk)
+        ild_bulk = np.full(n_ild, q.ild_bulk / n_ild)
+        ild_bulk[0] = ild_bulk[0] + extra_bulk
+        bulk.append(ild_bulk)
+        heat.append(np.zeros(n_si))
+        heat.append(np.full(n_ild, heat_per_ild))
+        metal.append(np.full(n_j, q.metal_total / n_j))
+        lateral.append(np.full(n_j, n_j * q.liner_total))
+        plane_index.append(np.full(n_j, j))
+    return _Segments(
+        bulk=np.concatenate(bulk),
+        metal=np.concatenate(metal),
+        lateral=np.concatenate(lateral),
+        heat=np.concatenate(heat),
+        plane_index=np.concatenate(plane_index),
+        rs=quantities.rs,
+    )
 
 
 def _uniform_segments(
@@ -105,7 +129,7 @@ def _uniform_segments(
     power: PowerSpec,
     bond_factor: float,
     exact_area: bool,
-) -> list[_Segment]:
+) -> _Segments:
     """Continuum discretisation: resistances from each segment's height."""
     quantities = compute_model_b_resistances(
         stack, via, bond_factor=bond_factor, exact_area=exact_area
@@ -138,11 +162,12 @@ def _uniform_segments(
         pieces.append((plane.ild.thickness, plane.ild.conductivity, True))
         return pieces
 
-    segments: list[_Segment] = []
+    columns: dict[str, list[float]] = {
+        name: [] for name in ("bulk", "metal", "lateral", "heat", "plane_index")
+    }
     z = z_bottom
     for j in range(stack.n_planes):
         n_si, n_ild = scheme.split(stack, j)
-        n_j = n_si + n_ild
         heat_per_ild = power.plane_heat(stack, j) / n_ild
         pieces = sub_layers(j)
         non_ild_height = sum(h for h, _, is_ild in pieces if not is_ild)
@@ -155,49 +180,128 @@ def _uniform_segments(
             dz = height / count
             for _ in range(count):
                 in_span = z + dz / 2.0 < z_top
-                metal = dz / (k_fill * metal_area) if in_span else None
-                lateral = _liner_lateral(via, dz, 1.0) if in_span else None
-                segments.append(
-                    _Segment(
-                        bulk=dz / (k_layer * area),
-                        metal=metal,
-                        lateral=lateral,
-                        heat=heat_per_ild if is_ild else 0.0,
-                        plane_index=j,
-                    )
+                columns["bulk"].append(dz / (k_layer * area))
+                columns["metal"].append(
+                    dz / (k_fill * metal_area) if in_span else math.nan
                 )
+                columns["lateral"].append(
+                    _liner_lateral(via, dz, 1.0) if in_span else math.nan
+                )
+                columns["heat"].append(heat_per_ild if is_ild else 0.0)
+                columns["plane_index"].append(j)
                 z += dz
-    del quantities  # aggregates only needed for validation side effects
-    return segments
+    return _Segments(
+        **{name: np.array(values) for name, values in columns.items()},
+        rs=quantities.rs,
+    )
 
 
 def build_model_b_circuit(
-    segments: list[_Segment], rs: float
+    segments: _Segments, rs: float
 ) -> tuple[ThermalCircuit, list[str]]:
-    """Wire the π-segment ladder; returns the circuit and the per-plane
-    topmost bulk node names (for plane-rise readouts)."""
+    """Wire the π-segment ladder one resistor at a time; returns the
+    circuit and the per-plane topmost bulk node names (for plane-rise
+    readouts).
+
+    The reference for :func:`_build_ladder`, which stamps the same ladder
+    from arrays; :class:`ModelB` itself never builds this circuit.
+    """
     circuit = ThermalCircuit()
     circuit.add_resistor(T0_NODE, GROUND, rs, label="Rs")
     prev_bulk = T0_NODE
     prev_metal: str | None = T0_NODE
     plane_top: dict[int, str] = {}
-    for i, seg in enumerate(segments):
+    for i in range(len(segments)):
+        metal = float(segments.metal[i])
+        lateral = float(segments.lateral[i])
+        heat = float(segments.heat[i])
         b = f"b{i + 1}"
-        circuit.add_resistor(prev_bulk, b, seg.bulk, label=f"R{3 * i + 1}")
-        if seg.metal is not None and prev_metal is not None:
+        circuit.add_resistor(
+            prev_bulk, b, float(segments.bulk[i]), label=f"R{3 * i + 1}"
+        )
+        if not math.isnan(metal) and prev_metal is not None:
             m = f"m{i + 1}"
-            circuit.add_resistor(prev_metal, m, seg.metal, label=f"R{3 * i + 2}")
-            if seg.lateral is not None:
-                circuit.add_resistor(b, m, seg.lateral, label=f"R{3 * i + 3}")
+            circuit.add_resistor(prev_metal, m, metal, label=f"R{3 * i + 2}")
+            if not math.isnan(lateral):
+                circuit.add_resistor(b, m, lateral, label=f"R{3 * i + 3}")
             prev_metal = m
         else:
             prev_metal = None  # the via column has ended
-        if seg.heat:
-            circuit.add_source(b, seg.heat, label=f"q(b{i + 1})")
+        if heat:
+            circuit.add_source(b, heat, label=f"q(b{i + 1})")
         prev_bulk = b
-        plane_top[seg.plane_index] = b
+        plane_top[int(segments.plane_index[i])] = b
     top_nodes = [plane_top[j] for j in sorted(plane_top)]
     return circuit, top_nodes
+
+
+@dataclass(frozen=True)
+class _Ladder:
+    """One π-ladder's Eq. (19) matrix, stamped from segment arrays."""
+
+    csr: Any  # scipy.sparse CSR
+    node_names: list[str]  # in row order: t0, b1, m1, b2, m2, ...
+    bulk_rows: np.ndarray  # the row of each segment's bulk node
+    top_rows: np.ndarray  # the row of each plane's topmost bulk node
+
+    @property
+    def matrix(self) -> Any:
+        """The matrix solves use: the CSR above DENSE_CUTOFF nodes, dense below."""
+        if len(self.node_names) > DENSE_CUTOFF:
+            return self.csr
+        return self.csr.toarray()
+
+    def source_vector(self, heat: np.ndarray) -> np.ndarray:
+        """The Eq. (20) source vector of per-segment bulk-node heats."""
+        q = np.zeros(len(self.node_names))
+        heated = heat != 0.0
+        q[self.bulk_rows[heated]] = heat[heated]
+        return q
+
+
+def _build_ladder(segments: _Segments) -> _Ladder:
+    """Stamp :func:`build_model_b_circuit`'s ladder without the circuit.
+
+    Rows follow the circuit's node insertion order (``t0, b1, m1, b2,
+    …``, bulk nodes only once the via column has ended) and the
+    resistors its edge order (Rs, then each segment's bulk, metal and
+    lateral resistor), so :func:`~repro.network.circuit.stamp_conductances`
+    emits the circuit's COO triplets element for element: the matrix —
+    and every temperature solved from it — is bit-identical.
+    """
+    n_seg = len(segments)
+    has_metal = ~np.isnan(segments.metal)
+    # the via column runs up to the first segment without metal
+    k = n_seg if has_metal.all() else int(np.argmin(has_metal))
+    i = np.arange(n_seg)
+    bulk_rows = np.where(i < k, 1 + 2 * i, 1 + k + i)
+    metal_rows = 2 + 2 * i[:k]
+    prev_bulk = np.concatenate(([0], bulk_rows[:-1]))
+    prev_metal = np.concatenate(([0], metal_rows))[:k]  # empty when k == 0
+    # per column-segment edges (bulk, metal, lateral), row-major
+    column_a = np.stack([prev_bulk[:k], prev_metal, bulk_rows[:k]], axis=1)
+    column_b = np.stack([bulk_rows[:k], metal_rows, metal_rows], axis=1)
+    column_r = np.stack(
+        [segments.bulk[:k], segments.metal[:k], segments.lateral[:k]], axis=1
+    )
+    wired = np.ones_like(column_a, dtype=bool)
+    wired[:, 2] = ~np.isnan(segments.lateral[:k])
+    ia = np.concatenate(([0], column_a[wired], prev_bulk[k:]))
+    ib = np.concatenate(([-1], column_b[wired], bulk_rows[k:]))
+    resistance = np.concatenate(([segments.rs], column_r[wired], segments.bulk[k:]))
+    n = 1 + n_seg + k
+    names = [T0_NODE]
+    for s in range(1, k + 1):
+        names += (f"b{s}", f"m{s}")
+    names += [f"b{s}" for s in range(k + 1, n_seg + 1)]
+    plane = segments.plane_index
+    plane_ends = np.flatnonzero(np.append(plane[1:] != plane[:-1], True))
+    return _Ladder(
+        csr=stamp_conductances(ia, ib, resistance, n, sparse=True),
+        node_names=names,
+        bulk_rows=bulk_rows,
+        top_rows=bulk_rows[plane_ends],
+    )
 
 
 class ModelB(ThermalTSVModel):
@@ -257,7 +361,7 @@ class ModelB(ThermalTSVModel):
         cluster: TSVCluster,
         scheme: SegmentScheme,
         power: PowerSpec,
-    ) -> list[_Segment]:
+    ) -> _Segments:
         build = _paper_segments if self.scheme == "paper" else _uniform_segments
         return build(
             stack, cluster, scheme, power, self.bond_factor, self.exact_area
@@ -265,34 +369,31 @@ class ModelB(ThermalTSVModel):
 
     def _build(
         self, stack: Stack3D, cluster: TSVCluster, power: PowerSpec
-    ) -> tuple[ThermalCircuit, list[str], SegmentScheme]:
-        """Assemble the π-segment ladder circuit for one power spec."""
+    ) -> tuple[_Ladder, np.ndarray, SegmentScheme]:
+        """Stamp the π-segment ladder and its source vector for one power spec."""
         scheme = self.segment_scheme(stack)
         segments = self._segments(stack, cluster, scheme, power)
-        rs = compute_model_b_resistances(
-            stack, cluster, bond_factor=self.bond_factor, exact_area=self.exact_area
-        ).rs
-        circuit, top_nodes = build_model_b_circuit(segments, rs)
-        return circuit, top_nodes, scheme
+        ladder = _build_ladder(segments)
+        return ladder, ladder.source_vector(segments.heat), scheme
 
     def _result(
         self,
         stack: Stack3D,
         cluster: TSVCluster,
         scheme: SegmentScheme,
-        solution: NetworkSolution,
-        top_nodes: list[str],
-        n_unknowns: int,
+        ladder: _Ladder,
+        temps: np.ndarray,
         elapsed: float,
     ) -> ModelResult:
+        temperatures = dict(zip(ladder.node_names, temps.tolist()))
         return ModelResult(
             model_name=self.name,
-            max_rise=solution.max_rise,
-            plane_rises=tuple(solution[node] for node in top_nodes),
+            max_rise=max(temperatures.values()),
+            plane_rises=tuple(temps[ladder.top_rows].tolist()),
             sink_temperature=stack.sink_temperature,
             solve_time=elapsed,
-            n_unknowns=n_unknowns,
-            node_temperatures=dict(solution.temperatures),
+            n_unknowns=len(ladder.node_names),
+            node_temperatures=temperatures,
             metadata={
                 "scheme": self.scheme,
                 "plane_segments": scheme.plane_segments,
@@ -304,14 +405,14 @@ class ModelB(ThermalTSVModel):
     def _solve(
         self, stack: Stack3D, via: TSVCluster, power: PowerSpec
     ) -> ModelResult:
+        from ..network.solve import solve_linear_system
+
         cluster = as_cluster(via)
         start = time.perf_counter()
-        circuit, top_nodes, scheme = self._build(stack, cluster, power)
-        solution = circuit.solve()
+        ladder, rhs, scheme = self._build(stack, cluster, power)
+        temps = solve_linear_system(ladder.matrix, rhs)
         elapsed = time.perf_counter() - start
-        return self._result(
-            stack, cluster, scheme, solution, top_nodes, circuit.n_nodes, elapsed
-        )
+        return self._result(stack, cluster, scheme, ladder, temps, elapsed)
 
     # ------------------------------------------------------------------
     # matrix-batched interface
@@ -359,8 +460,8 @@ class ModelB(ThermalTSVModel):
     ) -> AssembledSystem | None:
         """Lift one ladder's dense system out for the stacked solve tier.
 
-        The circuit is assembled exactly as :meth:`solve` would (same
-        stamping, same dense matrix below the cutoff), so the stacked
+        The ladder is stamped exactly as :meth:`solve` stamps it (same
+        triplets, same dense matrix below the cutoff), so the stacked
         solve — per-item identical to ``numpy.linalg.solve`` — reproduces
         the solo result bit-for-bit.
         """
@@ -369,23 +470,14 @@ class ModelB(ThermalTSVModel):
         cluster = as_cluster(via)
         validate_tsv_in_stack(stack, cluster.member)
         start = time.perf_counter()
-        circuit, top_nodes, scheme = self._build(stack, cluster, power)
-        matrix, rhs = circuit.assemble()
+        ladder, rhs, scheme = self._build(stack, cluster, power)
 
         def finish(temps: np.ndarray) -> ModelResult:
             elapsed = time.perf_counter() - start
-            return self._result(
-                stack,
-                cluster,
-                scheme,
-                circuit.solution_from(temps),
-                top_nodes,
-                circuit.n_nodes,
-                elapsed,
-            )
+            return self._result(stack, cluster, scheme, ladder, temps, elapsed)
 
         return AssembledSystem(
-            matrix=np.asarray(matrix, dtype=float), rhs=rhs, finish=finish
+            matrix=np.asarray(ladder.matrix, dtype=float), rhs=rhs, finish=finish
         )
 
     def solve_batch(
@@ -396,35 +488,28 @@ class ModelB(ThermalTSVModel):
     ) -> list[ModelResult]:
         """Solve one (stack, via) ladder under many power specs.
 
-        The circuit is assembled and its conductance matrix factorised
-        once; each power spec contributes one Eq. (20) source vector and
-        costs one back-substitution.  Results are bit-identical to
-        per-point :meth:`solve` calls (wall-clock ``solve_time`` excepted)
-        — the per-power source vector accumulates exactly the heats the
-        per-point circuit build would have stamped.
+        The ladder is stamped and its conductance matrix factorised once;
+        each power spec contributes one Eq. (20) source vector and costs
+        one back-substitution.  Results are bit-identical to per-point
+        :meth:`solve` calls (wall-clock ``solve_time`` excepted).
         """
+        from ..network.solve import solve_linear_system_multi
+
         powers = list(powers)
         if not powers:
             return []
         cluster = as_cluster(via)
         validate_tsv_in_stack(stack, cluster.member)
         start = time.perf_counter()
-        circuit, top_nodes, scheme = self._build(stack, cluster, powers[0])
-        # the first member's heats are already stamped into the circuit;
+        ladder, first, scheme = self._build(stack, cluster, powers[0])
         # later members only differ in their Eq. (20) source vector
-        sources = [circuit.source_vector()]
-        for power in powers[1:]:
-            segments = self._segments(stack, cluster, scheme, power)
-            q = np.zeros(circuit.n_nodes)
-            for i, seg in enumerate(segments):
-                if seg.heat:
-                    q[circuit.node_index(f"b{i + 1}")] += seg.heat
-            sources.append(q)
-        solutions = circuit.solve_many(sources)
+        sources = [first] + [
+            ladder.source_vector(self._segments(stack, cluster, scheme, power).heat)
+            for power in powers[1:]
+        ]
+        temps = solve_linear_system_multi(ladder.matrix, np.column_stack(sources))
         elapsed = time.perf_counter() - start
         return [
-            self._result(
-                stack, cluster, scheme, solution, top_nodes, circuit.n_nodes, elapsed
-            )
-            for solution in solutions
+            self._result(stack, cluster, scheme, ladder, temps[:, j], elapsed)
+            for j in range(len(powers))
         ]

@@ -122,11 +122,21 @@ class Stack3D:
         return out
 
     def substrate_top(self, plane_index: int) -> float:
-        """z of the top surface of plane ``plane_index``'s substrate."""
-        for iv in self.layer_intervals():
-            if iv.plane_index == plane_index and iv.kind is LayerKind.SUBSTRATE:
-                return iv.z1
-        raise GeometryError(f"no plane {plane_index} in a {self.n_planes}-plane stack")
+        """z of the top surface of plane ``plane_index``'s substrate.
+
+        Accumulates the thicknesses in :meth:`layer_intervals`' order, so
+        the value equals that interval's ``z1`` exactly.
+        """
+        if not 0 <= plane_index < self.n_planes:
+            raise GeometryError(
+                f"no plane {plane_index} in a {self.n_planes}-plane stack"
+            )
+        z = 0.0
+        for i, plane in enumerate(self.planes[:plane_index]):
+            z += plane.substrate.thickness
+            z += plane.ild.thickness
+            z += self.bonds[i].thickness
+        return z + self.planes[plane_index].substrate.thickness
 
     def ild_interval(self, plane_index: int) -> LayerInterval:
         """The ILD interval of plane ``plane_index``."""

@@ -107,6 +107,8 @@ class TSVCluster:
     @property
     def member(self) -> TSV:
         """The member via geometry (same liner/extension/materials)."""
+        if self.count == 1:
+            return self.base  # r0/√1 is r0 exactly
         return self.base.with_radius(self.member_radius)
 
     @property

@@ -12,11 +12,62 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import NetworkError
+from ..errors import NetworkError, ValidationError
 from .elements import GROUND, Capacitor, HeatSource, NodeId, Resistor
 
 #: below this many unknowns a dense solve is faster than sparse setup
 DENSE_CUTOFF = 200
+
+
+def stamp_conductances(
+    ia: np.ndarray,
+    ib: np.ndarray,
+    resistance: np.ndarray,
+    n: int,
+    *,
+    sparse: bool | None = None,
+):
+    """The KCL nodal conductance matrix of resistors given as arrays.
+
+    Resistor ``k`` links rows ``ia[k]`` and ``ib[k]`` (``-1`` is the
+    ground node) through ``resistance[k]`` K/W.  The COO triplets come out
+    in the order a per-resistor loop emits them — each resistor's diagonal
+    entries, then its two off-diagonal ones — so ``tocsr`` sums duplicates
+    in that order too and the matrix is bit-identical whatever built the
+    arrays (:meth:`ThermalCircuit.conductance_matrix`, Model B's ladder).
+
+    Raises what a :class:`~repro.network.elements.Resistor` raises:
+    :class:`~repro.errors.NetworkError` for a resistor from a node to
+    itself, :class:`~repro.errors.ValidationError` for a resistance that is
+    not finite and positive.  ``sparse`` forces the output format;
+    ``None`` picks sparse above :data:`DENSE_CUTOFF` nodes.
+    """
+    # scipy loads with the first assembly, not with the circuit classes:
+    # a stored run reads back without it
+    import scipy.sparse as sp
+
+    ia = np.asarray(ia, dtype=np.intp)
+    ib = np.asarray(ib, dtype=np.intp)
+    resistance = np.asarray(resistance, dtype=float)
+    loops = np.flatnonzero(ia == ib)
+    if loops.size:
+        raise NetworkError(f"resistor {loops[0]} connects a node to itself")
+    bad = np.flatnonzero(~(np.isfinite(resistance) & (resistance > 0.0)))
+    if bad.size:
+        raise ValidationError(
+            f"resistance {bad[0]} must be finite and positive, "
+            f"got {resistance[bad[0]]!r}"
+        )
+    g = 1.0 / resistance
+    both = (ia >= 0) & (ib >= 0)
+    keep = np.stack([ia >= 0, ib >= 0, both, both], axis=1)
+    rows = np.stack([ia, ib, ia, ib], axis=1)[keep]
+    cols = np.stack([ia, ib, ib, ia], axis=1)[keep]
+    vals = np.stack([g, g, -g, -g], axis=1)[keep]
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    if sparse is None:
+        sparse = n > DENSE_CUTOFF
+    return matrix if sparse else matrix.toarray()
 
 
 @dataclass(frozen=True)
@@ -196,36 +247,13 @@ class ThermalCircuit:
             Force sparse (True) or dense (False) output; ``None`` picks
             sparse above :data:`DENSE_CUTOFF` nodes.
         """
-        # scipy loads with the first assembly, not with the circuit
-        # classes: a stored run reads back without it
-        import scipy.sparse as sp
-
-        n = self.n_nodes
-        if sparse is None:
-            sparse = n > DENSE_CUTOFF
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for r in self.resistors:
-            g = r.conductance
-            ia = None if r.node_a == GROUND else self._nodes[r.node_a]
-            ib = None if r.node_b == GROUND else self._nodes[r.node_b]
-            if ia is not None:
-                rows.append(ia)
-                cols.append(ia)
-                vals.append(g)
-            if ib is not None:
-                rows.append(ib)
-                cols.append(ib)
-                vals.append(g)
-            if ia is not None and ib is not None:
-                rows.extend((ia, ib))
-                cols.extend((ib, ia))
-                vals.extend((-g, -g))
-        matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        if sparse:
-            return matrix
-        return matrix.toarray()
+        index = dict(self._nodes)
+        index[GROUND] = -1
+        count = len(self.resistors)
+        ia = np.fromiter((index[r.node_a] for r in self.resistors), np.intp, count)
+        ib = np.fromiter((index[r.node_b] for r in self.resistors), np.intp, count)
+        resistance = np.fromiter((r.resistance for r in self.resistors), float, count)
+        return stamp_conductances(ia, ib, resistance, self.n_nodes, sparse=sparse)
 
     def source_vector(self) -> np.ndarray:
         """The heat-injection vector q aligned with :attr:`nodes`."""
@@ -233,23 +261,6 @@ class ThermalCircuit:
         for s in self.sources:
             q[self._nodes[s.node]] += s.power
         return q
-
-    def assemble(self):
-        """Validate and return ``(matrix, source_vector)`` without solving.
-
-        The stacked execution tier uses this to lift a circuit's system
-        out for a batched cross-matrix solve; the matrix is exactly what
-        :meth:`solve` would assemble (same sparse/dense policy).
-        """
-        self.validate()  # also primes the node→resistor adjacency index
-        return self.conductance_matrix(), self.source_vector()
-
-    def solution_from(self, temps: np.ndarray) -> NetworkSolution:
-        """Wrap an externally solved temperature vector, as :meth:`solve` would."""
-        return NetworkSolution(
-            temperatures={node: float(temps[i]) for node, i in self._nodes.items()},
-            circuit=self,
-        )
 
     def solve(self) -> NetworkSolution:
         """Solve G·ΔT = q and return node temperature rises."""
@@ -262,31 +273,3 @@ class ThermalCircuit:
             temperatures={node: float(temps[i]) for node, i in self._nodes.items()},
             circuit=self,
         )
-
-    def solve_many(self, sources: list[np.ndarray]) -> list[NetworkSolution]:
-        """Solve G·ΔT = q for many source vectors against one factorization.
-
-        The conductance matrix is assembled and factorised once
-        (:func:`~repro.network.solve.solve_linear_system_multi`); each
-        source vector costs one back-substitution, and column ``j`` is
-        bit-for-bit identical to ``solve()`` with that source — Model B's
-        matrix-group dispatch relies on this.  All returned solutions
-        reference *this* circuit (whose own sources may correspond to any
-        one of the vectors).
-        """
-        from .solve import solve_linear_system_multi
-
-        if not sources:
-            return []
-        self.validate()
-        matrix = self.conductance_matrix()
-        temps = solve_linear_system_multi(matrix, np.column_stack(sources))
-        return [
-            NetworkSolution(
-                temperatures={
-                    node: float(temps[i, j]) for node, i in self._nodes.items()
-                },
-                circuit=self,
-            )
-            for j in range(len(sources))
-        ]

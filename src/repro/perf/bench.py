@@ -796,10 +796,11 @@ def bench_store_integrity(repeats: int) -> dict[str, Any]:
         # heals the artifact away — a deliberate store mutation)
         victim = RunStore._sharded_path(writer.points, keys[0])
         blob = bytearray(victim.read_bytes())
-        # the artifact ends '...0.0\n}\n': flip the final digit so the
+        # flip the body's final digit (0-9 stay digits under ^1) so the
         # body stays parseable JSON with silently different physics —
         # exactly the corruption only the checksum can catch
-        blob[-4] ^= 0x01
+        last_digit = max(i for i, byte in enumerate(blob) if chr(byte).isdigit())
+        blob[last_digit] ^= 0x01
         victim.write_bytes(bytes(blob))
         accepted_raw = plain_store.get_point(keys[0]) is not None
         detects = verified_store.get_point(keys[0]) is None and accepted_raw

@@ -34,7 +34,6 @@ from typing import Any
 from ..core.factory import make_model, parse_model_spec
 from ..core.sweep import Configurator, expand_points
 from ..errors import ExperimentError, ValidationError
-from ..experiments import case_study as case_study_module
 from ..experiments.harness import (
     assemble_experiment,
     calibration_sample_indexes,
@@ -653,6 +652,10 @@ def run_case_study_spec(spec: ScenarioSpec):
             f"the case study needs an axisymmetric 'fem[:...]' reference, "
             f"got {spec.reference!r}"
         )
+    # the case study (and its DRAM-uP system builder) loads only when a
+    # case-study node runs
+    from ..experiments import case_study as case_study_module
+
     # the spec is already resolved: ``fast`` has been folded into
     # model_b_segments, so never pass fast=True here — case_study.run would
     # re-trim the segments behind the content hash's back and the store

@@ -155,7 +155,7 @@ class StoredCaseStudy:
                 [
                     f"model_a (recal. k1={recal['k1']:.2f}, k2={recal['k2']:.2f})",
                     recal["max_rise"],
-                    float("nan"),
+                    runtimes.get("model_a_calibration", float("nan")),
                 ]
             )
         return out

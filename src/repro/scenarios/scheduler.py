@@ -284,7 +284,7 @@ def execute_plan(
     dependents: dict[str, list[str]] = defaultdict(list)
     for key, node in nodes.items():
         deps = set(node.deps)
-        missing = deps - nodes.keys()
+        missing = {dep for dep in deps if dep not in nodes}
         if missing:
             raise ExperimentError(
                 f"plan node {key} depends on unknown node(s) {sorted(missing)}"

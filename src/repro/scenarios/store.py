@@ -116,8 +116,12 @@ def artifact_checksum(body_text: str) -> str:
 
 
 def render_artifact(payload: Any, *, envelope: bool = True) -> str:
-    """Serialise ``payload`` for storage, integrity envelope included."""
-    body = json.dumps(payload, indent=2) + "\n"
+    """Serialise ``payload`` for storage, integrity envelope included.
+
+    The body is compact JSON.  Readers parse any JSON body, so artifacts
+    written indented by earlier builds still read and verify.
+    """
+    body = json.dumps(payload, separators=(",", ":")) + "\n"
     if not envelope:
         return body
     header = json.dumps(

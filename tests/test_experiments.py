@@ -140,10 +140,12 @@ class TestFig7:
 
 
 class TestCaseStudyExperiment:
-    def test_runs_with_recalibration(self):
-        exp = case_study.run(
-            fem_resolution="coarse", fast=True, recalibrate=True
-        )
+    @pytest.fixture(scope="class")
+    def recalibrated(self):
+        return case_study.run(fem_resolution="coarse", fast=True, recalibrate=True)
+
+    def test_runs_with_recalibration(self, recalibrated):
+        exp = recalibrated
         rises = exp.report.rises()
         assert rises["model_1d"] > rises["fem"] * 1.5
         assert exp.recalibrated is not None
@@ -151,11 +153,19 @@ class TestCaseStudyExperiment:
         assert exp.recalibrated_rise == pytest.approx(rises["fem"], rel=0.10)
         assert len(exp.rows()) == 6
 
+    def test_calibration_time_is_reported_beside_the_papers(self, recalibrated):
+        runtimes = recalibrated.to_payload()["runtimes_ms"]
+        paper_s = paper_facts.CASE_STUDY_RUNTIMES["model_a_calibration"]
+        assert 0.0 < runtimes["model_a_calibration"] < paper_s * 1e3
+        recal_row = recalibrated.rows()[-1]
+        assert recal_row[2] == runtimes["model_a_calibration"]
+
     def test_payload(self):
         exp = case_study.run(fem_resolution="coarse", fast=True, recalibrate=False)
         payload = exp.to_payload()
         assert payload["experiment_id"] == "case_study"
         assert "recalibrated" not in payload
+        assert "model_a_calibration" not in payload["runtimes_ms"]
 
 
 class TestPaperClaims:

@@ -92,6 +92,16 @@ class TestZCoordinates:
     def test_substrate_top_out_of_range(self):
         with pytest.raises(GeometryError):
             paper_stack().substrate_top(7)
+        with pytest.raises(GeometryError):
+            paper_stack().substrate_top(-1)
+
+    def test_substrate_top_is_the_substrate_interval_top_exactly(self):
+        for stack in (paper_stack(), paper_stack(n_planes=5, t_si_upper=um(17.3))):
+            tops = [
+                iv.z1 for iv in stack.layer_intervals()
+                if iv.kind is LayerKind.SUBSTRATE
+            ]
+            assert [stack.substrate_top(j) for j in range(stack.n_planes)] == tops
 
 
 class TestSweepHelpers:

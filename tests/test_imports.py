@@ -125,6 +125,23 @@ class TestImportSet:
             "scipy.sparse",
         ]
 
+    def test_a_cold_calibrating_run_never_loads_the_optimizer(self, tmp_path):
+        store = tmp_path / "store"
+        modules = _modules_after(
+            "import runpy, sys\n"
+            f"sys.argv = ['python -m repro', 'run', 'fig7', '--fast', '--store', {str(store)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+        )
+        assert "repro.calibration.fit" in modules  # the run did fit k1/k2
+        assert "scipy.sparse.linalg" in modules  # ...on the solver stack
+        assert import_set.never_loaded(modules) == []
+        assert import_set.never_loaded(["scipy.optimize._lsq", "scipy.sparse"]) == [
+            "scipy.optimize._lsq"
+        ]
+
     def test_miss_path_still_loads_the_solvers(self):
         modules = _modules_after(
             "from repro.scenarios import run_scenario\n"

@@ -22,6 +22,7 @@ from repro.network.solve import (
     solve_sparse_stacked,
 )
 from repro.perf import ParallelExecutor, SerialExecutor, StackedBatchTask, solve_work
+from repro.resistances import FittingCoefficients
 from repro.scenarios import SCENARIOS, AxisSpec, ScenarioSpec, run_scenario
 
 
@@ -234,6 +235,21 @@ class TestSolveStacked:
             (model, cfg.stack, cfg.via, cfg.power)
             for cfg in (fig5_config(0.5), fig5_config(1.5), fig4_config(4.0))
         ]
+        for result, (m, stack, via, power) in zip(solve_stacked(members), members):
+            assert_results_identical(result, m.solve(stack, via, power))
+
+    def test_model_a_batch_stamps_each_member_like_its_solo_stamp(self):
+        fits = ((1.3, 0.55), (0.8, 2.1), (1.7, 0.4))
+        cfgs = (fig5_config(0.5), fig5_config(1.5), fig4_config(4.0))
+        members = [
+            (ModelA(FittingCoefficients(k1, k2)), cfg.stack, cfg.via, cfg.power)
+            for (k1, k2), cfg in zip(fits, cfgs)
+        ]
+        systems = members[0][0].assemble_batch(members)
+        for system, (m, stack, via, power) in zip(systems, members):
+            solo = m.assemble_system(stack, via, power)
+            assert system.matrix.tobytes() == solo.matrix.tobytes()
+            assert system.rhs.tobytes() == solo.rhs.tobytes()
         for result, (m, stack, via, power) in zip(solve_stacked(members), members):
             assert_results_identical(result, m.solve(stack, via, power))
 

@@ -16,7 +16,9 @@ from repro.errors import CorruptArtifactError
 from repro.perf import RetryPolicy, counter
 from repro.scenarios import AxisSpec, RunStore, ScenarioSpec, run_scenario, scrub
 from repro.scenarios.store import (
+    ENVELOPE_KEY,
     ENVELOPE_PREFIX,
+    ENVELOPE_VERSION,
     artifact_checksum,
     parse_artifact,
     render_artifact,
@@ -53,7 +55,8 @@ def flip_last_digit(path):
     shape the envelope exists to catch.
     """
     blob = bytearray(path.read_bytes())
-    blob[-4] ^= 0x01
+    last_digit = max(i for i, byte in enumerate(blob) if chr(byte).isdigit())
+    blob[last_digit] ^= 0x01
     path.write_bytes(bytes(blob))
 
 
@@ -96,6 +99,30 @@ class TestEnvelope:
     def test_checksum_covers_exact_body_bytes(self):
         body = json.dumps({"a": 1}, indent=2) + "\n"
         assert artifact_checksum(body) != artifact_checksum(body + " ")
+
+    def test_indented_artifacts_of_earlier_builds_read_and_fsck_clean(
+        self, tmp_path
+    ):
+        # earlier builds wrote every enveloped body with indent=2
+        def indented(payload):
+            body = json.dumps(payload, indent=2) + "\n"
+            header = json.dumps(
+                {ENVELOPE_KEY: ENVELOPE_VERSION, "checksum": artifact_checksum(body)}
+            )
+            return header + "\n" + body
+
+        store = seeded_store(tmp_path / "store")
+        assert "\n  " not in render_artifact({"a": [1, {"b": 2}]})
+        for space in (store.objects, store.points):
+            for path in space.glob("*/*.json"):
+                path.write_text(indented(parse_artifact(path.read_text())))
+                assert "\n  " in path.read_text()
+        reopened = RunStore(store.root)
+        assert reopened.get(RUN_KEY) == {"experiment": {"v": 1}}
+        assert reopened.get_point(KEY) == {"kind": "solve", "max_rise": 1.0}
+        assert reopened.get_point(KEY2) == {"kind": "solve", "max_rise": 2.0}
+        assert counter("store_integrity_heals") == 0
+        assert scrub(store.root).clean
 
     def test_torn_header_and_garbage_raise(self):
         with pytest.raises(CorruptArtifactError):
