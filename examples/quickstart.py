@@ -2,17 +2,15 @@
 
 Builds the paper's standard 100 µm × 100 µm block, solves it with all
 three analytical models plus the finite-volume reference, and shows what
-the library reports: per-plane temperature rises, the hottest node, the
-dominant heat paths and the per-model error against the detailed solve.
+the library reports: each model's maximum rise, unknown count and solve
+time, and its error against the detailed solve.
 
 Run:  python examples/quickstart.py
 """
 
 from repro import Model1D, ModelA, ModelB, PowerSpec, paper_stack, paper_tsv, perf
 from repro.analysis import format_kv_block, format_table
-from repro.core.model_a import build_model_a_circuit
 from repro.fem import FEMReference
-from repro.network import dominant_paths
 from repro.units import um
 
 
@@ -52,20 +50,10 @@ def main() -> None:
         print(f"{name:>13}: {err:+.1f} % vs FEM")
     print()
 
-    # 4. inspect the Model A network: where does the heat actually go?
-    resistances = ModelA().resistances(stack, via)
-    heats = tuple(power.plane_heat(stack, j) for j in range(stack.n_planes))
-    circuit = build_model_a_circuit(resistances, heats)
-    print("dominant heat paths from the top plane (Fig. 1(b)'s paths):")
-    for path, series_r in dominant_paths(circuit, "bulk3", limit=3):
-        chain = " -> ".join(str(node) for node in path)
-        print(f"  {chain}   (series resistance {series_r:.0f} K/W)")
-    print()
-
-    # 5. performance: repeated solves hit the assembly/factor/result caches
-    #    (sweeps add process-parallelism via `python -m repro fig7 --jobs 4`,
+    # 4. performance: repeated solves hit the assembly/factor/result caches
+    #    (sweeps add process-parallelism via `python -m repro run fig7 --jobs 4`,
     #    and `python -m repro bench` writes the BENCH_<date>.json regression
-    #    report — see the ROADMAP's Performance section)
+    #    report — see the README's Performance sections)
     results["fem"]  # the solve above primed the caches; solve once more:
     FEMReference("medium").solve(stack, via, power)
     cache_stats = perf.stats()["caches"]

@@ -11,7 +11,7 @@ cd "$(dirname "$0")/.."
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== lint (ruff check)"
-    ruff check src tests benchmarks
+    ruff check src tests
 else
     echo "== lint skipped: ruff not installed (pip install ruff)" >&2
 fi
@@ -42,7 +42,7 @@ if ! grep -q "store is clean" "$fsck_tmp/fsck.txt"; then
     exit 1
 fi
 # the same run again is served from the store; scripts/import_set.py
-# fails it if it loaded scipy, networkx, any solver module, numpy or the
+# fails it if it loaded scipy, any solver module, numpy or the
 # process-pool machinery
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" \
     python scripts/import_set.py run fig7 --fast --store "$fsck_tmp/store" \
@@ -53,15 +53,6 @@ if ! grep -q "served from run store" "$fsck_tmp/hit.txt"; then
     exit 1
 fi
 rm -rf "$fsck_tmp"
-
-# no tier-1 test imports benchmarks/bench_*.py, so without ruff a reference
-# to a deleted module would otherwise surface only in CI
-echo "== benchmark modules import"
-PYTHONPATH="src:benchmarks${PYTHONPATH:+:$PYTHONPATH}" python -c '
-import importlib, pathlib
-for path in sorted(pathlib.Path("benchmarks").glob("bench_*.py")):
-    importlib.import_module(path.stem)
-'
 
 echo "== benchmark quick gate"
 benchmarks/run_bench.sh

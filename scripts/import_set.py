@@ -10,8 +10,8 @@ module of :data:`HEAVY_MODULES` and :data:`HIT_PATH_MODULES` the command
 loaded.  The exit code is 1 when there is any, otherwise the command's own
 exit code.  A store-hit ``run``, ``list`` and ``--help`` must load none of
 them: a hit parses the spec, derives the key, reads one JSON file and
-prints tables.  The solver stack (scipy, networkx, the FEM and calibration
-code, the plan compiler and scheduler, the fleet) is what made them slow;
+prints tables.  The solver stack (scipy, the FEM and calibration code,
+the plan compiler and scheduler, the fleet) is what made them slow;
 numpy, the process-pool machinery and the sweep harness are what is left
 of that start-up cost.
 
@@ -32,13 +32,11 @@ from pathlib import Path
 #: modules (and their submodules) no light command may load
 HEAVY_MODULES = (
     "scipy",
-    "networkx",
     "repro.fem",
     "repro.calibration",
     "repro.perf.cache",
     "repro.network.solve",
     "repro.network.circuit",
-    "repro.network.graph",
     "repro.scenarios.plan",
     "repro.scenarios.scheduler",
     "repro.scenarios.physics",

@@ -1,4 +1,4 @@
-"""Analysis: error metrics, convergence studies, tables, plots, export."""
+"""Analysis: error metrics, sensitivities, tables, plots, export."""
 
 from .._lazy import lazy_exports
 
@@ -10,12 +10,6 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     globals(),
     {
-        ".convergence": (
-            "ConvergencePoint",
-            "mesh_convergence",
-            "richardson_extrapolate",
-            "segment_convergence",
-        ),
         ".export": ("export_json", "export_series_csv", "read_series_csv"),
         ".metrics": (
             "ErrorMetrics",
@@ -41,10 +35,6 @@ __all__ = [
     "export_series_csv",
     "export_json",
     "read_series_csv",
-    "segment_convergence",
-    "mesh_convergence",
-    "richardson_extrapolate",
-    "ConvergencePoint",
     "Sensitivity",
     "sensitivity",
     "sensitivity_table",

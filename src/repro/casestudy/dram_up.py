@@ -119,10 +119,10 @@ def analyze_case_study(
 ) -> CaseStudyReport:
     """Run Model A, Model B, the 1-D baseline (and FEM) on the case study.
 
-    Model B uses the same effective bond conductance (c_{1,2}) as Model A —
-    the paper's Fig. 8 lists the coefficient for the system, and without it
-    the polyimide bond dominates and no model reproduces the reported 12-14
-    °C band (see README.md, "Substitutions and assumptions").
+    Model B uses the same effective bond conductance (c_{1,2}) as Model A:
+    the paper's Fig. 8 lists the coefficient for the system.  README.md,
+    "Substitutions and assumptions", compares this reading of c_{1,2}
+    with a bare polyimide bond against the paper's numbers.
     """
     system = system or build_case_study()
     fit = fit or FittingCoefficients.paper_case_study()

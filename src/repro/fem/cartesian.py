@@ -2,7 +2,7 @@
 
 Complements the axisymmetric solver for geometries a single symmetric via
 cannot represent: multiple vias at arbitrary positions (the Fig. 7 cluster
-cross-check) and non-uniform floorplan power maps (the planning extension).
+cross-check) and any per-cell heat-source density.
 
 Same discretisation choices as :mod:`repro.fem.axisym`: cell-centred,
 harmonic-mean face conductances, Dirichlet heat sink at z = 0, adiabatic

@@ -13,7 +13,6 @@ __getattr__, __dir__ = lazy_exports(
     {
         ".circuit": ("NetworkSolution", "ThermalCircuit"),
         ".elements": ("GROUND", "Capacitor", "HeatSource", "Resistor"),
-        ".graph": ("dominant_paths", "effective_resistance", "to_networkx"),
         ".trajectory": ("TransientResult",),
         ".transient": (
             "pulse_train_scales",
@@ -31,9 +30,6 @@ __all__ = [
     "Capacitor",
     "ThermalCircuit",
     "NetworkSolution",
-    "to_networkx",
-    "effective_resistance",
-    "dominant_paths",
     "TransientResult",
     "pulse_train_scales",
     "step_response",

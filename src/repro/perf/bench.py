@@ -11,8 +11,6 @@ regressions beyond a configurable tolerance.
 
 Quick mode (the CI gate, ``benchmarks/run_bench.sh``) runs the same
 scenarios with fewer repeats, so quick and full reports stay comparable.
-The pytest-benchmark suite under ``benchmarks/`` can additionally be run
-and embedded with ``--pytest-suite``.
 
 A note on parallel speedup: :class:`~repro.perf.ParallelExecutor` only
 pays off with >1 CPU.  On single-CPU machines the recorded
@@ -30,7 +28,6 @@ import datetime
 import json
 import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -862,27 +859,6 @@ def bench_fem3d(repeats: int) -> dict[str, Any]:
     }
 
 
-def run_pytest_suite(bench_dir: Path) -> dict[str, Any]:
-    """Run the pytest-benchmark suite and return {test name: median s}."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "pytest_bench.json"
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "pytest", str(bench_dir),
-                "--benchmark-only", f"--benchmark-json={out}", "-q",
-            ],
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode != 0 or not out.exists():
-            return {"error": proc.stdout[-2000:] + proc.stderr[-2000:]}
-        data = json.loads(out.read_text())
-    return {
-        b["fullname"]: {"median_s": b["stats"]["median"]}
-        for b in data.get("benchmarks", [])
-    }
-
-
 # ---------------------------------------------------------------------------
 # report assembly, persistence, comparison
 # ---------------------------------------------------------------------------
@@ -905,8 +881,6 @@ def run_benchmarks(
     jobs: int = 4,
     quick: bool = False,
     repeats: int | None = None,
-    pytest_suite: bool = False,
-    bench_dir: Path | None = None,
 ) -> dict[str, Any]:
     """Run every scenario and assemble the ``BENCH_*.json`` payload.
 
@@ -946,10 +920,6 @@ def run_benchmarks(
         if "cache_stats" in section:
             # the warm fig7 sweep's hit rates — the multi-scenario-traffic view
             payload["cache_stats"] = section["cache_stats"]
-    if pytest_suite:
-        payload["pytest_benchmarks"] = run_pytest_suite(
-            bench_dir or Path("benchmarks")
-        )
     return payload
 
 
@@ -1120,11 +1090,6 @@ def main(argv: list[str] | None = None) -> int:
         "--no-write", action="store_true",
         help="measure and compare only; do not write BENCH_<date>.json",
     )
-    parser.add_argument(
-        "--pytest-suite", action="store_true",
-        help="also run the pytest-benchmark suite under benchmarks/ and embed "
-        "its medians",
-    )
     args = parser.parse_args(argv)
 
     if not args.no_compare and args.baseline and not args.baseline.exists():
@@ -1138,7 +1103,6 @@ def main(argv: list[str] | None = None) -> int:
         jobs=args.jobs,
         quick=args.quick,
         repeats=args.repeats,
-        pytest_suite=args.pytest_suite,
     )
     print(render_report(payload))
 

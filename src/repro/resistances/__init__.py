@@ -26,12 +26,6 @@ __getattr__, __dir__ = lazy_exports(
             "series",
             "slab_resistance",
         ),
-        ".spreading": (
-            "finite_slab_spreading",
-            "semi_infinite_spreading",
-            "truncated_cone_resistance",
-            "via_cell_spreading",
-        ),
     },
 )
 
@@ -49,8 +43,4 @@ __all__ = [
     "annulus_axial_resistance",
     "series",
     "parallel",
-    "semi_infinite_spreading",
-    "finite_slab_spreading",
-    "truncated_cone_resistance",
-    "via_cell_spreading",
 ]

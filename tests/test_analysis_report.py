@@ -1,4 +1,4 @@
-"""Tables, ASCII plots, export round-trips, convergence helpers."""
+"""Tables, ASCII plots and export round-trips."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.analysis import (
     format_series_table,
     format_table,
     read_series_csv,
-    richardson_extrapolate,
 )
 from repro.errors import ValidationError
 
@@ -117,15 +116,3 @@ class TestExport:
         with pytest.raises(ValidationError):
             read_series_csv(bad)
 
-
-class TestRichardson:
-    def test_exact_for_quadratic_error(self):
-        # T(h) = T* + c h^2; coarse h=2, fine h=1
-        t_star, c = 10.0, 0.5
-        coarse = t_star + c * 4.0
-        fine = t_star + c * 1.0
-        assert richardson_extrapolate(coarse, fine) == pytest.approx(t_star)
-
-    def test_validates_inputs(self):
-        with pytest.raises(ValidationError):
-            richardson_extrapolate(1.0, 2.0, ratio=1.0)

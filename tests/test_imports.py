@@ -7,6 +7,7 @@ which modules got loaded.
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import json
 import os
@@ -149,6 +150,43 @@ class TestImportSet:
         )
         assert "repro.scenarios.scheduler" in modules
         assert "scipy" in modules
+
+
+#: third-party packages the code may import: exactly what the install step
+#: of .github/workflows/ci.yml installs (ruff aside), so a new dependency
+#: has to change both places together
+SRC_DEPENDENCIES = frozenset({"numpy", "scipy"})
+TEST_DEPENDENCIES = SRC_DEPENDENCIES | {"pytest", "hypothesis"}
+
+
+def _foreign_imports(root: Path, allowed: frozenset[str]) -> list[str]:
+    """``path: name`` for every absolute import under ``root`` of a package
+    that is neither the standard library, ``repro`` nor in ``allowed``."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top != "repro" and top not in allowed:
+                    found.append(f"{path.relative_to(ROOT)}: {name}")
+    return found
+
+
+class TestDependencies:
+    """Static, not a ``sys.modules`` probe: site and numpy load packages
+    (certifi, charset_normalizer) that no line of this project imports."""
+
+    def test_src_imports_only_the_stdlib_numpy_and_scipy(self):
+        assert _foreign_imports(ROOT / "src" / "repro", SRC_DEPENDENCIES) == []
+
+    def test_tests_import_only_what_ci_installs(self):
+        assert _foreign_imports(ROOT / "tests", TEST_DEPENDENCIES) == []
 
 
 class TestNameShadowing:
