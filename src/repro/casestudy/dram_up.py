@@ -16,7 +16,6 @@ that cell, exactly as the paper's own "simulation of a block".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .. import constants

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..calibration import fit_coefficients
-from ..casestudy import CaseStudyReport, analyze_case_study, build_case_study
+from ..casestudy import CaseStudyReport, analyze_case_study
 from ..fem import FEMReference
 from ..resistances import FittingCoefficients
 

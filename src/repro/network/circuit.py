@@ -8,7 +8,7 @@ the nodal conductance matrix (KCL) and solves G·ΔT = q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -57,12 +57,7 @@ from typing import Any, Union
 from .. import faults
 from .._lazy import import_solver_stack
 from ..errors import ValidationError
-from .retry import (
-    PROPAGATE_TYPES,
-    TaskFailure,
-    failure_from_exception,
-    node_deadline,
-)
+from .retry import PROPAGATE_TYPES, failure_from_exception, node_deadline
 from .stats import increment
 
 

@@ -1,97 +1,57 @@
 """Topological execution of compiled plans on the sweep executors.
 
-:func:`execute_plan` walks the merged node graph a
-:func:`~repro.scenarios.plan.compile_plan` call produced:
+:func:`execute_plan` runs the merged node graph a
+:func:`~repro.scenarios.plan.compile_plan` call produced, in three parts:
 
-* ready :class:`~repro.scenarios.plan.SolveNode`\\ s are first resolved
-  against the global result cache, then (``resume=True``) against the
-  :class:`~repro.scenarios.store.RunStore`'s point-level object space;
-* the remaining ready nodes are regrouped for dispatch.  Nodes sharing a
-  non-None ``assembly_key`` — the same system matrix, different
-  right-hand sides (power sweeps, calibration samples, repeated
-  geometries across scenarios) — become one
-  :class:`~repro.perf.MatrixGroupTask` solved through the model's
-  ``solve_batch``: voxelise/assemble/factorise once, back-substitute per
-  member, with the shared payload shipped once under parallel dispatch.
-  Of what remains, solve nodes sharing a non-None ``batch_class_key`` —
-  structurally congruent systems with *different* matrices (geometry
-  sweeps over the small network models) — become one
-  :class:`~repro.perf.StackedBatchTask` solved via
-  :func:`repro.core.base.solve_stacked`: every member's dense system is
-  assembled and all of them go through one batched ``(m, n, n)`` LAPACK
-  call instead of m Python-level solver round-trips.  Everything else
-  falls back to per-point
-  :class:`~repro.perf.PointTask`\\ s (one dispatch per geometry, not per
-  model — the same batching the eager sweep used).  All shapes stream
-  over the executor's :meth:`~repro.perf.SweepExecutor.submit_stream`
-  as-completed interface; ``group_matrices=False`` /
-  ``stack_batches=False`` disable the regroupings (the paths are
-  bit-identical — asserted by tests and the ``multi_rhs_identical`` /
-  ``stacked_identical`` bench checks);
-* the physics kinds flow through the same machinery:
-  :class:`~repro.scenarios.plan.TransientNode`\\ s dispatch like solve
-  nodes (their adapter's ``solve``/``solve_batch`` integrate the
-  backward-Euler trajectory; same-network trajectories share an
-  ``assembly_key`` and factorise once per group), and
-  :class:`~repro.scenarios.plan.NonlinearNode`\\ s dispatch once their
-  linear baseline — an ordinary, deduplicatable solve node — lands,
-  seeding the k(T) fixed-point chain with its result;
-* :class:`~repro.scenarios.plan.CalibrationNode`\\ s run in the parent as
-  soon as their reference solves land — mid-stream, between completions —
-  and their dependent calibrated solve nodes dispatch in the next
-  executor wave.  Finished fits are memoized in the result cache keyed on
-  (reference config, sample solve keys) via
-  :func:`repro.perf.calibration_fit_key`, so repeated in-process batches
-  skip the least-squares fit too (counters
-  ``calibration_fit_hits`` / ``calibration_fit_misses``);
-* every completed node is written into the store's point space
-  (``points/<key>.json``) so a killed batch resumes from its solved
-  points;
-* failures are *results*, not scheduler-unwinding exceptions: the
-  executor stream yields a :class:`~repro.perf.retry.TaskFailure` for a
-  failed task, a failed multi-node task (a matrix group, a multi-model
-  point bucket) degrades to per-member solo dispatch so one bad RHS
-  cannot sink its group, solo failures retry under the
-  :class:`~repro.perf.RetryPolicy` (exponential backoff with
-  deterministic jitter; each attempt is an independent fault-injection
-  draw), and whatever exhausts its budget is
-  *quarantined*: recorded as a :class:`~repro.perf.NodeFailure` in
-  ``ScheduleOutcome.failures`` (and the store's ``failures/`` space)
-  while the rest of the plan completes.  Nodes depending on a
-  quarantined node cascade into the ledger instead of deadlocking the
-  walk;
-* with a :class:`~repro.scenarios.lease.LeaseManager` (``claims=...``)
-  the scheduler runs as one member of a cooperating *fleet*
-  (:mod:`repro.scenarios.fleet`): content-keyed dispatch nodes are
-  claimed unit-at-a-time before solving (matrix groups and stacked
-  batches claim whole, so the batch tiers survive distribution), nodes
-  a peer holds are deferred and their results read back from the point
-  space, failures a peer quarantines during the run are adopted from
-  the ledger (counter ``plan_failures_adopted``), a dead peer's expired
-  claims are stolen, and every commit is fenced —
-  ``put_point``-before-release, with a
-  :class:`~repro.errors.LeaseLostError` check that keeps a usurped
-  worker from publishing over its successor.
+* **The walk** (:func:`execute_plan`).  A node is ready once its
+  dependencies land.  Ready dispatch nodes (solve, transient, nonlinear)
+  are looked up in the result cache, then (``resume=True``) in the
+  store's point space; the rest of the wave is formed into units and
+  streamed over the executor's
+  :meth:`~repro.perf.SweepExecutor.submit_stream` as completed.  A
+  nonlinear node's k(T) chain is seeded with its landed linear baseline.
+  Calibrations and case studies run in this process between
+  completions, so calibrated solves dispatch in the next wave; fits are
+  memoized under :func:`repro.perf.calibration_fit_key`.
+* **Unit formation** (:func:`form_units`, pure).  Nodes sharing an
+  ``assembly_key`` (one matrix, many right-hand sides) become a
+  :class:`~repro.perf.MatrixGroupTask` that factorises once; of the
+  rest, solve nodes sharing a ``batch_class_key`` (congruent systems,
+  different matrices) become a :class:`~repro.perf.StackedBatchTask`,
+  one batched ``(m, n, n)`` LAPACK call; the remainder is bucketed into
+  one :class:`~repro.perf.PointTask` per geometry.  ``group_matrices`` /
+  ``stack_batches`` turn the first two tiers off; every tier is
+  bit-identical to solo solves (tests and the ``multi_rhs_identical`` /
+  ``stacked_identical`` bench checks).
+* **The commit** (:class:`Committer`), the only code here that reads
+  points back from the store or writes them, and so the single home of
+  the crash-safety contract.
 
-Every solve is deterministic and batched solves are bit-identical to
-per-point solves, so cache hits, store hits, fresh solves and group
-membership are all numerically interchangeable — scheduling order never
-changes the assembled results.  Counters land in
-:func:`repro.perf.stats`: ``plan_point_solves`` (actual solves
-dispatched), ``plan_transient_solves`` / ``plan_nonlinear_solves`` (the
-physics-kind subsets), ``plan_matrix_groups`` / ``plan_grouped_solves``
-(matrix groups dispatched and the nodes they carried),
-``plan_stacked_batches`` / ``plan_stacked_solves`` (stacked batches
-dispatched and the nodes they carried),
-``plan_calibrations``, ``point_store_hits`` / ``point_store_misses``,
-``plan_retries`` (failed dispatches re-attempted),
-``plan_group_degradations`` (multi-node tasks split after a failure),
-``plan_quarantined`` (nodes that exhausted their budget),
-``plan_poison_degradations`` (nodes forced solo by the fleet-wide blame
-ledger) and ``plan_poison_quarantined`` (nodes quarantined outright for
-repeatedly crashing executors — see the store's ``blame/`` space and
-:class:`~repro.perf.RetryPolicy`'s ``poison_solo_after`` /
-``poison_quarantine_after`` thresholds).
+Failures are results, not exceptions that unwind the walk: a failed
+multi-node task degrades to per-member solo dispatch, a solo failure
+retries under the :class:`~repro.perf.RetryPolicy` (backoff with
+deterministic jitter, a fresh fault-injection draw per attempt), and a
+node that exhausts its budget is quarantined into
+``ScheduleOutcome.failures`` and the store's ``failures/`` space while
+the rest of the plan completes; its dependents cascade into the ledger.
+A node whose executors crashed ``poison_solo_after`` times fleet-wide
+(the store's ``blame/`` space) dispatches solo, and at
+``poison_quarantine_after`` it is quarantined without another dispatch.
+With ``claims`` the walk is one member of a fleet
+(:mod:`repro.scenarios.fleet`); see :func:`execute_plan`.
+
+Solves are deterministic and batched solves are bit-identical to
+per-point solves, so cache hits, store hits, fresh solves and unit
+membership are interchangeable.  Counters land in
+:func:`repro.perf.stats`: ``plan_point_solves``,
+``plan_transient_solves`` / ``plan_nonlinear_solves``,
+``plan_matrix_groups`` / ``plan_grouped_solves``,
+``plan_stacked_batches`` / ``plan_stacked_solves``,
+``plan_calibrations``, ``calibration_fit_hits`` / ``_misses``,
+``point_store_hits`` / ``point_store_misses``, ``plan_retries``,
+``plan_group_degradations``, ``plan_quarantined``,
+``plan_failures_adopted``, ``plan_poison_degradations`` and
+``plan_poison_quarantined``.
 """
 
 from __future__ import annotations
@@ -189,6 +149,10 @@ def _record_solve(key: str) -> None:
 #: each scenario as soon as its last node lands)
 OnNodeFn = Callable[[str, Any], None]
 
+#: a dispatchable node with the model it solves with and its result-cache
+#: key (None: never cached)
+Entry = tuple[Any, Any, str | None]
+
 
 @dataclass
 class ScheduleOutcome:
@@ -205,6 +169,362 @@ class ScheduleOutcome:
         default_factory=lambda: {"solved": 0, "cache": 0, "store": 0}
     )
     failures: dict[str, NodeFailure] = field(default_factory=dict)
+
+
+# ---------------------------------------------------------------------------
+# unit formation
+# ---------------------------------------------------------------------------
+@dataclass
+class DispatchUnits:
+    """One wave's dispatch units, in dispatch order within each tier."""
+
+    groups: list[list[Entry]]  # one shared assembly_key each
+    stacks: list[list[Entry]]  # one shared batch_class_key each
+    buckets: list[dict[str, Entry]]  # one sweep point each, by model name
+    poisoned: list[tuple[Entry, int]]  # to quarantine, with the blame count
+    forced_solo: set[str]  # keys newly forced solo by their blame count
+
+
+def _classes(
+    entries: list[Entry], key_of: Callable[[Entry], str | None]
+) -> tuple[list[list[Entry]], list[Entry]]:
+    """Entries sharing a non-None key, two or more to a class; and the rest.
+
+    Singletons gain nothing from a shared unit and fall through with the
+    keyless entries (keyless first, then singletons in first-seen order).
+    """
+    by_key: dict[str, list[Entry]] = defaultdict(list)
+    rest: list[Entry] = []
+    for entry in entries:
+        key = key_of(entry)
+        (rest if key is None else by_key[key]).append(entry)
+    rest += [members[0] for members in by_key.values() if len(members) == 1]
+    return [members for members in by_key.values() if len(members) > 1], rest
+
+
+def _batch_class_key(entry: Entry) -> str | None:
+    node, model, _ = entry
+    if isinstance(node, SolveNode):
+        return model.batch_class_key(node.stack, node.via)
+    return None
+
+
+def form_units(
+    entries: list[Entry],
+    solo: set[str],
+    blame: dict[str, int],
+    retry: RetryPolicy,
+    *,
+    group_matrices: bool,
+    stack_batches: bool,
+) -> DispatchUnits:
+    """Form one wave's dispatch units from its uncached, unstored entries.
+
+    Pure: no I/O and no counters.  ``blame`` is the fleet-wide crash
+    count per node key: at ``retry.poison_quarantine_after`` an entry is
+    returned as poisoned instead of dispatched, at
+    ``retry.poison_solo_after`` it is forced solo.  Solo entries (``solo``
+    holds the keys that already failed once, so a retry's blame is
+    unambiguous) ride in no multi-node unit and go last, one bucket each.
+    The rest fill three tiers in order: matrix groups, stacked batches,
+    then point buckets that carry every model of one sweep point — two
+    nodes share a bucket only when their geometry matches and their model
+    names do not collide (e.g. two different ``model_a_cal`` fits).
+    """
+    poisoned: list[tuple[Entry, int]] = []
+    forced: set[str] = set()
+    kept: list[Entry] = []
+    for entry in entries:
+        key = entry[0].key
+        count = blame.get(key, 0) if is_content_key(key) else 0
+        if count >= retry.poison_quarantine_after:
+            poisoned.append((entry, count))
+            continue
+        if count >= retry.poison_solo_after and key not in solo:
+            forced.add(key)
+        kept.append(entry)
+    alone = solo | forced
+    rest = [e for e in kept if e[0].key not in alone]
+
+    groups: list[list[Entry]] = []
+    if group_matrices:
+        groups, rest = _classes(rest, lambda e: e[0].assembly_key)
+    stacks: list[list[Entry]] = []
+    if stack_batches:
+        stacks, rest = _classes(rest, _batch_class_key)
+
+    buckets: list[dict[str, Entry]] = []
+    by_point: dict[str, list[dict[str, Entry]]] = defaultdict(list)
+    for entry in rest:
+        node = entry[0]
+        point_key = content_key(node.stack, node.via, node.power)
+        if point_key is None:
+            buckets.append({node.model_name: entry})
+            continue
+        for bucket in by_point[point_key]:
+            if node.model_name not in bucket:
+                bucket[node.model_name] = entry
+                break
+        else:
+            bucket = {node.model_name: entry}
+            by_point[point_key].append(bucket)
+            buckets.append(bucket)
+    buckets.extend({e[0].model_name: e} for e in kept if e[0].key in alone)
+    return DispatchUnits(groups, stacks, buckets, poisoned, forced)
+
+
+def _tasks(
+    groups: list[list[Entry]],
+    stacks: list[list[Entry]],
+    buckets: list[dict[str, Entry]],
+    attempts: dict[str, int],
+) -> list[SweepTask]:
+    """The executor tasks of a wave's units; ``task.index`` is the unit's
+    position in its tier.
+
+    Multi-node tiers come first: each of their tasks commits many nodes
+    at once, so the stream persists the most points (and unlocks their
+    dependents) earliest, and a drain or kill mid-wave leaves the least
+    to re-solve.
+    """
+    tasks: list[SweepTask] = []
+    for i, members in enumerate(groups):
+        node, model, _ = members[0]
+        tasks.append(
+            MatrixGroupTask(
+                index=i,
+                stack=node.stack,
+                via=node.via,
+                model=model,
+                powers=tuple(m[0].power for m in members),
+            )
+        )
+    for i, members in enumerate(stacks):
+        tasks.append(
+            StackedBatchTask(
+                index=i,
+                members=tuple(
+                    (model, node.stack, node.via, node.power)
+                    for node, model, _ in members
+                ),
+            )
+        )
+    for i, bucket in enumerate(buckets):
+        node, _, _ = next(iter(bucket.values()))
+        tasks.append(
+            PointTask(
+                index=i,
+                value=node.value,
+                stack=node.stack,
+                via=node.via,
+                power=node.power,
+                models=tuple(model for _, model, _ in bucket.values()),
+                # retries draw fresh fault-injection decisions
+                attempt=attempts.get(node.key, 0) if len(bucket) == 1 else 0,
+            )
+        )
+    return tasks
+
+
+def _task_members(
+    task: SweepTask,
+    groups: list[list[Entry]],
+    stacks: list[list[Entry]],
+    buckets: list[dict[str, Entry]],
+) -> list[Entry]:
+    """The entries ``task`` carries, in the order of its results."""
+    if isinstance(task, MatrixGroupTask):
+        # a parallel executor may have split the unit into sub-blocks;
+        # task.offset realigns them with the members
+        return groups[task.index][task.offset : task.offset + len(task.powers)]
+    if isinstance(task, StackedBatchTask):
+        return stacks[task.index][task.offset : task.offset + len(task.members)]
+    return list(buckets[task.index].values())
+
+
+# ---------------------------------------------------------------------------
+# the commit
+# ---------------------------------------------------------------------------
+def _decode(node: Any, payload: dict[str, Any]) -> Any:
+    """A stored point payload as the node's result type."""
+    if isinstance(node, CalibrationNode):
+        return FittingCoefficients(payload["k1"], payload["k2"], payload["c_bond"])
+    if isinstance(node, CaseStudyNode):
+        return StoredCaseStudy(payload)
+    if isinstance(node, TransientNode):
+        return TransientResult.from_payload(payload)
+    if isinstance(node, NonlinearNode):
+        return NonlinearResult.from_payload(payload)
+    return ModelResult.from_payload(payload)
+
+
+def _encode(node: Any, result: Any) -> dict[str, Any]:
+    """The point payload of ``result`` (a calibration commits its whole fit)."""
+    if isinstance(node, CalibrationNode):
+        coefficients = result.coefficients
+        return {
+            "kind": "calibration",
+            "k1": coefficients.k1,
+            "k2": coefficients.k2,
+            "c_bond": coefficients.c_bond,
+            "residual_rms": result.residual_rms,
+        }
+    return result.to_payload()
+
+
+class Committer:
+    """Every point read back from the store and every commit to it.
+
+    The crash-safety contract lives here alone: a commit is durable
+    before its lease is released, a usurped worker publishes nothing,
+    and a quarantine is on the failure ledger before its lease is freed.
+    Without a store, and for compile-local (non-content) keys, reads miss
+    and writes are skipped.
+    """
+
+    def __init__(
+        self, store: RunStore | None, claims: LeaseManager | None, resume: bool
+    ) -> None:
+        self.store = store
+        self.claims = claims
+        self.resume = resume
+        #: this wave's snapshot of the store's fleet-wide blame ledger
+        self.blame: dict[str, int] = {}
+
+    def _stored(self, node: Any) -> bool:
+        return self.store is not None and is_content_key(node.key)
+
+    def read(self, node: Any, cache_key: str | None, *, peer: bool = False) -> Any:
+        """The node's stored result (also cached under ``cache_key``), or None.
+
+        A resume read happens only when the run resumes; a ``peer`` read
+        (a cooperating worker's commit) happens either way.  A point of
+        the wrong shape for the node (an older schema, a healed-over
+        write) is healed and read as a miss, so the node solves again.
+        """
+        if not (self._stored(node) and (peer or self.resume)):
+            return None
+        payload = self.store.get_point(node.key)
+        if payload is None:
+            return None
+        try:
+            result = _decode(node, payload)
+        except (KeyError, TypeError, ValueError, ExperimentError):
+            self.store.heal_point(node.key)
+            return None
+        if cache_key is not None:
+            result_cache.put(cache_key, result)
+        return result
+
+    def commit(
+        self, node: Any, result: Any, cache_key: str | None, *, fresh: bool
+    ) -> None:
+        """Write ``result`` as the node's point.
+
+        A ``fresh`` solve (landed under this worker's lease) is cached,
+        fenced, written, appended to the solve ledger, absolved of its
+        blame and only then released.  Cache republishes and parent
+        nodes are only written, so resume never depends on the in-memory
+        cache of a killed process.
+        """
+        if fresh and cache_key is not None:
+            result_cache.put(cache_key, result)
+        if not self._stored(node):
+            return
+        if fresh and self.claims is not None:
+            try:
+                # the zombie write guard: commit only while the lease is
+                # provably still ours (put-before-release)
+                self.claims.check(node.key)
+            except LeaseLostError:
+                # usurped mid-solve: the usurper publishes; our
+                # byte-identical result still serves this worker's plan
+                return
+        self.store.put_point(node.key, _encode(node, result))
+        if not fresh:
+            return
+        _record_solve(node.key)
+        if self.blame.pop(node.key, None) is not None:
+            # it finally solved cleanly: a lingering blame count must not
+            # poison-quarantine future runs
+            self.store.clear_blame(node.key)
+        if self.claims is not None:
+            self.claims.release(node.key)
+
+    def quarantine(self, node: Any, failure: NodeFailure) -> None:
+        """Record ``failure`` on the ledger, then free the node's lease:
+        a peer that sees the claim freed finds the record and adopts it
+        instead of re-attempting the node."""
+        if self._stored(node):
+            self.store.put_failure(node.key, failure)
+        if self.claims is not None:
+            self.claims.release(node.key)
+
+
+# ---------------------------------------------------------------------------
+# the walk
+# ---------------------------------------------------------------------------
+class _Stopwatch:
+    """Seconds since the last :meth:`lap`."""
+
+    def __init__(self) -> None:
+        self.last = time.perf_counter()
+
+    def elapsed(self) -> float:
+        return time.perf_counter() - self.last
+
+    def lap(self) -> float:
+        now = time.perf_counter()
+        elapsed, self.last = now - self.last, now
+        return elapsed
+
+
+def _node_cache_key(node: Any, model: Any) -> str | None:
+    """The result-cache key for a dispatchable node, or None (never cache).
+
+    For concrete picklable models the plan key IS the cache key; opaque
+    plan keys are compile-local and must not reach the cache.  Calibrated
+    models get their key only now that the fitted coefficients exist.
+    """
+    if isinstance(node, SolveNode) and node.model is None:
+        return solve_key(model, node.stack, node.via, node.power)
+    return node.key if is_content_key(node.key) else None
+
+
+def _node_model(node: Any, results: dict[str, Any]) -> Any:
+    """The dispatchable model instance a ready node solves with.
+
+    Solve nodes carry their model (or materialise the calibrated one from
+    the landed fit); transient nodes carry their adapter; a nonlinear
+    node's chain is seeded with its landed linear baseline.
+    """
+    if isinstance(node, NonlinearNode):
+        return NonlinearModel(node.model, node.params, initial=results[node.linear])
+    if node.model is None:
+        return calibrated_model_from_fit(
+            results[node.calibration], name=node.model_name
+        )
+    return node.model
+
+
+def _fit_calibration(
+    node: CalibrationNode, results: dict[str, Any]
+) -> tuple[Any, bool]:
+    """``(fit, from_cache)`` for a calibration node whose samples landed.
+
+    The node key IS the fit identity (reference config + sample solve
+    keys), so the fit memoizes under a key derived from it and repeated
+    in-process batches skip the least-squares fit too.
+    """
+    fit_key = calibration_fit_key(node.key) if is_content_key(node.key) else None
+
+    def compute():
+        targets = [results[k].max_rise for k in node.sample_keys]
+        fit = fit_coefficients(list(node.samples), None, targets=targets)
+        increment("plan_calibrations")
+        return fit
+
+    return memoized_fit(fit_key, compute)
 
 
 def execute_plan(
@@ -270,15 +590,14 @@ def execute_plan(
     outcome = ScheduleOutcome(results={})
     results = outcome.results
     failures = outcome.failures
+    committer = Committer(store, claims, resume)
     attempts: dict[str, int] = {}  # failed dispatches per node key
     solo: set[str] = set()  # keys that must dispatch alone (post-failure)
-    #: this wave's snapshot of the store's fleet-wide poison-unit ledger
-    blame_snapshot: dict[str, int] = {}
-    poison_forced: set[str] = set()  # keys already counted as poison-solo
-    #: nodes claimed by a cooperating worker: key -> (node, model, cache_key)
-    deferred: dict[str, tuple[Any, Any, str | None]] = {}
+    #: nodes claimed by a cooperating worker, by key
+    deferred: dict[str, Entry] = {}
     wall_start = time.time()  # gates peer-failure adoption to this run
-    last_renew = time.monotonic()
+    since_completion = _Stopwatch()
+    since_renewal = _Stopwatch()
 
     indegree: dict[str, int] = {}
     dependents: dict[str, list[str]] = defaultdict(list)
@@ -302,16 +621,10 @@ def execute_plan(
             else:
                 ready_other.append(node)
 
-    total = len(nodes)
-    done = 0
-    last_completion = time.perf_counter()
-
     def complete(node: Any, source: str, dispatch: str | None = None) -> None:
         """Shared bookkeeping for a node leaving the graph (success or
         quarantine): counts, dependent unlocking — with failed-dependency
         cascade — and the progress event."""
-        nonlocal done, last_completion
-        done += 1
         outcome.counts[source] = outcome.counts.get(source, 0) + 1
         for dep_key in dependents[node.key]:
             indegree[dep_key] -= 1
@@ -319,17 +632,20 @@ def execute_plan(
                 dep = nodes[dep_key]
                 failed_deps = sorted(set(dep.deps) & failures.keys())
                 if failed_deps:
-                    quarantine_dependency(dep, failed_deps)
+                    quarantine(
+                        dep,
+                        "DependencyError",
+                        "depends on quarantined node(s): " + ", ".join(failed_deps),
+                    )
                 elif isinstance(dep, DISPATCH_NODE_TYPES):
                     ready_solve.append(dep)
                 else:
                     ready_other.append(dep)
-        now = time.perf_counter()
-        elapsed, last_completion = now - last_completion, now
+        elapsed = since_completion.lap()
         if progress is not None:
             event = {
-                "done": done,
-                "total": total,
+                "done": len(results) + len(failures),
+                "total": len(nodes),
                 "key": node.key,
                 "kind": node.kind,
                 "source": source,
@@ -350,186 +666,64 @@ def execute_plan(
             on_node(node.key, value)
         complete(node, source, dispatch)
 
-    def quarantine(node: Any, failure: NodeFailure) -> None:
+    def quarantine(
+        node: Any, error_class: str, message: str, attempts: int = 0, digest: str = ""
+    ) -> None:
         """Retire ``node`` into the failure ledger; the plan keeps going."""
+        failure = NodeFailure(
+            node.key, node.kind, error_class, message, digest, attempts
+        )
         failures[node.key] = failure
         increment("plan_quarantined")
-        if store is not None and is_content_key(node.key):
-            # ledger-before-release: peers observing the freed claim find
-            # the failure record and adopt it instead of re-attempting
-            store.put_failure(node.key, failure)
-        if claims is not None:
-            claims.release(node.key)
+        committer.quarantine(node, failure)
         complete(node, "failed")
 
-    def quarantine_task_failure(
-        node: Any, failure: TaskFailure, n_attempts: int
-    ) -> None:
+    def quarantine_task(node: Any, failure: TaskFailure, attempts: int) -> None:
         quarantine(
             node,
-            NodeFailure(
-                key=node.key,
-                kind=node.kind,
-                error_class=failure.error_class,
-                message=failure.message,
-                traceback_digest=failure.traceback_digest,
-                attempts=n_attempts,
-            ),
+            failure.error_class,
+            failure.message,
+            attempts,
+            failure.traceback_digest,
         )
 
-    def quarantine_dependency(dep: Any, failed_deps: list[str]) -> None:
-        quarantine(
-            dep,
-            NodeFailure(
-                key=dep.key,
-                kind=dep.kind,
-                error_class="DependencyError",
-                message=(
-                    "depends on quarantined node(s): "
-                    + ", ".join(failed_deps)
-                ),
-                traceback_digest="",
-                attempts=0,
-            ),
-        )
+    def finish_stored(node: Any, cache_key: str | None, *, peer: bool = False) -> bool:
+        """Finish ``node`` from its stored point; False on a miss."""
+        stored = committer.read(node, cache_key, peer=peer)
+        if stored is not None:
+            finish(node, stored, "store")
+        return stored is not None
 
-    def run_calibration(node: CalibrationNode) -> None:
-        if resume and store is not None and is_content_key(node.key):
-            payload = store.get_point(node.key)
-            if payload is not None:
-                try:
-                    coefficients = FittingCoefficients(
-                        payload["k1"], payload["k2"], payload["c_bond"]
-                    )
-                except (KeyError, TypeError, ValueError):
-                    # readable JSON but not a calibration payload: heal it
-                    # away and re-fit rather than resume a poisoned point
-                    store.heal_point(node.key)
-                else:
-                    finish(node, coefficients, "store")
-                    return
-        # the node key IS the fit identity (reference config + sample solve
-        # keys), so the finished CalibrationResult memoizes under a key
-        # derived from it — repeated in-process batches skip the
-        # least-squares fit, not just the point solves
-        fit_key = (
-            calibration_fit_key(node.key) if is_content_key(node.key) else None
-        )
+    def run_parent_node(node: CalibrationNode | CaseStudyNode) -> None:
+        """Run a calibration fit or a case study in this process.
 
-        def compute():
-            targets = [results[k].max_rise for k in node.sample_keys]
-            fit = fit_coefficients(list(node.samples), None, targets=targets)
-            increment("plan_calibrations")
-            return fit
-
-        try:
-            fit, from_cache = memoized_fit(fit_key, compute)
-        except PROPAGATE_TYPES:
-            raise
-        except Exception as exc:
-            # parent-side nodes get no retries: a deterministic fit that
-            # failed once will fail again, so it goes straight to the ledger
-            quarantine_task_failure(node, failure_from_exception(exc), 1)
+        Parent-side nodes get no retries: a deterministic run that failed
+        once fails again, so a failure goes straight to the ledger.
+        """
+        if finish_stored(node, None):
             return
-        source = "cache" if from_cache else "solved"
-        coefficients = fit.coefficients
-        if store is not None and is_content_key(node.key):
-            store.put_point(
-                node.key,
-                {
-                    "kind": "calibration",
-                    "k1": coefficients.k1,
-                    "k2": coefficients.k2,
-                    "c_bond": coefficients.c_bond,
-                    "residual_rms": fit.residual_rms,
-                },
-            )
-        finish(node, coefficients, source)
-
-    def run_case_study(node: CaseStudyNode) -> None:
-        if resume and store is not None and is_content_key(node.key):
-            payload = store.get_point(node.key)
-            if payload is not None:
-                finish(node, StoredCaseStudy(payload), "store")
-                return
         try:
-            result = run_case_study_spec(node.spec)
-        except PROPAGATE_TYPES:
-            raise
-        except Exception as exc:
-            quarantine_task_failure(node, failure_from_exception(exc), 1)
-            return
-        if store is not None and is_content_key(node.key):
-            store.put_point(node.key, result.to_payload())
-        finish(node, result, "solved")
-
-    def drain_parent_nodes() -> bool:
-        ran = False
-        while ready_other:
-            node = ready_other.popleft()
             if isinstance(node, CalibrationNode):
-                run_calibration(node)
+                solved, from_cache = _fit_calibration(node, results)
             else:
-                run_case_study(node)
-            ran = True
+                solved, from_cache = run_case_study_spec(node.spec), False
+        except PROPAGATE_TYPES:
+            raise
+        except Exception as exc:
+            quarantine_task(node, failure_from_exception(exc), 1)
+            return
+        committer.commit(node, solved, None, fresh=False)
+        if isinstance(node, CalibrationNode):
+            solved = solved.coefficients
+        finish(node, solved, "cache" if from_cache else "solved")
+
+    def run_parent_nodes() -> bool:
+        ran = bool(ready_other)
+        while ready_other:
+            run_parent_node(ready_other.popleft())
         return ran
 
-    def node_cache_key(node: Any, model: Any) -> str | None:
-        """The result-cache key for a dispatchable node, or None (never cache).
-
-        For concrete picklable models the plan key IS the cache key;
-        opaque plan keys are compile-local and must not reach the cache.
-        Calibrated models get their key only now that the fitted
-        coefficients exist.
-        """
-        if isinstance(node, SolveNode) and node.model is None:
-            return solve_key(model, node.stack, node.via, node.power)
-        return node.key if is_content_key(node.key) else None
-
-    def node_payload_result(node: Any, payload: dict[str, Any]) -> Any:
-        """Decode a stored point payload into the node's result type."""
-        if isinstance(node, TransientNode):
-            return TransientResult.from_payload(payload)
-        if isinstance(node, NonlinearNode):
-            return NonlinearResult.from_payload(payload)
-        return ModelResult.from_payload(payload)
-
-    def node_model(node: Any) -> Any:
-        """The dispatchable model instance a ready node solves with.
-
-        Solve nodes carry their model (or materialise the calibrated one
-        from the landed fit); transient nodes carry their adapter; a
-        nonlinear node's chain is seeded with its landed linear baseline.
-        """
-        if isinstance(node, NonlinearNode):
-            return NonlinearModel(
-                node.model, node.params, initial=results[node.linear]
-            )
-        if node.model is None:
-            return calibrated_model_from_fit(
-                results[node.calibration], name=node.model_name
-            )
-        return node.model
-
-    # ------------------------------------------------------------------
     # fleet cooperation: lease claiming, peer read-back, failure adoption
-    # ------------------------------------------------------------------
-    def finish_from_store(entry: tuple[Any, Any, str | None]) -> bool:
-        """Finish a node from a peer's stored payload; False on miss."""
-        node, _, cache_key = entry
-        payload = store.get_point(node.key)
-        if payload is None:
-            return False
-        try:
-            result = node_payload_result(node, payload)
-        except (KeyError, TypeError, ValueError):
-            store.heal_point(node.key)
-            return False
-        if cache_key is not None:
-            result_cache.put(cache_key, result)
-        finish(node, result, "store")
-        return True
-
     def adopt_peer_failure(node: Any) -> bool:
         """Adopt a failure a peer quarantined *during this run*.
 
@@ -549,7 +743,7 @@ def execute_plan(
         complete(node, "failed")
         return True
 
-    def claim_entry(entry: tuple[Any, Any, str | None]) -> bool:
+    def claim_entry(entry: Entry) -> bool:
         """Secure ``entry`` for local dispatch; False removes it.
 
         False means the node left this worker's hands: a peer holds its
@@ -559,7 +753,7 @@ def execute_plan(
         a content key cannot be shared through the store at all, so
         every worker simply computes them locally.
         """
-        node = entry[0]
+        node, _, cache_key = entry
         if not is_content_key(node.key):
             return True
         if adopt_peer_failure(node):
@@ -569,12 +763,12 @@ def execute_plan(
             return False
         # the claim is ours, but a peer may have completed-and-released
         # this node since our resume check: the store is the arbiter
-        if finish_from_store(entry):
+        if finish_stored(node, cache_key, peer=True):
             claims.release(node.key)
             return False
         return True
 
-    def claim_units(grouped, stacks, buckets) -> tuple[dict, list, list]:
+    def claim_units(*tiers: list) -> list[list]:
         """Claim whole dispatch units, rotated so workers spread out.
 
         Units are claimed member-by-member but *visited* whole — a
@@ -589,38 +783,21 @@ def execute_plan(
         visiting and takes whatever is still unclaimed: work stealing
         falls out of the same loop.
         """
-        units: list[tuple[str, Any]] = (
-            [("group", akey) for akey in grouped]
-            + [("stack", i) for i in range(len(stacks))]
-            + [("bucket", i) for i in range(len(buckets))]
-        )
-        if not units:
-            return grouped, stacks, buckets
-        seed = hashlib.blake2b(
-            claims.owner.encode(), digest_size=4
-        ).digest()
-        offset = int.from_bytes(seed, "big") % len(units)
-        kept_groups: dict[str, list] = {}
-        kept_stacks: list[list] = []
-        kept_buckets: list[dict] = []
-        for shape, ref in units[offset:] + units[:offset]:
-            if shape == "group":
-                members = [e for e in grouped[ref] if claim_entry(e)]
-                if members:
-                    kept_groups[ref] = members
-            elif shape == "stack":
-                members = [e for e in stacks[ref] if claim_entry(e)]
-                if members:
-                    kept_stacks.append(members)
+        refs = [(t, i) for t, tier in enumerate(tiers) for i in range(len(tier))]
+        kept: list[list] = [[] for _ in tiers]
+        if not refs:
+            return kept
+        seed = hashlib.blake2b(claims.owner.encode(), digest_size=4).digest()
+        offset = int.from_bytes(seed, "big") % len(refs)
+        for t, i in refs[offset:] + refs[:offset]:
+            unit = tiers[t][i]
+            if isinstance(unit, dict):
+                members = {name: e for name, e in unit.items() if claim_entry(e)}
             else:
-                bucket = {
-                    name: e
-                    for name, e in buckets[ref].items()
-                    if claim_entry(e)
-                }
-                if bucket:
-                    kept_buckets.append(bucket)
-        return kept_groups, kept_stacks, kept_buckets
+                members = [e for e in unit if claim_entry(e)]
+            if members:
+                kept[t].append(members)
+        return kept
 
     def poll_deferred() -> bool:
         """Resolve deferred nodes; True when any left deferral.
@@ -632,9 +809,8 @@ def execute_plan(
         ready set.
         """
         progressed = False
-        for key, entry in list(deferred.items()):
-            node = entry[0]
-            if finish_from_store(entry) or adopt_peer_failure(node):
+        for key, (node, _, cache_key) in list(deferred.items()):
+            if finish_stored(node, cache_key, peer=True) or adopt_peer_failure(node):
                 del deferred[key]
                 progressed = True
             elif claims.acquire(key):
@@ -645,11 +821,9 @@ def execute_plan(
 
     def maybe_renew() -> None:
         """Extend this worker's claims well before any can expire."""
-        nonlocal last_renew
-        now = time.monotonic()
-        if claims is not None and now - last_renew >= claims.ttl_s / 3.0:
+        if claims is not None and since_renewal.elapsed() >= claims.ttl_s / 3.0:
             claims.renew_all()
-            last_renew = now
+            since_renewal.lap()
 
     def check_drain() -> None:
         """Honour a pending drain request at this safe point.
@@ -663,9 +837,51 @@ def execute_plan(
                 claims.release_all()
             raise DrainError(drain.requested)
 
-    while done < total:
+    def land(node: Any, cache_key: str | None, result: Any, dispatch: str) -> None:
+        increment("plan_point_solves")
+        if isinstance(node, (TransientNode, NonlinearNode)):
+            increment(f"plan_{node.kind}_solves")
+        committer.commit(node, result, cache_key, fresh=True)
+        finish(node, result, "solved", dispatch)
+
+    def handle_failure(members: list[Entry], failure: TaskFailure) -> None:
+        if len(members) > 1:
+            # blame inside a multi-node dispatch is unknowable from the
+            # outside (one bad RHS column, one crashing model) — degrade
+            # to per-member solo dispatch instead of charging anyone an
+            # attempt, so innocents complete and the culprit identifies
+            # itself on its own retry
+            increment("plan_group_degradations")
+            for node, _, _ in members:
+                solo.add(node.key)
+                ready_solve.append(node)
+            return
+        node = members[0][0]
+        n = attempts[node.key] = attempts.get(node.key, 0) + 1
+        if (
+            store is not None
+            and is_content_key(node.key)
+            and failure.error_class == "WorkerCrashError"
+        ):
+            # a solo crash is unambiguous blame: count it in the
+            # fleet-wide ledger so peers (and respawned workers) stop
+            # feeding this unit to fresh executors, and quarantine it
+            # here the moment it crosses the threshold
+            if store.add_blame(node.key) >= retry.poison_quarantine_after:
+                increment("plan_poison_quarantined")
+                quarantine_task(node, failure, n)
+                return
+        if failure.transient and n < retry.max_attempts:
+            increment("plan_retries")
+            solo.add(node.key)
+            time.sleep(retry.delay_s(n, node.key))
+            ready_solve.append(node)
+            return
+        quarantine_task(node, failure, n)
+
+    while len(results) + len(failures) < len(nodes):
         check_drain()
-        progressed = drain_parent_nodes()
+        progressed = run_parent_nodes()
         if claims is not None and deferred:
             progressed = poll_deferred() or progressed
         if not ready_solve:
@@ -680,318 +896,77 @@ def execute_plan(
                 continue
             raise ExperimentError("execution plan has a dependency cycle")
 
-        batch, ready_solve = ready_solve, []
-        dispatch: list[tuple[Any, Any, str | None]] = []
+        batch = list(ready_solve)
+        ready_solve.clear()
+        entries: list[Entry] = []
         for node in batch:
-            model = node_model(node)
-            cache_key = node_cache_key(node, model)
-            cached = (
-                result_cache.get(cache_key) if cache_key is not None else None
-            )
+            model = _node_model(node, results)
+            cache_key = _node_cache_key(node, model)
+            cached = result_cache.get(cache_key) if cache_key is not None else None
             if cached is not None:
-                # persist cache-satisfied nodes too: resume must not depend
-                # on the in-memory cache of the killed process
-                if store is not None and is_content_key(node.key):
-                    store.put_point(node.key, cached.to_payload())
+                committer.commit(node, cached, cache_key, fresh=False)
                 finish(node, cached, "cache")
                 continue
-            if resume and store is not None and is_content_key(node.key):
-                payload = store.get_point(node.key)
-                if payload is not None:
-                    try:
-                        result = node_payload_result(node, payload)
-                    except (KeyError, TypeError, ValueError):
-                        # valid JSON, wrong shape (e.g. a healed-over write
-                        # from an older schema): treat as a miss and re-solve
-                        store.heal_point(node.key)
-                    else:
-                        if cache_key is not None:
-                            result_cache.put(cache_key, result)
-                        finish(node, result, "store")
-                        continue
-            dispatch.append((node, model, cache_key))
+            if not finish_stored(node, cache_key):
+                entries.append((node, model, cache_key))
 
         # poison-unit isolation: consult the store's fleet-wide blame
-        # ledger before building dispatch units.  A node whose executors
-        # have crashed poison_solo_after times (across every worker and
-        # every supervisor respawn) is forced out of the batch tiers into
-        # solo dispatch; past poison_quarantine_after it goes straight to
-        # the failure ledger without costing this worker a single pool
-        # rebuild.
-        if store is not None and dispatch:
-            blame_snapshot = store.blame_counts()
-            if blame_snapshot:
-                kept: list[tuple[Any, Any, str | None]] = []
-                for entry in dispatch:
-                    node = entry[0]
-                    count = (
-                        blame_snapshot.get(node.key, 0)
-                        if is_content_key(node.key)
-                        else 0
-                    )
-                    if count >= retry.poison_quarantine_after:
-                        increment("plan_poison_quarantined")
-                        quarantine(
-                            node,
-                            NodeFailure(
-                                key=node.key,
-                                kind=node.kind,
-                                error_class="PoisonedUnitError",
-                                message=(
-                                    f"poison unit: crashed its executor "
-                                    f"{count}x fleet-wide (threshold "
-                                    f"{retry.poison_quarantine_after})"
-                                ),
-                                traceback_digest="",
-                                attempts=attempts.get(node.key, 0),
-                            ),
-                        )
-                        continue
-                    if count >= retry.poison_solo_after and node.key not in solo:
-                        solo.add(node.key)
-                        if node.key not in poison_forced:
-                            poison_forced.add(node.key)
-                            increment("plan_poison_degradations")
-                    kept.append(entry)
-                dispatch = kept
+        # ledger (every worker, every supervisor respawn) before forming
+        # this wave's units
+        if store is not None and entries:
+            committer.blame = store.blame_counts()
+        units = form_units(
+            entries,
+            solo,
+            committer.blame,
+            retry,
+            group_matrices=group_matrices,
+            stack_batches=stack_batches,
+        )
+        for (node, _, _), count in units.poisoned:
+            increment("plan_poison_quarantined")
+            quarantine(
+                node,
+                "PoisonedUnitError",
+                f"poison unit: crashed its executor {count}x fleet-wide "
+                f"(threshold {retry.poison_quarantine_after})",
+                attempts.get(node.key, 0),
+            )
+        if units.forced_solo:
+            increment("plan_poison_degradations", len(units.forced_solo))
+            solo.update(units.forced_solo)
 
-        # matrix groups first: nodes sharing an assembly_key solve the
-        # identical system matrix and differ only in their RHS, so they
-        # dispatch as one MatrixGroupTask (voxelise/assemble/factor once,
-        # back-substitute per member; the shared payload crosses the
-        # process boundary once).  Singleton "groups" gain nothing and
-        # fall back to per-point batching with everything else.
-        # nodes that already failed once dispatch *solo*: out of any matrix
-        # group or multi-model bucket, so the retry's blame is unambiguous
-        # and one repeat offender cannot sink innocents again
-        solo_entries = [e for e in dispatch if e[0].key in solo]
-        dispatch = [e for e in dispatch if e[0].key not in solo]
-
-        grouped: dict[str, list[tuple[Any, Any, str | None]]] = {}
-        ungrouped: list[tuple[Any, Any, str | None]] = []
-        if group_matrices:
-            by_assembly: dict[str, list] = defaultdict(list)
-            for entry in dispatch:
-                akey = entry[0].assembly_key
-                if akey is not None:
-                    by_assembly[akey].append(entry)
-                else:
-                    ungrouped.append(entry)
-            for akey, members in by_assembly.items():
-                if len(members) > 1:
-                    grouped[akey] = members
-                else:
-                    ungrouped.extend(members)
-        else:
-            ungrouped = list(dispatch)
-
-        # stacked batches second: leftover solve nodes sharing a
-        # batch_class_key assemble structurally congruent systems with
-        # *different* matrices (a geometry sweep over a small network
-        # model), so there is no factor to share — instead every member's
-        # dense system is assembled and the whole class solves as one
-        # batched (m, n, n) LAPACK call.  Singletons gain nothing and
-        # fall through to per-point batching.
-        stacks: list[list[tuple[Any, Any, str | None]]] = []
-        if stack_batches:
-            by_class: dict[str, list] = defaultdict(list)
-            rest: list[tuple[Any, Any, str | None]] = []
-            for entry in ungrouped:
-                node, model, _ = entry
-                bkey = (
-                    model.batch_class_key(node.stack, node.via)
-                    if isinstance(node, SolveNode)
-                    else None
-                )
-                if bkey is not None:
-                    by_class[bkey].append(entry)
-                else:
-                    rest.append(entry)
-            for members in by_class.values():
-                if len(members) > 1:
-                    stacks.append(members)
-                else:
-                    rest.extend(members)
-            ungrouped = rest
-
-        # the rest regroups into per-point tasks, so one dispatch message
-        # carries every model of a sweep point (the same batching — and
-        # pickling cost — as the eager sweep); two nodes only share a
-        # task when their geometry matches and their model names don't
-        # collide (e.g. two different model_a_cal fits)
-        buckets: list[dict[str, tuple[Any, Any, str | None]]] = []
-        by_point: dict[str, list[dict]] = defaultdict(list)
-        for node, model, cache_key in ungrouped:
-            point_key = content_key(node.stack, node.via, node.power)
-            if point_key is None:
-                buckets.append({node.model_name: (node, model, cache_key)})
-                continue
-            for bucket in by_point[point_key]:
-                if node.model_name not in bucket:
-                    bucket[node.model_name] = (node, model, cache_key)
-                    break
-            else:
-                bucket = {node.model_name: (node, model, cache_key)}
-                by_point[point_key].append(bucket)
-                buckets.append(bucket)
-
-        for entry in solo_entries:
-            buckets.append({entry[0].model_name: entry})
-
+        groups, stacks, buckets = units.groups, units.stacks, units.buckets
         if claims is not None:
-            grouped, stacks, buckets = claim_units(grouped, stacks, buckets)
-
-        # multi-node tiers dispatch before the point buckets: each of
-        # their tasks commits many nodes at once, so the stream persists
-        # the most points (and unlocks their dependents inline) earliest,
-        # and a drain or kill mid-wave leaves the least to re-solve
-        tasks: list[SweepTask] = []
-        groups = list(grouped.values())
-        for i, members in enumerate(groups):
-            node, model, _ = members[0]
-            increment("plan_matrix_groups")
-            increment("plan_grouped_solves", len(members))
-            tasks.append(
-                MatrixGroupTask(
-                    index=i,
-                    stack=node.stack,
-                    via=node.via,
-                    model=model,
-                    powers=tuple(m[0].power for m in members),
-                )
-            )
-        for i, members in enumerate(stacks):
-            increment("plan_stacked_batches")
-            increment("plan_stacked_solves", len(members))
-            tasks.append(
-                StackedBatchTask(
-                    index=i,
-                    members=tuple(
-                        (model, node.stack, node.via, node.power)
-                        for node, model, _ in members
-                    ),
-                )
-            )
-        for i, bucket in enumerate(buckets):
-            node, _, _ = next(iter(bucket.values()))
-            tasks.append(
-                PointTask(
-                    index=i,
-                    value=node.value,
-                    stack=node.stack,
-                    via=node.via,
-                    power=node.power,
-                    models=tuple(model for _, model, _ in bucket.values()),
-                    # retries draw fresh fault-injection decisions
-                    attempt=(
-                        attempts.get(node.key, 0) if len(bucket) == 1 else 0
-                    ),
-                )
-            )
-
-        def land(
-            node: Any, cache_key: str | None, result: Any, dispatch: str
-        ) -> None:
-            increment("plan_point_solves")
-            if isinstance(node, (TransientNode, NonlinearNode)):
-                increment(f"plan_{node.kind}_solves")
-            if cache_key is not None:
-                result_cache.put(cache_key, result)
-            if store is not None and is_content_key(node.key):
-                if claims is not None:
-                    try:
-                        # the zombie write guard: commit only while the
-                        # lease is provably still ours (put-before-release)
-                        claims.check(node.key)
-                    except LeaseLostError:
-                        # usurped mid-solve — the usurper publishes; our
-                        # byte-identical result still satisfies this
-                        # worker's own plan locally
-                        finish(node, result, "solved", dispatch)
-                        return
-                store.put_point(node.key, result.to_payload())
-                _record_solve(node.key)
-                if node.key in blame_snapshot:
-                    # it finally solved cleanly: absolve it so a lingering
-                    # blame count cannot poison-quarantine future runs
-                    store.clear_blame(node.key)
-                    blame_snapshot.pop(node.key, None)
-                if claims is not None:
-                    claims.release(node.key)
-            finish(node, result, "solved", dispatch)
-
-        def task_members(task: SweepTask) -> list[tuple[Any, Any, str | None]]:
-            if isinstance(task, MatrixGroupTask):
-                # a parallel executor may have split the group into RHS
-                # sub-blocks; task.offset realigns them with the members
-                return groups[task.index][
-                    task.offset : task.offset + len(task.powers)
-                ]
-            if isinstance(task, StackedBatchTask):
-                return stacks[task.index][
-                    task.offset : task.offset + len(task.members)
-                ]
-            return list(buckets[task.index].values())
-
-        def handle_failure(task: SweepTask, failure: TaskFailure) -> None:
-            members = task_members(task)
-            if len(members) > 1:
-                # blame inside a multi-node dispatch is unknowable from the
-                # outside (one bad RHS column, one crashing model) — degrade
-                # to per-member solo dispatch instead of charging anyone an
-                # attempt, so innocents complete and the culprit identifies
-                # itself on its own retry
-                increment("plan_group_degradations")
-                for node, _, _ in members:
-                    solo.add(node.key)
-                    ready_solve.append(node)
-                return
-            node = members[0][0]
-            n = attempts.get(node.key, 0) + 1
-            attempts[node.key] = n
-            if (
-                store is not None
-                and is_content_key(node.key)
-                and failure.error_class == "WorkerCrashError"
-            ):
-                # a solo crash is unambiguous blame: count it in the
-                # fleet-wide ledger so peers (and respawned workers) stop
-                # feeding this unit to fresh executors, and quarantine it
-                # here the moment it crosses the threshold
-                count = store.add_blame(node.key)
-                if count >= retry.poison_quarantine_after:
-                    increment("plan_poison_quarantined")
-                    quarantine_task_failure(node, failure, n)
-                    return
-            if failure.transient and n < retry.max_attempts:
-                increment("plan_retries")
-                solo.add(node.key)
-                time.sleep(retry.delay_s(n, node.key))
-                ready_solve.append(node)
-                return
-            quarantine_task_failure(node, failure, n)
+            groups, stacks, buckets = claim_units(groups, stacks, buckets)
+        if groups:
+            increment("plan_matrix_groups", len(groups))
+            increment("plan_grouped_solves", sum(map(len, groups)))
+        if stacks:
+            increment("plan_stacked_batches", len(stacks))
+            increment("plan_stacked_solves", sum(map(len, stacks)))
 
         for task, solved in executor.submit_stream(
-            tasks, timeout_s=retry.node_timeout_s
+            _tasks(groups, stacks, buckets, attempts),
+            timeout_s=retry.node_timeout_s,
         ):
             # drain between completions: the finished result has been
             # committed by land(); anything still in flight is abandoned
             # (its lease is released, a peer or a resume re-solves it)
             check_drain()
             maybe_renew()
+            members = _task_members(task, groups, stacks, buckets)
             if isinstance(solved, TaskFailure):
-                handle_failure(task, solved)
-            elif isinstance(task, (MatrixGroupTask, StackedBatchTask)):
-                shape = "group" if isinstance(task, MatrixGroupTask) else "stacked"
-                for (node, _, cache_key), result in zip(
-                    task_members(task), solved
-                ):
-                    land(node, cache_key, result, shape)
-            else:
-                for node, _, cache_key in buckets[task.index].values():
+                handle_failure(members, solved)
+            elif isinstance(task, PointTask):
+                for node, _, cache_key in members:
                     land(node, cache_key, solved[node.model_name], "point")
+            else:
+                shape = "group" if isinstance(task, MatrixGroupTask) else "stacked"
+                for (node, _, cache_key), result in zip(members, solved):
+                    land(node, cache_key, result, shape)
             # calibrations whose samples just landed run immediately,
             # unlocking their calibrated solves for the next wave
-            drain_parent_nodes()
+            run_parent_nodes()
 
     return outcome

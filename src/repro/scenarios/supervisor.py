@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path

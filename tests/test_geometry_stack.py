@@ -6,8 +6,7 @@ import pytest
 
 from repro import constants, paper_stack
 from repro.errors import GeometryError
-from repro.geometry import LayerKind, Stack3D, bond, paper_tsv
-from repro.materials import POLYIMIDE
+from repro.geometry import LayerKind, Stack3D
 from repro.units import um
 
 

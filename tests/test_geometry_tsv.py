@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import GeometryError
 from repro.geometry import TSV, TSVCluster, as_cluster, paper_tsv
-from repro.materials import SILICON_DIOXIDE, TUNGSTEN
+from repro.materials import TUNGSTEN
 from repro.units import um
 
 

@@ -178,6 +178,71 @@ def _foreign_imports(root: Path, allowed: frozenset[str]) -> list[str]:
     return found
 
 
+def _string_annotations(tree: ast.AST):
+    """String annotations, in annotation positions or as subscript
+    arguments (``tuple[Stack3D, "TSV | TSVCluster"]``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            holders = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            holders = [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            holders = [node.annotation]
+        elif isinstance(node, ast.Subscript):
+            holders = [node.slice]
+        else:
+            continue
+        for holder in filter(None, holders):
+            for sub in ast.walk(holder):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    yield sub.value
+
+
+def _unused_imports(root: Path) -> list[str]:
+    """``path:line: name`` for every name imported under ``root`` and never
+    referenced, skipping ``__init__.py`` re-exports and ``# noqa`` lines;
+    ``__all__`` entries and string annotations count as references."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        tree = ast.parse(source, str(path))
+        imported: dict[str, int] = {}
+        used: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                if "# noqa" in lines[node.lineno - 1]:
+                    continue
+                for alias in node.names:
+                    if alias.name != "*":
+                        imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets
+            ):
+                used.update(
+                    e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)
+                )
+        for text in _string_annotations(tree):
+            try:
+                expr = ast.parse(text, mode="eval")
+            except SyntaxError:
+                continue
+            used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+        found += [
+            f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported.items()
+            if name not in used
+        ]
+    return found
+
+
 class TestDependencies:
     """Static, not a ``sys.modules`` probe: site and numpy load packages
     (certifi, charset_normalizer) that no line of this project imports."""
@@ -187,6 +252,11 @@ class TestDependencies:
 
     def test_tests_import_only_what_ci_installs(self):
         assert _foreign_imports(ROOT / "tests", TEST_DEPENDENCIES) == []
+
+    @pytest.mark.parametrize("tree", ["src", "tests"])
+    def test_every_import_is_used(self, tree):
+        # the check ruff's F401 makes in CI, for machines without ruff
+        assert _unused_imports(ROOT / tree) == []
 
 
 class TestNameShadowing:

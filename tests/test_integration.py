@@ -6,14 +6,13 @@ from repro import (
     Model1D,
     ModelA,
     ModelB,
-    PowerSpec,
     TSVCluster,
     make_model,
     paper_stack,
     paper_tsv,
     sweep,
 )
-from repro.analysis import export_series_csv, read_series_csv, series_errors
+from repro.analysis import export_series_csv, read_series_csv
 from repro.calibration import fit_coefficients, radius_sweep_samples
 from repro.fem import FEMReference
 from repro.units import um

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro import perf
-from repro.errors import LeaseLostError, ValidationError
+from repro.errors import LeaseLostError
 from repro.perf import counter
 from repro.scenarios import RunStore
 from repro.scenarios.lease import Lease, LeaseManager

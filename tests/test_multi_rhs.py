@@ -15,7 +15,6 @@ from repro.fem import (
     FEMReference,
     build_axisym_grids,
     build_cartesian_grids,
-    grid_via_positions,
     solve_axisymmetric,
     solve_axisymmetric_multi,
     solve_cartesian,

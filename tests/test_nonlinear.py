@@ -5,7 +5,7 @@ import pytest
 from repro import ModelA, PowerSpec, paper_stack, paper_tsv
 from repro.core import NonlinearSolver
 from repro.errors import ConvergenceError
-from repro.geometry import DevicePlane, Stack3D
+from repro.geometry import Stack3D
 from repro.materials import Material
 from repro.units import um
 

@@ -1,12 +1,10 @@
 """The perf caches: LRU semantics, content keys, factorization reuse."""
 
-import warnings
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro import PowerSpec, paper_stack, paper_tsv, perf
+from repro import paper_stack, paper_tsv, perf
 from repro.fem import build_axisym_grids
 from repro.network.solve import _solve_cg, solve_sparse
 from repro.perf import (

@@ -1,7 +1,5 @@
 """Model B per-plane aggregates (coefficient-free Eq. (21) inputs)."""
 
-import math
-
 import pytest
 
 from repro import constants, paper_stack, paper_tsv

@@ -10,7 +10,6 @@ from repro.scenarios.results import ExperimentResult
 from repro.scenarios import (
     SCENARIOS,
     AxisSpec,
-    GeometryParams,
     GeometryRule,
     RunStore,
     ScenarioRegistry,

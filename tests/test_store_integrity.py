@@ -14,7 +14,16 @@ import pytest
 from repro import faults, perf
 from repro.errors import CorruptArtifactError
 from repro.perf import RetryPolicy, counter
-from repro.scenarios import AxisSpec, RunStore, ScenarioSpec, run_scenario, scrub
+from repro.scenarios import (
+    SCENARIOS,
+    AxisSpec,
+    RunStore,
+    ScenarioSpec,
+    run_batch,
+    run_scenario,
+    scrub,
+)
+from repro.scenarios.plan import CalibrationNode, CaseStudyNode, compile_plan
 from repro.scenarios.store import (
     ENVELOPE_KEY,
     ENVELOPE_PREFIX,
@@ -172,6 +181,26 @@ class TestReadSideHealing:
         assert KEY not in reopened
         assert reopened.get(KEY2) == {"experiment": {"v": 2}}
         assert scrub(root).clean  # no unindexed-object for the peer's run
+
+
+    @pytest.mark.parametrize(
+        "scenario, node_type, field",
+        [("case_study", CaseStudyNode, "title"), ("fig7", CalibrationNode, "k1")],
+    )
+    def test_wrong_shape_parent_point_heals_on_resume(
+        self, tmp_path, scenario, node_type, field
+    ):
+        # valid JSON under the node's key, but not the node's payload
+        spec = SCENARIOS.get(scenario).resolved(fast=True)
+        plan = compile_plan([spec], fast=True)
+        [key] = [k for k, n in plan.nodes.items() if isinstance(n, node_type)]
+        store = RunStore(tmp_path / "store")
+        store.put_point(key, {"kind": "something_else"})
+        batch = run_batch([scenario], store=store, resume=True, fast=True)
+        assert not batch.failures
+        assert batch.runs[0].result is not None
+        assert batch.stats["store"] == 0  # the bad point was not resumed...
+        assert field in store.get_point(key)  # ...but solved and re-written
 
 
 class TestBlameLedger:
