@@ -1,19 +1,25 @@
 #!/usr/bin/env python3
-"""Write the tolerance golden snapshot of the builtin scenarios.
+"""Write the golden snapshots of the builtin scenarios.
 
-Runs every registered builtin scenario with ``--fast`` semantics (no run
-store) and records the numeric leaves of its payload: one flat
-``{"path/to/leaf": value}`` map per scenario.  Wall-clock leaves
-(``runtimes_ms``, ``solve_time`` and the ``time [ms]`` column of table
-rows) are dropped, and so are strings and booleans.
+Two files, both written from cold runs without a run store:
 
-Byte digests would pin the last ulps of every solve, which a change of
-sparse ordering or BLAS legitimately moves; ``tests/test_golden.py``
-instead compares against this file at ``rtol=atol=1e-6``.
+* ``builtin_fast.json`` (the tolerance half): every builtin with
+  ``--fast`` semantics, reduced to the numeric leaves of its payload,
+  one flat ``{"path/to/leaf": value}`` map per scenario.  Strings and
+  booleans are dropped.  ``tests/test_golden.py`` compares against it at
+  ``rtol=atol=1e-6``, which survives a change of sparse ordering or BLAS.
+* ``builtin_digests.json`` (the byte half, ``--digests``): one blake2b
+  per builtin in fast and in full mode over the canonical JSON of its
+  payload, plus the environment that made them.  The last ulps of a solve
+  depend on that environment, so the test compares digests only where it
+  matches.
+
+Both drop the wall-clock leaves: ``runtimes_ms``, ``solve_time`` and the
+``time [ms]`` column of table rows.
 
 Usage (from the repo root):
 
-    PYTHONPATH=src python scripts/golden_snapshot.py [--out PATH]
+    PYTHONPATH=src python scripts/golden_snapshot.py [--digests] [--out PATH]
 
 Regenerate only when a change is *meant* to move the numbers, and say
 so where the change is recorded.
@@ -22,18 +28,42 @@ so where the change is recorded.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import platform
 import sys
 from pathlib import Path
 from typing import Any
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFAULT_OUT = ROOT / "tests" / "golden" / "builtin_fast.json"
+GOLDEN_DIR = ROOT / "tests" / "golden"
+DEFAULT_OUT = GOLDEN_DIR / "builtin_fast.json"
+DIGESTS_OUT = GOLDEN_DIR / "builtin_digests.json"
+MODES = ("fast", "full")
 
 #: payload keys whose values are wall-clock measurements
 TIMING_KEYS = frozenset({"runtimes_ms", "solve_time"})
 #: table-row column holding wall-clock time (dropped from every row)
 TIMING_COLUMN = "time [ms]"
+
+
+def drop_timings(node: Any) -> Any:
+    """``node`` without its wall-clock leaves (keys and table column)."""
+    if isinstance(node, dict):
+        return {k: drop_timings(v) for k, v in node.items() if k not in TIMING_KEYS}
+    if isinstance(node, (list, tuple)):
+        skip = None
+        if node and isinstance(node[0], (list, tuple)) and TIMING_COLUMN in node[0]:
+            skip = list(node[0]).index(TIMING_COLUMN)
+        return [
+            drop_timings(
+                [v for j, v in enumerate(item) if j != skip]
+                if skip is not None and isinstance(item, (list, tuple))
+                else item
+            )
+            for item in node
+        ]
+    return node
 
 
 def numeric_leaves(payload: Any) -> dict[str, float]:
@@ -43,21 +73,45 @@ def numeric_leaves(payload: Any) -> dict[str, float]:
     def walk(node: Any, path: str) -> None:
         if isinstance(node, dict):
             for key in sorted(node):
-                if key not in TIMING_KEYS:
-                    walk(node[key], f"{path}/{key}")
-        elif isinstance(node, (list, tuple)):
-            skip = None
-            if node and isinstance(node[0], (list, tuple)) and TIMING_COLUMN in node[0]:
-                skip = list(node[0]).index(TIMING_COLUMN)
+                walk(node[key], f"{path}/{key}")
+        elif isinstance(node, list):
             for i, item in enumerate(node):
-                if skip is not None and isinstance(item, (list, tuple)):
-                    item = [v for j, v in enumerate(item) if j != skip]
                 walk(item, f"{path}/{i}")
         elif isinstance(node, (int, float)) and not isinstance(node, bool):
             leaves[path] = float(node)
 
-    walk(payload, "")
+    walk(drop_timings(payload), "")
     return leaves
+
+
+def canonical_json(payload: Any) -> str:
+    """The canonical JSON of ``payload`` without its timings."""
+    return json.dumps(drop_timings(payload), sort_keys=True, separators=(",", ":"))
+
+
+def payload_digest(payload: Any) -> str:
+    """blake2b of :func:`canonical_json`."""
+    return hashlib.blake2b(canonical_json(payload).encode()).hexdigest()
+
+
+def environment() -> dict[str, Any]:
+    """What the last ulps of a solve depend on besides the code."""
+    import numpy
+    import scipy
+    from numpy._core._multiarray_umath import (
+        __cpu_baseline__,
+        __cpu_dispatch__,
+        __cpu_features__,
+    )
+
+    simd = [*__cpu_baseline__, *(f for f in __cpu_dispatch__ if __cpu_features__[f])]
+    return {
+        "python": "{}.{}".format(*sys.version_info[:2]),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "machine": platform.machine(),
+        "numpy_simd": simd,
+    }
 
 
 def builtin_ids() -> list[str]:
@@ -66,24 +120,54 @@ def builtin_ids() -> list[str]:
     return list(SCENARIOS.ids())
 
 
-def snapshot(scenario_id: str) -> dict[str, float]:
-    """The golden leaves of one builtin's ``--fast`` payload."""
+def cold_payload(scenario_id: str, mode: str) -> Any:
+    """One builtin's payload from a cold in-process run, JSON round-tripped
+    as the CLI's ``--output-dir`` writes it."""
+    from repro import perf
     from repro.scenarios import run_scenario
 
-    payload = run_scenario(scenario_id, fast=True).result.to_payload()
-    # the same JSON round trip the CLI's --output-dir applies
-    return numeric_leaves(json.loads(json.dumps(payload, default=str)))
+    perf.reset()
+    payload = run_scenario(scenario_id, fast=mode == "fast").result.to_payload()
+    return json.loads(json.dumps(payload, default=str))
+
+
+def snapshot(scenario_id: str) -> dict[str, float]:
+    """The golden leaves of one builtin's ``--fast`` payload."""
+    return numeric_leaves(cold_payload(scenario_id, "fast"))
+
+
+def digests() -> dict[str, Any]:
+    """The byte half: one digest per builtin and mode, and the environment."""
+    return {
+        "environment": environment(),
+        "digests": {
+            f"{sid}/{mode}": payload_digest(cold_payload(sid, mode))
+            for sid in builtin_ids()
+            for mode in MODES
+        },
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
+    parser.add_argument(
+        "--digests", action="store_true",
+        help=f"write the byte digests (default out: {DIGESTS_OUT.name})",
+    )
+    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
-    golden = {sid: snapshot(sid) for sid in builtin_ids()}
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    n = sum(len(v) for v in golden.values())
-    print(f"wrote {n} leaves of {len(golden)} scenarios to {args.out}")
+    if args.digests:
+        out = args.out or DIGESTS_OUT
+        golden = digests()
+        summary = f"{len(golden['digests'])} digests"
+    else:
+        out = args.out or DEFAULT_OUT
+        golden = {sid: snapshot(sid) for sid in builtin_ids()}
+        n = sum(len(v) for v in golden.values())
+        summary = f"{n} leaves of {len(golden)} scenarios"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {summary} to {out}")
     return 0
 
 

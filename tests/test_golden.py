@@ -1,12 +1,21 @@
-"""Tolerance golden snapshot of the builtin scenarios' ``--fast`` payloads.
+"""Golden snapshots of the builtin scenarios' payloads.
 
-``tests/golden/builtin_fast.json`` (written by
-``scripts/golden_snapshot.py``) holds every non-timing numeric leaf of
-the 9 builtins.  The comparison is at ``rtol=atol=1e-6``, not byte-exact:
-a change of sparse ordering or BLAS moves the last ulps of every FEM
-solve, and the least-squares refit of calibrated Model A amplifies that
-to ~1e-7, while a physics or model change moves these numbers by far
-more.
+Both files are written by ``scripts/golden_snapshot.py``.
+
+``tests/golden/builtin_fast.json`` holds every non-timing numeric leaf of
+the 9 builtins' ``--fast`` payloads.  The comparison is at
+``rtol=atol=1e-6``, not byte-exact: a change of sparse ordering or BLAS
+moves the last ulps of every FEM solve, and the least-squares refit of
+calibrated Model A amplifies that to ~1e-7, while a physics or model
+change moves these numbers by far more.
+
+``tests/golden/builtin_digests.json`` pins the bytes: one blake2b per
+builtin in fast and in full mode, taken from the eager one-sweep-at-a-time
+reference driver the planned path replaced.  They are compared only in
+the environment that made them (Python minor, numpy, scipy, machine,
+numpy's SIMD extensions); elsewhere that test skips and names what
+differs.  The tiers test runs everywhere: grouped and stacked dispatch
+must give the same bytes as one-point-at-a-time dispatch.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "builtin_fast.json"
+DIGESTS = json.loads((ROOT / "tests" / "golden" / "builtin_digests.json").read_text())
 
 
 def _load_snapshot_script():
@@ -79,4 +89,53 @@ def test_builtin_fast_matches_golden(scenario_id):
         rtol=1e-6,
         atol=1e-6,
         err_msg=f"{scenario_id} drifted from {GOLDEN.name}",
+    )
+
+
+def cold_planned(run_id: str, **tiers) -> dict:
+    """The payload of one cold planned run (``"<id>/<mode>"``).
+
+    Fails unless every plan node was solved in this run, so neither side
+    of a comparison is served from the other's cache.
+    """
+    from repro import perf
+    from repro.scenarios import run_batch
+
+    scenario_id, mode = run_id.split("/")
+    perf.reset()
+    batch = run_batch([scenario_id], fast=mode == "fast", **tiers)
+    assert batch.stats["solved"] == batch.stats["nodes_total"] > 0
+    if batch.runs[0].spec.kind != "case_study":  # a case study is no plan point
+        assert perf.stats()["counters"]["plan_point_solves"] > 0
+    return json.loads(json.dumps(batch.runs[0].result.to_payload(), default=str))
+
+
+def test_digests_cover_every_builtin_in_both_modes():
+    assert sorted(DIGESTS["digests"]) == sorted(
+        f"{sid}/{mode}"
+        for sid in golden_snapshot.builtin_ids()
+        for mode in golden_snapshot.MODES
+    )
+
+
+@pytest.mark.parametrize("run_id", sorted(DIGESTS["digests"]))
+def test_cold_planned_run_matches_eager_digest(run_id):
+    here = golden_snapshot.environment()
+    differ = [
+        f"{key} {here.get(key)} (digests: {want})"
+        for key, want in DIGESTS["environment"].items()
+        if here.get(key) != want
+    ]
+    if differ:
+        pytest.skip("digests were made elsewhere: " + "; ".join(differ))
+    got = golden_snapshot.payload_digest(cold_planned(run_id))
+    assert got == DIGESTS["digests"][run_id]
+
+
+@pytest.mark.parametrize("run_id", sorted(DIGESTS["digests"]))
+def test_batching_tiers_do_not_change_the_bytes(run_id):
+    tiers_on = cold_planned(run_id)
+    tiers_off = cold_planned(run_id, group_matrices=False, stack_batches=False)
+    assert golden_snapshot.canonical_json(tiers_on) == golden_snapshot.canonical_json(
+        tiers_off
     )
