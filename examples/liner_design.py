@@ -8,24 +8,24 @@ prints the ΔT table and ASCII figure, quantifies how badly the traditional
 Run:  python examples/liner_design.py
 """
 
-from repro import Model1D, ModelA, ModelB, PowerSpec, paper_stack, paper_tsv, sweep
-from repro.analysis import ascii_plot, export_series_csv, series_errors
-from repro.fem import FEMReference
-from repro.units import um
+from repro.analysis import ascii_plot, export_series_csv
+from repro.scenarios import AxisSpec, GeometryParams, ScenarioSpec, run_scenario
 
 
 def main() -> None:
-    stack = paper_stack(t_si_upper=um(45), t_ild=um(7), t_bond=um(1))
-    power = PowerSpec()
     liners_um = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
+    spec = ScenarioSpec(
+        scenario_id="liner_design",
+        title="Liner-thickness design study",
+        axis=AxisSpec(parameter="liner_um", values=tuple(liners_um)),
+        geometry=GeometryParams(t_si_upper_um=45.0, t_ild_um=7.0, t_bond_um=1.0),
+        models=("a", "b:100", "1d"),
+        reference="fem:medium",
+        calibrate=False,
+    )
+    result = run_scenario(spec).result
 
-    def configure(liner_um: float):
-        return stack, paper_tsv(radius=um(5), liner_thickness=um(liner_um)), power
-
-    models = [ModelA(), ModelB(100), Model1D(), FEMReference("medium")]
-    result = sweep("liner [um]", liners_um, models, configure)
-
-    series = {name: result.series(name) for name in result.model_names}
+    series = result.series
     print(ascii_plot(liners_um, series, x_label="liner thickness [um]",
                      y_label="max ΔT [°C]"))
     print()
@@ -35,7 +35,7 @@ def main() -> None:
     print(f"FEM ΔT spread across the liner range: {spread:.1f} % "
           f"({max(fem) - min(fem):.1f} °C)  [paper: up to 11 %, ≈ 4 °C]")
     for name in ("model_a", "model_b(100)", "model_1d"):
-        err = series_errors(series[name], fem)
+        err = result.errors[name]
         print(f"{name:>13}: avg {err.avg_error * 100.0:.1f} % / "
               f"max {err.max_error * 100.0:.1f} % vs FEM")
 

@@ -98,13 +98,16 @@ def environment() -> dict[str, Any]:
     """What the last ulps of a solve depend on besides the code."""
     import numpy
     import scipy
-    from numpy._core._multiarray_umath import (
-        __cpu_baseline__,
-        __cpu_dispatch__,
-        __cpu_features__,
-    )
 
-    simd = [*__cpu_baseline__, *(f for f in __cpu_dispatch__ if __cpu_features__[f])]
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+
+    simd = [
+        *umath.__cpu_baseline__,
+        *(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]),
+    ]
     return {
         "python": "{}.{}".format(*sys.version_info[:2]),
         "numpy": numpy.__version__,
@@ -120,15 +123,22 @@ def builtin_ids() -> list[str]:
     return list(SCENARIOS.ids())
 
 
-def cold_payload(scenario_id: str, mode: str) -> Any:
-    """One builtin's payload from a cold in-process run, JSON round-tripped
-    as the CLI's ``--output-dir`` writes it."""
+def cold_payload(scenario_id: str, mode: str, **options: Any) -> Any:
+    """One builtin's payload from a cold in-process run.
+
+    ``options`` go to :func:`repro.scenarios.run_batch`.  The payload is
+    JSON round-tripped as the CLI's ``--output-dir`` writes it.  Raises
+    unless every plan node was solved in this run, none taken from a
+    cache.
+    """
     from repro import perf
-    from repro.scenarios import run_scenario
+    from repro.scenarios import run_batch
 
     perf.reset()
-    payload = run_scenario(scenario_id, fast=mode == "fast").result.to_payload()
-    return json.loads(json.dumps(payload, default=str))
+    batch = run_batch([scenario_id], fast=mode == "fast", **options)
+    if not batch.stats["solved"] == batch.stats["nodes_total"] > 0:
+        raise RuntimeError(f"{scenario_id}/{mode} was not solved cold: {batch.stats}")
+    return json.loads(json.dumps(batch.runs[0].result.to_payload(), default=str))
 
 
 def snapshot(scenario_id: str) -> dict[str, float]:

@@ -28,7 +28,6 @@ __getattr__, __dir__ = lazy_exports(
             "ThermalTSVModel",
             "make_model",
             "solve_three_plane_closed_form",
-            "sweep",
         ),
         ".geometry": (
             "TSV",
@@ -60,7 +59,6 @@ __all__ = [
     "SegmentScheme",
     "make_model",
     "solve_three_plane_closed_form",
-    "sweep",
     "SweepResult",
     # geometry
     "Layer",

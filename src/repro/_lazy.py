@@ -11,7 +11,7 @@ run's hit adds numpy for its trajectories).
 
 One trap comes with laziness: importing a submodule binds it as an
 attribute of its package.  A package that re-exports a function under its
-own submodule's name (``repro.perf.stats``, ``repro.core.sweep``,
+own submodule's name (``repro.perf.stats``,
 ``repro.analysis.ascii_plot``, ``repro.analysis.sensitivity``) must
 therefore import that submodule eagerly, so the function is bound after
 the module and stays bound.  Those submodules are kept light for that

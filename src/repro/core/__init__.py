@@ -1,11 +1,6 @@
-"""Core analytical models: Model A, Model B, the 1-D baseline, sweeps."""
+"""Core analytical models: Model A, Model B, the 1-D baseline, sweep results."""
 
 from .._lazy import lazy_exports
-
-# eager: the re-exported ``sweep`` function shares its submodule's name,
-# and binding it here keeps a later ``import repro.core.sweep`` from
-# rebinding the package attribute to the module (core.sweep is light)
-from .sweep import SweepPoint, SweepResult, sweep
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
@@ -19,6 +14,7 @@ __getattr__, __dir__ = lazy_exports(
         ".nonlinear": ("NonlinearSolver",),
         ".result": ("ModelResult", "NonlinearResult"),
         ".segments": ("SegmentScheme",),
+        ".sweep": ("SweepPoint", "SweepResult"),
     },
 )
 
@@ -35,7 +31,6 @@ __all__ = [
     "build_model_b_circuit",
     "solve_three_plane_closed_form",
     "make_model",
-    "sweep",
     "SweepResult",
     "SweepPoint",
     "NonlinearSolver",

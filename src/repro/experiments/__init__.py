@@ -1,5 +1,5 @@
-"""Experiments: the paper's parameters and facts, the sweep harness the
-reference path uses, the case study and the EXPERIMENTS.md renderer."""
+"""Experiments: the paper's parameters and facts, the experiment assembly
+the planned path uses, the case study and the EXPERIMENTS.md renderer."""
 
 from .._lazy import lazy_exports
 
@@ -7,7 +7,6 @@ __getattr__, __dir__ = lazy_exports(
     __name__,
     globals(),
     {
-        ".harness": ("run_sweep_experiment",),
         ".runner": ("render_markdown",),
     },
     submodules=(
@@ -18,7 +17,6 @@ __getattr__, __dir__ = lazy_exports(
 )
 
 __all__ = [
-    "run_sweep_experiment",
     "render_markdown",
     "table1_segments",
     "case_study",

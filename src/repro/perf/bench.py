@@ -80,15 +80,14 @@ def _series_identical(a: Any, b: Any) -> bool:
 def bench_fig7_sweep(jobs: int, repeats: int) -> dict[str, Any]:
     """The Fig. 7 cluster sweep: serial cold, parallel cold, cache-warm.
 
-    Timed on the eager reference path (``harness.run_sweep_experiment`` →
-    ``core.sweep.sweep``), which dispatches every point in one executor
-    call; the planned path builds a process pool per scheduler wave.
+    Timed through :func:`~repro.scenarios.run_scenario` without a store,
+    so a cold run is plan compile, solve and assembly.
     """
-    from ..scenarios.runner import _run_scenario_eager
+    from ..scenarios import run_scenario
     from .executors import get_executor
 
     def run(n_jobs: int = 1):
-        return _run_scenario_eager(
+        return run_scenario(
             "fig7", executor=get_executor(n_jobs), fem_resolution="medium"
         ).result
 
@@ -228,15 +227,15 @@ def bench_batch_dedup(repeats: int) -> dict[str, Any]:
     Both scenarios sweep the same axis against the same FEM reference with
     the same calibration policy and differ only in their model lists, so
     the reference solves, the coefficient fit and the calibrated-model
-    solves are all shared.  The eager baseline runs them one at a time;
-    the planned path compiles them into one merged graph and solves each
-    shared node exactly once.  The result cache is disabled for both
-    measurements — it would amortise the shared solves in-process and
-    hide the *structural* dedup this benchmark isolates (the regime that
-    matters under cache pressure and across processes).
+    solves are all shared.  The baseline (``batch_dedup_eager``) runs them
+    one at a time, one plan each; the batched path compiles them into one
+    merged graph and solves each shared node exactly once.  The result
+    cache is disabled for both measurements — it would amortise the
+    shared solves in-process and hide the *structural* dedup this
+    benchmark isolates (the regime that matters under cache pressure and
+    across processes).
     """
-    from ..scenarios import AxisSpec, ScenarioSpec, run_batch
-    from ..scenarios.runner import _run_scenario_eager
+    from ..scenarios import AxisSpec, ScenarioSpec, run_batch, run_scenario
 
     def specs() -> list[ScenarioSpec]:
         base: dict[str, Any] = {
@@ -256,9 +255,9 @@ def bench_batch_dedup(repeats: int) -> dict[str, Any]:
             ),
         ]
 
-    def eager():
+    def one_at_a_time():
         perf_cache.reset()
-        return [_run_scenario_eager(s) for s in specs()]
+        return [run_scenario(s) for s in specs()]
 
     def planned():
         perf_cache.reset()
@@ -266,7 +265,7 @@ def bench_batch_dedup(repeats: int) -> dict[str, Any]:
 
     perf_cache.configure(result_cache_size=0)
     try:
-        eager_median, eager_times, eager_runs = _time(eager, repeats)
+        single_median, single_times, single_runs = _time(one_at_a_time, repeats)
         planned_median, planned_times, batch = _time(planned, repeats)
     finally:
         perf_cache.configure(
@@ -274,13 +273,13 @@ def bench_batch_dedup(repeats: int) -> dict[str, Any]:
         )
     point_solves = stats_snapshot()["counters"].get("plan_point_solves", 0)
     identical = all(
-        run.result.series == eager_run.result.series
-        and run.result.errors == eager_run.result.errors
-        for run, eager_run in zip(batch.runs, eager_runs)
+        run.result.series == single.result.series
+        and run.result.errors == single.result.errors
+        for run, single in zip(batch.runs, single_runs)
     )
     return {
         "benchmarks": {
-            "batch_dedup_eager": _entry(eager_median, eager_times),
+            "batch_dedup_eager": _entry(single_median, single_times),
             "batch_dedup_planned": _entry(
                 planned_median,
                 planned_times,
@@ -289,7 +288,7 @@ def bench_batch_dedup(repeats: int) -> dict[str, Any]:
             ),
         },
         "speedups": {
-            "batch_dedup_planned_vs_eager": eager_median / planned_median,
+            "batch_dedup_planned_vs_eager": single_median / planned_median,
         },
         "checks": {
             "batch_dedup_identical": identical,
@@ -315,7 +314,7 @@ def _multi_rhs_plan(k: int = 48):
     from ..experiments.params import fig5_config
     from ..fem import FEMReference
     from ..scenarios.plan import ExecutionPlan, SolveNode
-    from .memo import solve_key
+    from .keys import solve_key
 
     cfg = fig5_config(1.0)
     model = FEMReference("coarse")
@@ -326,7 +325,6 @@ def _multi_rhs_plan(k: int = 48):
         plan.add(
             SolveNode(
                 key=solve_key(model, cfg.stack, cfg.via, power),
-                value=None,
                 stack=cfg.stack,
                 via=cfg.via,
                 power=power,
@@ -431,7 +429,7 @@ def _stacked_plan(k: int = 1000):
     from ..core.model_a import ModelA
     from ..experiments.params import fig5_config
     from ..scenarios.plan import ExecutionPlan, SolveNode
-    from .memo import solve_key
+    from .keys import solve_key
 
     cfg = fig5_config(1.0)
     model = ModelA()
@@ -441,7 +439,6 @@ def _stacked_plan(k: int = 1000):
         plan.add(
             SolveNode(
                 key=solve_key(model, cfg.stack, via, cfg.power),
-                value=None,
                 stack=cfg.stack,
                 via=via,
                 power=cfg.power,

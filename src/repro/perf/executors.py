@@ -1,12 +1,12 @@
-"""Pluggable sweep execution: serial today, process-parallel when asked.
+"""Pluggable plan execution: serial by default, process-parallel when asked.
 
-The sweep engine and the execution-plan scheduler hand an executor a list
-of work specs and consume ``(task, result)`` pairs as they complete; each
-task carries the index its caller merges it back by.  Three task shapes
+The execution-plan scheduler hands an executor a list of work specs and
+consumes ``(task, result)`` pairs as they complete; each task carries the
+index the scheduler maps it back to its plan nodes by.  Three task shapes
 exist:
 
 * :class:`PointTask` — one sweep point's worth of solves (one geometry,
-  several models), the historical unit of dispatch;
+  several models);
 * :class:`MatrixGroupTask` — one *matrix group*: a single model solved at
   one geometry under many power specs.  The members share the exact
   system matrix (see
@@ -21,12 +21,12 @@ exist:
   single batched ``(m, n, n)`` LAPACK call instead of m Python-level
   round-trips.
 
-:class:`SerialExecutor` is the default and reproduces the historical
-strictly-serial loop bit-for-bit; :class:`ParallelExecutor` fans tasks out
-over a ``ProcessPoolExecutor`` with chunked dispatch.  Work specs carry
-plain dataclass geometry and the model instances themselves, all of which
-pickle cleanly; the configure callback (often a closure) is evaluated in
-the parent before dispatch, so it never crosses the process boundary.
+:class:`SerialExecutor` is the default and solves tasks in order in this
+process; :class:`ParallelExecutor` fans them out over a
+``ProcessPoolExecutor`` with chunked dispatch.  Work specs carry plain
+dataclass geometry and the model instances themselves, all of which
+pickle cleanly; a scenario's configure callback (often a closure) runs
+when the plan is compiled, so it never crosses the process boundary.
 
 Determinism: every model solve is deterministic and batched solves are
 bit-identical to per-point solves, so serial, parallel, grouped and
@@ -65,15 +65,15 @@ from .stats import increment
 class PointTask:
     """One sweep point's worth of solves, picklable for dispatch.
 
-    ``index`` is the point's position in the sweep (used by the caller to
-    merge results back); ``models`` holds only the models whose results
-    were not already cached.  ``attempt`` is the retry round that
-    dispatched this task — it does not affect the solve, but gives every
-    retry an independent fault-injection draw (see :mod:`repro.faults`).
+    ``index`` is the task's position in the scheduler's unit list (used to
+    map results back to plan nodes); ``models`` holds only the models
+    whose results were not already cached.  ``attempt`` is the retry
+    round that dispatched this task — it does not affect the solve, but
+    gives every retry an independent fault-injection draw (see
+    :mod:`repro.faults`).
     """
 
     index: int
-    value: Any
     stack: Any
     via: Any
     power: Any
@@ -213,13 +213,19 @@ class SweepExecutor(abc.ABC):
 
 
 class SerialExecutor(SweepExecutor):
-    """The default in-process loop — identical to the historical sweep."""
+    """The default: every task in order, in this process."""
 
     def submit_stream(
         self, tasks: Iterable[SweepTask], *, timeout_s: float | None = None
     ) -> Iterator[tuple[SweepTask, Any]]:
         for task in tasks:
             yield task, solve_work_safe(task, timeout_s)
+
+
+#: dispatch messages per worker a task list is split into
+CHUNKS_PER_WORKER = 2
+#: broken pools a stream rebuilds before running the rest in-parent
+MAX_POOL_REBUILDS = 3
 
 
 def _pool(workers: int) -> ProcessPoolExecutor:
@@ -235,19 +241,11 @@ def _pool(workers: int) -> ProcessPoolExecutor:
 class ParallelExecutor(SweepExecutor):
     """Process-pool execution with chunked dispatch.
 
-    Parameters
-    ----------
-    jobs:
-        Worker process count; defaults to the machine's CPU count.
-    chunksize:
-        Tasks per dispatch message; default splits the task list into
-        roughly two chunks per worker to amortise pickling overhead.
-        A :class:`MatrixGroupTask` counts as one task but carries a whole
-        group — its shared payload is pickled once however the chunks
-        fall.
-    max_pool_rebuilds:
-        How many broken pools :meth:`submit_stream` rebuilds before
-        degrading to in-parent execution of whatever is left.
+    ``jobs`` is the worker process count; it defaults to the machine's
+    CPU count.  The task list goes out in :data:`CHUNKS_PER_WORKER`
+    chunks per worker to amortise pickling overhead; a
+    :class:`MatrixGroupTask` counts as one task but carries a whole
+    group, so its shared payload is pickled once however the chunks fall.
 
     Worker exceptions (bad geometry, singular systems) come back as
     :class:`~repro.perf.retry.TaskFailure` results exactly as in serial
@@ -255,24 +253,10 @@ class ParallelExecutor(SweepExecutor):
     warning instead of failing the sweep.
     """
 
-    def __init__(
-        self,
-        jobs: int | None = None,
-        *,
-        chunksize: int | None = None,
-        max_pool_rebuilds: int = 3,
-    ) -> None:
+    def __init__(self, jobs: int | None = None) -> None:
         if jobs is not None and jobs < 1:
             raise ValidationError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs or os.cpu_count() or 1
-        if chunksize is not None and chunksize < 1:
-            raise ValidationError(f"chunksize must be >= 1, got {chunksize}")
-        self.chunksize = chunksize
-        if max_pool_rebuilds < 0:
-            raise ValidationError(
-                f"max_pool_rebuilds must be >= 0, got {max_pool_rebuilds}"
-            )
-        self.max_pool_rebuilds = max_pool_rebuilds
 
     def _split_groups(self, tasks: list[SweepTask]) -> list[SweepTask]:
         """Split large batch tasks into per-worker sub-blocks.
@@ -334,8 +318,8 @@ class ParallelExecutor(SweepExecutor):
         *unacknowledged* chunks are resubmitted — one task per dispatch on
         the rebuilt pool, so a deterministic crasher can take down at most
         one task's worth of innocents per death.  After
-        ``max_pool_rebuilds`` deaths the remainder runs in-parent, where a
-        crash becomes a capturable
+        :data:`MAX_POOL_REBUILDS` deaths the remainder runs in-parent,
+        where a crash becomes a capturable
         :class:`~repro.errors.WorkerCrashError` instead of a dead pool.
         Pool deaths are counted as ``pool_rebuilds`` in
         :func:`repro.perf.stats`.
@@ -347,7 +331,7 @@ class ParallelExecutor(SweepExecutor):
             yield from SerialExecutor().submit_stream(tasks, timeout_s=timeout_s)
             return
         workers = min(self.jobs, len(tasks))
-        chunk = self.chunksize or max(1, math.ceil(len(tasks) / (workers * 2)))
+        chunk = max(1, math.ceil(len(tasks) / (workers * CHUNKS_PER_WORKER)))
         pending: dict[int, list[SweepTask]] = {
             i: tasks[start : start + chunk]
             for i, start in enumerate(range(0, len(tasks), chunk))
@@ -372,7 +356,7 @@ class ParallelExecutor(SweepExecutor):
                 n_left = sum(len(c) for c in pending.values())
                 if (
                     isinstance(exc, pickle.PicklingError)
-                    or deaths > self.max_pool_rebuilds
+                    or deaths > MAX_POOL_REBUILDS
                 ):
                     warnings.warn(
                         f"worker pool died {deaths} time(s) ({exc}); running "

@@ -53,9 +53,9 @@ def calibration_key(
 ) -> str | None:
     """Identity of one coefficient fit: reference config + sample solves.
 
-    The same formula keys the execution plan's CalibrationNode and the
-    eager path's fit, so both address one result-cache entry (see
-    :func:`calibration_fit_key`).  ``sample_keys`` are the reference
+    It keys the execution plan's CalibrationNode, and
+    :func:`calibration_fit_key` derives the fit's result-cache entry from
+    it.  ``sample_keys`` are the reference
     solve keys at the calibration samples, in sample order; any missing
     piece (unpicklable model) disables the identity.
     """

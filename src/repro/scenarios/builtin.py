@@ -4,9 +4,9 @@ Figures 4–7, Table I and the case study are nothing but six
 :class:`~repro.scenarios.spec.ScenarioSpec` instances — the geometry and
 sweep values come straight from the captions (the block geometries
 mirror :mod:`repro.experiments.params`).  ``python -m repro fig4`` (and
-the other paper ids) runs them; ``tests/test_plan.py`` pins the planned
-results to the eager reference path, and ``tests/test_experiments.py``
-checks them against the paper's claims.
+the other paper ids) runs them; ``tests/test_golden.py`` pins their
+payloads, and ``tests/test_experiments.py`` checks them against the
+paper's claims.
 """
 
 from __future__ import annotations

@@ -20,9 +20,9 @@ amortize-shared-structure win; counted as ``plan_nodes_deduped`` in
 :func:`repro.perf.stats`).  The :mod:`~repro.scenarios.scheduler`
 topologically executes the merged graph; :func:`assemble_scenario` then
 rebuilds each scenario's :class:`~repro.scenarios.results.ExperimentResult`
-from the executed nodes through the exact same assembly code the eager
-path uses (:func:`repro.experiments.harness.assemble_experiment`), so the
-planned and eager paths produce byte-identical payloads.
+from the executed nodes (:func:`repro.experiments.harness.assemble_experiment`).
+``tests/golden/builtin_digests.json`` pins the bytes of every builtin's
+payload.
 """
 
 from __future__ import annotations
@@ -155,7 +155,6 @@ class SolveNode:
     """
 
     key: str
-    value: Any
     stack: Any
     via: Any
     power: Any
@@ -220,7 +219,6 @@ class TransientNode:
     """
 
     key: str
-    value: Any
     stack: Any
     via: Any
     power: Any
@@ -252,7 +250,6 @@ class NonlinearNode:
     """
 
     key: str
-    value: Any
     stack: Any
     via: Any
     power: Any
@@ -379,7 +376,7 @@ def _compile_sweep(plan: ExecutionPlan, spec: ScenarioSpec, *, fast: bool) -> No
     models = [make_model(m) for m in spec.models]
     model_names = [m.name for m in models]
     if spec.calibrate:
-        # same report slot the eager path uses: right after the first model
+        # the report slot of the calibrated model: right after the first one
         model_names.insert(min(1, len(model_names)), CALIBRATED_MODEL_NAME)
     all_names = [*model_names, reference.name]
     if len(set(all_names)) != len(all_names):
@@ -391,7 +388,6 @@ def _compile_sweep(plan: ExecutionPlan, spec: ScenarioSpec, *, fast: bool) -> No
             key = plan.add(
                 SolveNode(
                     key=_solve_node_key(plan, model, stack, via, power),
-                    value=None,
                     stack=stack,
                     via=via,
                     power=power,
@@ -410,8 +406,7 @@ def _compile_sweep(plan: ExecutionPlan, spec: ScenarioSpec, *, fast: bool) -> No
         samples = tuple(points[i] for i in sample_idx)
         # opaque sample keys are compile-local (and can repeat their
         # counter across compiles), so a fit depending on one must get an
-        # opaque key too — the shared calibration_key formula also keys
-        # the fit's result-cache entry on the eager path
+        # opaque key too
         cal_key = calibration_key(
             model_key(reference),
             tuple(k if is_content_key(k) else None for k in sample_keys),
@@ -433,7 +428,6 @@ def _compile_sweep(plan: ExecutionPlan, spec: ScenarioSpec, *, fast: bool) -> No
             key = plan.add(
                 SolveNode(
                     key=point_key or plan.next_opaque_key(CALIBRATED_MODEL_NAME),
-                    value=None,
                     stack=stack,
                     via=via,
                     power=power,
@@ -536,7 +530,6 @@ def _compile_transient(
             key = plan.add(
                 TransientNode(
                     key=_solve_node_key(plan, adapter, stack, via, drive),
-                    value=None,
                     stack=stack,
                     via=via,
                     power=drive,
@@ -577,7 +570,6 @@ def _compile_nonlinear(
             linear_key = plan.add(
                 SolveNode(
                     key=_solve_node_key(plan, inner, stack, via, power),
-                    value=None,
                     stack=stack,
                     via=via,
                     power=power,
@@ -599,7 +591,6 @@ def _compile_nonlinear(
             key = plan.add(
                 NonlinearNode(
                     key=nl_key or plan.next_opaque_key(name),
-                    value=None,
                     stack=stack,
                     via=via,
                     power=power,
@@ -623,8 +614,8 @@ def compile_plan(
 
     ``specs`` must already be :meth:`~ScenarioSpec.resolved` — the plan
     reflects exactly what runs.  ``fast`` is only recorded into result
-    metadata (the eager path records the same flag); the fast value
-    subsets themselves were folded in by ``resolved``.
+    metadata; the fast value subsets themselves were folded in by
+    ``resolved``.
     """
     plan = ExecutionPlan()
     for spec in specs:
@@ -642,7 +633,7 @@ def compile_plan(
 
 
 # ---------------------------------------------------------------------------
-# case-study execution (shared by the scheduler and the eager runner)
+# case-study execution
 # ---------------------------------------------------------------------------
 def run_case_study_spec(spec: ScenarioSpec):
     """Run a resolved case-study spec through :func:`experiments.case_study.run`."""
@@ -676,10 +667,10 @@ def assemble_scenario(
 ) -> Any:
     """Rebuild one scenario's result from the executed plan nodes.
 
-    Sweeps go through the exact assembly code the eager path uses
-    (:func:`~repro.experiments.harness.assemble_experiment` on a
-    re-keyed :class:`~repro.core.sweep.SweepResult`), so a planned run's
-    payload is byte-identical to an eager run's.  Physics scenarios
+    Sweeps go through
+    :func:`~repro.experiments.harness.assemble_experiment` on a re-keyed
+    :class:`~repro.core.sweep.SweepResult`, so the payload does not depend
+    on the order the nodes were solved in.  Physics scenarios
     (transient/nonlinear) collect their per-point results into the
     matching experiment container; case studies return their node's
     result directly.

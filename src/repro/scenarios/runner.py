@@ -10,19 +10,19 @@ content-keyed point/calibration/reference nodes, deduplicated across
 scenarios — which the :mod:`~repro.scenarios.scheduler` streams over the
 pluggable :class:`repro.perf.SweepExecutor` engine.  Per-scenario
 :class:`~repro.scenarios.results.ExperimentResult`\\ s are then
-reassembled from the executed nodes, byte-identically to the historical
-eager path (kept here as :func:`_run_sweep_eager` and pinned by the
-equivalence tests).
+reassembled from the executed nodes.  This is the only way a scenario
+runs; ``tests/golden/builtin_digests.json`` pins the bytes of every
+builtin's payload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from ..perf.retry import DEFAULT_RETRY, NodeFailure, RetryPolicy
 from .registry import SCENARIOS
-from .results import ExperimentResult, StoredCaseStudy, result_from_store_payload
+from .results import StoredCaseStudy, result_from_store_payload
 from .spec import ScenarioSpec
 
 if TYPE_CHECKING:
@@ -82,84 +82,6 @@ class BatchRun:
     runs: tuple[ScenarioRun, ...]
     stats: dict[str, int] = field(default_factory=dict)
     failures: tuple[NodeFailure, ...] = ()
-
-
-def _run_sweep_eager(
-    spec: ScenarioSpec, *, executor: SweepExecutor | None, fast: bool, key: str
-) -> ExperimentResult:
-    """The historical one-scenario-at-a-time path (pre-plan-compiler).
-
-    Kept as the reference implementation: the equivalence tests assert the
-    plan-compiled path produces byte-identical payloads to this.
-    """
-    from ..core.factory import make_model
-    from ..experiments.harness import calibrated_model_a, run_sweep_experiment
-    from ..experiments.table1_segments import rows_from_fig5
-    from .plan import _configurator
-
-    axis = spec.axis
-    configure = _configurator(spec)
-    reference = make_model(spec.reference)
-    models = [make_model(m) for m in spec.models]
-    if spec.calibrate:
-        # right after the first model, the slot the planned path uses too
-        models.insert(
-            min(1, len(models)),
-            calibrated_model_a(
-                axis.values, configure, reference, n_samples=spec.calibration_samples
-            ),
-        )
-    result = run_sweep_experiment(
-        experiment_id=spec.scenario_id,
-        title=spec.title,
-        x_label=axis.x_label,
-        values=list(axis.values),
-        configure=configure,
-        models=models,
-        reference=reference,
-        executor=executor,
-        metadata={**dict(spec.metadata), "fast": fast, "spec_hash": key},
-    )
-    if spec.postprocess == "table1":
-        metadata = dict(result.metadata)
-        metadata["table_rows"] = rows_from_fig5(result)
-        result = replace(result, metadata=metadata)
-    return result
-
-
-def _run_scenario_eager(
-    spec: ScenarioSpec | str,
-    *,
-    executor: SweepExecutor | None = None,
-    store: RunStore | None = None,
-    fast: bool = False,
-    fem_resolution: str | None = None,
-    calibrate: bool | None = None,
-) -> ScenarioRun:
-    """The pre-plan-compiler :func:`run_scenario` (reference for tests)."""
-    if isinstance(spec, str):
-        spec = SCENARIOS.get(spec)
-    spec = spec.resolved(fast=fast, fem_resolution=fem_resolution, calibrate=calibrate)
-    key = spec.content_hash()
-    if store is not None:
-        payload = store.get(key)
-        if payload is not None:
-            result: Any = result_from_store_payload(spec, payload)
-            return ScenarioRun(spec=spec, key=key, result=result, from_store=True)
-    from .physics import run_nonlinear_spec_direct, run_transient_spec_direct
-    from .plan import run_case_study_spec
-
-    if spec.kind == "case_study":
-        result = run_case_study_spec(spec)
-    elif spec.kind == "transient":
-        result = run_transient_spec_direct(spec, fast=fast)
-    elif spec.kind == "nonlinear":
-        result = run_nonlinear_spec_direct(spec, fast=fast)
-    else:
-        result = _run_sweep_eager(spec, executor=executor, fast=fast, key=key)
-    if store is not None:
-        store.put(key, result.to_payload(), spec)
-    return ScenarioRun(spec=spec, key=key, result=result, from_store=False)
 
 
 def run_batch(
@@ -243,8 +165,7 @@ def run_batch(
 
         # assemble and store each scenario the moment its last node lands,
         # so a batch that fails on scenario N still keeps every finished
-        # scenario's run-level artifact (same incremental behaviour as the
-        # pre-plan one-at-a-time loop)
+        # scenario's run-level artifact
         node_results: dict[str, Any] = {}
         pending: list[tuple[int, ScenarioSpec, Any, set[str]]] = []
         for (i, spec), entry in zip(to_plan, plan.scenarios):
@@ -339,8 +260,7 @@ def run_scenario(
     ``store``, a hash hit returns the stored payload — reconstructed into
     an :class:`ExperimentResult` for sweeps — without solving anything; a
     miss compiles the spec into a single-scenario execution plan (see
-    :func:`run_batch`), whose assembled payload is byte-identical to the
-    historical eager path.  ``executor`` picks the sweep execution
+    :func:`run_batch`).  ``executor`` picks the sweep execution
     strategy (serial default; the CLI's ``--jobs N`` passes a
     :class:`~repro.perf.ParallelExecutor`); ``resume`` reuses stored
     point-level artifacts from an interrupted earlier run.

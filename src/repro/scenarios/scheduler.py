@@ -83,7 +83,6 @@ from ..perf import (
     result_cache,
     solve_key,
 )
-from ..perf.memo import memoized_fit
 from ..perf.retry import (
     DEFAULT_RETRY,
     PROPAGATE_TYPES,
@@ -314,7 +313,6 @@ def _tasks(
         tasks.append(
             PointTask(
                 index=i,
-                value=node.value,
                 stack=node.stack,
                 via=node.via,
                 power=node.power,
@@ -513,18 +511,25 @@ def _fit_calibration(
     """``(fit, from_cache)`` for a calibration node whose samples landed.
 
     The node key IS the fit identity (reference config + sample solve
-    keys), so the fit memoizes under a key derived from it and repeated
-    in-process batches skip the least-squares fit too.
+    keys), so the finished fit (the full ``CalibrationResult``) is kept in
+    the result cache under a key derived from it, and repeated in-process
+    batches skip the least-squares fit too (``calibration_fit_hits`` /
+    ``_misses``).  The fit is deterministic, so a hit returns identical
+    coefficients.
     """
     fit_key = calibration_fit_key(node.key) if is_content_key(node.key) else None
-
-    def compute():
-        targets = [results[k].max_rise for k in node.sample_keys]
-        fit = fit_coefficients(list(node.samples), None, targets=targets)
-        increment("plan_calibrations")
-        return fit
-
-    return memoized_fit(fit_key, compute)
+    fit = result_cache.get(fit_key) if fit_key is not None else None
+    if fit is not None:
+        increment("calibration_fit_hits")
+        return fit, True
+    if fit_key is not None:
+        increment("calibration_fit_misses")
+    targets = [results[k].max_rise for k in node.sample_keys]
+    fit = fit_coefficients(list(node.samples), None, targets=targets)
+    increment("plan_calibrations")
+    if fit_key is not None:
+        result_cache.put(fit_key, fit)
+    return fit, False
 
 
 def execute_plan(

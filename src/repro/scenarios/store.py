@@ -47,7 +47,7 @@ record per plan node that has crashed its executor, counted across every
 cooperating worker (and across supervisor respawns).  The scheduler
 consults it to force-degrade repeat offenders to solo dispatch and to
 quarantine them outright before each worker burns its own
-``max_pool_rebuilds`` on the same poison unit.
+``MAX_POOL_REBUILDS`` on the same poison unit.
 
 Hits and misses are counted into :func:`repro.perf.stats` under
 ``run_store_hits`` / ``run_store_misses`` and ``point_store_hits`` /

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
 from repro import PowerSpec, TSV, paper_stack, paper_tsv
 from repro.resistances import FittingCoefficients
+from repro.scenarios import AxisSpec, GeometryParams, ScenarioSpec
 from repro.units import um
+
+ROOT = Path(__file__).resolve().parents[1]
+DIGESTS = ROOT / "tests" / "golden" / "builtin_digests.json"
 
 
 @pytest.fixture()
@@ -36,3 +44,81 @@ def block_power() -> PowerSpec:
 @pytest.fixture()
 def paper_fit() -> FittingCoefficients:
     return FittingCoefficients.paper_block()
+
+
+@pytest.fixture()
+def block_sweep():
+    """Make an uncalibrated radius sweep (values in um) on the Fig. 5 block.
+
+    The geometry is that of ``block_stack`` and ``block_tsv``.  The
+    reference is solved at every point like any model, so it may be any
+    model spec whose name differs from the models'.
+    """
+
+    def make(models, values=(2.0, 5.0, 10.0), *, reference="1d"):
+        return ScenarioSpec(
+            scenario_id="block_sweep",
+            title="Block radius sweep",
+            axis=AxisSpec(parameter="radius_um", values=tuple(values)),
+            geometry=GeometryParams(t_ild_um=7.0, liner_um=1.0),
+            models=tuple(models),
+            reference=reference,
+            calibrate=False,
+        )
+
+    return make
+
+
+@pytest.fixture(scope="session")
+def golden_snapshot():
+    """``scripts/golden_snapshot.py`` loaded as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "golden_snapshot", ROOT / "scripts" / "golden_snapshot.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture()
+def cold_planned(golden_snapshot):
+    """Run a builtin (``"<id>/<mode>"``) cold; return its payload.
+
+    See ``golden_snapshot.cold_payload``: every plan node must be solved
+    in the run, so neither side of a comparison is served from the
+    other's cache.
+    """
+    from repro import perf
+
+    def run(run_id, **options):
+        scenario_id, mode = run_id.split("/")
+        payload = golden_snapshot.cold_payload(scenario_id, mode, **options)
+        if scenario_id != "case_study":  # the case study is no plan point
+            assert perf.stats()["counters"]["plan_point_solves"] > 0
+        return payload
+
+    return run
+
+
+@pytest.fixture()
+def eager_digest(golden_snapshot):
+    """Look up the eager reference path's digest of ``"<id>/<mode>"``.
+
+    The digests were recorded before that path was deleted.  Outside the
+    environment that recorded them the lookup skips the test and names
+    the fields that differ.
+    """
+    recorded = json.loads(DIGESTS.read_text())
+    here = golden_snapshot.environment()
+    differ = [
+        f"{key} {here.get(key)} (digests: {want})"
+        for key, want in recorded["environment"].items()
+        if here.get(key) != want
+    ]
+
+    def digest(run_id):
+        if differ:
+            pytest.skip("digests were made elsewhere: " + "; ".join(differ))
+        return recorded["digests"][run_id]
+
+    return digest

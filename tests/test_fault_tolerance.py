@@ -69,7 +69,6 @@ class TestExecutorCapture:
     def _task(self, index=0, attempt=0):
         return PointTask(
             index=index,
-            value=5.0,
             stack=paper_stack(),
             via=paper_tsv(radius=um(5), liner_thickness=um(1)),
             power=PowerSpec(),

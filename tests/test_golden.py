@@ -20,7 +20,6 @@ must give the same bytes as one-point-at-a-time dispatch.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -29,37 +28,28 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "builtin_fast.json"
-DIGESTS = json.loads((ROOT / "tests" / "golden" / "builtin_digests.json").read_text())
-
-
-def _load_snapshot_script():
-    spec = importlib.util.spec_from_file_location(
-        "golden_snapshot", ROOT / "scripts" / "golden_snapshot.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-golden_snapshot = _load_snapshot_script()
 EXPECTED = json.loads(GOLDEN.read_text())
+DIGEST_RUNS = sorted(
+    json.loads((ROOT / "tests" / "golden" / "builtin_digests.json").read_text())[
+        "digests"
+    ]
+)
 
 
 @pytest.fixture(autouse=True, scope="module")
 def _cold_caches():
-    """Start cold and leave no cached solves behind for later modules."""
+    """Leave no cached solves behind for later modules."""
     from repro import perf
 
-    perf.reset()
     yield
     perf.reset()
 
 
-def test_golden_covers_every_builtin():
+def test_golden_covers_every_builtin(golden_snapshot):
     assert sorted(EXPECTED) == sorted(golden_snapshot.builtin_ids())
 
 
-def test_numeric_leaves_drop_timings_strings_and_bools():
+def test_numeric_leaves_drop_timings_strings_and_bools(golden_snapshot):
     payload = {
         "runtimes_ms": {"fem": 3.0},
         "title": "t",
@@ -78,7 +68,7 @@ def test_numeric_leaves_drop_timings_strings_and_bools():
 
 
 @pytest.mark.parametrize("scenario_id", sorted(EXPECTED))
-def test_builtin_fast_matches_golden(scenario_id):
+def test_builtin_fast_matches_golden(scenario_id, golden_snapshot):
     got = golden_snapshot.snapshot(scenario_id)
     want = EXPECTED[scenario_id]
     assert sorted(got) == sorted(want)
@@ -92,48 +82,24 @@ def test_builtin_fast_matches_golden(scenario_id):
     )
 
 
-def cold_planned(run_id: str, **tiers) -> dict:
-    """The payload of one cold planned run (``"<id>/<mode>"``).
-
-    Fails unless every plan node was solved in this run, so neither side
-    of a comparison is served from the other's cache.
-    """
-    from repro import perf
-    from repro.scenarios import run_batch
-
-    scenario_id, mode = run_id.split("/")
-    perf.reset()
-    batch = run_batch([scenario_id], fast=mode == "fast", **tiers)
-    assert batch.stats["solved"] == batch.stats["nodes_total"] > 0
-    if batch.runs[0].spec.kind != "case_study":  # a case study is no plan point
-        assert perf.stats()["counters"]["plan_point_solves"] > 0
-    return json.loads(json.dumps(batch.runs[0].result.to_payload(), default=str))
-
-
-def test_digests_cover_every_builtin_in_both_modes():
-    assert sorted(DIGESTS["digests"]) == sorted(
+def test_digests_cover_every_builtin_in_both_modes(golden_snapshot):
+    assert DIGEST_RUNS == sorted(
         f"{sid}/{mode}"
         for sid in golden_snapshot.builtin_ids()
         for mode in golden_snapshot.MODES
     )
 
 
-@pytest.mark.parametrize("run_id", sorted(DIGESTS["digests"]))
-def test_cold_planned_run_matches_eager_digest(run_id):
-    here = golden_snapshot.environment()
-    differ = [
-        f"{key} {here.get(key)} (digests: {want})"
-        for key, want in DIGESTS["environment"].items()
-        if here.get(key) != want
-    ]
-    if differ:
-        pytest.skip("digests were made elsewhere: " + "; ".join(differ))
-    got = golden_snapshot.payload_digest(cold_planned(run_id))
-    assert got == DIGESTS["digests"][run_id]
+@pytest.mark.parametrize("run_id", DIGEST_RUNS)
+def test_cold_planned_run_matches_eager_digest(
+    run_id, cold_planned, eager_digest, golden_snapshot
+):
+    want = eager_digest(run_id)
+    assert golden_snapshot.payload_digest(cold_planned(run_id)) == want
 
 
-@pytest.mark.parametrize("run_id", sorted(DIGESTS["digests"]))
-def test_batching_tiers_do_not_change_the_bytes(run_id):
+@pytest.mark.parametrize("run_id", DIGEST_RUNS)
+def test_batching_tiers_do_not_change_the_bytes(run_id, cold_planned, golden_snapshot):
     tiers_on = cold_planned(run_id)
     tiers_off = cold_planned(run_id, group_matrices=False, stack_batches=False)
     assert golden_snapshot.canonical_json(tiers_on) == golden_snapshot.canonical_json(

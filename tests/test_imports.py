@@ -265,7 +265,6 @@ class TestNameShadowing:
     @pytest.mark.parametrize(
         "package, name",
         [
-            ("repro.core", "sweep"),
             ("repro.perf", "stats"),
             ("repro.analysis", "ascii_plot"),
             ("repro.analysis", "sensitivity"),
@@ -280,8 +279,6 @@ class TestNameShadowing:
             f"assert not isinstance(value, types.ModuleType), value\n"
             f"assert callable(value) and value.__name__ == '{name}', value\n"
         )
-        if package == "repro.core":
-            code += "import repro\nassert callable(repro.sweep) and repro.sweep is pkg.sweep\n"
         _modules_after(code)
 
     def test_perf_stats_reports_every_cache_in_a_fresh_process(self):

@@ -3,14 +3,11 @@
 import pytest
 
 from repro import (
-    Model1D,
     ModelA,
-    ModelB,
     TSVCluster,
     make_model,
     paper_stack,
     paper_tsv,
-    sweep,
 )
 from repro.analysis import export_series_csv, read_series_csv
 from repro.calibration import fit_coefficients, radius_sweep_samples
@@ -42,16 +39,13 @@ class TestFullWorkflow:
         mid = model.solve(block_stack, base.with_radius(um(9)), block_power)
         assert mid.max_rise == pytest.approx(probe.max_rise, rel=0.08)
 
-    def test_sweep_export_roundtrip(self, block_stack, block_power, tmp_path):
-        def configure(r_um):
-            via = paper_tsv(radius=um(r_um), liner_thickness=um(1))
-            return block_stack, via, block_power
+    def test_sweep_export_roundtrip(self, block_sweep, tmp_path):
+        from repro.scenarios import run_scenario
 
-        result = sweep(
-            "radius", [3.0, 6.0, 12.0], [ModelA(), ModelB(50), Model1D()], configure
-        )
-        series = {name: result.series(name) for name in result.model_names}
-        path = export_series_csv(tmp_path / "sweep.csv", "radius", result.values, series)
+        spec = block_sweep(("a", "b:50"), (3.0, 6.0, 12.0))
+        result = run_scenario(spec).result
+        series = result.series
+        path = export_series_csv(tmp_path / "sweep.csv", "radius", result.x_values, series)
         label, xs, back = read_series_csv(path)
         assert label == "radius"
         assert back["model_a"] == pytest.approx(series["model_a"])

@@ -31,7 +31,6 @@ from repro.perf import MatrixGroupTask, ParallelExecutor, SerialExecutor, solve_
 from repro.perf.cache import BandedCholesky
 from repro.scenarios import SCENARIOS, AxisSpec, ScenarioSpec, run_scenario
 from repro.scenarios.plan import _configurator
-from repro.scenarios.runner import _run_scenario_eager
 
 
 def _spd_sparse(n: int, seed: int = 0) -> sp.csr_matrix:
@@ -463,15 +462,6 @@ class TestFem3dScenario:
         assert spec.reference.startswith("fem3d:")
         assert spec.axis.parameter == "power_scale"
 
-    def test_planned_matches_eager(self):
-        perf.reset()
-        eager = _run_scenario_eager("fem3d_power", fast=True)
-        perf.reset()
-        planned = run_scenario("fem3d_power", fast=True)
-        assert planned.result.series == eager.result.series
-        assert planned.result.errors == eager.result.errors
-        assert "fem3d" in planned.result.series
-
     def test_power_scale_series_scales_linearly(self):
         run = run_scenario("fem3d_power", fast=True)
         values = run.result.x_values
@@ -501,27 +491,6 @@ class TestCalibrationFitCache:
         counters = perf.stats()["counters"]
         assert counters["calibration_fit_hits"] == 1
         assert counters["plan_calibrations"] == 1  # the fit did not rerun
-
-    def test_eager_repeat_skips_fit(self):
-        spec = self.cal_spec("fit_cache_eager")
-        perf.reset()
-        first = _run_scenario_eager(spec)
-        assert perf.stats()["counters"]["calibration_fit_misses"] == 1
-        second = _run_scenario_eager(spec)
-        counters = perf.stats()["counters"]
-        assert counters["calibration_fit_hits"] == 1
-        assert first.result.series == second.result.series
-
-    def test_fit_cached_across_eager_and_planned(self):
-        spec = self.cal_spec("fit_cache_cross")
-        perf.reset()
-        eager = _run_scenario_eager(spec)
-        planned = run_scenario(spec)
-        counters = perf.stats()["counters"]
-        assert counters["calibration_fit_misses"] == 1
-        assert counters["calibration_fit_hits"] == 1
-        assert counters.get("plan_calibrations", 0) == 0  # served from cache
-        assert planned.result.series == eager.result.series
 
     def test_disabled_result_cache_disables_fit_cache(self):
         spec = self.cal_spec("fit_cache_disabled")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro import paper_stack, paper_tsv, perf
+from repro import paper_stack, perf
 from repro.fem import build_axisym_grids
 from repro.network.solve import _solve_cg, solve_sparse
 from repro.perf import (
@@ -254,25 +254,22 @@ class TestResultCache:
         key_500 = solve_key(ModelB(500), block_stack, block_tsv, block_power)
         assert key_100 != key_500
 
-    def test_sweep_reuses_points_across_runs(self, block_stack, block_power):
-        from repro import Model1D, sweep
+    def test_sweep_reuses_points_across_runs(self, block_sweep):
+        from repro.scenarios import run_scenario
 
-        def configure(r_um):
-            return block_stack, paper_tsv(radius=um(r_um), liner_thickness=um(1)), block_power
-
-        first = sweep("radius", [2.0, 5.0], [Model1D()], configure)
+        spec = block_sweep(("a",), (2.0, 5.0))
+        first = run_scenario(spec).result
         before = perf.result_cache.stats()["hits"]
-        second = sweep("radius", [2.0, 5.0], [Model1D()], configure)
-        assert perf.result_cache.stats()["hits"] == before + 2
-        assert first.series("model_1d") == second.series("model_1d")
+        second = run_scenario(spec).result
+        # both models at both points
+        assert perf.result_cache.stats()["hits"] == before + 4
+        assert first.series == second.series
 
-    def test_sweep_cache_opt_out(self, block_stack, block_power):
-        from repro import Model1D, sweep
+    def test_sweep_cache_opt_out(self, block_sweep):
+        from repro.scenarios import run_scenario
 
-        def configure(r_um):
-            return block_stack, paper_tsv(radius=um(r_um), liner_thickness=um(1)), block_power
-
-        sweep("radius", [2.0], [Model1D()], configure, cache=False)
+        perf.configure(result_cache_size=0)
+        run_scenario(block_sweep(("a",), (2.0,)))
         assert len(perf.result_cache) == 0
 
 

@@ -4,36 +4,34 @@ from dataclasses import replace
 
 import pytest
 
-from repro import Model1D, ModelA, perf, paper_tsv, sweep
-from repro.errors import ExperimentError, SolverError, ValidationError
+from repro import Model1D, ModelA, perf, paper_tsv
+from repro.errors import SolverError, ValidationError
 from repro.perf import (
     ParallelExecutor,
     PointTask,
+    RetryPolicy,
     SerialExecutor,
     get_executor,
     solve_task,
     solve_work,
 )
-from repro.scenarios import SCENARIOS
-from repro.scenarios.runner import _run_scenario_eager
+from repro.scenarios import SCENARIOS, AxisSpec, run_scenario
 from repro.units import um
 
 
-def _eager(spec, jobs=1):
-    """A coarse, fast, uncalibrated sweep on the eager (``core.sweep``) path."""
-    return _run_scenario_eager(
-        spec, executor=get_executor(jobs), fast=True, fem_resolution="coarse",
-        calibrate=False,
-    ).result
+def _cold(spec, executor=None, **resolve):
+    """A cold planned run's result; fails if any point came from a cache."""
+    perf.reset()
+    result = run_scenario(spec, executor=executor, **resolve).result
+    assert perf.stats()["counters"]["plan_point_solves"] > 0
+    return result
 
 
-class _FailingModel(Model1D):
-    """A picklable model whose every solve fails like a singular system."""
-
-    name = "failing_1d"
-
-    def solve(self, stack, via, power):
-        raise SolverError("singular system")
+def _cold_fast(spec, jobs=1):
+    """A cold, fast, uncalibrated coarse-mesh run with ``jobs`` workers."""
+    return _cold(
+        spec, get_executor(jobs), fast=True, fem_resolution="coarse", calibrate=False
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -64,13 +62,10 @@ class TestExecutors:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValidationError):
             ParallelExecutor(0)
-        with pytest.raises(ValidationError):
-            ParallelExecutor(2, chunksize=0)
 
     def test_solve_task_runs_all_models(self, block_stack, block_power):
         task = PointTask(
             index=0,
-            value=5.0,
             stack=block_stack,
             via=paper_tsv(radius=um(5), liner_thickness=um(1)),
             power=block_power,
@@ -84,7 +79,6 @@ class TestExecutors:
         return [
             PointTask(
                 index=i,
-                value=r,
                 stack=block_stack,
                 via=paper_tsv(radius=um(r), liner_thickness=um(1)),
                 power=block_power,
@@ -117,94 +111,81 @@ class TestExecutors:
                 == expected["model_1d"].max_rise
             )
 
-    def test_parallel_single_task_stays_serial(self, block_stack, block_power):
-        # one task never pays pool startup; exercised via the sweep API
-        def configure(r_um):
-            return block_stack, paper_tsv(radius=um(r_um), liner_thickness=um(1)), block_power
-
-        result = sweep(
-            "radius", [5.0], [Model1D()], configure,
-            executor=ParallelExecutor(4), cache=False,
-        )
-        assert result.series("model_1d")[0] > 0
+    def test_parallel_single_task_stays_serial(self, block_sweep):
+        # one task never pays pool startup; exercised through a one-point
+        # scenario whose two models share one point task
+        spec = block_sweep(("1d",), (5.0,), reference="a")
+        result = run_scenario(
+            spec, executor=ParallelExecutor(4),
+            group_matrices=False, stack_batches=False,
+        ).result
+        assert result.series["model_1d"][0] > 0
 
 
 class TestParallelEqualsSerial:
-    def test_sweep_equality_network_models(self, block_stack, block_power):
+    def test_sweep_equality_network_models(self, block_sweep):
         """Exact array equality, serial vs 2 worker processes."""
-
-        def configure(r_um):
-            return block_stack, paper_tsv(radius=um(r_um), liner_thickness=um(1)), block_power
-
-        models = [ModelA(), Model1D()]
-        values = [2.0, 5.0, 10.0, 15.0]
-        serial = sweep("radius", values, models, configure, cache=False)
-        parallel = sweep(
-            "radius", values, models, configure,
-            executor=ParallelExecutor(2), cache=False,
-        )
-        assert serial.values == parallel.values
+        spec = block_sweep(("a",), (2.0, 5.0, 10.0, 15.0))
+        serial = _cold(spec)
+        parallel = _cold(spec, ParallelExecutor(2))
+        assert serial.x_values == parallel.x_values
         for name in ("model_a", "model_1d"):
-            assert serial.series(name) == parallel.series(name)
+            assert serial.series[name] == parallel.series[name]
 
     def test_fig5_sweep_equality(self):
         """Fig. 5 liner sweep: parallel run is byte-identical to serial."""
         spec = replace(SCENARIOS.get("fig5"), models=("a:paper", "b:2,20,20", "1d"))
-        perf.reset()
-        serial = _eager(spec)
-        perf.reset()
-        parallel = _eager(spec, jobs=2)
-        _exact_equal(serial, parallel)
+        _exact_equal(_cold_fast(spec), _cold_fast(spec, jobs=2))
 
     def test_fig7_sweep_equality(self):
         """Fig. 7 cluster sweep: parallel run is byte-identical to serial."""
-        perf.reset()
-        serial = _eager("fig7")
-        perf.reset()
-        parallel = _eager("fig7", jobs=3)
-        _exact_equal(serial, parallel)
+        _exact_equal(_cold_fast("fig7"), _cold_fast("fig7", jobs=3))
 
     def test_warm_cache_rerun_identical(self):
         """A cache-warm rerun returns the same numbers as the cold run."""
-        perf.reset()
-        cold = _eager("fig7")
-        warm = _eager("fig7")
+        cold = _cold_fast("fig7")
+        warm = run_scenario(
+            "fig7", fast=True, fem_resolution="coarse", calibrate=False
+        ).result
         _exact_equal(cold, warm)
         assert perf.result_cache.stats()["hits"] > 0
 
 
 class TestSweepEngineContract:
-    def test_model_order_preserved_with_partial_cache_hits(
-        self, block_stack, block_power
-    ):
+    def test_model_order_preserved_with_partial_cache_hits(self, block_sweep):
         """Cached and fresh results merge back in model declaration order."""
+        # prime only model_1d's and the reference's entries
+        run_scenario(block_sweep(("1d",), (2.0, 5.0), reference="b:20"))
+        result = run_scenario(
+            block_sweep(("a", "1d"), (2.0, 5.0), reference="b:20")
+        ).result
+        assert perf.result_cache.stats()["hits"] > 0
+        assert list(result.series) == ["model_a", "model_1d", "model_b(20)"]
 
-        def configure(r_um):
-            return block_stack, paper_tsv(radius=um(r_um), liner_thickness=um(1)), block_power
-
-        # prime only model_1d's entries
-        sweep("radius", [2.0, 5.0], [Model1D()], configure)
-        result = sweep("radius", [2.0, 5.0], [ModelA(), Model1D()], configure)
-        assert result.model_names == ["model_a", "model_1d"]
-
-    def test_empty_values_still_rejected(self, block_stack, block_power):
-        def configure(v):
-            return block_stack, paper_tsv(), block_power
-
+    def test_empty_values_still_rejected(self):
         with pytest.raises(ValidationError):
-            sweep("x", [], [ModelA()], configure)
+            AxisSpec(parameter="radius_um", values=())
 
     @pytest.mark.parametrize(
         "executor", [SerialExecutor(), ParallelExecutor(2)], ids=["serial", "parallel"]
     )
-    def test_failed_point_raises_experiment_error(
-        self, executor, block_stack, block_power
+    def test_failed_point_is_quarantined(
+        self, executor, block_sweep, monkeypatch
     ):
-        """A captured solve failure surfaces as one ExperimentError naming
-        the point and the original error class, whatever the executor."""
+        """A failed solve makes the run fail with ledger records naming the
+        original error class, whatever the executor."""
 
-        def configure(r_um):
-            return block_stack, paper_tsv(radius=um(r_um), liner_thickness=um(1)), block_power
+        def failing_solve(self, stack, via, power):
+            raise SolverError("singular system")
 
-        with pytest.raises(ExperimentError, match="SolverError: singular system"):
-            sweep("radius", [2.0, 5.0], [_FailingModel()], configure, executor=executor)
+        monkeypatch.setattr(Model1D, "solve", failing_solve)
+        run = run_scenario(
+            block_sweep(("a",), (2.0, 5.0)),
+            executor=executor,
+            group_matrices=False,
+            stack_batches=False,
+            retry=RetryPolicy(max_attempts=1),
+        )
+        assert run.failed and run.result is None
+        assert {f.error_class for f in run.failures} == {"SolverError"}
+        assert all("singular system" in f.message for f in run.failures)

@@ -6,6 +6,7 @@ import pytest
 
 from repro import perf
 from repro.errors import ExperimentError
+from repro.perf import ParallelExecutor
 from repro.scenarios import (
     SCENARIOS,
     AxisSpec,
@@ -22,7 +23,6 @@ from repro.scenarios.plan import (
     SolveNode,
     assemble_scenario,
 )
-from repro.scenarios.runner import _run_scenario_eager
 from repro.scenarios.store import parse_artifact
 
 
@@ -150,47 +150,44 @@ class TestScheduling:
         assert {e["source"] for e in events} <= {"solved", "cache", "store"}
 
     def test_streaming_parallel_executor_identical(self):
-        from repro.perf import ParallelExecutor
-
         spec = tiny_spec(models=("1d", "a:paper"), calibrate=True)
         perf.reset()
         serial = run_scenario(spec).result
+        assert perf.stats()["counters"]["plan_point_solves"] > 0
         perf.reset()
         parallel = run_scenario(spec, executor=ParallelExecutor(2)).result
+        assert perf.stats()["counters"]["plan_point_solves"] > 0
         assert serial.series == parallel.series  # exact float equality
         assert serial.errors == parallel.errors
 
 
 class TestPlannedEqualsEager:
-    """The acceptance criterion: plan-compiled payloads are byte-identical
-    to the historical eager path for every builtin scenario."""
+    """Planned payloads are byte-identical to the eager reference path's.
+
+    That path is deleted; the digests of its cold payloads are pinned in
+    ``tests/golden/builtin_digests.json`` (see ``tests/test_golden.py``,
+    which checks every builtin serially).  Here the planned side runs on
+    two worker processes.
+    """
 
     @pytest.mark.parametrize(
         "scenario_id", ["fig4", "fig5", "fig6", "fig7", "table1"]
     )
-    def test_builtin_sweeps_byte_identical(self, scenario_id):
-        eager = _run_scenario_eager(
-            scenario_id, fast=True, fem_resolution="coarse"
-        )
-        planned = run_scenario(scenario_id, fast=True, fem_resolution="coarse")
-        assert json.dumps(
-            planned.result.to_payload(), sort_keys=True
-        ) == json.dumps(eager.result.to_payload(), sort_keys=True)
+    def test_builtin_sweeps_byte_identical(
+        self, scenario_id, cold_planned, eager_digest, golden_snapshot
+    ):
+        run_id = f"{scenario_id}/fast"
+        want = eager_digest(run_id)
+        payload = cold_planned(run_id, executor=ParallelExecutor(2))
+        assert golden_snapshot.payload_digest(payload) == want
 
-    def test_case_study_identical_up_to_wallclock(self):
-        # the case study runs the same legacy code on both paths; only the
-        # recorded wall-clock runtimes differ between two live runs
-        eager = _run_scenario_eager(
-            "case_study", fast=True, fem_resolution="coarse", calibrate=False
-        )
-        planned = run_scenario(
-            "case_study", fast=True, fem_resolution="coarse", calibrate=False
-        )
-        pe = eager.result.to_payload()
-        pp = planned.result.to_payload()
-        pe.pop("runtimes_ms")
-        pp.pop("runtimes_ms")
-        assert json.dumps(pp, sort_keys=True) == json.dumps(pe, sort_keys=True)
+    def test_case_study_identical_up_to_wallclock(
+        self, cold_planned, eager_digest, golden_snapshot
+    ):
+        # the digest leaves out the recorded wall-clock runtimes
+        want = eager_digest("case_study/fast")
+        payload = cold_planned("case_study/fast", executor=ParallelExecutor(2))
+        assert golden_snapshot.payload_digest(payload) == want
 
 
 class TestResume:

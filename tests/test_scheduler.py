@@ -27,7 +27,6 @@ class FakeModel:
 def entry(key, *, model_name="a", stack="s", power=1.0, assembly=None, batch_class=None):
     node = SolveNode(
         key=key,
-        value=0,
         stack=stack,
         via="v",
         power=power,

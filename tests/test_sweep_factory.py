@@ -1,58 +1,44 @@
-"""Sweep engine and model factory."""
+"""Sweep scenarios and the model factory."""
 
 import pytest
 
-from repro import Model1D, ModelA, ModelB, make_model, paper_tsv, sweep
-from repro.errors import ValidationError
-from repro.units import um
+from repro import Model1D, ModelA, ModelB, make_model
+from repro.errors import ExperimentError, ValidationError
+from repro.scenarios import AxisSpec, run_scenario
 
 
 class TestSweep:
-    def test_radius_sweep(self, block_stack, block_power):
-        def configure(r_um):
-            return block_stack, paper_tsv(radius=um(r_um), liner_thickness=um(1)), block_power
+    def test_radius_sweep(self, block_sweep):
+        result = run_scenario(block_sweep(("a",), (2.0, 5.0, 10.0))).result
+        assert result.x_values == [2.0, 5.0, 10.0]
+        assert set(result.series) == {"model_a", "model_1d"}
+        assert len(result.series["model_a"]) == 3
 
-        result = sweep("radius", [2.0, 5.0, 10.0], [ModelA(), Model1D()], configure)
-        assert result.values == [2.0, 5.0, 10.0]
-        assert set(result.model_names) == {"model_a", "model_1d"}
-        assert len(result.series("model_a")) == 3
+    def test_rows_layout(self, block_sweep):
+        result = run_scenario(block_sweep(("a",), (2.0, 5.0))).result
+        lines = result.table_text().splitlines()
+        assert lines[0].split() == ["radius", "[um]", "model_a", "model_1d"]
+        assert len(lines) == 2 + 2  # header, rule, one row per value
 
-    def test_rows_layout(self, block_stack, block_power):
-        def configure(r_um):
-            return block_stack, paper_tsv(radius=um(r_um), liner_thickness=um(1)), block_power
+    def test_duplicate_model_names_rejected(self, block_sweep):
+        with pytest.raises(ExperimentError):
+            run_scenario(block_sweep(("a", "a")))
 
-        rows = sweep("radius", [2.0, 5.0], [ModelA()], configure).rows()
-        assert rows[0] == ["value", "model_a"]
-        assert len(rows) == 3
-
-    def test_duplicate_model_names_rejected(self, block_stack, block_power):
-        def configure(v):
-            return block_stack, paper_tsv(), block_power
-
+    def test_empty_values_rejected(self):
         with pytest.raises(ValidationError):
-            sweep("x", [1], [ModelA(), ModelA()], configure)
+            AxisSpec(parameter="radius_um", values=())
 
-    def test_empty_values_rejected(self, block_stack, block_power):
-        def configure(v):
-            return block_stack, paper_tsv(), block_power
-
+    def test_unknown_model_in_point(self, block_sweep):
+        result = run_scenario(block_sweep(("a",), (2.0,))).result
         with pytest.raises(ValidationError):
-            sweep("x", [], [ModelA()], configure)
+            result.sweep_result.points[0].rise("nope")
 
-    def test_unknown_model_in_point(self, block_stack, block_power):
-        def configure(v):
-            return block_stack, paper_tsv(), block_power
-
-        result = sweep("x", [1], [ModelA()], configure)
-        with pytest.raises(ValidationError):
-            result.points[0].rise("nope")
-
-    def test_result_series_returns_full_results(self, block_stack, block_power):
-        def configure(v):
-            return block_stack, paper_tsv(), block_power
-
-        result = sweep("x", [1, 2], [ModelA()], configure)
-        assert all(r.model_name == "model_a" for r in result.result_series("model_a"))
+    def test_result_series_returns_full_results(self, block_sweep):
+        result = run_scenario(block_sweep(("a",), (2.0, 5.0))).result
+        assert all(
+            r.model_name == "model_a"
+            for r in result.sweep_result.result_series("model_a")
+        )
 
 
 class TestFactory:
