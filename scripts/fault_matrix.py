@@ -244,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
             fast=True,
             ttl_s=1.0,
             retry=MATRIX_RETRY,
-            timeout_s=600.0,
+            deadline_s=600.0,
             extra_env={
                 0: {
                     faults.ENV_RATE: "1.0",

@@ -57,7 +57,7 @@ from .scenarios.drain import DrainGuard, drain_exit_code
 from .scenarios.lease import DEFAULT_TTL_S
 from .scenarios.results import ExperimentResult
 from .scenarios.runner import run_batch
-from .scenarios.store import MANIFEST_NAME, RunStore
+from .scenarios.store import RunStore
 
 # Commands import what only they use (the fleet driver, fsck, the report
 # renderer, the process pool of --jobs N) when they run: a store-hit
@@ -75,18 +75,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    """The flag set of ``run``, ``batch``, the paper aliases and ``all``."""
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < float("inf"):  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
+def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of every command that solves: ``fleet`` and the run flags."""
     parser.add_argument(
         "--fast", action="store_true", help="reduced sweeps (CI-speed)"
-    )
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=1,
-        metavar="N",
-        help="worker processes per sweep (default 1 = serial; results are "
-        "identical either way)",
     )
     parser.add_argument(
         "--fem-resolution",
@@ -98,6 +104,37 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         "--no-calibrate",
         action="store_true",
         help="skip the recalibrated Model A variant",
+    )
+    parser.add_argument(
+        "--max-retries",
+        type=_non_negative_int,
+        default=2,
+        metavar="N",
+        help="how many times a transiently-failed plan node is "
+        "re-dispatched before being quarantined (default 2; 0 "
+        "quarantines on first failure)",
+    )
+    parser.add_argument(
+        "--node-timeout",
+        type=_positive_float,
+        default=None,
+        metavar="SECONDS",
+        help="per-node wall-clock budget; a node exceeding it counts "
+        "as a transient failure and is retried (scaled by member "
+        "count for matrix groups; default: unbounded)",
+    )
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flag set of ``run``, ``batch``, the paper aliases and ``all``."""
+    _add_solve_flags(parser)
+    parser.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        metavar="N",
+        help="worker processes per sweep (default 1 = serial; results are "
+        "identical either way)",
     )
     parser.add_argument(
         "--output-dir",
@@ -129,24 +166,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         "live one-line counter; 'json' emits one JSON event per "
         "completed plan node (kind, key, cache/store provenance, "
         "elapsed seconds)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="how many times a transiently-failed plan node is "
-        "re-dispatched before being quarantined (default 2; 0 "
-        "quarantines on first failure)",
-    )
-    parser.add_argument(
-        "--node-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-node wall-clock budget; a node exceeding it counts "
-        "as a transient failure and is retried (scaled by member "
-        "count for matrix groups; default: unbounded)",
     )
 
 
@@ -225,41 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_p.add_argument(
         "--lease-ttl",
-        type=float,
+        type=_positive_float,
         default=DEFAULT_TTL_S,
         metavar="SECONDS",
         help="claim lifetime before an unrenewed lease is considered dead "
         f"and stolen (default {DEFAULT_TTL_S:g}s)",
     )
-    fleet_p.add_argument(
-        "--fast", action="store_true", help="reduced sweeps (CI-speed)"
-    )
-    fleet_p.add_argument(
-        "--fem-resolution",
-        default=None,
-        choices=["coarse", "medium", "fine"],
-        help="mesh preset for the FEM reference (default: the spec's own)",
-    )
-    fleet_p.add_argument(
-        "--no-calibrate",
-        action="store_true",
-        help="skip the recalibrated Model A variant",
-    )
-    fleet_p.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="per-worker transient-failure retries before quarantine "
-        "(default 2)",
-    )
-    fleet_p.add_argument(
-        "--node-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-node wall-clock budget (default: unbounded)",
-    )
+    _add_solve_flags(fleet_p)
     fleet_p.add_argument(
         "--supervise",
         action="store_true",
@@ -269,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_p.add_argument(
         "--max-respawns",
-        type=int,
+        type=_non_negative_int,
         default=3,
         metavar="N",
         help="respawn budget per rank under --supervise (default 3)",
     )
     fleet_p.add_argument(
         "--stall",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
         help="under --supervise, kill-and-respawn a worker whose heartbeat "
@@ -284,20 +275,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_p.add_argument(
         "--deadline",
-        type=float,
+        type=_positive_float,
         default=None,
         metavar="SECONDS",
-        help="under --supervise, terminate the whole run after this long "
+        help="terminate the whole run after this long, supervised or not "
         "(default: unbounded)",
     )
 
     fsck_p = sub.add_parser(
         "fsck",
-        help="scrub a run store for damage (corrupt/orphaned/mis-filed data)",
+        help="scrub a run store for damage (corrupt or mis-filed data)",
         description=(
             "Walk every space of a run store and verify it end-to-end: "
-            "envelope checksums, manifest cross-references, shard placement, "
-            "lease health.  Exits non-zero when damage is found (notes such "
+            "envelope checksums, shard placement, lease health.  Exits non-zero when damage is found (notes such "
             "as expired claims or tmp litter are reported but are not "
             "damage); --repair heals everything in place."
         ),
@@ -308,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     fsck_p.add_argument(
         "--repair",
         action="store_true",
-        help="heal the damage: delete corrupt/unreachable artifacts (they "
-        "re-solve on resume), fix manifest entries, re-shard mis-filed "
-        "artifacts, clear expired claims and litter",
+        help="heal the damage: delete corrupt artifacts (they re-solve on "
+        "resume), re-shard mis-filed artifacts, clear expired claims and "
+        "litter",
     )
 
     for exp_id in _PAPER_ALIASES:
@@ -399,8 +389,6 @@ def _make_progress(args: argparse.Namespace):
 
 def _retry_policy(args: argparse.Namespace) -> RetryPolicy:
     """The CLI's fault-tolerance policy (attempts = first try + retries)."""
-    if args.max_retries < 0:
-        raise SystemExit("error: --max-retries must be >= 0")
     return RetryPolicy(
         max_attempts=args.max_retries + 1, node_timeout_s=args.node_timeout
     )
@@ -530,19 +518,26 @@ def _write_outputs(output_dir: Path, run) -> None:
     run.spec.dump(output_dir / f"{scenario_id}.spec.json")
 
 
+def _load_target(target: str) -> ScenarioSpec | None:
+    """A registered scenario id or a JSON spec file; None (after printing
+    the error) when it is neither."""
+    if target in SCENARIOS:
+        return SCENARIOS.get(target)
+    path = Path(target)
+    if not path.exists():
+        print(
+            f"error: {target!r} is neither a registered scenario id nor an "
+            f"existing file; see 'python -m repro list'",
+            file=sys.stderr,
+        )
+        return None
+    return ScenarioSpec.load(path)
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.target in SCENARIOS:
-        spec = SCENARIOS.get(args.target)
-    else:
-        path = Path(args.target)
-        if not path.exists():
-            print(
-                f"error: {args.target!r} is neither a registered scenario id "
-                f"nor an existing file; see 'python -m repro list'",
-                file=sys.stderr,
-            )
-            return 2
-        spec = ScenarioSpec.load(path)
+    spec = _load_target(args.target)
+    if spec is None:
+        return 2
     batch = _execute(args, [spec], RunStore(args.store) if args.store else None)
     if isinstance(batch, int):
         return batch
@@ -630,9 +625,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not directory.is_dir():
         print(f"error: {directory} is not a directory", file=sys.stderr)
         return 2
-    files = [
-        f for f in sorted(directory.glob("*.json")) if f.name != MANIFEST_NAME
-    ]
+    files = sorted(directory.glob("*.json"))
     if not files:
         print(f"error: no scenario *.json files in {directory}", file=sys.stderr)
         return 2
@@ -676,20 +669,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    specs: list[ScenarioSpec] = []
-    for target in args.targets:
-        if target in SCENARIOS:
-            specs.append(SCENARIOS.get(target))
-            continue
-        path = Path(target)
-        if not path.exists():
-            print(
-                f"error: {target!r} is neither a registered scenario id nor "
-                f"an existing file; see 'python -m repro list'",
-                file=sys.stderr,
-            )
-            return 2
-        specs.append(ScenarioSpec.load(path))
+    specs = [_load_target(target) for target in args.targets]
+    if any(spec is None for spec in specs):
+        return 2
     from .scenarios.fleet import run_fleet
 
     outcome = run_fleet(
@@ -730,7 +712,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         )
     if outcome.deadline_exceeded:
         print(
-            f"[supervisor] whole-run deadline of {args.deadline:g}s "
+            f"[fleet] whole-run deadline of {args.deadline:g}s "
             "exceeded; workers terminated",
             file=sys.stderr,
         )

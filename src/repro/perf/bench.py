@@ -675,7 +675,7 @@ def bench_fleet(repeats: int) -> dict[str, Any]:
             [spec],
             store=root / f"fleet-{next(runs)}",
             workers=4,
-            timeout_s=600.0,
+            deadline_s=600.0,
         )
 
     def normalized_store(store: RunStore) -> dict[str, Any]:

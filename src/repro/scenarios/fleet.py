@@ -28,7 +28,8 @@ tests assert exactly that.
 (:mod:`repro.scenarios.supervisor`): crashed or heartbeat-silent workers
 are respawned with backoff and resume from the store, graceful drains
 (SIGTERM/SIGINT — :mod:`repro.scenarios.drain`) are honoured and never
-respawned, and an optional whole-run deadline bounds the worst case.
+respawned.  An optional whole-run deadline bounds the worst case with or
+without supervision.
 
 ``extra_env`` injects per-rank environment overrides into the children
 before any work starts; the fault matrix uses it to arm a
@@ -55,11 +56,10 @@ from ..errors import DrainError, ValidationError
 from ..perf.retry import DEFAULT_RETRY, RetryPolicy
 from .drain import DrainGuard, drain_exit_code
 from .lease import DEFAULT_TTL_S, LeaseManager
-from .registry import SCENARIOS
-from .runner import run_batch
+from .runner import resolve_specs, run_batch
 from .spec import ScenarioSpec
 from .store import RunStore, _write_json_atomic
-from .supervisor import HeartbeatWriter, Supervisor
+from .supervisor import HeartbeatWriter, Supervisor, stop_worker
 
 __all__ = ["FleetOutcome", "WorkerReport", "run_fleet"]
 
@@ -119,31 +119,12 @@ class FleetOutcome:
     counters: dict[str, int] = field(default_factory=dict)
     #: supervision audit trail: one payload per respawn (supervised runs)
     respawns: tuple[dict[str, Any], ...] = ()
-    #: True when a supervised run hit its whole-run deadline
+    #: True when the run hit its whole-run deadline
     deadline_exceeded: bool = False
 
     @property
     def ok(self) -> bool:
         return self.complete and all(code == EXIT_OK for code in self.exit_codes)
-
-
-def _resolve_specs(
-    specs: list[ScenarioSpec | str],
-    *,
-    fast: bool,
-    fem_resolution: str | None,
-    calibrate: bool | None,
-) -> list[ScenarioSpec]:
-    resolved = []
-    for spec in specs:
-        if isinstance(spec, str):
-            spec = SCENARIOS.get(spec)
-        resolved.append(
-            spec.resolved(
-                fast=fast, fem_resolution=fem_resolution, calibrate=calibrate
-            )
-        )
-    return resolved
 
 
 def _report_path(root: Path, rank: int) -> Path:
@@ -297,7 +278,6 @@ def run_fleet(
     poll_s: float = 0.05,
     retry: RetryPolicy = DEFAULT_RETRY,
     extra_env: Mapping[int, Mapping[str, str]] | None = None,
-    timeout_s: float | None = None,
     supervise: bool = False,
     max_respawns: int = 3,
     stall_timeout_s: float | None = None,
@@ -311,22 +291,20 @@ def run_fleet(
     it doubles as recovery from any earlier partial run.  ``extra_env``
     maps worker rank to environment overrides applied in that child
     before it starts (fault-injection cells use it to kill exactly one
-    worker).  ``timeout_s`` bounds each worker's join; workers still
-    alive afterwards are terminated and reported with their exit code.
+    worker).  ``deadline_s`` bounds the whole run, supervised or not: on
+    expiry every worker still alive is terminated, reported with its
+    exit code, and the outcome reports ``deadline_exceeded``.
 
     ``supervise=True`` runs the workers under a
     :class:`~repro.scenarios.supervisor.Supervisor`: abnormally-dead
     workers are respawned (up to ``max_respawns`` per rank, with
     crash-loop backoff) and resume from the store; a worker alive but
     heartbeat-silent for ``stall_timeout_s`` is killed and respawned
-    too; ``deadline_s`` bounds the whole supervised run (on expiry every
-    worker is terminated and the outcome reports
-    ``deadline_exceeded``).  Every respawn lands in
-    :attr:`FleetOutcome.respawns`.
+    too.  Every respawn lands in :attr:`FleetOutcome.respawns`.
     """
     if workers < 1:
         raise ValidationError(f"fleet needs >= 1 worker, got {workers}")
-    resolved = _resolve_specs(
+    resolved = resolve_specs(
         specs, fast=fast, fem_resolution=fem_resolution, calibrate=calibrate
     )
     root = store.root if isinstance(store, RunStore) else Path(store)
@@ -369,14 +347,14 @@ def run_fleet(
             spawn,
             max_respawns=max_respawns,
             stall_timeout_s=stall_timeout_s,
-            deadline_s=deadline_s if deadline_s is not None else timeout_s,
+            deadline_s=deadline_s,
         )
         final = sup.run(dict(enumerate(procs)))
         exit_codes = [final[rank] for rank in range(workers)]
         respawn_events = tuple(e.to_payload() for e in sup.events)
         deadline_exceeded = sup.deadline_exceeded
     else:
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        deadline = None if deadline_s is None else time.monotonic() + deadline_s
         exit_codes = []
         for proc in procs:
             remaining = (
@@ -386,8 +364,8 @@ def run_fleet(
             )
             proc.join(remaining)
             if proc.is_alive():
-                proc.terminate()
-                proc.join(5.0)
+                deadline_exceeded = True
+                stop_worker(proc)
             exit_codes.append(proc.exitcode)
 
     reports = read_reports(root, workers)

@@ -9,23 +9,12 @@ store offline and classifies every file it finds:
 
 * ``corrupt`` — an ``objects/``, ``points/``, ``failures/`` or ``blame/``
   artifact whose envelope checksum fails, whose body does not parse, or
-  which is truncated/unreadable.  Repair deletes it (and, for a run
-  object, its manifest entry) so the node simply re-solves on resume.
-* ``orphaned-manifest-entry`` — the manifest indexes a run object whose
-  file is gone.  Repair drops the entry.
-* ``unindexed-object`` — a run object exists on disk with no manifest
-  entry, so no reader will ever return it.  Repair deletes it (the
-  entry cannot be reconstructed — it carries the producing spec).
+  which is truncated/unreadable.  Repair deletes it so the node simply
+  re-solves on resume.
 * ``mis-sharded`` — an artifact filed under the wrong shard directory
   or directly under its space directory, invisible to every reader.
   Repair moves it to its correct shard (or deletes it when the correct
   path is already occupied).
-* ``corrupt-manifest`` — ``manifest.json`` itself does not parse.
-  Repair resets it to an empty index, which makes every healthy run
-  object read as ``unindexed-object`` — those are *reported but never
-  deleted in the same pass* (the repair pass exits non-zero), so a
-  one-byte manifest corruption cannot silently erase the whole
-  ``objects/`` space; a deliberate second ``--repair`` removes them.
 
 **Notes** (reported, removable with ``--repair``, but *not* damage —
 every one is a shape the live protocols produce and tolerate, so a
@@ -43,6 +32,9 @@ store that just survived a chaotic fleet run still fscks clean):
 * ``tmp-litter`` — an atomic-write temp file whose writer was killed
   between creation and rename.
 
+The ``objects/`` space is its own run index, so there is nothing to
+cross-check: a healthy run object is a stored run.  Files outside the
+spaces (such as a ``manifest.json`` left by an older build) are ignored.
 The scrub never *writes* anything unless ``--repair`` is given.
 """
 
@@ -60,11 +52,8 @@ from .store import (
     BLAME_DIR,
     FAILURES_DIR,
     LEASES_DIR,
-    MANIFEST_NAME,
-    MANIFEST_VERSION,
     OBJECTS_DIR,
     POINTS_DIR,
-    _write_json_atomic,
     parse_artifact,
     shard_prefix,
 )
@@ -72,15 +61,7 @@ from .store import (
 __all__ = ["DAMAGE_KINDS", "Finding", "FsckReport", "scrub"]
 
 #: finding kinds that mean data is wrong or unreachable (exit non-zero)
-DAMAGE_KINDS = frozenset(
-    {
-        "corrupt",
-        "corrupt-manifest",
-        "orphaned-manifest-entry",
-        "unindexed-object",
-        "mis-sharded",
-    }
-)
+DAMAGE_KINDS = frozenset({"corrupt", "mis-sharded"})
 
 #: the artifact spaces scrubbed for envelope/parse damage
 ARTIFACT_SPACES = (OBJECTS_DIR, POINTS_DIR, FAILURES_DIR, BLAME_DIR)
@@ -176,10 +157,9 @@ def _unlink(path: Path, finding: Finding, repair: bool) -> None:
 
 def _scrub_artifact_space(
     report: FsckReport, root: Path, space_name: str, *, repair: bool
-) -> dict[str, Path]:
-    """Scrub one artifact space; returns healthy ``key -> path``."""
+) -> None:
+    """Scrub one artifact space for envelope and placement damage."""
     space = root / space_name
-    healthy: dict[str, Path] = {}
     count = 0
     for path in _artifact_files(space):
         count += 1
@@ -202,7 +182,6 @@ def _scrub_artifact_space(
                 else:
                     target.parent.mkdir(exist_ok=True)
                     path.replace(target)
-                    healthy[key] = target
                 finding.repaired = True
             continue
         try:
@@ -211,84 +190,7 @@ def _scrub_artifact_space(
             finding = Finding(space_name, "corrupt", rel, key, str(exc))
             report.findings.append(finding)
             _unlink(path, finding, repair)
-            continue
-        healthy[key] = path
     report.scanned[space_name] = count
-    return healthy
-
-
-def _scrub_manifest(
-    report: FsckReport, root: Path, objects: dict[str, Path], *, repair: bool
-) -> None:
-    """Cross-check ``manifest.json`` against the healthy run objects."""
-    manifest_path = root / MANIFEST_NAME
-    runs: dict[str, dict] = {}
-    dirty = False
-    manifest_reset = False
-    if manifest_path.exists():
-        try:
-            manifest = json.loads(manifest_path.read_text())
-            if manifest.get("version") != MANIFEST_VERSION:
-                raise ValueError(f"unknown version {manifest.get('version')!r}")
-            runs = dict(manifest["runs"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            finding = Finding(
-                "manifest", "corrupt-manifest", MANIFEST_NAME, "-", str(exc)
-            )
-            report.findings.append(finding)
-            if repair:
-                _write_json_atomic(
-                    manifest_path, {"version": MANIFEST_VERSION, "runs": {}}
-                )
-                finding.repaired = True
-                manifest_reset = True
-            runs = {}
-            dirty = False
-    for key in sorted(set(runs) - set(objects)):
-        finding = Finding(
-            "manifest",
-            "orphaned-manifest-entry",
-            MANIFEST_NAME,
-            key,
-            "manifest indexes a run object that is missing or corrupt",
-        )
-        report.findings.append(finding)
-        if repair:
-            del runs[key]
-            dirty = True
-            finding.repaired = True
-    for key in sorted(set(objects) - set(runs)):
-        path = objects[key]
-        if manifest_reset:
-            # the index was just rebuilt from nothing, so *every* healthy
-            # object reads as unindexed — deleting them now would turn a
-            # one-byte manifest corruption into losing the whole objects
-            # space.  Report only; the operator sees the blast radius and
-            # a deliberate second ``--repair`` pass removes them.
-            report.findings.append(
-                Finding(
-                    OBJECTS_DIR,
-                    "unindexed-object",
-                    str(path.relative_to(root)),
-                    key,
-                    "unindexed after manifest reset (kept this pass; "
-                    "re-run --repair to remove)",
-                )
-            )
-            continue
-        finding = Finding(
-            OBJECTS_DIR,
-            "unindexed-object",
-            str(path.relative_to(root)),
-            key,
-            "run object has no manifest entry (unreachable)",
-        )
-        report.findings.append(finding)
-        _unlink(path, finding, repair)
-    if repair and dirty:
-        _write_json_atomic(
-            manifest_path, {"version": MANIFEST_VERSION, "runs": runs}
-        )
 
 
 def _scrub_leases(report: FsckReport, root: Path, *, repair: bool) -> None:
@@ -355,12 +257,8 @@ def scrub(root: str | Path, *, repair: bool = False) -> FsckReport:
     """Scrub one store; see the module docstring for the taxonomy."""
     root = Path(root)
     report = FsckReport(root=root, repair=repair)
-    objects: dict[str, Path] = {}
     for space_name in ARTIFACT_SPACES:
-        healthy = _scrub_artifact_space(report, root, space_name, repair=repair)
-        if space_name == OBJECTS_DIR:
-            objects = healthy
-    _scrub_manifest(report, root, objects, repair=repair)
+        _scrub_artifact_space(report, root, space_name, repair=repair)
     _scrub_leases(report, root, repair=repair)
     _scrub_tmp_litter(report, root, repair=repair)
     return report

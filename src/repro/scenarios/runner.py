@@ -36,9 +36,27 @@ __all__ = [
     "BatchRun",
     "ScenarioRun",
     "StoredCaseStudy",
+    "resolve_specs",
     "run_batch",
     "run_scenario",
 ]
+
+
+def resolve_specs(
+    specs: list[ScenarioSpec | str],
+    *,
+    fast: bool,
+    fem_resolution: str | None,
+    calibrate: bool | None,
+) -> list[ScenarioSpec]:
+    """Look up registered ids and resolve every spec against the run-time
+    choices, so each content hash covers exactly what runs."""
+    return [
+        (SCENARIOS.get(spec) if isinstance(spec, str) else spec).resolved(
+            fast=fast, fem_resolution=fem_resolution, calibrate=calibrate
+        )
+        for spec in specs
+    ]
 
 
 @dataclass(frozen=True)
@@ -132,13 +150,9 @@ def run_batch(
     leases are released, and :class:`~repro.errors.DrainError`
     propagates out for the caller to map to an exit code.
     """
-    resolved: list[ScenarioSpec] = []
-    for spec in specs:
-        if isinstance(spec, str):
-            spec = SCENARIOS.get(spec)
-        resolved.append(
-            spec.resolved(fast=fast, fem_resolution=fem_resolution, calibrate=calibrate)
-        )
+    resolved = resolve_specs(
+        specs, fast=fast, fem_resolution=fem_resolution, calibrate=calibrate
+    )
     runs: list[ScenarioRun | None] = [None] * len(resolved)
     to_plan: list[tuple[int, ScenarioSpec]] = []
     run_store_hits = 0
@@ -192,7 +206,7 @@ def run_batch(
                 if not needed and runs[i] is None:
                     result = assemble_scenario(entry, node_results)
                     if store is not None:
-                        store.put(entry.run_key, result.to_payload(), spec)
+                        store.put(entry.run_key, result.to_payload())
                     runs[i] = ScenarioRun(
                         spec=spec, key=entry.run_key, result=result,
                         from_store=False,

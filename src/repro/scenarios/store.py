@@ -4,9 +4,10 @@ A :class:`RunStore` is a directory holding three object spaces:
 
 * **runs** — one JSON artifact per completed scenario, addressed by the
   :meth:`~repro.scenarios.spec.ScenarioSpec.content_hash` of the
-  (resolved) spec that produced it, indexed by ``manifest.json``.
-  Re-running an unchanged spec is a store hit — the experiment layer
-  returns the stored payload without solving anything.
+  (resolved) spec that produced it.  A run is stored if and only if its
+  object exists: the ``objects/`` space is its own index.  Re-running
+  an unchanged spec is a store hit — the experiment layer returns the
+  stored payload without solving anything.
 * **points** — one JSON artifact per executed plan node (a model solved
   at one sweep point, a finished calibration fit, a case-study run),
   addressed by the node's plan key.  The
@@ -23,7 +24,7 @@ A :class:`RunStore` is a directory holding three object spaces:
 All writes are atomic *and durable*: the payload is fsynced to the tmp
 file before the rename, so neither a killed process nor a machine crash
 leaves a half-written artifact behind the rename.  A corrupt or
-unreadable object is treated as a miss (and healed out of the manifest)
+unreadable object is treated as a miss (and deleted, so it re-solves)
 rather than an error.
 
 Every ``objects/``, ``points/``, ``failures/`` and ``blame/`` payload is
@@ -62,7 +63,6 @@ Layout (sharded by the first two characters of the key — hex digits for
 content keys — so no directory ever holds more than ~1/256th of the
 artifacts and listings stay fast at millions of stored points)::
 
-    <root>/manifest.json
     <root>/objects/<xx>/<key>.json     (whole runs)
     <root>/points/<xx>/<key>.json      (individual plan nodes)
     <root>/failures/<xx>/<key>.json    (quarantined plan nodes)
@@ -80,23 +80,19 @@ import hashlib
 import json
 import os
 import time
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .. import faults
-from ..errors import CorruptArtifactError, ValidationError
+from ..errors import CorruptArtifactError
 from ..perf import increment
 from ..perf.retry import NodeFailure
-from .spec import ScenarioSpec
 
-MANIFEST_NAME = "manifest.json"
 OBJECTS_DIR = "objects"
 POINTS_DIR = "points"
 FAILURES_DIR = "failures"
 BLAME_DIR = "blame"
 LEASES_DIR = "leases"
-MANIFEST_VERSION = 1
 
 ENVELOPE_KEY = "repro_envelope"
 ENVELOPE_VERSION = 1
@@ -229,22 +225,36 @@ class RunStore:
         # tracks "might any failure record exist?" so the per-point clear
         # on the happy path costs a boolean, not an unlink syscall
         self._has_failures = any(self._space_paths(self.failures))
-        self._manifest_path = self.root / MANIFEST_NAME
-        self._manifest = self._load_manifest()
 
-    def _read_artifact(self, space: Path, key: str) -> Any | None:
-        """The parsed (and checksum-verified) payload for ``key``, or None.
+    def _read(
+        self,
+        space: Path,
+        key: str,
+        counter: str | None = None,
+        decode: Callable[[Any], Any] | None = None,
+    ) -> Any | None:
+        """The verified (and ``decode``-d) payload for ``key``, or None.
 
-        Missing, unreadable, truncated, or checksum-failing artifacts all
-        read as None; the caller decides whether to heal the file away.
+        Missing, unreadable, truncated, checksum-failing and undecodable
+        artifacts all read as None, the damaged ones after being deleted
+        so the next run re-solves and re-writes them cleanly.  With a
+        ``counter`` prefix, the read counts ``<counter>_hits`` or
+        ``<counter>_misses``.
         """
         path = self._read_path(space, key)
-        if path is None:
-            return None
-        try:
-            return parse_artifact(path.read_text(), verify=self.verify)
-        except (OSError, CorruptArtifactError):
-            return None
+        payload = None
+        if path is not None:
+            try:
+                payload = parse_artifact(path.read_text(), verify=self.verify)
+                if decode is not None:
+                    payload = decode(payload)
+            except (CorruptArtifactError, OSError, KeyError, TypeError):
+                path.unlink(missing_ok=True)
+                increment("store_integrity_heals")
+                payload = None
+        if counter is not None:
+            increment(f"{counter}_misses" if payload is None else f"{counter}_hits")
+        return payload
 
     # ------------------------------------------------------------------
     # sharded layout
@@ -271,80 +281,21 @@ class RunStore:
         """Every artifact in a space."""
         return list(space.glob("*/*.json"))
 
-    def _load_manifest(self) -> dict[str, Any]:
-        if not self._manifest_path.exists():
-            return {"version": MANIFEST_VERSION, "runs": {}}
-        try:
-            manifest = json.loads(self._manifest_path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ValidationError(
-                f"corrupt run-store manifest {self._manifest_path}: {exc}"
-            ) from None
-        if manifest.get("version") != MANIFEST_VERSION:
-            raise ValidationError(
-                f"run-store manifest {self._manifest_path} has version "
-                f"{manifest.get('version')!r}; this build understands {MANIFEST_VERSION}"
-            )
-        return manifest
-
-    def _commit_manifest(self, drop: str | None = None) -> None:
-        """Write the manifest, merged with the runs a peer indexed since
-        this instance loaded it, minus ``drop``.
-
-        A plain overwrite would un-index a cooperating worker's runs (the
-        read-modify-write race stays, but every writer converges on the
-        union because run objects themselves are immutable).
-        """
-        try:
-            disk_runs = self._load_manifest()["runs"]
-        except ValidationError:
-            disk_runs = {}
-        runs = {**disk_runs, **self._manifest["runs"]}
-        if drop is not None:
-            runs.pop(drop, None)
-        self._manifest["runs"] = runs
-        _write_json_atomic(self._manifest_path, self._manifest)
-
     # ------------------------------------------------------------------
     # content-addressed access: whole runs
     # ------------------------------------------------------------------
     def get(self, key: str) -> dict[str, Any] | None:
-        """The stored payload for ``key``, or None (counts a hit/miss).
+        """The stored run payload for ``key``, or None (counts a hit/miss).
 
-        An unreadable or corrupt object is a miss, not an error: the stale
-        manifest entry is healed away so the next run re-solves and
-        re-stores cleanly.
+        A corrupt object is a miss, not an error: it is deleted so the
+        next run re-solves and re-stores cleanly.
         """
-        entry = self._manifest["runs"].get(key)
-        path = self._read_path(self.objects, key)
-        if entry is None or path is None:
-            increment("run_store_misses")
-            return None
-        try:
-            payload = parse_artifact(path.read_text(), verify=self.verify)
-        except (CorruptArtifactError, OSError):
-            # heal: drop the manifest entry for the corrupt artifact
-            self._commit_manifest(drop=key)
-            path.unlink(missing_ok=True)
-            increment("store_integrity_heals")
-            increment("run_store_misses")
-            return None
-        increment("run_store_hits")
-        return payload
+        return self._read(self.objects, key, "run_store")
 
-    def put(
-        self, key: str, payload: dict[str, Any], spec: ScenarioSpec
-    ) -> Path:
-        """Store ``payload`` under ``key`` and index it in the manifest."""
+    def put(self, key: str, payload: dict[str, Any]) -> Path:
+        """Store a run ``payload`` under ``key``."""
         path = self._write_path(self.objects, key)
         _write_json_atomic(path, payload, fault_key=f"run:{key}", envelope=True)
-        self._manifest["runs"][key] = {
-            "scenario_id": spec.scenario_id,
-            "path": str(path.relative_to(self.root)),
-            "spec": spec.to_dict(),
-            "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        }
-        self._commit_manifest()
         return path
 
     # ------------------------------------------------------------------
@@ -356,19 +307,7 @@ class RunStore:
         Corrupt point objects are removed and counted as misses — the
         scheduler simply re-solves the node.
         """
-        path = self._read_path(self.points, key)
-        if path is None:
-            increment("point_store_misses")
-            return None
-        try:
-            payload = parse_artifact(path.read_text(), verify=self.verify)
-        except (CorruptArtifactError, OSError):
-            path.unlink(missing_ok=True)
-            increment("store_integrity_heals")
-            increment("point_store_misses")
-            return None
-        increment("point_store_hits")
-        return payload
+        return self._read(self.points, key, "point_store")
 
     def put_point(self, key: str, payload: dict[str, Any]) -> Path | None:
         """Persist one plan node's payload (atomically; never raises on
@@ -408,16 +347,7 @@ class RunStore:
 
     def get_failure(self, key: str) -> NodeFailure | None:
         """The quarantine record for ``key``, or None (corruption = None)."""
-        path = self._read_path(self.failures, key)
-        if path is None:
-            return None
-        try:
-            return NodeFailure.from_payload(
-                parse_artifact(path.read_text(), verify=self.verify)
-            )
-        except (CorruptArtifactError, OSError, KeyError, TypeError):
-            path.unlink(missing_ok=True)
-            return None
+        return self._read(self.failures, key, decode=NodeFailure.from_payload)
 
     def failure_age_s(self, key: str) -> float | None:
         """Seconds since ``key``'s quarantine record was written, or None.
@@ -467,7 +397,7 @@ class RunStore:
 
     def get_blame(self, key: str) -> int:
         """Crash count recorded against ``key`` (0 if none/corrupt)."""
-        payload = self._read_artifact(self.blame, key)
+        payload = self._read(self.blame, key)
         if not isinstance(payload, dict):
             return 0
         count = payload.get("count")
@@ -489,20 +419,15 @@ class RunStore:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def manifest(self) -> dict[str, Any]:
-        """The manifest index (a copy; mutate via :meth:`put` only)."""
-        return json.loads(json.dumps(self._manifest))
-
     def keys(self) -> list[str]:
-        """Stored run keys, in insertion order."""
-        return list(self._manifest["runs"])
+        """Stored run keys, sorted."""
+        return sorted(p.stem for p in self._space_paths(self.objects))
 
     def __contains__(self, key: object) -> bool:
-        return key in self._manifest["runs"]
+        return self._read_path(self.objects, str(key)) is not None
 
     def __len__(self) -> int:
-        return len(self._manifest["runs"])
+        return len(self._space_paths(self.objects))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<RunStore {self.root} ({len(self)} runs)>"

@@ -50,6 +50,7 @@ __all__ = [
     "Supervisor",
     "heartbeat_path",
     "read_heartbeat",
+    "stop_worker",
 ]
 
 #: heartbeat files live under the store's fleet directory
@@ -191,6 +192,17 @@ class _WorkerProcess(Protocol):  # the multiprocessing.Process surface used
     def kill(self) -> None: ...
 
 
+def stop_worker(proc: _WorkerProcess) -> None:
+    """Terminate a worker; kill it if it is still alive two seconds later
+    (a worker's first SIGTERM only requests a drain at its next safe
+    point)."""
+    proc.terminate()
+    proc.join(2.0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(2.0)
+
+
 class Supervisor:
     """Watch a fleet's workers; kill the stuck, respawn the dead.
 
@@ -230,13 +242,6 @@ class Supervisor:
         self.poll_s = poll_s
         self.events: list[RespawnEvent] = []
         self.deadline_exceeded = False
-
-    def _kill(self, proc: _WorkerProcess) -> None:
-        proc.terminate()
-        proc.join(2.0)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(2.0)
 
     def _stalled(self, rank: int, started_at: float) -> bool:
         if self.stall_timeout_s is None:
@@ -289,7 +294,7 @@ class Supervisor:
                 pending.clear()
                 for rank, proc in procs.items():
                     if rank not in retired and proc.is_alive():
-                        self._kill(proc)
+                        stop_worker(proc)
 
             for rank, (not_before, reason, code) in list(pending.items()):
                 if now < not_before:
@@ -328,7 +333,7 @@ class Supervisor:
                     # alive but silent: a hung or livelocked worker keeps
                     # its leases renewed forever — kill it so they expire
                     # and a fresh incarnation (or a peer) takes over
-                    self._kill(proc)
+                    stop_worker(proc)
                     schedule_respawn(rank, "stall", proc.exitcode)
                     continue
                 live = True

@@ -53,6 +53,36 @@ class TestParser:
         assert args.fast and args.no_calibrate
         assert args.fem_resolution == "coarse"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["run", "fig7", "--node-timeout", "0"],
+            ["run", "fig7", "--node-timeout", "-1"],
+            ["fleet", "fig7", "--lease-ttl", "0"],
+            ["fleet", "fig7", "--stall", "0"],
+            ["fleet", "fig7", "--deadline", "-5"],
+            ["fleet", "fig7", "--deadline", "nan"],
+            ["fleet", "fig7", "--deadline", "inf"],
+            ["fleet", "fig7", "--node-timeout", "0"],
+            ["fleet", "fig7", "--max-retries", "-1"],
+            ["fleet", "fig7", "--max-respawns", "-1"],
+        ],
+    )
+    def test_bad_durations_and_counts_exit_2_at_parse_time(
+        self, flags, capsys, tmp_path
+    ):
+        # every fleet case would otherwise start a (cheap) one-worker fleet
+        extra = (
+            ["--store", str(tmp_path / "store"), "--workers", "1", *FAST_FLAGS]
+            if flags[0] == "fleet"
+            else FAST_FLAGS
+        )
+        with pytest.raises(SystemExit) as exc:
+            main([*flags, *extra])
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
+
 
 class TestMain:
     def test_fig7_fast(self, capsys):
@@ -171,6 +201,17 @@ class TestRunSubcommand:
         # identical tables either way
         assert first.split("\n", 1)[1] == second.split("\n", 1)[1]
 
+    def test_torn_legacy_manifest_does_not_break_the_store(
+        self, capsys, tmp_path
+    ):
+        # older builds kept a manifest.json index; nothing reads it now
+        store_dir = tmp_path / "store"
+        assert main(["run", "fig7", *FAST_FLAGS, "--store", str(store_dir)]) == 0
+        capsys.readouterr()
+        (store_dir / "manifest.json").write_text('{"version": 1, "ru')
+        assert main(["run", "fig7", *FAST_FLAGS, "--store", str(store_dir)]) == 0
+        assert "[fig7] served from run store" in capsys.readouterr().out
+
     def test_run_scenario_file(self, capsys, tmp_path):
         spec_path = tmp_path / "custom.json"
         spec_path.write_text(
@@ -257,10 +298,9 @@ class TestBatchSubcommand:
         assert main(["batch", str(scenario_dir)]) == 0
         capsys.readouterr()
         # simulate a batch killed before the run-level artifacts landed:
-        # the point space survives, manifest and objects do not
+        # the point space survives, the run objects do not
         runs = scenario_dir / "runs"
-        (runs / "manifest.json").unlink()
-        for path in (runs / "objects").glob("*.json"):
+        for path in (runs / "objects").glob("**/*.json"):
             path.unlink()
         perf.reset()  # fresh-process caches
         hits_before = perf.stats()["counters"].get("point_store_hits", 0)

@@ -249,15 +249,14 @@ class TestStoreDurability:
 
     def test_corrupt_run_write_heals_manifest(self, tmp_path):
         store = RunStore(tmp_path / "store")
-        spec = ft_spec()
         faults.configure(
             rate=1.0, kinds=("corrupt",), sites=("store-write",), seed=0
         )
-        store.put("rk", {"experiment_id": "x"}, spec)
+        store.put("rk", {"experiment_id": "x"})
         faults.reset()
         assert "rk" in store
         assert store.get("rk") is None
-        assert "rk" not in store  # manifest entry healed away
+        assert "rk" not in store  # the corrupt object is healed away
 
     def test_failure_ledger_roundtrip_and_clear(self, tmp_path):
         from repro.perf import NodeFailure
@@ -311,11 +310,13 @@ class TestCLI:
         defaults = build_parser().parse_args(["run", "x"])
         assert defaults.max_retries == 2 and defaults.node_timeout is None
 
-    def test_negative_max_retries_rejected(self, tmp_path):
+    def test_negative_max_retries_rejected(self, tmp_path, capsys):
         from repro.__main__ import main
 
-        with pytest.raises(SystemExit, match="--max-retries"):
+        with pytest.raises(SystemExit) as exc:
             main(["run", self._spec_file(tmp_path), "--max-retries", "-1"])
+        assert exc.value.code == 2  # a usage error, at parse time
+        assert "--max-retries" in capsys.readouterr().err
 
     def test_failed_run_exits_3_and_prints_the_ledger(self, tmp_path, capsys):
         from repro.__main__ import main

@@ -73,7 +73,7 @@ class TestFleet:
             [spec],
             store=tmp_path / "fleet",
             workers=4,
-            timeout_s=300.0,
+            deadline_s=300.0,
         )
         assert outcome.ok
         assert outcome.exit_codes == (EXIT_OK,) * 4
@@ -100,7 +100,7 @@ class TestFleet:
             store=tmp_path / "fleet",
             workers=3,
             ttl_s=1.0,
-            timeout_s=300.0,
+            deadline_s=300.0,
             extra_env={
                 0: {
                     faults.ENV_RATE: "1.0",
@@ -130,7 +130,7 @@ class TestFleet:
     def test_single_worker_fleet_matches_run_scenario(self, single, tmp_path):
         spec, single_store, single_solves = single
         outcome = run_fleet(
-            [spec], store=tmp_path / "fleet", workers=1, timeout_s=300.0
+            [spec], store=tmp_path / "fleet", workers=1, deadline_s=300.0
         )
         assert outcome.ok
         assert outcome.counters["plan_point_solves"] == single_solves
@@ -143,7 +143,7 @@ class TestFleet:
         # that already holds every point re-solves nothing
         spec, single_store, _ = single
         outcome = run_fleet(
-            [spec], store=single_store.root, workers=2, timeout_s=300.0
+            [spec], store=single_store.root, workers=2, deadline_s=300.0
         )
         assert outcome.ok
         assert outcome.counters.get("plan_point_solves", 0) == 0
@@ -169,6 +169,34 @@ class TestFleetCLI:
         assert "fleet of 2" in out
         assert "store complete" in out
         assert RunStore(tmp_path / "store").get(spec.content_hash())
+
+
+    def test_deadline_applies_without_supervise(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import time
+
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(fleet_spec().to_dict()))
+        # the worker sleeps far past the deadline before it starts
+        for name, value in {**SLOW_START_ENV, faults.ENV_DELAY_S: "10.0"}.items():
+            monkeypatch.setenv(name, value)
+        start = time.monotonic()
+        code = main(
+            [
+                "fleet",
+                str(spec_file),
+                "--workers",
+                "1",
+                "--store",
+                str(tmp_path / "store"),
+                "--deadline",
+                "0.5",
+            ]
+        )
+        assert time.monotonic() - start < 8.0
+        assert code == 3
+        assert "whole-run deadline of 0.5s exceeded" in capsys.readouterr().err
 
 
 class TestReportAggregation:

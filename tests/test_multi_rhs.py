@@ -447,8 +447,7 @@ class TestGroupedScheduling:
         # cache the grouped solves populated (counters zeroed, caches kept)
         from repro.perf.stats import reset_counters
 
-        (tmp_path / "store" / "manifest.json").unlink()
-        for path in (tmp_path / "store" / "objects").glob("*.json"):
+        for path in (tmp_path / "store" / "objects").glob("**/*.json"):
             path.unlink()
         reset_counters()
         run_scenario(spec, store=RunStore(tmp_path / "store"))

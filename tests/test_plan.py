@@ -192,7 +192,6 @@ class TestPlannedEqualsEager:
 
 class TestResume:
     def _wipe_run_level(self, store_root):
-        (store_root / "manifest.json").unlink()
         for path in (store_root / "objects").glob("**/*.json"):
             path.unlink()
 

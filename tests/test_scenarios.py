@@ -170,9 +170,7 @@ class TestRunStore:
         first = run_scenario(spec, store=store)
         assert not first.from_store
         assert first.key in store and len(store) == 1
-        manifest = store.manifest["runs"][first.key]
-        assert manifest["scenario_id"] == "tiny"
-        assert ScenarioSpec.from_dict(manifest["spec"]) == spec
+        assert store.keys() == [first.key]
 
         hits_before = perf.stats()["counters"].get("run_store_hits", 0)
         cache_misses_before = perf.stats()["caches"]["result_cache"]["misses"]
@@ -201,13 +199,6 @@ class TestRunStore:
         assert not changed.from_store
         assert len(store) == 2
 
-    def test_corrupt_manifest_rejected(self, tmp_path):
-        root = tmp_path / "store"
-        RunStore(root)
-        (root / "manifest.json").write_text("{oops")
-        with pytest.raises(ValidationError):
-            RunStore(root)
-
     def test_corrupt_object_is_a_healed_miss(self, tmp_path):
         store = RunStore(tmp_path / "store")
         spec = tiny_spec()
@@ -218,7 +209,7 @@ class TestRunStore:
         misses_before = perf.stats()["counters"].get("run_store_misses", 0)
         assert store.get(first.key) is None
         assert perf.stats()["counters"]["run_store_misses"] == misses_before + 1
-        # the manifest entry is healed away, so a fresh store agrees
+        # the corrupt object is healed away, so a fresh store agrees
         assert first.key not in store
         assert first.key not in RunStore(tmp_path / "store")
         # and the next run re-solves and re-stores cleanly

@@ -426,7 +426,8 @@ class TestStackedScheduling:
         assert solved and all("dispatch" in e for e in solved)
         assert {e["dispatch"] for e in solved} >= {"stacked", "point"}
         # a store/cache-satisfied node was never dispatched: no provenance
-        (tmp_path / "store" / "manifest.json").unlink()
+        for path in (tmp_path / "store" / "objects").glob("**/*.json"):
+            path.unlink()
         events.clear()
         run_scenario(
             spec, store=RunStore(tmp_path / "store"), resume=True,

@@ -322,7 +322,7 @@ class TestSupervisedFleet:
             store=tmp_path / "fleet",
             workers=3,
             ttl_s=1.0,
-            timeout_s=300.0,
+            deadline_s=300.0,
             supervise=True,
             max_respawns=2,
             extra_env={
