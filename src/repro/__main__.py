@@ -121,7 +121,7 @@ def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
         metavar="SECONDS",
         help="per-node wall-clock budget; a node exceeding it counts "
         "as a transient failure and is retried (scaled by member "
-        "count for matrix groups; default: unbounded)",
+        "count for stacked units; default: unbounded)",
     )
 
 
@@ -531,7 +531,17 @@ def _load_target(target: str) -> ScenarioSpec | None:
             file=sys.stderr,
         )
         return None
-    return ScenarioSpec.load(path)
+    return _load_spec(path)
+
+
+def _load_spec(path: Path) -> ScenarioSpec | None:
+    """The scenario in a JSON file; None (after printing the error) when
+    the file does not hold a valid one."""
+    try:
+        return ScenarioSpec.load(path)
+    except (OSError, TypeError, ValueError) as exc:
+        print(f"error: {path} is not a valid scenario: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -629,8 +639,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not files:
         print(f"error: no scenario *.json files in {directory}", file=sys.stderr)
         return 2
+    specs = [_load_spec(path) for path in files]
+    if any(spec is None for spec in specs):
+        return 2
     store = RunStore(args.store if args.store else directory / "runs")
-    batch = _execute(args, [ScenarioSpec.load(path) for path in files], store)
+    batch = _execute(args, specs, store)
     if isinstance(batch, int):
         return batch
     solved = hits = failed = 0

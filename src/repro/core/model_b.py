@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -407,15 +406,11 @@ class ModelB(ThermalTSVModel):
     ) -> ModelResult:
         from ..network.solve import solve_linear_system
 
-        cluster = as_cluster(via)
-        start = time.perf_counter()
-        ladder, rhs, scheme = self._build(stack, cluster, power)
-        temps = solve_linear_system(ladder.matrix, rhs)
-        elapsed = time.perf_counter() - start
-        return self._result(stack, cluster, scheme, ladder, temps, elapsed)
+        system = self.assemble_system(stack, via, power)
+        return system.finish(solve_linear_system(system.matrix, system.rhs))
 
     # ------------------------------------------------------------------
-    # matrix-batched interface
+    # the stacked-tier interface
     # ------------------------------------------------------------------
     def assembly_key(
         self, stack: Stack3D, via: TSV | TSVCluster
@@ -426,7 +421,8 @@ class ModelB(ThermalTSVModel):
         matrix — depend only on the model configuration, the stack and the
         (cluster-normalised) via; power enters the Eq. (20) source vector
         alone.  Points sharing this key solve the identical matrix, so
-        large-segment sweeps ride the matrix-batched dispatch plane.
+        a power sweep factors it once (a shared-matrix set of the stacked
+        tier), large-segment ladders included.
         """
         return content_key(
             "model_b_assembly/v1", model_key(self), stack, as_cluster(via)
@@ -442,8 +438,7 @@ class ModelB(ThermalTSVModel):
         stack into one batched dense solve.  The ``"uniform"`` scheme's
         topology depends on where the via span ends, so it opts out, as do
         ladders too large for the dense cutoff (the default 100-segment
-        model: those ride the multi-RHS plane via :meth:`assembly_key`
-        instead).
+        model: those batch by :meth:`assembly_key` alone).
         """
         if self.scheme != "paper":
             return None
@@ -457,16 +452,15 @@ class ModelB(ThermalTSVModel):
 
     def assemble_system(
         self, stack: Stack3D, via: TSV | TSVCluster, power: PowerSpec
-    ) -> AssembledSystem | None:
-        """Lift one ladder's dense system out for the stacked solve tier.
+    ) -> AssembledSystem:
+        """Lift one ladder's system out for the stacked solve tier.
 
         The ladder is stamped exactly as :meth:`solve` stamps it (same
-        triplets, same dense matrix below the cutoff), so the stacked
-        solve — per-item identical to ``numpy.linalg.solve`` — reproduces
-        the solo result bit-for-bit.
+        triplets; dense below the cutoff, sparse above), so the stacked
+        solve — per-item identical to ``numpy.linalg.solve``, or one
+        column of a shared-matrix set — reproduces the solo result
+        bit-for-bit.
         """
-        if self.batch_class_key(stack, via) is None:
-            return None
         cluster = as_cluster(via)
         validate_tsv_in_stack(stack, cluster.member)
         start = time.perf_counter()
@@ -476,40 +470,4 @@ class ModelB(ThermalTSVModel):
             elapsed = time.perf_counter() - start
             return self._result(stack, cluster, scheme, ladder, temps, elapsed)
 
-        return AssembledSystem(
-            matrix=np.asarray(ladder.matrix, dtype=float), rhs=rhs, finish=finish
-        )
-
-    def solve_batch(
-        self,
-        stack: Stack3D,
-        via: TSV | TSVCluster,
-        powers: Sequence[PowerSpec],
-    ) -> list[ModelResult]:
-        """Solve one (stack, via) ladder under many power specs.
-
-        The ladder is stamped and its conductance matrix factorised once;
-        each power spec contributes one Eq. (20) source vector and costs
-        one back-substitution.  Results are bit-identical to per-point
-        :meth:`solve` calls (wall-clock ``solve_time`` excepted).
-        """
-        from ..network.solve import solve_linear_system_multi
-
-        powers = list(powers)
-        if not powers:
-            return []
-        cluster = as_cluster(via)
-        validate_tsv_in_stack(stack, cluster.member)
-        start = time.perf_counter()
-        ladder, first, scheme = self._build(stack, cluster, powers[0])
-        # later members only differ in their Eq. (20) source vector
-        sources = [first] + [
-            ladder.source_vector(self._segments(stack, cluster, scheme, power).heat)
-            for power in powers[1:]
-        ]
-        temps = solve_linear_system_multi(ladder.matrix, np.column_stack(sources))
-        elapsed = time.perf_counter() - start
-        return [
-            self._result(stack, cluster, scheme, ladder, temps[:, j], elapsed)
-            for j in range(len(powers))
-        ]
+        return AssembledSystem(matrix=ladder.matrix, rhs=rhs, finish=finish)

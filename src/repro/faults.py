@@ -14,10 +14,8 @@ exactly how a transient real-world failure behaves.
 Sites (each guards one seam of the execute path):
 
 * ``solve`` — one model solve inside a :class:`~repro.perf.PointTask`;
-* ``group-solve`` — one :class:`~repro.perf.MatrixGroupTask` batch solve;
-* ``stacked-solve`` — one :class:`~repro.perf.StackedBatchTask` stacked
-  batch solve (the cross-matrix tier; a crashed batch must degrade to
-  per-point dispatch exactly like a failed matrix group);
+* ``stacked-solve`` — one :class:`~repro.perf.StackedBatchTask` solve
+  (a crashed unit must degrade to per-point dispatch);
 * ``store-write`` — a :class:`~repro.scenarios.store.RunStore` artifact
   write (corruption simulates data lost between write and fsync);
 * ``lease`` — a :mod:`repro.scenarios.lease` claim acquisition (a crash
@@ -76,7 +74,6 @@ KINDS = ("crash", "delay", "error", "corrupt")
 #: every instrumented site
 SITES = (
     "solve",
-    "group-solve",
     "stacked-solve",
     "store-write",
     "lease",
@@ -88,7 +85,6 @@ SITES = (
 #: ``put_point`` would just be a crash around a solve — already covered)
 SITE_KINDS = {
     "solve": ("crash", "delay", "error"),
-    "group-solve": ("crash", "delay", "error"),
     "stacked-solve": ("crash", "delay", "error"),
     "store-write": ("delay", "corrupt"),
     "lease": ("crash", "delay"),

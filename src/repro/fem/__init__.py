@@ -5,9 +5,8 @@ from .axisym import (
     AxisymField,
     assemble_axisymmetric,
     solve_axisymmetric,
-    solve_axisymmetric_multi,
 )
-from .cartesian import CartesianField, solve_cartesian, solve_cartesian_multi
+from .cartesian import CartesianField, assemble_cartesian, solve_cartesian
 from .mesh import centers, graded_mesh, layered_mesh, refine, unique_breakpoints
 from .reference import AXISYM_PRESETS, CARTESIAN_PRESETS, FEMReference
 from .voxelize import (
@@ -28,10 +27,9 @@ __all__ = [
     "NATURAL_ORDERING_CUTOFF",
     "assemble_axisymmetric",
     "solve_axisymmetric",
-    "solve_axisymmetric_multi",
     "AxisymField",
     "solve_cartesian",
-    "solve_cartesian_multi",
+    "assemble_cartesian",
     "CartesianField",
     "FEMReference",
     "AXISYM_PRESETS",

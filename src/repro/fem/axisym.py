@@ -14,12 +14,6 @@ the scheme conservative across material interfaces (silicon/liner/copper).
 The solver knows nothing about stacks or vias; :mod:`repro.fem.reference`
 builds the conductivity/source grids from the geometry layer.
 
-:func:`solve_axisymmetric_multi` is the matrix-batched entry point: many
-source-density grids against one (mesh, conductivity) pair assemble and
-factorise the system exactly once and back-substitute per right-hand
-side — each returned field is bit-for-bit identical to the corresponding
-:func:`solve_axisymmetric` call.
-
 Systems up to :data:`NATURAL_ORDERING_CUTOFF` unknowns factorise with
 SuperLU's *natural* column ordering instead of the default banded
 Cholesky.
@@ -33,14 +27,13 @@ the fill-in premium confined to meshes small enough not to care.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..errors import SolverError, ValidationError
-from ..network.solve import solve_sparse, solve_sparse_multi
+from ..network.solve import solve_sparse
 
 #: up to this many unknowns the axisymmetric factorisation uses SuperLU
 #: with natural ordering (batch-size invariant, hence stackable); the
@@ -167,17 +160,6 @@ def _check_axisym_inputs(
     return r_edges, z_edges, k
 
 
-def _check_axisym_source(
-    source_density: np.ndarray, nr: int, nz: int
-) -> np.ndarray:
-    q = np.asarray(source_density, dtype=float)
-    if q.shape != (nr, nz):
-        raise ValidationError(
-            f"source shape must be ({nr}, {nz}), got {q.shape}"
-        )
-    return q
-
-
 def solve_axisymmetric(
     r_edges: np.ndarray,
     z_edges: np.ndarray,
@@ -202,7 +184,9 @@ def solve_axisymmetric(
     """
     r_edges, z_edges, k = _check_axisym_inputs(r_edges, z_edges, conductivity)
     nr, nz = r_edges.size - 1, z_edges.size - 1
-    q = _check_axisym_source(source_density, nr, nz)
+    q = np.asarray(source_density, dtype=float)
+    if q.shape != (nr, nz):
+        raise ValidationError(f"source shape must be ({nr}, {nz}), got {q.shape}")
 
     start = time.perf_counter()
     matrix, volume = _assemble_axisym_system(r_edges, z_edges, k)
@@ -220,46 +204,6 @@ def solve_axisymmetric(
     )
 
 
-def solve_axisymmetric_multi(
-    r_edges: np.ndarray,
-    z_edges: np.ndarray,
-    conductivity: np.ndarray,
-    source_densities: Sequence[np.ndarray],
-) -> list[AxisymField]:
-    """Solve one axisymmetric system against many source grids.
-
-    The system matrix is assembled and factorised exactly once; each
-    source grid becomes one RHS column, back-substituted individually
-    through the shared factor (see
-    :func:`repro.network.solve.solve_sparse_multi`), so field ``i`` is
-    bit-for-bit identical to ``solve_axisymmetric(..., source_densities[i])``.
-    The recorded ``solve_time`` is the batch's wall-clock share per field.
-    """
-    r_edges, z_edges, k = _check_axisym_inputs(r_edges, z_edges, conductivity)
-    nr, nz = r_edges.size - 1, z_edges.size - 1
-    sources = [_check_axisym_source(q, nr, nz) for q in source_densities]
-    if not sources:
-        return []
-
-    start = time.perf_counter()
-    matrix, volume = _assemble_axisym_system(r_edges, z_edges, k)
-    rhs_block = np.column_stack([(q * volume).ravel() for q in sources])
-    temps_block = solve_sparse_multi(
-        matrix, rhs_block, permc_spec=_permc_spec(rhs_block.shape[0])
-    )
-    elapsed = (time.perf_counter() - start) / len(sources)
-    return [
-        AxisymField(
-            r_edges=r_edges,
-            z_edges=z_edges,
-            temperatures=temps_block[:, i].reshape(nr, nz),
-            solve_time=elapsed,
-            conductivity=k,
-        )
-        for i in range(len(sources))
-    ]
-
-
 def assemble_axisymmetric(
     r_edges: np.ndarray, z_edges: np.ndarray, conductivity: np.ndarray
 ) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -267,9 +211,10 @@ def assemble_axisymmetric(
 
     Returns the (conductance matrix, cell volumes) pair
     :func:`solve_axisymmetric` would build internally — the RHS of a
-    source grid ``q`` is ``(q * volume).ravel()``.  The cross-matrix
-    stacked tier uses this to lift many same-topology systems out of
-    their models and solve them through one block-diagonal factor.
+    source grid ``q`` is ``(q * volume).ravel()``.
+    :class:`~repro.fem.reference.FEMReference` assembles through it, so
+    the stacked tier can factor one matrix for many source grids or
+    stack many same-topology systems into one block-diagonal factor.
     """
     r_edges, z_edges, k = _check_axisym_inputs(r_edges, z_edges, conductivity)
     return _assemble_axisym_system(r_edges, z_edges, k)

@@ -8,24 +8,21 @@ Same discretisation choices as :mod:`repro.fem.axisym`: cell-centred,
 harmonic-mean face conductances, Dirichlet heat sink at z = 0, adiabatic
 sides and top.
 
-:func:`solve_cartesian_multi` is the matrix-batched entry point: many
-source grids against one (mesh, conductivity) pair assemble and factorise
-the — expensive, 3-D — system exactly once and back-substitute per
-right-hand side, bit-for-bit identical to per-point
-:func:`solve_cartesian` calls.
+:func:`assemble_cartesian` builds the system without solving it, which
+is how a 3-D FEM power sweep factors its — expensive — matrix once and
+back-substitutes per point.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..errors import SolverError, ValidationError
-from ..network.solve import solve_sparse, solve_sparse_multi
+from ..network.solve import solve_sparse
 
 
 @dataclass(frozen=True)
@@ -88,17 +85,6 @@ def _check_cartesian_inputs(
     return x_edges, y_edges, z_edges, k
 
 
-def _check_cartesian_source(
-    source_density: np.ndarray, shape: tuple[int, int, int]
-) -> np.ndarray:
-    q = np.asarray(source_density, dtype=float)
-    if q.shape != shape:
-        raise ValidationError(
-            f"source shape must be {shape}, got {q.shape}"
-        )
-    return q
-
-
 def solve_cartesian(
     x_edges: np.ndarray,
     y_edges: np.ndarray,
@@ -115,7 +101,9 @@ def solve_cartesian(
         x_edges, y_edges, z_edges, conductivity
     )
     nx, ny, nz = x_edges.size - 1, y_edges.size - 1, z_edges.size - 1
-    q = _check_cartesian_source(source_density, (nx, ny, nz))
+    q = np.asarray(source_density, dtype=float)
+    if q.shape != (nx, ny, nz):
+        raise ValidationError(f"source shape must be {(nx, ny, nz)}, got {q.shape}")
 
     start = time.perf_counter()
     matrix, volume = _assemble_cartesian_system(x_edges, y_edges, z_edges, k)
@@ -131,45 +119,22 @@ def solve_cartesian(
     )
 
 
-def solve_cartesian_multi(
+def assemble_cartesian(
     x_edges: np.ndarray,
     y_edges: np.ndarray,
     z_edges: np.ndarray,
     conductivity: np.ndarray,
-    source_densities: Sequence[np.ndarray],
-) -> list[CartesianField]:
-    """Solve one Cartesian system against many source grids.
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Validate and assemble one Cartesian system without solving it.
 
-    One assembly + one factorisation, one back-substitution per source
-    grid; field ``i`` is bit-for-bit identical to
-    ``solve_cartesian(..., source_densities[i])``.  The recorded
-    ``solve_time`` is the batch's wall-clock share per field.
+    Returns the (conductance matrix, cell volumes) pair
+    :func:`solve_cartesian` would build internally — the RHS of a source
+    grid ``q`` is ``(q * volume).ravel()``.
     """
     x_edges, y_edges, z_edges, k = _check_cartesian_inputs(
         x_edges, y_edges, z_edges, conductivity
     )
-    nx, ny, nz = x_edges.size - 1, y_edges.size - 1, z_edges.size - 1
-    sources = [
-        _check_cartesian_source(q, (nx, ny, nz)) for q in source_densities
-    ]
-    if not sources:
-        return []
-
-    start = time.perf_counter()
-    matrix, volume = _assemble_cartesian_system(x_edges, y_edges, z_edges, k)
-    rhs_block = np.column_stack([(q * volume).ravel() for q in sources])
-    temps_block = solve_sparse_multi(matrix, rhs_block)
-    elapsed = (time.perf_counter() - start) / len(sources)
-    return [
-        CartesianField(
-            x_edges=x_edges,
-            y_edges=y_edges,
-            z_edges=z_edges,
-            temperatures=temps_block[:, i].reshape(nx, ny, nz),
-            solve_time=elapsed,
-        )
-        for i in range(len(sources))
-    ]
+    return _assemble_cartesian_system(x_edges, y_edges, z_edges, k)
 
 
 def _assemble_cartesian_system(

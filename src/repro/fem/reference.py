@@ -15,23 +15,25 @@ Cluster handling mirrors the experiments' physics:
 The FEM system matrix depends only on (mesh, conductivity) — i.e. on the
 stack, the via and the resolution — while the power specification enters
 the right-hand side alone.  :meth:`FEMReference.assembly_key` exposes that
-identity to the matrix-batched scheduler and
-:meth:`FEMReference.solve_batch` exploits it: a group of points sharing
-one geometry voxelises, assembles and factorises once and back-substitutes
-per point, bit-for-bit identical to per-point solves.
+identity, and :meth:`FEMReference.assemble_batch` exploits it: the points
+of a stacked unit that share one geometry are voxelised and assembled
+once, and :func:`~repro.core.base.solve_stacked` factors their matrix
+once and back-substitutes per point, bit-for-bit identical to per-point
+solves.
 
-One tier below, :meth:`FEMReference.batch_class_key` declares small
-axisymmetric meshes *stackable*: points whose matrices differ (geometry
-sweeps) but share a mesh topology assemble via
-:meth:`FEMReference.assemble_system` and solve as one block-diagonal
-natural-ordering factorisation — see
-:func:`repro.network.solve.solve_sparse_stacked`.
+:meth:`FEMReference.batch_class_key` also declares small axisymmetric
+meshes *stackable*: points whose matrices differ (geometry sweeps) but
+share a mesh topology solve as one block-diagonal natural-ordering
+factorisation — see :func:`repro.network.solve.solve_sparse_stacked`.
+A solo :meth:`~FEMReference.solve` is the one-member case of the same
+assembly.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Sequence
+from typing import Any
 
 import numpy as np
 
@@ -39,24 +41,27 @@ from ..errors import ValidationError
 from ..geometry import PowerSpec, Stack3D, TSV, TSVCluster, validate_tsv_in_stack
 from ..geometry.tsv import as_cluster
 from ..perf import content_key, model_key
+from ..network.solve import solve_sparse
 from .axisym import (
     NATURAL_ORDERING_CUTOFF,
     AxisymField,
+    _permc_spec,
     assemble_axisymmetric,
-    solve_axisymmetric,
-    solve_axisymmetric_multi,
 )
-from .cartesian import solve_cartesian, solve_cartesian_multi
+from .cartesian import CartesianField, assemble_cartesian
 from .voxelize import (
     axisym_source_density,
     build_axisym_geometry,
-    build_axisym_grids,
     build_cartesian_geometry,
-    build_cartesian_grids,
     cartesian_source_density,
     grid_via_positions,
 )
-from ..core.base import AssembledSystem, ThermalTSVModel
+from ..core.base import (
+    AssembledSystem,
+    StackedMember,
+    ThermalTSVModel,
+    shared_matrix_sets,
+)
 from ..core.result import ModelResult
 
 #: resolution presets: (nr, nz) for axisym, (nx, ny, nz) for cartesian
@@ -114,12 +119,13 @@ class FEMReference(ThermalTSVModel):
     def _solve(
         self, stack: Stack3D, via: TSVCluster, power: PowerSpec
     ) -> ModelResult:
-        if self.solver == "axisym":
-            return self._solve_axisym(stack, via, power)
-        return self._solve_cartesian(stack, via, power)
+        (system,) = self._assemble_set(stack, via, [power])
+        return system.finish(
+            solve_sparse(system.matrix, system.rhs, permc_spec=system.permc_spec)
+        )
 
     # ------------------------------------------------------------------
-    # matrix-batched interface
+    # the stacked-tier interface
     # ------------------------------------------------------------------
     def assembly_key(
         self, stack: Stack3D, via: TSV | TSVCluster
@@ -135,28 +141,6 @@ class FEMReference(ThermalTSVModel):
             "fem_assembly/v1", model_key(self), stack, as_cluster(via)
         )
 
-    def solve_batch(
-        self,
-        stack: Stack3D,
-        via: TSV | TSVCluster,
-        powers: Sequence[PowerSpec],
-    ) -> list[ModelResult]:
-        """Solve many power specs against one geometry's matrix.
-
-        Voxelises (geometry half only), assembles and factorises once,
-        then back-substitutes one RHS per power — results are bit-for-bit
-        identical to per-point :meth:`solve` calls (wall-clock
-        ``solve_time`` excepted).
-        """
-        powers = list(powers)
-        if not powers:
-            return []
-        cluster = as_cluster(via)
-        validate_tsv_in_stack(stack, cluster.member)
-        if self.solver == "axisym":
-            return self._solve_axisym_batch(stack, cluster, powers)
-        return self._solve_cartesian_batch(stack, cluster, powers)
-
     def batch_class_key(
         self, stack: Stack3D, via: TSV | TSVCluster
     ) -> str | None:
@@ -171,8 +155,8 @@ class FEMReference(ThermalTSVModel):
         natural ordering, whose fill-in premium is only acceptable on
         small meshes: systems past
         :data:`~repro.fem.axisym.NATURAL_ORDERING_CUTOFF` unknowns (the
-        ``medium`` preset and up) opt out and stay on the multi-RHS
-        matrix-group plane, as does the Cartesian back-end (3-D
+        ``medium`` preset and up) opt out and batch by
+        :meth:`assembly_key` alone, as does the Cartesian back-end (3-D
         fill-in).  The mesh frame comes from the voxel-frame cache, so
         repeated key probes cost a cache hit, not a meshing pass.
         """
@@ -198,50 +182,43 @@ class FEMReference(ThermalTSVModel):
 
     def assemble_system(
         self, stack: Stack3D, via: TSV | TSVCluster, power: PowerSpec
-    ) -> AssembledSystem | None:
-        """Lift one point's sparse system out for the stacked solve tier.
+    ) -> AssembledSystem:
+        """One point's sparse system, exactly as :meth:`solve` builds it."""
+        (system,) = self.assemble_batch([(self, stack, via, power)])
+        return system
 
-        Voxelises and assembles exactly as :meth:`solve` would; the
-        stacked solve's natural-ordering factor matches the solo path's
-        (both sides of :data:`~repro.fem.axisym.NATURAL_ORDERING_CUTOFF`
-        agree by construction), so ``finish`` reproduces the solo
-        :class:`~repro.core.result.ModelResult` bit-for-bit.
+    def assemble_batch(
+        self, members: Sequence[StackedMember]
+    ) -> list[AssembledSystem]:
+        """Assemble a stacked unit, voxelising once per shared-matrix set.
+
+        Members with an equal :meth:`assembly_key` share one mesh,
+        conductivity and matrix: the set's geometry is built and its
+        matrix assembled once, each member adds only its own source
+        density, and the set's systems hold one matrix object, which
+        :func:`~repro.core.base.solve_stacked` factors once.  Every system
+        is the one :meth:`solve` assembles (same ``permc_spec`` too), so
+        ``finish`` reproduces the solo result bit-for-bit.
         """
-        if self.batch_class_key(stack, via) is None:
-            return None
-        cluster = as_cluster(via)
-        validate_tsv_in_stack(stack, cluster.member)
-        nr, nz = self.resolution
-        n = cluster.count
-        start = time.perf_counter()
-        grids = build_axisym_grids(
-            stack,
-            cluster.member,
-            power,
-            cell_area=stack.footprint_area / n,
-            power_scale=1.0 / n,
-            nr=nr,
-            nz=nz,
-        )
-        matrix, volume = assemble_axisymmetric(
-            grids.r_edges, grids.z_edges, grids.conductivity
-        )
-        rhs = (grids.source_density * volume).ravel()
-        mesh_nr, mesh_nz = grids.r_edges.size - 1, grids.z_edges.size - 1
+        if not all(isinstance(model, FEMReference) for model, *_ in members):
+            return super().assemble_batch(members)
+        systems: list[Any] = [None] * len(members)
+        for indices in shared_matrix_sets(members):
+            model, stack, via, _ = members[indices[0]]
+            cluster = as_cluster(via)
+            validate_tsv_in_stack(stack, cluster.member)
+            powers = [members[i][3] for i in indices]
+            for i, system in zip(indices, model._assemble_set(stack, cluster, powers)):
+                systems[i] = system
+        return systems
 
-        def finish(temps: np.ndarray) -> ModelResult:
-            field = AxisymField(
-                r_edges=grids.r_edges,
-                z_edges=grids.z_edges,
-                temperatures=np.asarray(temps, dtype=float).reshape(
-                    mesh_nr, mesh_nz
-                ),
-                solve_time=time.perf_counter() - start,
-                conductivity=grids.conductivity,
-            )
-            return self._axisym_result(stack, n, field, grids.plane_bands)
-
-        return AssembledSystem(matrix=matrix, rhs=rhs, finish=finish)
+    def _assemble_set(
+        self, stack: Stack3D, via: TSVCluster, powers: Sequence[PowerSpec]
+    ) -> list[AssembledSystem]:
+        """One system per power over one voxelisation and one matrix."""
+        if self.solver == "axisym":
+            return self._assemble_axisym(stack, via, powers)
+        return self._assemble_cartesian(stack, via, powers)
 
     # ------------------------------------------------------------------
     # axisymmetric back-end
@@ -268,30 +245,12 @@ class FEMReference(ThermalTSVModel):
             },
         )
 
-    def _solve_axisym(
-        self, stack: Stack3D, via: TSVCluster, power: PowerSpec
-    ) -> ModelResult:
+    def _assemble_axisym(
+        self, stack: Stack3D, via: TSVCluster, powers: Sequence[PowerSpec]
+    ) -> list[AssembledSystem]:
         nr, nz = self.resolution
         n = via.count
-        grids = build_axisym_grids(
-            stack,
-            via.member,
-            power,
-            cell_area=stack.footprint_area / n,
-            power_scale=1.0 / n,
-            nr=nr,
-            nz=nz,
-        )
-        field = solve_axisymmetric(
-            grids.r_edges, grids.z_edges, grids.conductivity, grids.source_density
-        )
-        return self._axisym_result(stack, n, field, grids.plane_bands)
-
-    def _solve_axisym_batch(
-        self, stack: Stack3D, via: TSVCluster, powers: list[PowerSpec]
-    ) -> list[ModelResult]:
-        nr, nz = self.resolution
-        n = via.count
+        start = time.perf_counter()
         geometry = build_axisym_geometry(
             stack,
             via.member,
@@ -299,19 +258,36 @@ class FEMReference(ThermalTSVModel):
             nr=nr,
             nz=nz,
         )
-        sources = [
-            axisym_source_density(
-                stack, via.member, power, 1.0 / n,
-                geometry.r_edges, geometry.z_edges,
+        matrix, volume = assemble_axisymmetric(
+            geometry.r_edges, geometry.z_edges, geometry.conductivity
+        )
+        shape = volume.shape
+
+        def finish(temps: np.ndarray) -> ModelResult:
+            field = AxisymField(
+                r_edges=geometry.r_edges,
+                z_edges=geometry.z_edges,
+                temperatures=np.asarray(temps, dtype=float).reshape(shape),
+                solve_time=time.perf_counter() - start,
+                conductivity=geometry.conductivity,
+            )
+            return self._axisym_result(stack, n, field, geometry.plane_bands)
+
+        permc_spec = _permc_spec(volume.size)
+        return [
+            AssembledSystem(
+                matrix=matrix,
+                rhs=(
+                    axisym_source_density(
+                        stack, via.member, power, 1.0 / n,
+                        geometry.r_edges, geometry.z_edges,
+                    )
+                    * volume
+                ).ravel(),
+                finish=finish,
+                permc_spec=permc_spec,
             )
             for power in powers
-        ]
-        fields = solve_axisymmetric_multi(
-            geometry.r_edges, geometry.z_edges, geometry.conductivity, sources
-        )
-        return [
-            self._axisym_result(stack, n, field, geometry.plane_bands)
-            for field in fields
         ]
 
     # ------------------------------------------------------------------
@@ -340,38 +316,13 @@ class FEMReference(ThermalTSVModel):
             },
         )
 
-    def _solve_cartesian(
-        self, stack: Stack3D, via: TSVCluster, power: PowerSpec
-    ) -> ModelResult:
+    def _assemble_cartesian(
+        self, stack: Stack3D, via: TSVCluster, powers: Sequence[PowerSpec]
+    ) -> list[AssembledSystem]:
         nx, ny, nz = self.resolution
         side = stack.footprint_side
         positions = grid_via_positions(via.count, side, side)
-        grids = build_cartesian_grids(
-            stack,
-            via.member,
-            power,
-            via_positions=positions,
-            nx=nx,
-            ny=ny,
-            nz=nz,
-        )
-        field = solve_cartesian(
-            grids.x_edges,
-            grids.y_edges,
-            grids.z_edges,
-            grids.conductivity,
-            grids.source_density,
-        )
-        return self._cartesian_result(
-            stack, via, positions, field, grids.plane_bands
-        )
-
-    def _solve_cartesian_batch(
-        self, stack: Stack3D, via: TSVCluster, powers: list[PowerSpec]
-    ) -> list[ModelResult]:
-        nx, ny, nz = self.resolution
-        side = stack.footprint_side
-        positions = grid_via_positions(via.count, side, side)
+        start = time.perf_counter()
         geometry = build_cartesian_geometry(
             stack,
             via.member,
@@ -380,21 +331,35 @@ class FEMReference(ThermalTSVModel):
             ny=ny,
             nz=nz,
         )
-        sources = [
-            cartesian_source_density(
-                stack, via.member, power,
-                geometry.x_edges, geometry.y_edges, geometry.z_edges,
-                geometry.outer_frac,
-            )
-            for power in powers
-        ]
-        fields = solve_cartesian_multi(
+        matrix, volume = assemble_cartesian(
             geometry.x_edges, geometry.y_edges, geometry.z_edges,
-            geometry.conductivity, sources,
+            geometry.conductivity,
         )
-        return [
-            self._cartesian_result(
+
+        def finish(temps: np.ndarray) -> ModelResult:
+            field = CartesianField(
+                x_edges=geometry.x_edges,
+                y_edges=geometry.y_edges,
+                z_edges=geometry.z_edges,
+                temperatures=np.asarray(temps, dtype=float).reshape(volume.shape),
+                solve_time=time.perf_counter() - start,
+            )
+            return self._cartesian_result(
                 stack, via, positions, field, geometry.plane_bands
             )
-            for field in fields
+
+        return [
+            AssembledSystem(
+                matrix=matrix,
+                rhs=(
+                    cartesian_source_density(
+                        stack, via.member, power,
+                        geometry.x_edges, geometry.y_edges, geometry.z_edges,
+                        geometry.outer_frac,
+                    )
+                    * volume
+                ).ravel(),
+                finish=finish,
+            )
+            for power in powers
         ]

@@ -18,9 +18,9 @@ system matrix depends on) is independent of the power specification, and
 the *source* half (per-cell heat density — the right-hand side) is a cheap
 deposition on a finished mesh.  :func:`build_axisym_geometry` /
 :func:`build_cartesian_geometry` expose the power-independent half with
-their own cache keys, so the matrix-batched solve plane voxelises a
-shared-matrix group (e.g. a power sweep) exactly once and only re-deposits
-sources per point.  All hot loops are numpy-broadcast — identical
+their own cache keys, so a shared-matrix set of the stacked tier (e.g. a
+power sweep) is voxelised exactly once and only re-deposits sources per
+point.  All hot loops are numpy-broadcast — identical
 floating-point operations per cell as the historical per-cell loops, so
 the arrays are bit-for-bit unchanged.
 
@@ -284,7 +284,7 @@ def build_axisym_grids(
     # through the cached geometry builder: a per-point power sweep misses
     # the power-keyed grids cache every point but shares the power-free
     # geometry (mesh + conductivity) with earlier points — and with any
-    # matrix-group batch that already built it
+    # shared-matrix set that already built it
     geometry = build_axisym_geometry(
         stack, via, cell_area=cell_area, nr=nr, nz=nz
     )
@@ -312,7 +312,7 @@ def build_axisym_geometry(
 ) -> AxisymGeometry:
     """The power-independent mesh + conductivity of the axisymmetric cell.
 
-    Cached under its own (power-free) key, so a matrix group — many
+    Cached under its own (power-free) key, so a shared-matrix set — many
     right-hand sides against one system — voxelises exactly once.
     """
     key = content_key("axisym_geom", stack, via, cell_area, nr, nz)
@@ -530,7 +530,7 @@ def build_cartesian_grids(
         if cached is not None:
             return cached
     # cached geometry builder: shares the expensive 3-D voxelization with
-    # other powers at this geometry and with matrix-group batches
+    # other powers at this geometry and with shared-matrix sets
     geometry = build_cartesian_geometry(
         stack, via,
         via_positions=via_positions, nx=nx, ny=ny, nz=nz, via_style=via_style,
@@ -565,8 +565,8 @@ def build_cartesian_geometry(
     """The power-independent mesh + conductivity of the Cartesian block.
 
     Cached under its own (power-free) key; the expensive 3-D voxelisation
-    of a matrix group runs once no matter how many right-hand sides it
-    serves.
+    of a shared-matrix set runs once no matter how many right-hand sides
+    it serves.
     """
     key = content_key(
         "cartesian_geom", stack, via,

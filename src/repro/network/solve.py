@@ -22,7 +22,7 @@ matrix against an ``(n, k)`` block of right-hand sides: the matrix is
 factorised exactly once and each column is back-substituted through the
 shared factor.  Columns are solved *individually* (not as one BLAS block
 solve) on purpose — blocked triangular solves reorder floating-point
-operations, and the matrix-batched execution plane requires column ``j``
+operations, and a shared-matrix set of the stacked tier requires column ``j``
 of a batched solve to be bit-for-bit identical to the corresponding
 single-RHS solve.  The finite-temperature guard is applied column-wise,
 naming the offending columns.
@@ -362,7 +362,7 @@ def solve_dense_multi(matrix: np.ndarray, rhs_block: np.ndarray) -> np.ndarray:
     solves bit-for-bit when numpy and scipy resolve to the same LAPACK
     build (asserted by the identity tests on this environment; on split
     BLAS installs the columns may differ in the last ulp).  The sparse
-    path — the one the FEM matrix groups actually use — carries the
+    path — the one FEM shared-matrix sets actually use — carries the
     unconditional guarantee: both sides share one cached sparse factor.
     """
     block = _as_rhs_block(rhs_block)

@@ -31,9 +31,7 @@ def transient_lhs(circuit: ThermalCircuit, dt: float) -> sp.csr_matrix:
 
     Power sources only enter the right-hand side, so this matrix — and
     hence its factorization — is shared by every drive level of one
-    network: the scenario layer groups same-geometry trajectories on its
-    content and factorises once (see
-    :meth:`repro.scenarios.physics.TransientModel.solve_batch`).
+    network: the factor cache computes it once per process.
     """
     require_positive("dt", dt)
     g = circuit.conductance_matrix(sparse=True)

@@ -8,10 +8,9 @@ Public surface:
 * :func:`configure` — resize or disable the assembly/result/factor caches;
 * :class:`SerialExecutor` / :class:`ParallelExecutor` /
   :func:`get_executor` — the sweep execution strategies behind ``--jobs``;
-* :class:`PointTask` / :class:`MatrixGroupTask` / :class:`StackedBatchTask`
-  — the three dispatch shapes: per-point solves, matrix groups (one
-  model, one geometry, many right-hand sides) and stacked batches (many
-  congruent systems in one batched dense solve);
+* :class:`PointTask` / :class:`StackedBatchTask` — the two dispatch
+  shapes: per-point solves and stacked units (shared matrices factored
+  once, congruent systems in one batched solve);
 * :func:`cached_solve` — a model solve through the global result cache;
 * :func:`calibration_key` / :func:`calibration_fit_key` — the shared
   identity of a coefficient fit (plan node key and fit-cache key);
@@ -41,7 +40,6 @@ __getattr__, __dir__ = lazy_exports(
             "result_cache",
         ),
         ".executors": (
-            "MatrixGroupTask",
             "ParallelExecutor",
             "PointTask",
             "SerialExecutor",
@@ -75,7 +73,6 @@ __all__ = [
     "DEFAULT_RETRY",
     "FactorizationCache",
     "LRUCache",
-    "MatrixGroupTask",
     "NodeFailure",
     "ParallelExecutor",
     "PointTask",

@@ -306,7 +306,8 @@ def _multi_rhs_plan(k: int = 48):
     """A shared-matrix execution plan: one FEM model, ``k`` power points.
 
     Every node assembles the identical system (the power only shapes the
-    RHS), so grouped dispatch solves the whole plan as one matrix group.
+    RHS), so stacked dispatch solves the whole plan as one shared-matrix
+    set.
     This is the distilled shape of power sweeps / calibration batches
     under multi-scenario traffic.  The coarse FEM preset is the same
     reference the fast/CI scenario runs use.
@@ -348,19 +349,19 @@ def _outcomes_identical(a: Any, b: Any) -> bool:
 
 
 def bench_multi_rhs(jobs: int, repeats: int) -> dict[str, Any]:
-    """Matrix-batched dispatch of a shared-matrix sweep vs per-point solves.
+    """Stacked dispatch of a shared-matrix sweep vs per-point solves.
 
-    ``multi_rhs_per_point`` executes the plan with grouping disabled (the
-    pre-batching scheduler: one voxelise + assemble + fingerprint +
-    back-substitution per point, factorization amortised by the factor
-    cache); ``multi_rhs_batched`` dispatches the same plan as one matrix
-    group (voxelise/assemble/factor once, one back-substitution per
-    point).  ``parallel_{point,group}_dispatch`` repeat the contrast under
-    process-pool dispatch: the executor splits the group into per-worker
-    RHS sub-blocks (one factorization per worker, shared payload shipped
-    once per sub-block), while per-point tasks re-ship the geometry with
-    every point — the reason grouped dispatch recovers the pickling/IPC
-    overhead.  All four paths are bit-identical
+    ``multi_rhs_per_point`` executes the plan with ``stack_batches=False``
+    (one voxelise + assemble + fingerprint + back-substitution per point,
+    factorization amortised by the factor cache); ``multi_rhs_batched``
+    dispatches the same plan as one stacked unit holding one
+    shared-matrix set (voxelise/assemble/factor once, one
+    back-substitution per point).  ``parallel_{point,group}_dispatch``
+    repeat the contrast under process-pool dispatch: the executor splits
+    the unit into per-worker sub-units (one factorization per worker,
+    payload shipped once per sub-unit), while per-point tasks re-ship the
+    geometry with every point — the reason stacked dispatch recovers the
+    pickling/IPC overhead.  All four paths are bit-identical
     (``checks.multi_rhs_identical`` / ``checks.parallel_group_identical``).
     """
     from ..scenarios.scheduler import execute_plan
@@ -368,17 +369,17 @@ def bench_multi_rhs(jobs: int, repeats: int) -> dict[str, Any]:
 
     plan = _multi_rhs_plan()
 
-    def run(executor=None, group: bool = True):
+    def run(executor=None, stack: bool = True):
         perf_cache.reset()
-        return execute_plan(plan, executor=executor, group_matrices=group)
+        return execute_plan(plan, executor=executor, stack_batches=stack)
 
-    point_median, point_times, point_out = _time(lambda: run(group=False), repeats)
-    batch_median, batch_times, batch_out = _time(lambda: run(group=True), repeats)
+    point_median, point_times, point_out = _time(lambda: run(stack=False), repeats)
+    batch_median, batch_times, batch_out = _time(lambda: run(stack=True), repeats)
     par_point_median, par_point_times, par_point_out = _time(
-        lambda: run(ParallelExecutor(jobs), group=False), repeats
+        lambda: run(ParallelExecutor(jobs), stack=False), repeats
     )
     par_group_median, par_group_times, par_group_out = _time(
-        lambda: run(ParallelExecutor(jobs), group=True), repeats
+        lambda: run(ParallelExecutor(jobs), stack=True), repeats
     )
     n_points = len(plan.nodes)
     return {
@@ -421,9 +422,9 @@ def _stacked_plan(k: int = 1000):
     """A structurally congruent Model A geometry sweep: ``k`` liner points.
 
     Every point assembles a *different* conductance matrix (the liner
-    resistance changes with the swept thickness), so the multi-RHS plane
-    cannot group them; all of them share Model A's ``batch_class_key``, so
-    the stacked tier rides the whole sweep in one batched dense solve.
+    resistance changes with the swept thickness), so no two share a
+    factor; all of them share Model A's ``batch_class_key``, so the
+    stacked tier rides the whole sweep in one batched dense solve.
     This is the distilled shape of Fig. 4/5-style geometry sweeps.
     """
     from ..core.model_a import ModelA
@@ -834,13 +835,12 @@ def bench_store_integrity(repeats: int) -> dict[str, Any]:
 
 def bench_fem3d(repeats: int) -> dict[str, Any]:
     """The builtin 3-D FEM power sweep, cold — the expensive, cache-
-    sensitive workload the matrix-batched plane was built for.
+    sensitive workload shared-matrix sets were built for.
 
     Gated at the plain tolerance: with the symmetric-mode minimum-degree
     SuperLU factor that preceded the banded Cholesky, 9 quick runs on 2
     CPUs spread by IQR/median 0.14 (best-of-5) and 0.05 (median-of-5)."""
     from ..scenarios import run_scenario
-    from .stats import counter
 
     def cold():
         perf_cache.reset()
@@ -850,10 +850,23 @@ def bench_fem3d(repeats: int) -> dict[str, Any]:
     return {
         "benchmarks": {"fem3d_power_cold": _entry(median, times)},
         "speedups": {},
-        # the last cold run starts from reset counters, so a non-zero
-        # group counter proves the sweep actually dispatched as a group
-        "checks": {"fem3d_grouped": counter("plan_matrix_groups") > 0},
+        # the last cold run starts from reset counters: its fem3d nodes
+        # must have dispatched stacked, with one factor and no factor-cache
+        # hit (a per-point solve of the sweep would hit it once per point)
+        "checks": {"fem3d_grouped": fem3d_factored_once()},
     }
+
+
+def fem3d_factored_once() -> bool:
+    """Since the last reset: a stacked unit ran, one sparse matrix (the
+    3-D FEM one; the network models solve dense) was factored, no hit."""
+    from .stats import counter
+
+    return (
+        counter("plan_stacked_batches") > 0
+        and counter("sparse_factorizations") == 1
+        and perf_cache.factor_cache.stats()["hits"] == 0
+    )
 
 
 # ---------------------------------------------------------------------------

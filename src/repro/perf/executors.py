@@ -2,24 +2,20 @@
 
 The execution-plan scheduler hands an executor a list of work specs and
 consumes ``(task, result)`` pairs as they complete; each task carries the
-index the scheduler maps it back to its plan nodes by.  Three task shapes
+index the scheduler maps it back to its plan nodes by.  Two task shapes
 exist:
 
 * :class:`PointTask` — one sweep point's worth of solves (one geometry,
   several models);
-* :class:`MatrixGroupTask` — one *matrix group*: a single model solved at
-  one geometry under many power specs.  The members share the exact
-  system matrix (see
-  :meth:`repro.core.base.ThermalTSVModel.assembly_key`), so the group is
-  solved through the model's ``solve_batch`` — voxelise/assemble/factor
-  once, back-substitute per member — and, under parallel dispatch, the
-  shared geometry/model payload is pickled *once per group* instead of
-  once per point;
-* :class:`StackedBatchTask` — one *stacked batch*: many structurally
-  congruent points (same node count/topology, different matrices — see
-  :meth:`repro.core.base.ThermalTSVModel.batch_class_key`) solved by a
-  single batched ``(m, n, n)`` LAPACK call instead of m Python-level
-  round-trips.
+* :class:`StackedBatchTask` — one *stacked unit*: many points that share
+  a structure (:meth:`repro.core.base.ThermalTSVModel.batch_class_key`)
+  or a whole matrix
+  (:meth:`repro.core.base.ThermalTSVModel.assembly_key`), solved by
+  :func:`repro.core.base.solve_stacked` — each shared matrix factored
+  once with one right-hand side per point, the remaining matrices in one
+  batched ``(m, n, n)`` LAPACK call — instead of m Python-level
+  round-trips; under parallel dispatch the unit's payload is pickled
+  once per (sub-)unit instead of once per point.
 
 :class:`SerialExecutor` is the default and solves tasks in order in this
 process; :class:`ParallelExecutor` fans them out over a
@@ -29,8 +25,8 @@ pickle cleanly; a scenario's configure callback (often a closure) runs
 when the plan is compiled, so it never crosses the process boundary.
 
 Determinism: every model solve is deterministic and batched solves are
-bit-identical to per-point solves, so serial, parallel, grouped and
-ungrouped execution all produce numerically identical results regardless
+bit-identical to per-point solves, so serial, parallel, stacked and
+unstacked execution all produce numerically identical results regardless
 of how tasks land on workers or in which order they complete.
 
 Failures are results: :meth:`SweepExecutor.submit_stream` returns a
@@ -82,46 +78,20 @@ class PointTask:
 
 
 @dataclass(frozen=True)
-class MatrixGroupTask:
-    """A matrix group: one model, one geometry, many right-hand sides.
-
-    ``index`` is the group's position in the caller's group list;
-    ``powers`` lists one power spec per member, in member order, starting
-    at member ``offset`` (non-zero when :class:`ParallelExecutor` splits
-    a large group into per-worker RHS sub-blocks — each sub-block still
-    factorises only once per worker, but the group no longer serialises
-    a whole sweep onto one process).  Solved via ``model.solve_batch`` —
-    results align positionally with ``powers`` and are bit-identical to
-    per-point solves.  The shared (model, stack, via) payload crosses
-    the process boundary once per (sub-)group, which is where parallel
-    dispatch of shared-matrix sweeps recovers its pickling/IPC overhead.
-    """
-
-    index: int
-    stack: Any
-    via: Any
-    model: Any
-    powers: tuple[Any, ...]
-    offset: int = 0
-    attempt: int = 0
-
-
-@dataclass(frozen=True)
 class StackedBatchTask:
-    """A stacked batch: many congruent systems solved as one array call.
+    """A stacked unit: many points solved by one :func:`solve_stacked` call.
 
-    The tier below :class:`MatrixGroupTask`: members share a
+    Members share a
     :meth:`~repro.core.base.ThermalTSVModel.batch_class_key` — same node
-    count and topology — but *not* a matrix, so there is nothing to
-    factor once; instead every member's dense system is assembled and all
-    of them are solved by one batched LAPACK call
+    count and topology — or, for models without one, an
+    :meth:`~repro.core.base.ThermalTSVModel.assembly_key`.  Inside the
+    unit, members with one matrix are factored once and back-substituted
+    per member; the rest are assembled and solved by one batched call
     (:func:`repro.core.base.solve_stacked`).  ``members`` holds
     ``(model, stack, via, power)`` tuples in member order starting at
-    ``offset`` (non-zero when :class:`ParallelExecutor` chunks a large
-    batch across workers — stacking has no shared factor, so chunking
-    costs nothing but keeps every worker busy).  Results align
-    positionally with ``members`` and are bit-identical to per-member
-    solo solves.
+    ``offset`` (non-zero when :class:`ParallelExecutor` splits a large
+    unit across workers).  Results align positionally with ``members``
+    and are bit-identical to per-member solo solves.
     """
 
     index: int
@@ -131,7 +101,7 @@ class StackedBatchTask:
 
 
 #: anything an executor can be handed
-SweepTask = Union[PointTask, MatrixGroupTask, StackedBatchTask]
+SweepTask = Union[PointTask, StackedBatchTask]
 
 
 def solve_task(task: PointTask) -> dict[str, Any]:
@@ -146,12 +116,6 @@ def solve_task(task: PointTask) -> dict[str, Any]:
 
 def solve_work(task: SweepTask) -> Any:
     """Solve any task shape: a result dict (point) or list (batch)."""
-    if isinstance(task, MatrixGroupTask):
-        if faults.active():
-            faults.inject(
-                "group-solve", f"g{task.index}+{task.offset}#a{task.attempt}"
-            )
-        return task.model.solve_batch(task.stack, task.via, task.powers)
     if isinstance(task, StackedBatchTask):
         if faults.active():
             faults.inject(
@@ -168,14 +132,12 @@ def solve_work_safe(task: SweepTask, timeout_s: float | None = None) -> Any:
 
     The wall-clock deadline is enforced here — in the worker's main
     thread under parallel dispatch — and is scaled by member count for
-    matrix groups, which legitimately do many nodes' work in one
+    stacked units, which legitimately do many nodes' work in one
     dispatch.  Configuration mistakes (:data:`PROPAGATE_TYPES`) still
     raise: quarantining a bad spec would hide the diagnostic.
     """
     budget = timeout_s
-    if budget and isinstance(task, MatrixGroupTask):
-        budget = budget * len(task.powers)
-    elif budget and isinstance(task, StackedBatchTask):
+    if budget and isinstance(task, StackedBatchTask):
         budget = budget * len(task.members)
     try:
         with node_deadline(budget):
@@ -204,7 +166,7 @@ class SweepExecutor(abc.ABC):
 
         Completion order is unspecified — callers route results by
         ``task.index``.  The execution-plan scheduler consumes this to
-        react to each solved point (or matrix group) as soon as it lands
+        react to each solved point (or stacked unit) as soon as it lands
         (progress callbacks, point-store writes, unlocking dependents).
         A failed task yields ``(task, TaskFailure)`` instead of raising;
         only :data:`~repro.perf.retry.PROPAGATE_TYPES` unwind the
@@ -244,8 +206,8 @@ class ParallelExecutor(SweepExecutor):
     ``jobs`` is the worker process count; it defaults to the machine's
     CPU count.  The task list goes out in :data:`CHUNKS_PER_WORKER`
     chunks per worker to amortise pickling overhead; a
-    :class:`MatrixGroupTask` counts as one task but carries a whole
-    group, so its shared payload is pickled once however the chunks fall.
+    :class:`StackedBatchTask` counts as one task but carries a whole
+    unit, so its payload is pickled once however the chunks fall.
 
     Worker exceptions (bad geometry, singular systems) come back as
     :class:`~repro.perf.retry.TaskFailure` results exactly as in serial
@@ -259,40 +221,33 @@ class ParallelExecutor(SweepExecutor):
         self.jobs = jobs or os.cpu_count() or 1
 
     def _split_groups(self, tasks: list[SweepTask]) -> list[SweepTask]:
-        """Split large batch tasks into per-worker sub-blocks.
+        """Split large stacked units into per-worker sub-units.
 
-        A single indivisible group would serialise a whole shared-matrix
-        sweep onto one worker, so each group is split into roughly
-        ``jobs / len(tasks)`` sub-blocks — just enough to fill the idle
-        workers.  When the task list already saturates the pool, nothing
-        is split: every extra sub-block costs a redundant factorization
-        in its worker (sub-blocks of one group land on different
-        processes with cold factor caches), which only pays off while
-        workers would otherwise sit idle.  Stacked batches chunk by the
-        same rule (their members share no factor, so sub-blocks cost
-        nothing beyond the smaller batched calls).  Splitting is
-        deterministic and each sub-block carries its ``offset``, so
-        results stay bit-identical and realignable with the original
-        member order.
+        A single indivisible unit would serialise a whole sweep onto one
+        worker, so each unit is split into roughly ``jobs / len(tasks)``
+        sub-units — just enough to fill the idle workers.  When the task
+        list already saturates the pool, nothing is split: a sub-unit
+        that cuts a shared-matrix set costs a redundant factorization in
+        its worker (sub-units land on different processes with cold
+        factor caches), which only pays off while workers would
+        otherwise sit idle.  A unit whose members all share one matrix
+        stays whole: the factorization, not the per-member
+        back-substitution, dominates it, so every split would only add
+        one.  Splitting is deterministic and each sub-unit carries its
+        ``offset``, so results stay bit-identical and realignable with
+        the original member order.
         """
+        from ..core.base import shared_matrix_sets  # local: avoid import cycle
+
         per_task = self.jobs // max(1, len(tasks))
         if per_task <= 1:
             return tasks
         expanded: list[SweepTask] = []
         for task in tasks:
-            if isinstance(task, MatrixGroupTask) and len(task.powers) > 1:
-                n_sub = min(per_task, len(task.powers))
-                size = math.ceil(len(task.powers) / n_sub)
-                for start in range(0, len(task.powers), size):
-                    expanded.append(
-                        replace(
-                            task,
-                            powers=task.powers[start : start + size],
-                            offset=task.offset + start,
-                        )
-                    )
-                continue
-            if isinstance(task, StackedBatchTask) and len(task.members) > 1:
+            if (
+                isinstance(task, StackedBatchTask)
+                and len(shared_matrix_sets(task.members)) > 1
+            ):
                 n_sub = min(per_task, len(task.members))
                 size = math.ceil(len(task.members) / n_sub)
                 for start in range(0, len(task.members), size):

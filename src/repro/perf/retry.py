@@ -151,8 +151,8 @@ class RetryPolicy:
     exponential from ``backoff_s`` with *deterministic* jitter — a hash
     of (node key, attempt) spreads retries over [1, 1.25)× the base delay
     without introducing run-to-run nondeterminism.  ``node_timeout_s``
-    bounds one node's solve wall-clock (scaled by member count for matrix
-    groups, which legitimately do many nodes' work in one dispatch).
+    bounds one node's solve wall-clock (scaled by member count for stacked
+    units, which legitimately do many nodes' work in one dispatch).
     """
 
     max_attempts: int = 3
@@ -161,7 +161,7 @@ class RetryPolicy:
     max_backoff_s: float = 2.0
     node_timeout_s: float | None = None
     #: store-wide crash count at which a node is forced to solo dispatch
-    #: (it stops riding in matrix groups / stacked batches fleet-wide)
+    #: (it stops riding in stacked units fleet-wide)
     poison_solo_after: int = 2
     #: store-wide crash count at which a node is quarantined outright,
     #: before every worker burns its own pool-rebuild budget on it

@@ -126,7 +126,7 @@ def fig7() -> ScenarioSpec:
 
 @SCENARIOS.register
 def fem3d_power() -> ScenarioSpec:
-    """A 3-D Cartesian FEM power sweep — the matrix-batched showcase.
+    """A 3-D Cartesian FEM power sweep — the shared-matrix showcase.
 
     Every point shares the block geometry and differs only in a uniform
     power multiplier, so the (expensive, cache-sensitive) 3-D system is
@@ -171,7 +171,7 @@ def transient_spike() -> ScenarioSpec:
     planes heat up when the workload steps to four times its steady
     power.  All three trajectories share nothing but their time grid
     (the radius changes the network), but repeated drive levels of one
-    network would factorise once via the matrix-group plane.
+    network would share one factor through the factor cache.
     """
     return ScenarioSpec(
         scenario_id="transient_spike",

@@ -11,10 +11,9 @@ steady-state sweeps use:
   integrates);
 * :class:`TransientModel` — a model-shaped adapter around one network +
   time grid.  It dispatches through the ordinary
-  :class:`~repro.perf.PointTask` machinery, and because the backward-Euler
-  left-hand matrix C/dt + G is power-independent it also implements the
-  matrix-group contract (``assembly_key`` / ``solve_batch``): trajectories
-  sharing a network factorise once and integrate per drive level;
+  :class:`~repro.perf.PointTask` machinery; because the backward-Euler
+  left-hand matrix C/dt + G is power-independent, trajectories sharing a
+  network share its factor through :data:`repro.perf.factor_cache`;
 * :class:`NonlinearModel` — the k(T) fixed-point chain around any inner
   model, seeded with a precomputed linear baseline (a plain
   :class:`~repro.scenarios.plan.SolveNode` shared — and deduplicated —
@@ -32,7 +31,6 @@ steady-state sweeps use:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
@@ -49,10 +47,7 @@ from ..network import (
     TransientResult,
     pulse_train_scales,
     step_response,
-    transient_lhs,
 )
-from ..network.solve import factorized_solver
-from ..perf import content_key, model_key
 from .results import NonlinearExperiment, TransientExperiment
 from .spec import NonlinearParams, ScenarioSpec, TransientParams
 
@@ -144,11 +139,10 @@ class TransientModel:
     observed nodes, pulse-train parameters — never the drive *level*:
     the plan bakes ``power_scale`` into each node's power, and the drive
     shape only rescales the per-step sources, so the left-hand matrix
-    C/dt + G (and hence :meth:`assembly_key`) is shared across drive
-    levels and the adapter implements the matrix-group contract:
-    ``solve_batch`` factorises once and integrates one trajectory per
-    drive — bit-identical to per-point solves (factorization is
-    deterministic and shared through the factor cache either way).
+    C/dt + G is shared across drive levels: in one process its factor is
+    computed once and every further trajectory of the network hits
+    :data:`repro.perf.factor_cache` (factorization is deterministic, so
+    the results are bit-identical either way).
     """
 
     def __init__(
@@ -193,51 +187,6 @@ class TransientModel:
         )
         return result.observed(self.observe)
 
-    def assembly_key(
-        self, stack: Stack3D, via: TSV | TSVCluster
-    ) -> str | None:
-        """Content hash of the backward-Euler system C/dt + G at (stack, via).
-
-        The matrix depends on the network (inner model config, stack,
-        via), the capacitance policy and the time grid — everything in
-        this adapter's configuration — but not on the drive power, which
-        only shapes the per-step right-hand side.
-        """
-        return content_key(
-            "transient_assembly/v1", model_key(self), stack, as_cluster(via)
-        )
-
-    def solve_batch(
-        self,
-        stack: Stack3D,
-        via: TSV | TSVCluster,
-        powers: Sequence[PowerSpec],
-    ) -> list[TransientResult]:
-        """Integrate many drive levels of one network.
-
-        The left-hand matrix is assembled and factorised once
-        (:func:`~repro.network.transient_lhs` + the precomputed-solver
-        hook of :func:`~repro.network.step_response`); each drive level
-        costs its per-step back-substitutions only.
-        """
-        powers = list(powers)
-        if not powers:
-            return []
-        circuits = [self._circuit(stack, via, power) for power in powers]
-        dt = self.t_end_s / self.n_steps
-        step_solver = factorized_solver(transient_lhs(circuits[0], dt))
-        drive = self._drive_scales()
-        return [
-            step_response(
-                circuit,
-                t_end=self.t_end_s,
-                n_steps=self.n_steps,
-                step_solver=step_solver,
-                drive=drive,
-            ).observed(self.observe)
-            for circuit in circuits
-        ]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<TransientModel {self.name!r}>"
 
@@ -274,12 +223,6 @@ class NonlinearModel:
             slope_scale=self.params.slope_scale,
         )
         return solver.solve(stack, via, power, initial=self.initial)
-
-    def assembly_key(
-        self, stack: Stack3D, via: TSV | TSVCluster
-    ) -> str | None:
-        """Always None: iterations re-assemble at updated conductivities."""
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<NonlinearModel {self.name!r}>"

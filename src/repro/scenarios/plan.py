@@ -150,8 +150,8 @@ class SolveNode:
     assembles — the model's :meth:`~repro.core.base.ThermalTSVModel.assembly_key`
     at (stack, via), independent of the power/RHS — or ``None`` when the
     model declares no power-independent assembly.  Ready nodes sharing an
-    ``assembly_key`` are regrouped by the scheduler into one
-    :class:`~repro.perf.MatrixGroupTask` (factor once, one RHS per point).
+    ``assembly_key`` solve as one shared-matrix set of a
+    :class:`~repro.perf.StackedBatchTask` (factor once, one RHS per point).
     """
 
     key: str
@@ -211,11 +211,10 @@ class TransientNode:
     """One backward-Euler trajectory: a network + time grid + drive power.
 
     ``model`` is a :class:`~repro.scenarios.physics.TransientModel`
-    adapter; the node dispatches through the ordinary point/matrix-group
-    machinery.  ``assembly_key`` hashes the power-independent left-hand
-    matrix C/dt + G, so same-network trajectories at different drive
-    levels regroup into one :class:`~repro.perf.MatrixGroupTask` (factor
-    once, integrate per drive).
+    adapter; the node dispatches as a point task.  Same-network
+    trajectories at different drive levels share the power-independent
+    left-hand matrix C/dt + G, whose factor the factor cache computes
+    once per process.
     """
 
     key: str
@@ -224,7 +223,6 @@ class TransientNode:
     power: Any
     model_name: str
     model: Any
-    assembly_key: str | None = None
 
     @property
     def kind(self) -> str:
@@ -243,10 +241,9 @@ class NonlinearNode:
     the inner ``model`` at the same point — an ordinary content-keyed node
     that deduplicates against steady-state scenarios wherever the stack is
     unchanged, and (for models with a power-independent assembly) rides
-    the matrix-group dispatch.  The chain itself re-assembles at updated
-    conductivities every iteration, so it never groups
-    (``assembly_key`` is None) and runs as a per-point dispatch once its
-    baseline lands.
+    a shared-matrix set of the stacked tier.  The chain itself
+    re-assembles at updated conductivities every iteration, so it runs
+    as a per-point dispatch once its baseline lands.
     """
 
     key: str
@@ -257,7 +254,6 @@ class NonlinearNode:
     model: Any  # the inner steady-state model (not an adapter)
     params: Any  # NonlinearParams
     linear: str
-    assembly_key: str | None = None
 
     @property
     def kind(self) -> str:
@@ -500,10 +496,9 @@ def _compile_transient(
 ) -> None:
     """Lower a transient spec: one trajectory node per (model, point).
 
-    Same-network trajectories share an ``assembly_key`` (the C/dt + G
-    matrix is drive-independent), so a multi-drive scenario — or several
-    scenarios over one geometry — regroups into matrix groups that
-    factorise once.
+    Same-network trajectories share the drive-independent C/dt + G
+    matrix, so a multi-drive scenario — or several scenarios over one
+    geometry — factorises it once per process through the factor cache.
     """
     params = spec.transient
     assert params is not None  # guaranteed by ScenarioSpec validation
@@ -535,7 +530,6 @@ def _compile_transient(
                     power=drive,
                     model_name=name,
                     model=adapter,
-                    assembly_key=adapter.assembly_key(stack, via),
                 )
             )
             node_keys[name].append(key)
@@ -553,7 +547,7 @@ def _compile_nonlinear(
 
     The baseline is an ordinary content-keyed :class:`SolveNode` — it
     deduplicates against steady-state scenarios at the same point and
-    groups by the inner model's ``assembly_key`` — while the chain itself
+    batches by the inner model's ``assembly_key`` — while the chain itself
     is dispatched once the baseline lands, seeded with its result.
     """
     params = spec.nonlinear

@@ -112,7 +112,6 @@ def run_batch(
     fem_resolution: str | None = None,
     calibrate: bool | None = None,
     progress: ProgressFn | None = None,
-    group_matrices: bool = True,
     stack_batches: bool = True,
     retry: RetryPolicy = DEFAULT_RETRY,
     claims: LeaseManager | None = None,
@@ -128,13 +127,11 @@ def run_batch(
     once; with a ``store`` every solved node lands in the point-level
     object space as it completes, and ``resume=True`` reads those points
     back so an interrupted batch continues where it stopped.
-    ``group_matrices`` (default on) lets the scheduler dispatch nodes
-    that share a system matrix — power sweeps, shared geometries — as
-    matrix groups: one factorization, one RHS per point, bit-identical
-    results.  ``stack_batches`` (default on) additionally stacks nodes
-    with structurally congruent but *different* matrices — geometry
-    sweeps over the small network models — into single batched dense
-    solves, also bit-identical.  ``retry`` is the fault-tolerance policy (see
+    ``stack_batches`` (default on) lets the scheduler dispatch nodes that
+    share a system matrix — power sweeps, shared geometries — or a
+    system structure — geometry sweeps over the small models — as
+    stacked units: one factorization per shared matrix with one RHS per
+    point, one batched solve for the rest; results are bit-identical.  ``retry`` is the fault-tolerance policy (see
     :func:`~repro.scenarios.scheduler.execute_plan`): failures retry,
     then quarantine — a scenario whose nodes exhausted their budget comes
     back as a *failed* :class:`ScenarioRun` (``result=None`` plus the
@@ -219,7 +216,6 @@ def run_batch(
             resume=resume,
             progress=progress,
             on_node=on_node,
-            group_matrices=group_matrices,
             stack_batches=stack_batches,
             retry=retry,
             claims=claims,
@@ -262,7 +258,6 @@ def run_scenario(
     calibrate: bool | None = None,
     resume: bool = False,
     progress: ProgressFn | None = None,
-    group_matrices: bool = True,
     stack_batches: bool = True,
     retry: RetryPolicy = DEFAULT_RETRY,
     drain: DrainGuard | None = None,
@@ -288,7 +283,6 @@ def run_scenario(
         fem_resolution=fem_resolution,
         calibrate=calibrate,
         progress=progress,
-        group_matrices=group_matrices,
         stack_batches=stack_batches,
         retry=retry,
         drain=drain,

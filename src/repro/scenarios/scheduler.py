@@ -13,16 +13,16 @@
   Calibrations and case studies run in this process between
   completions, so calibrated solves dispatch in the next wave; fits are
   memoized under :func:`repro.perf.calibration_fit_key`.
-* **Unit formation** (:func:`form_units`, pure).  Nodes sharing an
-  ``assembly_key`` (one matrix, many right-hand sides) become a
-  :class:`~repro.perf.MatrixGroupTask` that factorises once; of the
-  rest, solve nodes sharing a ``batch_class_key`` (congruent systems,
-  different matrices) become a :class:`~repro.perf.StackedBatchTask`,
-  one batched ``(m, n, n)`` LAPACK call; the remainder is bucketed into
-  one :class:`~repro.perf.PointTask` per geometry.  ``group_matrices`` /
-  ``stack_batches`` turn the first two tiers off; every tier is
-  bit-identical to solo solves (tests and the ``multi_rhs_identical`` /
-  ``stacked_identical`` bench checks).
+* **Unit formation** (:func:`form_units`, pure).  Solve nodes sharing a
+  ``batch_class_key`` (congruent systems), or for models without one an
+  ``assembly_key`` (one matrix), become one
+  :class:`~repro.perf.StackedBatchTask`: its shared matrices factor once
+  with one right-hand side per node, and its other matrices solve in
+  one batched call.  The remainder is bucketed into one
+  :class:`~repro.perf.PointTask` per geometry.  ``stack_batches`` turns
+  the stacked tier off; both tiers are bit-identical to solo solves
+  (tests and the ``multi_rhs_identical`` / ``stacked_identical`` bench
+  checks).
 * **The commit** (:class:`Committer`), the only code here that reads
   points back from the store or writes them, and so the single home of
   the crash-safety contract.
@@ -45,7 +45,6 @@ per-point solves, so cache hits, store hits, fresh solves and unit
 membership are interchangeable.  Counters land in
 :func:`repro.perf.stats`: ``plan_point_solves``,
 ``plan_transient_solves`` / ``plan_nonlinear_solves``,
-``plan_matrix_groups`` / ``plan_grouped_solves``,
 ``plan_stacked_batches`` / ``plan_stacked_solves``,
 ``plan_calibrations``, ``calibration_fit_hits`` / ``_misses``,
 ``point_store_hits`` / ``point_store_misses``, ``plan_retries``,
@@ -71,7 +70,6 @@ from ..errors import DrainError, ExperimentError, LeaseLostError
 from ..experiments.harness import calibrated_model_from_fit
 from ..network.transient import TransientResult
 from ..perf import (
-    MatrixGroupTask,
     PointTask,
     SerialExecutor,
     StackedBatchTask,
@@ -114,8 +112,8 @@ from .store import RunStore
 #: in ``{"solved", "cache", "store"}``; ``elapsed_s`` is the wall-clock
 #: time since the previous completion (the stream's per-node cadence).
 #: Freshly solved nodes additionally carry ``"dispatch"`` — how the solve
-#: was dispatched: ``"point"`` (solo/per-point bucket), ``"group"``
-#: (multi-RHS matrix group) or ``"stacked"`` (cross-matrix stacked batch)
+#: was dispatched: ``"point"`` (solo/per-point bucket) or ``"stacked"``
+#: (stacked unit)
 ProgressFn = Callable[[dict[str, Any]], None]
 
 #: audit hook for the chaos harness: when this names a directory, every
@@ -177,8 +175,7 @@ class ScheduleOutcome:
 class DispatchUnits:
     """One wave's dispatch units, in dispatch order within each tier."""
 
-    groups: list[list[Entry]]  # one shared assembly_key each
-    stacks: list[list[Entry]]  # one shared batch_class_key each
+    stacks: list[list[Entry]]  # one shared batch class or assembly each
     buckets: list[dict[str, Entry]]  # one sweep point each, by model name
     poisoned: list[tuple[Entry, int]]  # to quarantine, with the blame count
     forced_solo: set[str]  # keys newly forced solo by their blame count
@@ -201,11 +198,29 @@ def _classes(
     return [members for members in by_key.values() if len(members) > 1], rest
 
 
-def _batch_class_key(entry: Entry) -> str | None:
-    node, model, _ = entry
-    if isinstance(node, SolveNode):
-        return model.batch_class_key(node.stack, node.via)
-    return None
+def _unit_keys() -> Callable[[Entry], str | None]:
+    """The stacked unit a solve node joins: its batch class, else its
+    assembly (a model with no batch class batches by shared matrix).
+
+    Nodes with one ``assembly_key`` share their model configuration,
+    stack and via, hence their batch class: it is probed once per key.
+    """
+    by_assembly: dict[str, str | None] = {}
+
+    def unit_key(entry: Entry) -> str | None:
+        node, model, _ = entry
+        if not isinstance(node, SolveNode):
+            return None
+        assembly = node.assembly_key
+        if assembly is None:
+            return model.batch_class_key(node.stack, node.via)
+        if assembly not in by_assembly:
+            by_assembly[assembly] = (
+                model.batch_class_key(node.stack, node.via) or assembly
+            )
+        return by_assembly[assembly]
+
+    return unit_key
 
 
 def form_units(
@@ -214,7 +229,6 @@ def form_units(
     blame: dict[str, int],
     retry: RetryPolicy,
     *,
-    group_matrices: bool,
     stack_batches: bool,
 ) -> DispatchUnits:
     """Form one wave's dispatch units from its uncached, unstored entries.
@@ -225,8 +239,8 @@ def form_units(
     ``retry.poison_solo_after`` it is forced solo.  Solo entries (``solo``
     holds the keys that already failed once, so a retry's blame is
     unambiguous) ride in no multi-node unit and go last, one bucket each.
-    The rest fill three tiers in order: matrix groups, stacked batches,
-    then point buckets that carry every model of one sweep point — two
+    The rest fill two tiers in order: stacked units, then point buckets
+    that carry every model of one sweep point — two
     nodes share a bucket only when their geometry matches and their model
     names do not collide (e.g. two different ``model_a_cal`` fits).
     """
@@ -245,12 +259,9 @@ def form_units(
     alone = solo | forced
     rest = [e for e in kept if e[0].key not in alone]
 
-    groups: list[list[Entry]] = []
-    if group_matrices:
-        groups, rest = _classes(rest, lambda e: e[0].assembly_key)
     stacks: list[list[Entry]] = []
     if stack_batches:
-        stacks, rest = _classes(rest, _batch_class_key)
+        stacks, rest = _classes(rest, _unit_keys())
 
     buckets: list[dict[str, Entry]] = []
     by_point: dict[str, list[dict[str, Entry]]] = defaultdict(list)
@@ -269,11 +280,10 @@ def form_units(
             by_point[point_key].append(bucket)
             buckets.append(bucket)
     buckets.extend({e[0].model_name: e} for e in kept if e[0].key in alone)
-    return DispatchUnits(groups, stacks, buckets, poisoned, forced)
+    return DispatchUnits(stacks, buckets, poisoned, forced)
 
 
 def _tasks(
-    groups: list[list[Entry]],
     stacks: list[list[Entry]],
     buckets: list[dict[str, Entry]],
     attempts: dict[str, int],
@@ -281,23 +291,12 @@ def _tasks(
     """The executor tasks of a wave's units; ``task.index`` is the unit's
     position in its tier.
 
-    Multi-node tiers come first: each of their tasks commits many nodes
+    Stacked units come first: each of their tasks commits many nodes
     at once, so the stream persists the most points (and unlocks their
     dependents) earliest, and a drain or kill mid-wave leaves the least
     to re-solve.
     """
     tasks: list[SweepTask] = []
-    for i, members in enumerate(groups):
-        node, model, _ = members[0]
-        tasks.append(
-            MatrixGroupTask(
-                index=i,
-                stack=node.stack,
-                via=node.via,
-                model=model,
-                powers=tuple(m[0].power for m in members),
-            )
-        )
     for i, members in enumerate(stacks):
         tasks.append(
             StackedBatchTask(
@@ -326,16 +325,13 @@ def _tasks(
 
 def _task_members(
     task: SweepTask,
-    groups: list[list[Entry]],
     stacks: list[list[Entry]],
     buckets: list[dict[str, Entry]],
 ) -> list[Entry]:
     """The entries ``task`` carries, in the order of its results."""
-    if isinstance(task, MatrixGroupTask):
-        # a parallel executor may have split the unit into sub-blocks;
-        # task.offset realigns them with the members
-        return groups[task.index][task.offset : task.offset + len(task.powers)]
     if isinstance(task, StackedBatchTask):
+        # a parallel executor may have split the unit into sub-units;
+        # task.offset realigns them with the members
         return stacks[task.index][task.offset : task.offset + len(task.members)]
     return list(buckets[task.index].values())
 
@@ -540,7 +536,6 @@ def execute_plan(
     resume: bool = False,
     progress: ProgressFn | None = None,
     on_node: OnNodeFn | None = None,
-    group_matrices: bool = True,
     stack_batches: bool = True,
     retry: RetryPolicy = DEFAULT_RETRY,
     claims: LeaseManager | None = None,
@@ -552,12 +547,11 @@ def execute_plan(
     ``store`` enables point-level persistence (always written when given);
     ``resume`` additionally *reads* stored points, so an interrupted batch
     picks up from its solved points instead of re-solving them.
-    ``group_matrices`` controls the matrix-batched dispatch: ready nodes
-    sharing an ``assembly_key`` are solved as one group (factor once, one
-    RHS per node) unless disabled — results are bit-identical either way.
-    ``stack_batches`` controls the cross-matrix stacked tier below it:
-    ungrouped solve nodes sharing a ``batch_class_key`` are solved as one
-    batched dense call unless disabled — also bit-identical either way.
+    ``stack_batches`` controls the stacked tier: ready solve nodes sharing
+    a ``batch_class_key`` (or, without one, an ``assembly_key``) are
+    solved as one unit — shared matrices factored once with one RHS per
+    node, different matrices in one batched call — unless disabled;
+    results are bit-identical either way.
     ``retry`` is the fault-tolerance policy: transient task failures are
     retried up to ``retry.max_attempts`` dispatches (solo, with backoff),
     multi-node tasks degrade to per-member dispatch on failure, and
@@ -567,7 +561,7 @@ def execute_plan(
     ``claims`` turns this scheduler into one cooperating member of a
     *fleet*: every content-keyed dispatch node is solved only under an
     acquired :mod:`~repro.scenarios.lease` claim, whole dispatch units
-    (matrix groups, stacked batches, point buckets) are claimed together
+    (stacked units, point buckets) are claimed together
     so the batch tiers survive distribution, nodes claimed by a peer are
     *deferred* — their results are read back from the store when the
     peer commits them (``poll_s`` paces that wait), a dead peer's claims
@@ -777,8 +771,8 @@ def execute_plan(
         """Claim whole dispatch units, rotated so workers spread out.
 
         Units are claimed member-by-member but *visited* whole — a
-        worker that wins any member of a matrix group tends to win the
-        rest in the same pass, so the batch tiers survive distribution —
+        worker that wins any member of a stacked unit tends to win the
+        rest in the same pass, so the stacked tier survives distribution —
         and the visiting order is rotated by a hash of this worker's
         owner id, so N workers hitting the same ready wave start
         claiming at different units instead of racing door-to-door in
@@ -925,7 +919,6 @@ def execute_plan(
             solo,
             committer.blame,
             retry,
-            group_matrices=group_matrices,
             stack_batches=stack_batches,
         )
         for (node, _, _), count in units.poisoned:
@@ -941,18 +934,15 @@ def execute_plan(
             increment("plan_poison_degradations", len(units.forced_solo))
             solo.update(units.forced_solo)
 
-        groups, stacks, buckets = units.groups, units.stacks, units.buckets
+        stacks, buckets = units.stacks, units.buckets
         if claims is not None:
-            groups, stacks, buckets = claim_units(groups, stacks, buckets)
-        if groups:
-            increment("plan_matrix_groups", len(groups))
-            increment("plan_grouped_solves", sum(map(len, groups)))
+            stacks, buckets = claim_units(stacks, buckets)
         if stacks:
             increment("plan_stacked_batches", len(stacks))
             increment("plan_stacked_solves", sum(map(len, stacks)))
 
         for task, solved in executor.submit_stream(
-            _tasks(groups, stacks, buckets, attempts),
+            _tasks(stacks, buckets, attempts),
             timeout_s=retry.node_timeout_s,
         ):
             # drain between completions: the finished result has been
@@ -960,16 +950,15 @@ def execute_plan(
             # (its lease is released, a peer or a resume re-solves it)
             check_drain()
             maybe_renew()
-            members = _task_members(task, groups, stacks, buckets)
+            members = _task_members(task, stacks, buckets)
             if isinstance(solved, TaskFailure):
                 handle_failure(members, solved)
             elif isinstance(task, PointTask):
                 for node, _, cache_key in members:
                     land(node, cache_key, solved[node.model_name], "point")
             else:
-                shape = "group" if isinstance(task, MatrixGroupTask) else "stacked"
                 for (node, _, cache_key), result in zip(members, solved):
-                    land(node, cache_key, result, shape)
+                    land(node, cache_key, result, "stacked")
             # calibrations whose samples just landed run immediately,
             # unlocking their calibrated solves for the next wave
             run_parent_nodes()

@@ -31,7 +31,7 @@ from ..errors import ValidationError
 #: sweepable parameters: geometry fields (µm), the Eq.-(22) cluster size,
 #: and a uniform power multiplier (``power_scale`` leaves the geometry —
 #: and hence every assembled system matrix — untouched, so its sweep
-#: points form one matrix group: factor once, one RHS per point)
+#: points form one shared-matrix set: factor once, one RHS per point)
 AXIS_PARAMETERS = (
     "radius_um",
     "liner_um",

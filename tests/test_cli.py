@@ -212,6 +212,32 @@ class TestRunSubcommand:
         assert main(["run", "fig7", *FAST_FLAGS, "--store", str(store_dir)]) == 0
         assert "[fig7] served from run store" in capsys.readouterr().out
 
+    def test_legacy_manifest_in_a_batch_directory_is_a_clean_error(
+        self, capsys, tmp_path
+    ):
+        # a directory used both as batch input and as its own store can
+        # hold an older build's manifest.json, which is no scenario
+        (tmp_path / "manifest.json").write_text('{"version": 1, "runs": {}}')
+        assert main(["batch", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "manifest.json is not a valid scenario" in err
+        assert not (tmp_path / "runs").exists()  # nothing ran
+
+    @pytest.mark.parametrize("command", ["run", "fleet"])
+    @pytest.mark.parametrize(
+        "text", ['{"scenario_id": "no_title"}', "[1, 2]", '{"torn": ']
+    )
+    def test_invalid_scenario_file_is_a_clean_error(
+        self, command, text, capsys, tmp_path
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        store = ["--store", str(tmp_path / "store")]
+        assert main([command, str(path), *store]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "bad.json" in err
+
     def test_run_scenario_file(self, capsys, tmp_path):
         spec_path = tmp_path / "custom.json"
         spec_path.write_text(

@@ -116,7 +116,7 @@ class TestDecide:
         # the execution kinds never fire at the store site
         faults.configure(rate=1.0, kinds=("corrupt",), seed=0)
         assert faults.decide("solve", "k") is None
-        assert faults.decide("group-solve", "k") is None
+        assert faults.decide("stacked-solve", "k") is None
         assert faults.decide("store-write", "k") == "corrupt"
         faults.configure(rate=1.0, kinds=("crash", "error"), seed=0)
         assert faults.decide("store-write", "k") is None
@@ -130,7 +130,7 @@ class TestDecide:
 
     def test_unconfigured_site_never_fires(self):
         faults.configure(rate=1.0, kinds=("error",), sites=("solve",))
-        assert faults.decide("group-solve", "k") is None
+        assert faults.decide("stacked-solve", "k") is None
 
 
 class TestInject:

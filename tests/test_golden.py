@@ -101,7 +101,7 @@ def test_cold_planned_run_matches_eager_digest(
 @pytest.mark.parametrize("run_id", DIGEST_RUNS)
 def test_batching_tiers_do_not_change_the_bytes(run_id, cold_planned, golden_snapshot):
     tiers_on = cold_planned(run_id)
-    tiers_off = cold_planned(run_id, group_matrices=False, stack_batches=False)
+    tiers_off = cold_planned(run_id, stack_batches=False)
     assert golden_snapshot.canonical_json(tiers_on) == golden_snapshot.canonical_json(
         tiers_off
     )

@@ -1,5 +1,5 @@
-"""The matrix-batched solve plane: multi-RHS identity, group scheduling,
-calibration-fit caching and the power_scale axis."""
+"""Shared-matrix solves: multi-RHS identity, shared-matrix sets of the
+stacked tier, calibration-fit caching and the power_scale axis."""
 
 import json
 
@@ -8,18 +8,20 @@ import pytest
 import scipy.sparse as sp
 
 from repro import perf
+from repro.core.base import solve_stacked
 from repro.core.factory import make_model
 from repro.errors import SolverError, ValidationError
 from repro.experiments.params import fig5_config
 from repro.fem import (
     FEMReference,
+    assemble_axisymmetric,
+    assemble_cartesian,
     build_axisym_grids,
     build_cartesian_grids,
     solve_axisymmetric,
-    solve_axisymmetric_multi,
     solve_cartesian,
-    solve_cartesian_multi,
 )
+from repro.fem.axisym import _permc_spec
 from repro.geometry import PowerSpec, TSVCluster
 from repro.network.solve import (
     solve_linear_system,
@@ -27,7 +29,7 @@ from repro.network.solve import (
     solve_sparse,
     solve_sparse_multi,
 )
-from repro.perf import MatrixGroupTask, ParallelExecutor, SerialExecutor, solve_work
+from repro.perf import ParallelExecutor, SerialExecutor, StackedBatchTask, solve_work
 from repro.perf.cache import BandedCholesky
 from repro.scenarios import SCENARIOS, AxisSpec, ScenarioSpec, run_scenario
 from repro.scenarios.plan import _configurator
@@ -136,18 +138,27 @@ class TestSolveMulti:
 
 
 class TestFEMMultiSolvers:
+    """One assembled FEM matrix against many source grids, the way a
+    shared-matrix set solves it: column ``i`` equals the solo solve."""
+
     def test_axisym_multi_bitwise_equals_single(self):
         cfg = fig5_config(1.0)
         grids = build_axisym_grids(cfg.stack, cfg.via, cfg.power, nr=20, nz=50)
         sources = [grids.source_density * s for s in (0.5, 1.0, 2.0)]
-        fields = solve_axisymmetric_multi(
-            grids.r_edges, grids.z_edges, grids.conductivity, sources
+        matrix, volume = assemble_axisymmetric(
+            grids.r_edges, grids.z_edges, grids.conductivity
         )
-        for field, source in zip(fields, sources):
+        block = np.column_stack([(q * volume).ravel() for q in sources])
+        multi = solve_sparse_multi(
+            matrix, block, permc_spec=_permc_spec(volume.size)
+        )
+        for j, source in enumerate(sources):
             single = solve_axisymmetric(
                 grids.r_edges, grids.z_edges, grids.conductivity, source
             )
-            assert np.array_equal(field.temperatures, single.temperatures)
+            assert np.array_equal(
+                multi[:, j].reshape(volume.shape), single.temperatures
+            )
 
     def test_cartesian_multi_bitwise_equals_single(self):
         cfg = fig5_config(1.0)
@@ -155,23 +166,23 @@ class TestFEMMultiSolvers:
             cfg.stack, cfg.via, cfg.power, nx=10, ny=10, nz=20
         )
         sources = [grids.source_density * s for s in (0.5, 1.5)]
-        fields = solve_cartesian_multi(
-            grids.x_edges, grids.y_edges, grids.z_edges,
-            grids.conductivity, sources,
+        matrix, volume = assemble_cartesian(
+            grids.x_edges, grids.y_edges, grids.z_edges, grids.conductivity
         )
-        for field, source in zip(fields, sources):
+        multi = solve_sparse_multi(
+            matrix, np.column_stack([(q * volume).ravel() for q in sources])
+        )
+        for j, source in enumerate(sources):
             single = solve_cartesian(
                 grids.x_edges, grids.y_edges, grids.z_edges,
                 grids.conductivity, source,
             )
-            assert np.array_equal(field.temperatures, single.temperatures)
+            assert np.array_equal(
+                multi[:, j].reshape(volume.shape), single.temperatures
+            )
 
     def test_empty_source_list(self):
-        cfg = fig5_config(1.0)
-        grids = build_axisym_grids(cfg.stack, cfg.via, cfg.power, nr=20, nz=50)
-        assert solve_axisymmetric_multi(
-            grids.r_edges, grids.z_edges, grids.conductivity, []
-        ) == []
+        assert FEMReference("coarse").assemble_batch([]) == []
 
 
 def assert_results_identical(batched, individual):
@@ -182,6 +193,11 @@ def assert_results_identical(batched, individual):
     assert batched.metadata == individual.metadata
 
 
+def stacked(model, stack, via, powers):
+    """One geometry under many powers as one stacked unit."""
+    return solve_stacked([(model, stack, via, power) for power in powers])
+
+
 class TestFEMReferenceBatch:
     def powers(self, base, scales=(0.5, 1.0, 1.5)):
         return [base.scaled(s) for s in scales]
@@ -190,7 +206,10 @@ class TestFEMReferenceBatch:
         cfg = fig5_config(1.0)
         model = FEMReference("coarse")
         powers = self.powers(cfg.power)
-        batched = model.solve_batch(cfg.stack, cfg.via, powers)
+        members = [(model, cfg.stack, cfg.via, p) for p in powers]
+        # one geometry: one shared matrix object, so one factor
+        assert len({id(s.matrix) for s in model.assemble_batch(members)}) == 1
+        batched = stacked(model, cfg.stack, cfg.via, powers)
         for result, power in zip(batched, powers):
             assert_results_identical(result, model.solve(cfg.stack, cfg.via, power))
 
@@ -199,7 +218,7 @@ class TestFEMReferenceBatch:
         model = FEMReference("coarse")
         cluster = TSVCluster(cfg.via, 4)
         powers = self.powers(cfg.power, (0.5, 1.25))
-        batched = model.solve_batch(cfg.stack, cluster, powers)
+        batched = stacked(model, cfg.stack, cluster, powers)
         for result, power in zip(batched, powers):
             assert_results_identical(result, model.solve(cfg.stack, cluster, power))
 
@@ -207,7 +226,7 @@ class TestFEMReferenceBatch:
         cfg = fig5_config(1.0)
         model = FEMReference((10, 10, 20), solver="cartesian")
         powers = self.powers(cfg.power, (0.75, 1.0))
-        batched = model.solve_batch(cfg.stack, cfg.via, powers)
+        batched = stacked(model, cfg.stack, cfg.via, powers)
         for result, power in zip(batched, powers):
             assert_results_identical(result, model.solve(cfg.stack, cfg.via, power))
 
@@ -222,8 +241,7 @@ class TestFEMReferenceBatch:
             assert result.plane_rises == single.plane_rises
 
     def test_empty_batch(self):
-        cfg = fig5_config(1.0)
-        assert FEMReference("coarse").solve_batch(cfg.stack, cfg.via, []) == []
+        assert solve_stacked([]) == []
 
     def test_batch_validates_geometry(self):
         from repro.errors import GeometryError
@@ -232,9 +250,7 @@ class TestFEMReferenceBatch:
         cfg = fig5_config(1.0)
         huge = paper_tsv(radius=cfg.stack.footprint_side)  # cannot fit
         with pytest.raises(GeometryError):
-            FEMReference("coarse").solve_batch(
-                cfg.stack, huge, self.powers(cfg.power)
-            )
+            stacked(FEMReference("coarse"), cfg.stack, huge, self.powers(cfg.power))
 
 
 class TestAssemblyKey:
@@ -295,14 +311,16 @@ class TestAssemblyKey:
 
 
 class TestMatrixGroupTask:
+    """A stacked unit holding one shared-matrix set, through the executors."""
+
     def _group(self, powers):
         cfg = fig5_config(1.0)
-        return MatrixGroupTask(
+        model = FEMReference("coarse")
+        return StackedBatchTask(
             index=0,
-            stack=cfg.stack,
-            via=cfg.via,
-            model=FEMReference("coarse"),
-            powers=tuple(cfg.power.scaled(s) for s in powers),
+            members=tuple(
+                (model, cfg.stack, cfg.via, cfg.power.scaled(s)) for s in powers
+            ),
         )
 
     def test_serial_executor_solves_groups(self):
@@ -325,15 +343,31 @@ class TestMatrixGroupTask:
             r.max_rise for r in serial
         ]
 
+    def _two_groups(self, powers):
+        """One unit holding two geometries: two shared-matrix sets."""
+        model = FEMReference("coarse")
+        half = (len(powers) + 1) // 2
+        return StackedBatchTask(
+            index=0,
+            members=tuple(
+                (model, cfg.stack, cfg.via, cfg.power.scaled(s))
+                for cfg, s in zip(
+                    [fig5_config(1.0)] * half
+                    + [fig5_config(2.0)] * (len(powers) - half),
+                    powers,
+                )
+            ),
+        )
+
     def test_parallel_executor_splits_large_groups(self):
-        # a lone big group must not serialise onto one worker: the
-        # executor splits it into per-worker RHS sub-blocks with offsets
-        task = self._group((0.5, 0.75, 1.0, 1.25, 1.5))
+        # a lone big unit must not serialise onto one worker: the
+        # executor splits it into per-worker sub-units with offsets
+        task = self._two_groups((0.5, 0.75, 1.0, 1.25, 1.5))
         executor = ParallelExecutor(2)
         sub_tasks = executor._split_groups([task])
         assert len(sub_tasks) == 2
         assert [t.offset for t in sub_tasks] == [0, 3]
-        assert sum(len(t.powers) for t in sub_tasks) == 5
+        assert sum(len(t.members) for t in sub_tasks) == 5
         # streamed results realign with the original member order
         landed = {}
         for sub, results in executor.submit_stream([task]):
@@ -343,16 +377,21 @@ class TestMatrixGroupTask:
         assert [landed[i] for i in range(5)] == [r.max_rise for r in serial]
 
     def test_no_split_when_pool_already_saturated(self):
-        # two groups with jobs=2: workers are busy either way, and every
-        # extra sub-block would re-factorise in a cold worker for nothing
+        # two units with jobs=2: workers are busy either way, and every
+        # extra sub-unit would re-factorise in a cold worker for nothing
         tasks = [self._group((0.5, 1.0, 1.5)), self._group((2.0, 2.5))]
         assert ParallelExecutor(2)._split_groups(tasks) == tasks
 
     def test_split_fills_idle_workers_only(self):
-        task = self._group((0.5, 0.75, 1.0, 1.25, 1.5, 1.75))
+        task = self._two_groups((0.5, 0.75, 1.0, 1.25, 1.5, 1.75))
         sub_tasks = ParallelExecutor(3)._split_groups([task])
         assert len(sub_tasks) == 3
         assert [t.offset for t in sub_tasks] == [0, 2, 4]
+
+    def test_one_shared_matrix_stays_whole(self):
+        # every sub-unit would factor the one matrix again in its worker
+        task = self._group((0.5, 0.75, 1.0, 1.25, 1.5, 1.75))
+        assert ParallelExecutor(3)._split_groups([task]) == [task]
 
     def test_serial_executor_never_splits(self):
         task = self._group((0.5, 1.0, 1.5))
@@ -366,27 +405,37 @@ class TestGroupedScheduling:
         perf.reset()
         run_scenario(spec)
         counters = perf.stats()["counters"]
-        # the four fem reference solves share one matrix; the 1d solves
-        # opt out of grouping
-        assert counters["plan_matrix_groups"] == 1
-        assert counters["plan_grouped_solves"] == 4
+        # the four fem reference solves share one matrix: one stacked
+        # unit, one factor, no factor-cache hit; the 1d solves stay points
+        assert counters["plan_stacked_batches"] == 1
+        assert counters["plan_stacked_solves"] == 4
         assert counters["plan_point_solves"] == 8
+        assert counters["sparse_factorizations"] == 1
+        assert perf.factor_cache.stats()["hits"] == 0
 
     def test_no_grouping_when_disabled(self):
         perf.reset()
-        run_scenario(power_scale_spec(), group_matrices=False)
+        run_scenario(power_scale_spec(), stack_batches=False)
         counters = perf.stats()["counters"]
-        assert counters.get("plan_matrix_groups", 0) == 0
+        assert counters.get("plan_stacked_batches", 0) == 0
 
     def test_geometry_sweep_has_no_groups(self):
-        perf.reset()
-        run_scenario(
-            power_scale_spec(
-                scenario_id="radius_sweep",
-                axis=AxisSpec(parameter="radius_um", values=(3.0, 5.0)),
-            )
+        from repro.scenarios.plan import compile_plan
+
+        spec = power_scale_spec(
+            scenario_id="radius_sweep",
+            axis=AxisSpec(parameter="radius_um", values=(3.0, 5.0)),
         )
-        assert perf.stats()["counters"].get("plan_matrix_groups", 0) == 0
+        fem = [
+            node
+            for node in compile_plan([spec.resolved()]).nodes.values()
+            if node.model_name == "fem"
+        ]
+        # every radius assembles its own matrix: no point shares a factor
+        assert len({node.assembly_key for node in fem}) == 2
+        perf.reset()
+        run_scenario(spec)
+        assert perf.factor_cache.stats()["hits"] == 0
 
     @staticmethod
     def _strip_wallclock(payload):
@@ -414,7 +463,7 @@ class TestGroupedScheduling:
         perf.reset()
         ungrouped = run_scenario(
             scenario_id, fast=True, fem_resolution=resolution,
-            group_matrices=False,
+            stack_batches=False,
         )
         pg = self._strip_wallclock(grouped.result.to_payload())
         pu = self._strip_wallclock(ungrouped.result.to_payload())
@@ -460,6 +509,27 @@ class TestFem3dScenario:
         spec = SCENARIOS.get("fem3d_power")
         assert spec.reference.startswith("fem3d:")
         assert spec.axis.parameter == "power_scale"
+
+    def test_sweep_is_one_stacked_unit_with_one_factor(self):
+        # the bench's fem3d_grouped check as a counter test: both fem3d
+        # nodes of `run fem3d_power --fast` dispatch as one stacked unit,
+        # whose shared matrix is factored once and never looked up again
+        from repro.perf.bench import fem3d_factored_once
+        from repro.scenarios.plan import compile_plan
+
+        spec = SCENARIOS.get("fem3d_power").resolved(fast=True)
+        fem3d = {
+            key
+            for key, node in compile_plan([spec]).nodes.items()
+            if node.model_name == "fem3d"
+        }
+        assert len(fem3d) == 2
+        events = []
+        perf.reset()
+        run_scenario("fem3d_power", fast=True, progress=events.append)
+        dispatch = [e.get("dispatch") for e in events if e["key"] in fem3d]
+        assert dispatch == ["stacked", "stacked"]
+        assert fem3d_factored_once()
 
     def test_power_scale_series_scales_linearly(self):
         run = run_scenario("fem3d_power", fast=True)

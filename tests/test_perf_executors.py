@@ -117,7 +117,7 @@ class TestExecutors:
         spec = block_sweep(("1d",), (5.0,), reference="a")
         result = run_scenario(
             spec, executor=ParallelExecutor(4),
-            group_matrices=False, stack_batches=False,
+            stack_batches=False,
         ).result
         assert result.series["model_1d"][0] > 0
 
@@ -182,7 +182,6 @@ class TestSweepEngineContract:
         run = run_scenario(
             block_sweep(("a",), (2.0, 5.0)),
             executor=executor,
-            group_matrices=False,
             stack_batches=False,
             retry=RetryPolicy(max_attempts=1),
         )

@@ -211,6 +211,37 @@ class TestSpecRoundTrip:
         assert SCENARIOS.get("nonlinear_hotspot").kind == "nonlinear"
 
 
+def assert_shared_factor_identical(specs):
+    """Same-network drive levels share one C/dt + G factor through the
+    factor cache, and their trajectories equal cold per-drive runs."""
+    perf.reset()
+    shared = execute_plan(compile_plan(specs))
+    assert perf.factor_cache.stats()["misses"] == 1
+    assert perf.factor_cache.stats()["hits"] == len(specs) - 1
+    alone = {}
+    for spec in specs:
+        perf.reset()
+        alone.update(execute_plan(compile_plan([spec])).results)
+    assert shared.results.keys() == alone.keys()
+    for key in alone:
+        assert np.array_equal(
+            shared.results[key].temperatures, alone[key].temperatures
+        )
+
+
+def transient_lhs_count(nodes, params):
+    """How many distinct C/dt + G matrices the trajectories integrate."""
+    dt = params.t_end_s / params.n_steps
+    return len(
+        {
+            perf.matrix_fingerprint(
+                transient_lhs(n.model._circuit(n.stack, n.via, n.power), dt)
+            )
+            for n in nodes
+        }
+    )
+
+
 def pulse_params(**overrides):
     kwargs = dict(
         t_end_s=1e-3, n_steps=40, drive="pulse_train", period_s=2e-4, duty=0.5
@@ -306,17 +337,7 @@ class TestDriveShapes:
             ).resolved()
             for s in (1.0, 2.0)
         ]
-        perf.reset()
-        grouped = execute_plan(compile_plan(specs))
-        assert perf.stats()["counters"]["plan_matrix_groups"] == 1
-        perf.reset()
-        ungrouped = execute_plan(compile_plan(specs), group_matrices=False)
-        assert grouped.results.keys() == ungrouped.results.keys()
-        for key in grouped.results:
-            assert np.array_equal(
-                grouped.results[key].temperatures,
-                ungrouped.results[key].temperatures,
-            )
+        assert_shared_factor_identical(specs)
 
     def test_off_phase_cools_and_peak_stays_below_step(self):
         # 40 steps of 25µs; period 200µs, duty 0.5 → 4 steps on, 4 off
@@ -446,8 +467,8 @@ class TestCompile:
         assert plan.stats["transient_nodes"] == 2
         assert plan.stats["solve_nodes"] == 0
         nodes = [n for n in plan.nodes.values() if isinstance(n, TransientNode)]
-        # different radii -> different networks -> different assembly keys
-        assert len({n.assembly_key for n in nodes}) == 2
+        # different radii -> different networks -> different C/dt + G
+        assert transient_lhs_count(nodes, spec.transient) == 2
         assert all(n.deps == () for n in nodes)
         entry = plan.scenarios[0]
         assert entry.physics is not None and entry.physics.kind == "transient"
@@ -464,7 +485,7 @@ class TestCompile:
         plan = compile_plan(specs)
         nodes = [n for n in plan.nodes.values() if isinstance(n, TransientNode)]
         assert len(nodes) == 2  # different drives: distinct nodes...
-        assert len({n.assembly_key for n in nodes}) == 1  # ...same matrix
+        assert transient_lhs_count(nodes, specs[0].transient) == 1  # ...one matrix
 
     def test_nonlinear_nodes_depend_on_linear_baseline(self):
         spec = nonlinear_spec(
@@ -526,18 +547,7 @@ class TestExecution:
             ).resolved()
             for s in (1.0, 2.0, 3.0)
         ]
-        perf.reset()
-        grouped = execute_plan(compile_plan(specs))
-        assert perf.stats()["counters"]["plan_matrix_groups"] == 1
-        perf.reset()
-        ungrouped = execute_plan(compile_plan(specs), group_matrices=False)
-        assert perf.stats()["counters"].get("plan_matrix_groups", 0) == 0
-        assert grouped.results.keys() == ungrouped.results.keys()
-        for key in grouped.results:
-            assert np.array_equal(
-                grouped.results[key].temperatures,
-                ungrouped.results[key].temperatures,
-            )
+        assert_shared_factor_identical(specs)
 
     def test_parallel_dispatch_identical(self):
         from repro.perf import ParallelExecutor
@@ -662,16 +672,19 @@ class TestStoreAndResume:
 
 
 # ---------------------------------------------------------------------------
-# Model B matrix groups (satellite)
+# Model B shared-matrix sets
 # ---------------------------------------------------------------------------
 class TestModelBGroups:
     def test_solve_batch_matches_per_point(self):
+        from repro.core.base import solve_stacked
         from repro.experiments.params import fig5_config
 
         cfg = fig5_config(1.0)
-        model = make_model("b:50,500,500")
+        model = make_model("b:50,500,500")  # sparse: past the dense cutoff
         powers = [cfg.power.scaled(s) for s in (0.5, 1.0, 2.0)]
-        batch = model.solve_batch(cfg.stack, cfg.via, powers)
+        perf.reset()
+        batch = solve_stacked([(model, cfg.stack, cfg.via, p) for p in powers])
+        assert perf.stats()["counters"]["sparse_factorizations"] == 1
         for result, power in zip(batch, powers):
             single = model.solve(cfg.stack, cfg.via, power)
             assert result.max_rise == single.max_rise
@@ -688,9 +701,10 @@ class TestModelBGroups:
         perf.reset()
         grouped = execute_plan(compile_plan([spec]))
         counters = perf.stats()["counters"]
-        assert counters["plan_matrix_groups"] >= 1
+        # no batch class past the dense cutoff: the shared matrix forms the unit
+        assert counters["plan_stacked_batches"] >= 1
         perf.reset()
-        ungrouped = execute_plan(compile_plan([spec]), group_matrices=False)
+        ungrouped = execute_plan(compile_plan([spec]), stack_batches=False)
         model_b_keys = [
             key
             for key, node in compile_plan([spec]).nodes.items()

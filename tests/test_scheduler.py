@@ -43,12 +43,13 @@ def keys(unit):
 
 
 def form(entries, solo=(), blame=None, **tiers):
-    tiers = {"group_matrices": True, "stack_batches": True, **tiers}
+    tiers = {"stack_batches": True, **tiers}
     return form_units(entries, set(solo), blame or {}, RETRY, **tiers)
 
 
 class TestFormUnits:
     def test_shared_assembly_key_is_one_group_and_a_singleton_falls_through(self):
+        # without a batch class, a shared matrix still forms one unit
         units = form(
             [
                 entry("k1", power=1.0, assembly="A"),
@@ -56,9 +57,20 @@ class TestFormUnits:
                 entry("k3", power=3.0, assembly="B"),
             ]
         )
-        assert [keys(g) for g in units.groups] == [["k1", "k2"]]
+        assert [keys(s) for s in units.stacks] == [["k1", "k2"]]
         assert [keys(b) for b in units.buckets] == [["k3"]]
-        assert units.stacks == []
+
+    def test_a_batch_class_takes_precedence_over_the_assembly(self):
+        # one unit per batch class, whatever matrices its members share
+        units = form(
+            [
+                entry("k1", stack="s1", assembly="A", batch_class="C"),
+                entry("k2", stack="s1", power=2.0, assembly="A", batch_class="C"),
+                entry("k3", stack="s2", assembly="B", batch_class="C"),
+            ]
+        )
+        assert [keys(s) for s in units.stacks] == [["k1", "k2", "k3"]]
+        assert units.buckets == []
 
     def test_shared_batch_class_key_is_one_stack(self):
         units = form(
@@ -108,8 +120,7 @@ class TestFormUnits:
             ],
             solo=solo,
         )
-        assert [keys(g) for g in units.groups] == [["g1", "g3"]]
-        assert units.stacks == []
+        assert [keys(s) for s in units.stacks] == [["g1", "g3"]]
         # a singleton stack class falls through behind the classless p1
         assert [keys(b) for b in units.buckets] == [
             ["p1"],
@@ -135,7 +146,7 @@ class TestFormUnits:
         units = form(entries, blame=blame)
         assert [(e[0].key, n) for e, n in units.poisoned] == [("poison", 4), ("worse", 9)]
         assert units.forced_solo == {"solo", "above"}
-        assert [keys(g) for g in units.groups] == [["ok", "low", "opaque:x"]]
+        assert [keys(s) for s in units.stacks] == [["ok", "low", "opaque:x"]]
         assert [keys(b) for b in units.buckets] == [["solo"], ["above"]]
 
     def test_a_key_already_solo_is_not_forced_again(self):
@@ -144,25 +155,18 @@ class TestFormUnits:
         assert [keys(b) for b in units.buckets] == [["k1"]]
 
     @pytest.mark.parametrize(
-        "tiers, groups, stacks",
-        [
-            ({"group_matrices": False}, [], [["g1", "g2"]]),
-            ({"stack_batches": False}, [["g1", "g2"]], []),
-            ({"group_matrices": False, "stack_batches": False}, [], []),
-        ],
+        "stack_batches, stacks", [(True, [["g1", "g2"]]), (False, [])]
     )
-    def test_each_tier_can_be_turned_off(self, tiers, groups, stacks):
+    def test_the_stacked_tier_can_be_turned_off(self, stack_batches, stacks):
         units = form(
             [
                 entry("g1", stack="s1", assembly="A", batch_class="C"),
                 entry("g2", stack="s2", assembly="A", batch_class="C"),
             ],
-            **tiers,
+            stack_batches=stack_batches,
         )
-        assert [keys(g) for g in units.groups] == groups
         assert [keys(s) for s in units.stacks] == stacks
-        placed = sum(map(len, units.groups + units.stacks + units.buckets))
-        assert placed == 2
+        assert sum(map(len, units.stacks + units.buckets)) == 2
 
 
 # ---------------------------------------------------------------------------

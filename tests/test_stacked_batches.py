@@ -289,6 +289,18 @@ class TestSolveStacked:
         for result, (m, stack, via, power) in zip(solve_stacked(members), members):
             assert_results_identical(result, m.solve(stack, via, power))
 
+    @pytest.mark.parametrize(
+        "spec", ["fem3d:10x10x20", "b:200"], ids=["fem3d", "model_b_sparse"]
+    )
+    def test_a_lone_default_ordered_member_solves_like_solo(self, spec):
+        # a fleet worker that loses the lease race for all but one member
+        # of a unit dispatches that member alone; its solo solve uses the
+        # default factor, which a natural-ordering block stack would not
+        cfg = fig5_config(1.0)
+        model = make_model(spec)
+        (result,) = solve_stacked([(model, cfg.stack, cfg.via, cfg.power)])
+        assert_results_identical(result, model.solve(cfg.stack, cfg.via, cfg.power))
+
     def test_declining_member_falls_back_to_solo_solves(self):
         # the 1-D model never assembles a stackable system: the whole
         # batch degrades to per-member model.solve, still positionally
@@ -370,6 +382,23 @@ class TestStackedBatchTask:
         assert isinstance(outcome, TaskFailure)
         assert outcome.transient
 
+    @pytest.mark.parametrize("run_id", ["fig4/fast", "fem3d_power/fast"])
+    def test_failed_units_degrade_to_solo_members(
+        self, run_id, cold_planned, eager_digest, golden_snapshot
+    ):
+        # every stacked unit fails: Model A geometry stacks in fig4, the
+        # shared-matrix set of the 3-D FEM sweep in fem3d_power; their
+        # members re-dispatch solo and the bytes still match the digests
+        faults.configure(rate=1.0, kinds=("error",), sites=("stacked-solve",))
+        try:
+            payload = cold_planned(run_id)
+        finally:
+            faults.reset()
+        counters = perf.stats()["counters"]
+        assert counters["plan_stacked_batches"] >= 1
+        assert counters["plan_group_degradations"] == counters["plan_stacked_batches"]
+        assert golden_snapshot.payload_digest(payload) == eager_digest(run_id)
+
 
 class TestStackedScheduling:
     def test_stacking_counters(self):
@@ -390,8 +419,9 @@ class TestStackedScheduling:
         assert perf.stats()["counters"].get("plan_stacked_batches", 0) == 0
 
     def test_power_sweep_prefers_matrix_groups(self):
-        # nodes that can share a factor stay on the multi-RHS plane: the
-        # stacked tier only sees what grouping left behind
+        # points that share a matrix form a shared-matrix set of their
+        # stacked unit: the dense Model B ladder and the sparse FEM matrix
+        # are each factored once and never looked up again
         spec = geometry_spec(
             scenario_id="ps_sweep",
             axis=AxisSpec(parameter="power_scale", values=(0.5, 1.0, 1.5)),
@@ -400,8 +430,11 @@ class TestStackedScheduling:
         perf.reset()
         run_scenario(spec)
         counters = perf.stats()["counters"]
-        assert counters["plan_matrix_groups"] >= 1
-        assert counters.get("plan_stacked_batches", 0) == 0
+        assert counters["plan_stacked_batches"] == 2
+        assert counters["plan_stacked_solves"] == 6
+        assert counters["sparse_factorizations"] == 1
+        factors = perf.factor_cache.stats()
+        assert (factors["misses"], factors["hits"]) == (2, 0)
 
     def test_stacked_dispatch_under_jobs_identical(self):
         spec = geometry_spec(values=(2.0, 3.0, 4.0, 5.0, 6.0))
@@ -463,17 +496,13 @@ class TestBuiltinByteIdentity:
             else "coarse"
         )
         payloads = []
-        for group_matrices, stack_batches in (
-            (True, True),  # the full dispatch ladder (the default)
-            (True, False),  # matrix groups only (pre-PR-7)
-            (False, False),  # solo per-point dispatch
-        ):
+        # stacked units (shared matrices and stacks), then solo dispatch
+        for stack_batches in (True, False):
             perf.reset()
             run = run_scenario(
                 scenario_id,
                 fast=True,
                 fem_resolution=resolution,
-                group_matrices=group_matrices,
                 stack_batches=stack_batches,
             )
             payloads.append(
@@ -482,7 +511,6 @@ class TestBuiltinByteIdentity:
                 )
             )
         assert payloads[0] == payloads[1]
-        assert payloads[1] == payloads[2]
 
 
 class TestVoxelFrameCache:

@@ -17,6 +17,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro import ModelA, ModelB, paper_stack, paper_tsv
+from repro.core.base import solve_stacked
 from repro.core.model_a import build_model_a_circuit
 from repro.core.model_b import _build_ladder, build_model_b_circuit
 from repro.errors import NetworkError, ValidationError
@@ -115,10 +116,10 @@ class TestModelBLadder:
     def test_batch_and_stacked_routes_match_the_solo_solve(self, fig7_block):
         stack, via, _ = fig7_block
         powers = [PowerSpec(), PowerSpec(plane_powers=(0.5, 1.0, 2.0))]
-        for model in (ModelB(10), ModelB(300)):
+        for model in (ModelB(10), ModelB(300)):  # a dense and a sparse ladder
             solo = [model.solve(stack, via, p).node_temperatures for p in powers]
-            batch = [r.node_temperatures for r in model.solve_batch(stack, via, powers)]
-            assert batch == solo
+            shared = solve_stacked([(model, stack, via, p) for p in powers])
+            assert [r.node_temperatures for r in shared] == solo
         expected = ModelB(10).solve(stack, via, powers[1]).node_temperatures
         system = ModelB(10).assemble_system(stack, via, powers[1])
         temps = np.linalg.solve(system.matrix, system.rhs)

@@ -452,7 +452,7 @@ class TestPoisonIsolation:
         faults.configure(
             rate=1.0,
             kinds=("crash",),
-            sites=("solve", "group-solve", "stacked-solve"),
+            sites=("solve", "stacked-solve"),
             seed=0,
         )
         try:
