@@ -154,16 +154,24 @@ class TestFormUnits:
         assert units.forced_solo == set()
         assert [keys(b) for b in units.buckets] == [["k1"]]
 
+    # `groups` is the unit key the two nodes share: a batch class, or only
+    # an assembly (what the matrix-group tier used to key on). The one
+    # stack_batches flag turns both off.
     @pytest.mark.parametrize(
-        "stack_batches, stacks", [(True, [["g1", "g2"]]), (False, [])]
+        "tiers, groups, stacks",
+        [
+            ({}, {"assembly": "A", "batch_class": "C"}, [["g1", "g2"]]),
+            ({"stack_batches": False}, {"assembly": "A", "batch_class": "C"}, []),
+            ({"stack_batches": False}, {"assembly": "A"}, []),
+        ],
     )
-    def test_the_stacked_tier_can_be_turned_off(self, stack_batches, stacks):
+    def test_each_tier_can_be_turned_off(self, tiers, groups, stacks):
         units = form(
             [
-                entry("g1", stack="s1", assembly="A", batch_class="C"),
-                entry("g2", stack="s2", assembly="A", batch_class="C"),
+                entry("g1", stack="s1", **groups),
+                entry("g2", stack="s2", **groups),
             ],
-            stack_batches=stack_batches,
+            **tiers,
         )
         assert [keys(s) for s in units.stacks] == stacks
         assert sum(map(len, units.stacks + units.buckets)) == 2
