@@ -51,9 +51,8 @@ def main() -> None:
     print()
 
     # 4. performance: repeated solves hit the assembly/factor/result caches
-    #    (sweeps add process-parallelism via `python -m repro run fig7 --jobs 4`,
-    #    and `python -m repro bench` writes the BENCH_<date>.json regression
-    #    report — see the README's Performance sections)
+    #    (sweeps add process-parallelism via `python -m repro run fig7 --jobs 4`;
+    #    the README's Performance sections say how speed is measured)
     results["fem"]  # the solve above primed the caches; solve once more:
     FEMReference("medium").solve(stack, via, power)
     cache_stats = perf.stats()["caches"]

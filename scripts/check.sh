@@ -1,17 +1,16 @@
 #!/usr/bin/env sh
-# One-command local PR gate: lint + tier-1 tests + benchmark quick mode.
+# One-command local PR gate: lint + tier-1 tests + the same-run paired gate.
 #
 # Usage:  scripts/check.sh
-#   JOBS=N   worker count for the parallel bench measurement (default 4)
 #
-# Lint runs only when ruff is installed (the base image does not ship it);
-# the tier-1 suite and the benchmark-regression quick gate always run.
+# Lint runs only when ruff is installed (the base image does not ship it;
+# CI installs it and lints first); everything else always runs.
 set -eu
 cd "$(dirname "$0")/.."
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== lint (ruff check)"
-    ruff check src tests
+    ruff check src tests scripts
 else
     echo "== lint skipped: ruff not installed (pip install ruff)" >&2
 fi
@@ -54,7 +53,7 @@ if ! grep -q "served from run store" "$fsck_tmp/hit.txt"; then
 fi
 rm -rf "$fsck_tmp"
 
-echo "== benchmark quick gate"
-benchmarks/run_bench.sh
+echo "== same-run paired gate (batching wins, checksum overhead)"
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" python scripts/same_run_gate.py
 
 echo "== all checks passed"

@@ -28,8 +28,7 @@ The paper's results have aliases: ``python -m repro fig4 …`` (also
 ``fig5``, ``fig6``, ``fig7``, ``table1``, ``case_study``) is ``run fig4 …``
 with the same flags, and ``all`` runs those six as one batch (shared
 points are solved once) and, with ``--output-dir``, renders
-EXPERIMENTS.md.  ``python -m repro bench`` delegates to the
-benchmark-regression harness.
+EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -89,6 +88,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _directory(text: str) -> Path:
+    """A directory path that may not exist yet, but is no regular file."""
+    path = Path(text)
+    if path.exists() and not path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text} exists and is not a directory")
+    return path
+
+
 def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
     """The flags of every command that solves: ``fleet`` and the run flags."""
     parser.add_argument(
@@ -138,14 +145,14 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--output-dir",
-        type=Path,
+        type=_directory,
         default=None,
         help="also write JSON payloads here (payload + spec; 'all' adds "
         "EXPERIMENTS.md)",
     )
     parser.add_argument(
         "--store",
-        type=Path,
+        type=_directory,
         default=None,
         metavar="DIR",
         help="content-addressed run store: artifacts land here and "
@@ -173,10 +180,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(
-            "Run declarative scenarios ('run', 'list', 'batch'), regenerate "
-            "the DATE 2011 TTSV paper's tables and figures (fig4..case_study "
-            "are aliases of 'run <id>'; 'all' runs them as one batch), or "
-            "run the benchmark-regression harness ('bench')."
+            "Run declarative scenarios ('run', 'list', 'batch', 'fleet'), "
+            "scrub a run store ('fsck'), or regenerate the DATE 2011 TTSV "
+            "paper's tables and figures (fig4..case_study are aliases of "
+            "'run <id>'; 'all' runs them as one batch)."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -236,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_p.add_argument(
         "--store",
-        type=Path,
+        type=_directory,
         required=True,
         metavar="DIR",
         help="the shared run store (the fleet's coordination plane); more "
@@ -762,11 +769,6 @@ def main(argv: list[str] | None = None) -> int:
     from . import fsshim
 
     fsshim.activate_from_env()
-    if argv[:1] == ["bench"]:
-        # the bench harness owns its own flags; delegate before parsing
-        from .perf.bench import main as bench_main
-
-        return bench_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.command in ("run", *_PAPER_ALIASES):
         return _cmd_run(args)

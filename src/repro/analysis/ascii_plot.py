@@ -1,8 +1,8 @@
 """Terminal line plots.
 
 The paper's figures are regenerated as data tables plus these ASCII plots,
-so the benchmark harness can show the *shape* (who wins, where curves
-cross, where the Fig. 6 minimum sits) without a plotting stack.
+so the CLI can show the *shape* (who wins, where curves cross, where the
+Fig. 6 minimum sits) without a plotting stack.
 """
 
 from __future__ import annotations

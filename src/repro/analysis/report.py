@@ -1,7 +1,7 @@
 """Plain-text reporting: aligned tables for experiment outputs.
 
-The benchmark harness prints the same rows the paper's tables/figures
-report; these helpers keep the formatting in one place.
+The CLI prints the same rows the paper's tables/figures report; these
+helpers keep the formatting in one place.
 """
 
 from __future__ import annotations

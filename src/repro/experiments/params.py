@@ -5,7 +5,7 @@ substrate, SiO2 ILD/liner, polyimide bond, copper fill, k1 = 1.3,
 k2 = 0.55); each figure varies one parameter and fixes the rest as listed
 in its caption.  The swept values live in the builtin scenario specs
 (:mod:`repro.scenarios.builtin`); these builders give single points of
-those sweeps to tests and benchmarks.
+those sweeps to tests and to ``scripts/same_run_gate.py``.
 """
 
 from __future__ import annotations

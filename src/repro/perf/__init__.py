@@ -1,11 +1,10 @@
-"""Performance subsystem: executors, caches, counters and benchmarks.
+"""Performance subsystem: executors, caches and counters.
 
 Public surface:
 
 * :func:`stats` / :func:`reset` — hit/miss counters for every cache plus
   free-standing counters (e.g. CG→direct fallbacks), and the cold-start
-  reset the benchmark harness uses between measurements;
-* :func:`configure` — resize or disable the assembly/result/factor caches;
+  reset that tests and timings use between runs;
 * :class:`SerialExecutor` / :class:`ParallelExecutor` /
   :func:`get_executor` — the sweep execution strategies behind ``--jobs``;
 * :class:`PointTask` / :class:`StackedBatchTask` — the two dispatch
@@ -16,8 +15,8 @@ Public surface:
   identity of a coefficient fit (plan node key and fit-cache key);
 * :class:`FactorizationCache` — reusable matrix factorizations.
 
-The benchmark-regression harness lives in :mod:`repro.perf.bench` and is
-reachable as ``python -m repro bench``.
+Speed is measured outside the package: ``perfbench/`` end to end and
+``scripts/same_run_gate.py`` as same-run paired ratios.
 """
 
 from .._lazy import lazy_exports
@@ -33,7 +32,6 @@ __getattr__, __dir__ = lazy_exports(
             "FactorizationCache",
             "LRUCache",
             "assembly_cache",
-            "configure",
             "factor_cache",
             "matrix_fingerprint",
             "reset",
@@ -86,7 +84,6 @@ __all__ = [
     "cached_solve",
     "calibration_fit_key",
     "calibration_key",
-    "configure",
     "content_key",
     "counter",
     "factor_cache",

@@ -12,8 +12,7 @@ Three process-wide caches back the sweep engine:
   the factorisation.
 
 All caches expose hit/miss/eviction counters through
-:func:`repro.perf.stats`, and :func:`configure` resizes (or disables,
-with size 0) each of them at runtime.
+:func:`repro.perf.stats`.
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ import scipy.sparse.linalg as spla
 from .keys import content_key  # noqa: F401  (re-exported)
 from .stats import increment, register_provider, reset_counters
 
-#: defaults, overridable via :func:`configure`
-DEFAULT_ASSEMBLY_CACHE_SIZE = 32
-DEFAULT_RESULT_CACHE_SIZE = 256
-DEFAULT_FACTOR_CACHE_SIZE = 16
 #: factors of systems larger than this are computed but never cached
 #: (3-D fill-in makes huge factors memory-expensive; see FactorizationCache)
 DEFAULT_FACTOR_CACHE_MAX_UNKNOWNS = 50_000
@@ -89,13 +84,6 @@ class LRUCache:
         with self._lock:
             self._data.clear()
             self.hits = self.misses = self.evictions = 0
-
-    def resize(self, maxsize: int) -> None:
-        with self._lock:
-            self.maxsize = int(maxsize)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                self.evictions += 1
 
     def __len__(self) -> int:
         with self._lock:
@@ -305,27 +293,9 @@ class FactorizationCache(LRUCache):
 
 
 #: process-wide cache instances (importable singletons)
-assembly_cache = LRUCache("assembly_cache", DEFAULT_ASSEMBLY_CACHE_SIZE)
-result_cache = LRUCache("result_cache", DEFAULT_RESULT_CACHE_SIZE)
-factor_cache = FactorizationCache("factor_cache", DEFAULT_FACTOR_CACHE_SIZE)
-
-
-def configure(
-    *,
-    assembly_cache_size: int | None = None,
-    result_cache_size: int | None = None,
-    factor_cache_size: int | None = None,
-    factor_cache_max_unknowns: int | None = None,
-) -> None:
-    """Resize the global caches; a size of 0 disables that cache."""
-    if assembly_cache_size is not None:
-        assembly_cache.resize(assembly_cache_size)
-    if result_cache_size is not None:
-        result_cache.resize(result_cache_size)
-    if factor_cache_size is not None:
-        factor_cache.resize(factor_cache_size)
-    if factor_cache_max_unknowns is not None:
-        factor_cache.max_unknowns = int(factor_cache_max_unknowns)
+assembly_cache = LRUCache("assembly_cache", 32)
+result_cache = LRUCache("result_cache", 256)
+factor_cache = FactorizationCache("factor_cache", 16)
 
 
 def reset() -> None:

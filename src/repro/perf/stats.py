@@ -1,8 +1,8 @@
 """Global performance counters and the ``perf.stats()`` snapshot.
 
 Every cache in :mod:`repro.perf.cache` registers itself here so one call
-exposes hit/miss/eviction rates for the whole process — the numbers the
-benchmark-regression harness records into ``BENCH_*.json``.  Free-standing
+exposes hit/miss/eviction rates for the whole process; tier-1 tests
+assert on them and ``perfbench/`` reports them per layer.  Free-standing
 counters (e.g. the CG→direct fallback in :mod:`repro.network.solve`) use
 :func:`increment`.
 """

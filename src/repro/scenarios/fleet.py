@@ -21,8 +21,7 @@ counters and per-scenario outcomes, plus heartbeats under
 ``<store>/fleet/heartbeats/<rank>.json``; :func:`run_fleet` aggregates
 the reports into a :class:`FleetOutcome`.  The summed
 ``plan_point_solves`` across reports equals the plan's node count when
-no worker died — the ``fleet_no_double_solve`` bench check and the fleet
-tests assert exactly that.
+no worker died — the fleet tests assert exactly that.
 
 ``supervise=True`` adds the self-healing layer
 (:mod:`repro.scenarios.supervisor`): crashed or heartbeat-silent workers

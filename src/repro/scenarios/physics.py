@@ -25,8 +25,8 @@ steady-state sweeps use:
 * :func:`run_transient_spec_direct` / :func:`run_nonlinear_spec_direct` —
   the reference implementations: plain :func:`~repro.network.step_response`
   / :class:`~repro.core.nonlinear.NonlinearSolver` library calls, which
-  the planned path must match byte-for-byte (asserted by tests and the
-  bench checks).
+  the planned path must match byte-for-byte (asserted by
+  ``tests/test_physics_kinds.py``).
 """
 
 from __future__ import annotations

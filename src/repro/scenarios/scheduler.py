@@ -21,8 +21,7 @@
   one batched call.  The remainder is bucketed into one
   :class:`~repro.perf.PointTask` per geometry.  ``stack_batches`` turns
   the stacked tier off; both tiers are bit-identical to solo solves
-  (tests and the ``multi_rhs_identical`` / ``stacked_identical`` bench
-  checks).
+  (``tests/test_golden.py``, ``tests/test_stacked_batches.py``).
 * **The commit** (:class:`Committer`), the only code here that reads
   points back from the store or writes them, and so the single home of
   the crash-safety contract.

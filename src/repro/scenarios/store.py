@@ -101,6 +101,11 @@ ENVELOPE_VERSION = 1
 ENVELOPE_PREFIX = f'{{"{ENVELOPE_KEY}"'
 
 
+#: an empty blake2b-128 hasher: copying it skips the keyword parsing of
+#: a fresh constructor, which is most of the cost of hashing a point
+_BLAKE2B_128 = hashlib.blake2b(digest_size=16)
+
+
 def artifact_checksum(body_text: str) -> str:
     """The envelope checksum of an artifact body: blake2b-128 of its bytes.
 
@@ -108,7 +113,9 @@ def artifact_checksum(body_text: str) -> str:
     verify-on-read cheap — one hash pass over the text that was going to
     be parsed anyway, no second ``json.dumps``.
     """
-    return hashlib.blake2b(body_text.encode(), digest_size=16).hexdigest()
+    hasher = _BLAKE2B_128.copy()
+    hasher.update(body_text.encode())
+    return hasher.hexdigest()
 
 
 def render_artifact(payload: Any, *, envelope: bool = True) -> str:
@@ -209,8 +216,8 @@ class RunStore:
     def __init__(self, root: str | Path, *, verify: bool = True) -> None:
         self.root = Path(root)
         #: checksum-verify enveloped artifacts on read (the production
-        #: default; ``verify=False`` exists for the paired
-        #: ``checksum_overhead`` bench measurement)
+        #: default; ``verify=False`` is the unverified side of the
+        #: ``checksum_under_5pct`` pair in ``scripts/same_run_gate.py``)
         self.verify = verify
         self.objects = self.root / OBJECTS_DIR
         self.objects.mkdir(parents=True, exist_ok=True)

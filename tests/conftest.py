@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 from pathlib import Path
+
+# One BLAS thread per process, as ``python -m repro`` runs (set before
+# anything loads numpy).  Fleet workers and process pools fork from this
+# process; with a multi-thread OpenBLAS already loaded here, a forked
+# 3-worker fleet drill sometimes ran about 10x slower and its workers lost
+# their 1 s leases mid-solve, solving nodes twice.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest
 

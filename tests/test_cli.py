@@ -83,6 +83,38 @@ class TestParser:
         assert "must be" in capsys.readouterr().err
         assert not (tmp_path / "store").exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["run", "fig7", "--output-dir"],
+            ["run", "fig7", "--store"],
+            ["batch", "DIR", "--store"],
+            ["fleet", "fig7", "--workers", "1", "--store"],
+        ],
+        ids=["run-output-dir", "run-store", "batch-store", "fleet-store"],
+    )
+    def test_a_regular_file_as_directory_exits_2_at_parse_time(
+        self, flags, capsys, tmp_path
+    ):
+        # before any solve: a run would print its tables, then die on
+        # the file with a traceback and lose the solve
+        regular = tmp_path / "a-file"
+        regular.write_text("keep me\n")
+        argv = [str(tmp_path) if arg == "DIR" else arg for arg in flags]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(regular), *FAST_FLAGS])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{regular} exists and is not a directory" in err
+        assert regular.read_text() == "keep me\n"
+
+    def test_bench_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--quick"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestMain:
     def test_fig7_fast(self, capsys):

@@ -253,7 +253,10 @@ class TestDependencies:
     def test_tests_import_only_what_ci_installs(self):
         assert _foreign_imports(ROOT / "tests", TEST_DEPENDENCIES) == []
 
-    @pytest.mark.parametrize("tree", ["src", "tests"])
+    def test_scripts_import_only_the_stdlib_numpy_and_scipy(self):
+        assert _foreign_imports(ROOT / "scripts", SRC_DEPENDENCIES) == []
+
+    @pytest.mark.parametrize("tree", ["src", "tests", "scripts"])
     def test_every_import_is_used(self, tree):
         # the check ruff's F401 makes in CI, for machines without ruff
         assert _unused_imports(ROOT / tree) == []

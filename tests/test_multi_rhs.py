@@ -511,10 +511,9 @@ class TestFem3dScenario:
         assert spec.axis.parameter == "power_scale"
 
     def test_sweep_is_one_stacked_unit_with_one_factor(self):
-        # the bench's fem3d_grouped check as a counter test: both fem3d
-        # nodes of `run fem3d_power --fast` dispatch as one stacked unit,
-        # whose shared matrix is factored once and never looked up again
-        from repro.perf.bench import fem3d_factored_once
+        # both fem3d nodes of `run fem3d_power --fast` dispatch as one
+        # stacked unit, whose shared matrix is factored once and never
+        # looked up again (a per-point solve would hit the factor cache)
         from repro.scenarios.plan import compile_plan
 
         spec = SCENARIOS.get("fem3d_power").resolved(fast=True)
@@ -529,7 +528,11 @@ class TestFem3dScenario:
         run_scenario("fem3d_power", fast=True, progress=events.append)
         dispatch = [e.get("dispatch") for e in events if e["key"] in fem3d]
         assert dispatch == ["stacked", "stacked"]
-        assert fem3d_factored_once()
+        counters = perf.stats()["counters"]
+        assert counters["plan_stacked_batches"] > 0
+        # the only sparse matrix: the network models solve dense
+        assert counters["sparse_factorizations"] == 1
+        assert perf.factor_cache.stats()["hits"] == 0
 
     def test_power_scale_series_scales_linearly(self):
         run = run_scenario("fem3d_power", fast=True)
@@ -561,15 +564,12 @@ class TestCalibrationFitCache:
         assert counters["calibration_fit_hits"] == 1
         assert counters["plan_calibrations"] == 1  # the fit did not rerun
 
-    def test_disabled_result_cache_disables_fit_cache(self):
+    def test_disabled_result_cache_disables_fit_cache(self, monkeypatch):
         spec = self.cal_spec("fit_cache_disabled")
         perf.reset()
-        perf.configure(result_cache_size=0)
-        try:
-            run_scenario(spec)
-            run_scenario(spec)
-        finally:
-            perf.configure(result_cache_size=256)
+        monkeypatch.setattr(perf.result_cache, "maxsize", 0)
+        run_scenario(spec)
+        run_scenario(spec)
         assert perf.stats()["counters"]["plan_calibrations"] == 2
 
     def test_key_helpers_propagate_none(self):

@@ -20,12 +20,9 @@ from repro.units import um
 
 @pytest.fixture(autouse=True)
 def _clean_caches():
-    """Every test starts and ends with cold caches and default sizes."""
+    """Every test starts and ends with cold caches."""
     perf.reset()
     yield
-    perf.configure(
-        assembly_cache_size=32, result_cache_size=256, factor_cache_size=16
-    )
     perf.reset()
 
 
@@ -53,13 +50,6 @@ class TestLRUCache:
         cache.put("a", 1)
         assert cache.get("a") is None
         assert len(cache) == 0
-
-    def test_resize_shrinks(self):
-        cache = LRUCache("t_resize", 4)
-        for i in range(4):
-            cache.put(i, i)
-        cache.resize(2)
-        assert len(cache) == 2
 
 
 class TestContentKey:
@@ -227,8 +217,10 @@ class TestAssemblyMemoization:
         assert after["misses"] == before["misses"] + 1
         assert after["hits"] == before["hits"] + 1
 
-    def test_disabled_cache_still_builds(self, block_stack, block_tsv, block_power):
-        perf.configure(assembly_cache_size=0)
+    def test_disabled_cache_still_builds(
+        self, block_stack, block_tsv, block_power, monkeypatch
+    ):
+        monkeypatch.setattr(perf.assembly_cache, "maxsize", 0)
         grids = build_axisym_grids(block_stack, block_tsv, block_power)
         assert grids.conductivity.shape[0] == grids.r_edges.size - 1
 
@@ -265,10 +257,10 @@ class TestResultCache:
         assert perf.result_cache.stats()["hits"] == before + 4
         assert first.series == second.series
 
-    def test_sweep_cache_opt_out(self, block_sweep):
+    def test_sweep_cache_opt_out(self, block_sweep, monkeypatch):
         from repro.scenarios import run_scenario
 
-        perf.configure(result_cache_size=0)
+        monkeypatch.setattr(perf.result_cache, "maxsize", 0)
         run_scenario(block_sweep(("a",), (2.0,)))
         assert len(perf.result_cache) == 0
 

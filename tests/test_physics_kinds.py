@@ -539,6 +539,32 @@ class TestExecution:
             run.result.to_payload()
         ) == nonlinear_payload_content(direct.to_payload())
 
+    def test_transient_factors_once_per_trajectory(self):
+        # one LHS factor per trajectory, never one per backward-Euler step
+        spec = SCENARIOS.get("transient_spike").resolved()  # 3 trajectories
+        trajectories = len(spec.axis.values) * len(spec.models)
+        perf.reset()
+        run_scenario(spec)
+        assert perf.factor_cache.stats()["misses"] == trajectories
+        assert perf.stats()["counters"]["plan_transient_solves"] == trajectories
+
+    def test_transient_resume_with_every_point_stored_solves_nothing(
+        self, tmp_path
+    ):
+        spec = SCENARIOS.get("transient_spike").resolved()
+        store = RunStore(tmp_path)
+        cold = run_scenario(spec, store=store)
+        # a batch killed after its last point, before the run object landed
+        store._read_path(store.objects, spec.content_hash()).unlink()
+        perf.reset()
+        resumed = run_scenario(spec, store=store, resume=True)
+        counters = perf.stats()["counters"]
+        assert counters.get("plan_point_solves", 0) == 0
+        assert counters["point_store_hits"] == len(spec.axis.values) * len(
+            spec.models
+        )
+        assert resumed.result.to_payload() == cold.result.to_payload()
+
     def test_grouped_and_ungrouped_transient_identical(self):
         specs = [
             transient_spec(

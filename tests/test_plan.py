@@ -139,6 +139,16 @@ class TestScheduling:
         assert counters["plan_calibrations"] == 1
         assert counters["plan_nodes_deduped"] == 5
 
+    def test_merged_batch_equals_one_plan_per_scenario(self):
+        specs = shared_calibration_pair()
+        perf.reset()
+        batch = run_batch(specs)
+        for run, spec in zip(batch.runs, specs):
+            perf.reset()
+            alone = run_scenario(spec).result
+            assert run.result.series == alone.series  # exact float equality
+            assert run.result.errors == alone.errors
+
     def test_progress_callback_sees_every_node(self):
         perf.reset()
         events = []

@@ -108,6 +108,8 @@ class TestEnvelope:
     def test_checksum_covers_exact_body_bytes(self):
         body = json.dumps({"a": 1}, indent=2) + "\n"
         assert artifact_checksum(body) != artifact_checksum(body + " ")
+        # blake2b-128 of the body bytes: stores written before stay valid
+        assert artifact_checksum('{"a":1}\n') == "335da07f96d1af60018fb709114dd0df"
 
     def test_indented_artifacts_of_earlier_builds_read_and_fsck_clean(
         self, tmp_path
