@@ -6,9 +6,14 @@ full :func:`~repro.scenarios.runner.run_batch` against the same
 :class:`~repro.scenarios.lease.LeaseManager`.  No work queue and no
 coordinator process exist: the *store* is the coordination plane.  Every
 worker compiles the identical plan, claims dispatch units through the
-``leases/`` space, reads peers' results back from the ``points/`` space,
-and assembles every scenario's run-level artifact (deterministic, so
-concurrent writes are idempotent).  That makes the driver optional —
+``leases/`` space, reads peers' results back from the ``points/``
+space, and assembles every scenario's run-level artifact
+(deterministic, so concurrent writes are idempotent).  A worker claims
+one unit at a time: it solves and commits a unit before it claims the
+next, so the workers share each wave, and a stacked unit still claims
+whole, so the stacked tier survives distribution.
+
+Coordinating through the store alone makes the driver optional —
 pointing N independent ``python -m repro fleet`` (or even ``run
 --resume``) invocations at one store directory cooperates exactly the
 same way — and makes worker death a non-event: a dead worker's leases

@@ -37,7 +37,8 @@ A node whose executors crashed ``poison_solo_after`` times fleet-wide
 (the store's ``blame/`` space) dispatches solo, and at
 ``poison_quarantine_after`` it is quarantined without another dispatch.
 With ``claims`` the walk is one member of a fleet
-(:mod:`repro.scenarios.fleet`); see :func:`execute_plan`.
+(:mod:`repro.scenarios.fleet`) and streams one claimed unit at a time;
+see :func:`execute_plan`.
 
 Solves are deterministic and batched solves are bit-identical to
 per-point solves, so cache hits, store hits, fresh solves and unit
@@ -280,6 +281,21 @@ def form_units(
             buckets.append(bucket)
     buckets.extend({e[0].model_name: e} for e in kept if e[0].key in alone)
     return DispatchUnits(stacks, buckets, poisoned, forced)
+
+
+def _rotated(units: list, owner: str) -> list:
+    """``units`` rotated by a hash of ``owner``.
+
+    N workers facing the same ready wave start claiming at different
+    units instead of racing door-to-door in lockstep; a worker whose own
+    share is exhausted walks on and takes whatever is still unclaimed,
+    so work stealing falls out of the same walk.
+    """
+    if not units:
+        return units
+    seed = hashlib.blake2b(owner.encode(), digest_size=4).digest()
+    offset = int.from_bytes(seed, "big") % len(units)
+    return units[offset:] + units[:offset]
 
 
 def _tasks(
@@ -559,9 +575,12 @@ def execute_plan(
 
     ``claims`` turns this scheduler into one cooperating member of a
     *fleet*: every content-keyed dispatch node is solved only under an
-    acquired :mod:`~repro.scenarios.lease` claim, whole dispatch units
-    (stacked units, point buckets) are claimed together
-    so the batch tiers survive distribution, nodes claimed by a peer are
+    acquired :mod:`~repro.scenarios.lease` claim.  A worker claims one
+    dispatch unit at a time, walking the wave's units in an order rotated
+    by its owner id, and dispatches and commits that unit before it
+    claims the next, so peers share a wave's solves.  A unit (stacked
+    unit or point bucket) still claims whole, so the batch tiers survive
+    distribution.  Nodes claimed by a peer are
     *deferred* — their results are read back from the store when the
     peer commits them (``poll_s`` paces that wait), a dead peer's claims
     expire and its nodes are stolen, and results are committed
@@ -766,37 +785,6 @@ def execute_plan(
             return False
         return True
 
-    def claim_units(*tiers: list) -> list[list]:
-        """Claim whole dispatch units, rotated so workers spread out.
-
-        Units are claimed member-by-member but *visited* whole — a
-        worker that wins any member of a stacked unit tends to win the
-        rest in the same pass, so the stacked tier survives distribution —
-        and the visiting order is rotated by a hash of this worker's
-        owner id, so N workers hitting the same ready wave start
-        claiming at different units instead of racing door-to-door in
-        lockstep.  (Batched solves are batch-size invariant, so a unit
-        split by a lost race is still byte-identical — just less
-        batched.)  An idle worker whose own share is exhausted keeps
-        visiting and takes whatever is still unclaimed: work stealing
-        falls out of the same loop.
-        """
-        refs = [(t, i) for t, tier in enumerate(tiers) for i in range(len(tier))]
-        kept: list[list] = [[] for _ in tiers]
-        if not refs:
-            return kept
-        seed = hashlib.blake2b(claims.owner.encode(), digest_size=4).digest()
-        offset = int.from_bytes(seed, "big") % len(refs)
-        for t, i in refs[offset:] + refs[:offset]:
-            unit = tiers[t][i]
-            if isinstance(unit, dict):
-                members = {name: e for name, e in unit.items() if claim_entry(e)}
-            else:
-                members = [e for e in unit if claim_entry(e)]
-            if members:
-                kept[t].append(members)
-        return kept
-
     def poll_deferred() -> bool:
         """Resolve deferred nodes; True when any left deferral.
 
@@ -877,6 +865,33 @@ def execute_plan(
             return
         quarantine_task(node, failure, n)
 
+    def dispatch(stacks: list[list[Entry]], buckets: list[dict[str, Entry]]) -> None:
+        """Stream the units over the executor, landing each completion."""
+        if stacks:
+            increment("plan_stacked_batches", len(stacks))
+            increment("plan_stacked_solves", sum(map(len, stacks)))
+        for task, solved in executor.submit_stream(
+            _tasks(stacks, buckets, attempts),
+            timeout_s=retry.node_timeout_s,
+        ):
+            # drain between completions: the finished result has been
+            # committed by land(); anything still in flight is abandoned
+            # (its lease is released, a peer or a resume re-solves it)
+            check_drain()
+            maybe_renew()
+            members = _task_members(task, stacks, buckets)
+            if isinstance(solved, TaskFailure):
+                handle_failure(members, solved)
+            elif isinstance(task, PointTask):
+                for node, _, cache_key in members:
+                    land(node, cache_key, solved[node.model_name], "point")
+            else:
+                for (node, _, cache_key), result in zip(members, solved):
+                    land(node, cache_key, result, "stacked")
+            # calibrations whose samples just landed run immediately,
+            # unlocking their calibrated solves for the next wave
+            run_parent_nodes()
+
     while len(results) + len(failures) < len(nodes):
         check_drain()
         progressed = run_parent_nodes()
@@ -933,33 +948,19 @@ def execute_plan(
             increment("plan_poison_degradations", len(units.forced_solo))
             solo.update(units.forced_solo)
 
-        stacks, buckets = units.stacks, units.buckets
-        if claims is not None:
-            stacks, buckets = claim_units(stacks, buckets)
-        if stacks:
-            increment("plan_stacked_batches", len(stacks))
-            increment("plan_stacked_solves", sum(map(len, stacks)))
-
-        for task, solved in executor.submit_stream(
-            _tasks(stacks, buckets, attempts),
-            timeout_s=retry.node_timeout_s,
-        ):
-            # drain between completions: the finished result has been
-            # committed by land(); anything still in flight is abandoned
-            # (its lease is released, a peer or a resume re-solves it)
-            check_drain()
-            maybe_renew()
-            members = _task_members(task, stacks, buckets)
-            if isinstance(solved, TaskFailure):
-                handle_failure(members, solved)
-            elif isinstance(task, PointTask):
-                for node, _, cache_key in members:
-                    land(node, cache_key, solved[node.model_name], "point")
+        if claims is None:
+            dispatch(units.stacks, units.buckets)
+            continue
+        # a fleet member claims, solves and commits one unit at a time,
+        # so its peers can take the units it has not reached yet
+        for unit in _rotated(units.stacks + units.buckets, claims.owner):
+            if isinstance(unit, dict):
+                bucket = {name: e for name, e in unit.items() if claim_entry(e)}
+                if bucket:
+                    dispatch([], [bucket])
             else:
-                for (node, _, cache_key), result in zip(members, solved):
-                    land(node, cache_key, result, "stacked")
-            # calibrations whose samples just landed run immediately,
-            # unlocking their calibrated solves for the next wave
-            run_parent_nodes()
+                members = [e for e in unit if claim_entry(e)]
+                if members:
+                    dispatch([members], [])
 
     return outcome

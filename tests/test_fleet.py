@@ -12,9 +12,12 @@ import pytest
 
 from repro import faults, perf
 from repro.faults import CRASH_EXIT_CODE
-from repro.perf import counter
+from repro.perf import SerialExecutor, StackedBatchTask, counter
 from repro.scenarios import AxisSpec, RunStore, ScenarioSpec, run_scenario
 from repro.scenarios.fleet import EXIT_OK, run_fleet
+from repro.scenarios.lease import LeaseManager
+from repro.scenarios.plan import compile_plan
+from repro.scenarios.scheduler import execute_plan
 from repro.__main__ import main
 
 
@@ -147,6 +150,53 @@ class TestFleet:
         )
         assert outcome.ok
         assert outcome.counters.get("plan_point_solves", 0) == 0
+
+
+class RecordingExecutor(SerialExecutor):
+    """Serial execution that records, as each task is dispatched, how
+    many leases the worker holds and how many nodes the task carries."""
+
+    def __init__(self, claims):
+        self.claims = claims
+        self.dispatched = []
+
+    def submit_stream(self, tasks, *, timeout_s=None):
+        for task in tasks:
+            size = (
+                len(task.members)
+                if isinstance(task, StackedBatchTask)
+                else len(task.models)
+            )
+            self.dispatched.append((len(self.claims.held), size))
+            yield from super().submit_stream([task], timeout_s=timeout_s)
+
+
+class TestClaimGranularity:
+    @pytest.mark.parametrize("stack_batches", [True, False])
+    def test_a_worker_holds_only_the_unit_it_dispatches(
+        self, tmp_path, stack_batches
+    ):
+        # claiming a whole wave before solving any of it leaves a peer
+        # nothing to take: the first worker would hold all of it
+        plan = compile_plan([fleet_spec()])
+        store = RunStore(tmp_path / "store")
+        claims = LeaseManager(store, owner="w0")
+        executor = RecordingExecutor(claims)
+        perf.reset()
+        outcome = execute_plan(
+            plan,
+            executor=executor,
+            store=store,
+            claims=claims,
+            stack_batches=stack_batches,
+        )
+        assert not outcome.failures
+        assert outcome.counts["solved"] == len(plan.nodes)
+        assert executor.dispatched
+        assert all(held <= size for held, size in executor.dispatched), (
+            executor.dispatched
+        )
+        assert claims.held == {}
 
 
 class TestFleetCLI:
