@@ -50,7 +50,7 @@ def main() -> None:
         print(f"{name:>13}: {err:+.1f} % vs FEM")
     print()
 
-    # 4. performance: repeated solves hit the assembly/factor/result caches
+    # 4. performance: a repeated FEM solve hits the assembly and factor caches
     #    (sweeps add process-parallelism via `python -m repro run fig7 --jobs 4`;
     #    the README's Performance sections say how speed is measured)
     results["fem"]  # the solve above primed the caches; solve once more:

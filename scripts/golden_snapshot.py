@@ -128,8 +128,7 @@ def cold_payload(scenario_id: str, mode: str, **options: Any) -> Any:
 
     ``options`` go to :func:`repro.scenarios.run_batch`.  The payload is
     JSON round-tripped as the CLI's ``--output-dir`` writes it.  Raises
-    unless every plan node was solved in this run, none taken from a
-    cache.
+    unless every plan node was solved in this run.
     """
     from repro import perf
     from repro.scenarios import run_batch

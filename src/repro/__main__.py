@@ -171,7 +171,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         default="bar",
         help="execution-plan progress on stderr: 'bar' (default) is the "
         "live one-line counter; 'json' emits one JSON event per "
-        "completed plan node (kind, key, cache/store provenance, "
+        "completed plan node (kind, key, solved/store provenance, "
         "elapsed seconds)",
     )
 
@@ -351,7 +351,7 @@ class _JsonProgress:
     """``--progress json``: one JSON event line per completed plan node.
 
     Each line is a self-contained object — ``{"event": "node", "kind":
-    ..., "key": ..., "source": "solved|cache|store", "done": n, "total":
+    ..., "key": ..., "source": "solved|store", "done": n, "total":
     m, "elapsed_s": ...}`` — written to stderr the moment the node lands,
     so a dashboard (or the future service front-end) can tail the stream
     instead of scraping the human progress line.
@@ -447,7 +447,7 @@ class _PlanProgress:
 
     def __init__(self) -> None:
         self._printed = False
-        self._counts = {"solved": 0, "cache": 0, "store": 0, "failed": 0}
+        self._counts = {"solved": 0, "store": 0, "failed": 0}
 
     def __call__(self, event: dict) -> None:
         self._counts[event["source"]] = self._counts.get(event["source"], 0) + 1
@@ -458,7 +458,7 @@ class _PlanProgress:
         )
         print(
             f"\r[plan] {event['done']}/{event['total']} nodes "
-            f"(solved {self._counts['solved']}, cache {self._counts['cache']}, "
+            f"(solved {self._counts['solved']}, "
             f"resumed {self._counts['store']}{failed})",
             end="",
             file=sys.stderr,
@@ -672,8 +672,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(
             f"\nplan: {stats['nodes_total']} nodes "
             f"({stats.get('nodes_deduped', 0)} deduplicated across scenarios); "
-            f"{stats.get('solved', 0)} solved, {stats.get('cache', 0)} from "
-            f"cache, {stats.get('store', 0)} resumed from point store"
+            f"{stats.get('solved', 0)} solved, {stats.get('store', 0)} resumed "
+            f"from point store"
         )
     print(
         f"\n{len(files)} scenario(s): {solved} solved, {hits} served from "

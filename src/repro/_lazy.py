@@ -44,7 +44,6 @@ SOLVER_STACK = (
     "repro.network.transient",
     "repro.fem",
     "repro.calibration",
-    "repro.perf.memo",
 )
 
 

@@ -26,7 +26,6 @@ from ..core.model_a import ModelA, split_system
 from ..errors import CalibrationError
 from ..geometry import PowerSpec, Stack3D, TSV, TSVCluster
 from ..network.solve import solve_dense_stacked
-from ..perf import cached_solve
 from ..resistances import FittingCoefficients
 
 #: one calibration sample: the geometry/power triple Model A must match
@@ -194,12 +193,9 @@ def fit_coefficients(
     else:
         if reference is None:
             raise CalibrationError("need a reference model or explicit targets")
-        # reference solves go through the global result cache: calibration
-        # samples usually overlap the sweep grid, so either side primes the
-        # other
         targets = np.array(
             [
-                cached_solve(reference, stack, via, power).max_rise
+                reference.solve(stack, via, power).max_rise
                 for stack, via, power in samples
             ]
         )

@@ -10,9 +10,8 @@ Public surface:
 * :class:`PointTask` / :class:`StackedBatchTask` — the two dispatch
   shapes: per-point solves and stacked units (shared matrices factored
   once, congruent systems in one batched solve);
-* :func:`cached_solve` — a model solve through the global result cache;
-* :func:`calibration_key` / :func:`calibration_fit_key` — the shared
-  identity of a coefficient fit (plan node key and fit-cache key);
+* :func:`calibration_key` — the identity of a coefficient fit (its plan
+  node key);
 * :class:`FactorizationCache` — reusable matrix factorizations.
 
 Speed is measured outside the package: ``perfbench/`` end to end and
@@ -35,7 +34,6 @@ __getattr__, __dir__ = lazy_exports(
             "factor_cache",
             "matrix_fingerprint",
             "reset",
-            "result_cache",
         ),
         ".executors": (
             "ParallelExecutor",
@@ -49,13 +47,11 @@ __getattr__, __dir__ = lazy_exports(
             "solve_work",
         ),
         ".keys": (
-            "calibration_fit_key",
             "calibration_key",
             "content_key",
             "model_key",
             "solve_key",
         ),
-        ".memo": ("cached_solve",),
         ".retry": (
             "DEFAULT_RETRY",
             "NodeFailure",
@@ -81,8 +77,6 @@ __all__ = [
     "SweepTask",
     "TaskFailure",
     "assembly_cache",
-    "cached_solve",
-    "calibration_fit_key",
     "calibration_key",
     "content_key",
     "counter",
@@ -94,7 +88,6 @@ __all__ = [
     "matrix_fingerprint",
     "model_key",
     "reset",
-    "result_cache",
     "solve_key",
     "solve_task",
     "solve_work",

@@ -1,11 +1,9 @@
 """Size-bounded caches: LRU store, content hashing and factorization reuse.
 
-Three process-wide caches back the sweep engine:
+Two process-wide caches back the sweep engine:
 
 * :data:`assembly_cache` — voxelisation grids keyed on geometry content
   (:func:`repro.fem.voxelize.build_axisym_grids` et al.);
-* :data:`result_cache` — full :class:`~repro.core.result.ModelResult`
-  objects keyed on (model, stack, via, power) content;
 * :data:`factor_cache` — banded-Cholesky / SuperLU / LAPACK
   factorizations keyed on the matrix bytes, so repeated solves against
   an identical matrix (transient stepping, duplicated sweep points) skip
@@ -294,13 +292,11 @@ class FactorizationCache(LRUCache):
 
 #: process-wide cache instances (importable singletons)
 assembly_cache = LRUCache("assembly_cache", 32)
-result_cache = LRUCache("result_cache", 256)
 factor_cache = FactorizationCache("factor_cache", 16)
 
 
 def reset() -> None:
     """Empty every cache and zero every counter (cold-start state)."""
     assembly_cache.clear()
-    result_cache.clear()
     factor_cache.clear()
     reset_counters()

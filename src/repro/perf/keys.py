@@ -2,9 +2,8 @@
 
 A sweep point is fully described by (model configuration, stack, via,
 power), all plain frozen dataclasses, so its pickle bytes digest to a
-key that names the solve wherever it appears: the result cache
-(:mod:`repro.perf.memo`), the execution plan's nodes and the run
-store's point space.  This module needs neither numpy nor scipy, so
+key that names the solve wherever it appears: the execution plan's
+nodes and the run store's point space.  This module needs neither numpy nor scipy, so
 the models and the scenario layer can key work without loading a
 solver.
 """
@@ -21,8 +20,9 @@ def content_key(*parts: Any) -> str | None:
 
     Geometry objects are frozen dataclasses of floats/tuples, so their
     pickle bytes are deterministic within a process; the blake2b digest of
-    those bytes keys the assembly/result caches.  Anything unpicklable
-    (open handles, closures) returns ``None`` and the caller skips caching.
+    those bytes keys the assembly cache, the plan's nodes and the store's
+    points.  Anything unpicklable (open handles, closures) returns ``None``
+    and the caller leaves the value unkeyed.
     """
     try:
         payload = pickle.dumps(parts, protocol=4)
@@ -41,7 +41,7 @@ def model_key(model: Any) -> str | None:
 
 
 def solve_key(model: Any, stack: Any, via: Any, power: Any) -> str | None:
-    """Cache key for one (model, geometry, power) solve, or None."""
+    """Content key of one (model, geometry, power) solve, or None."""
     mkey = model_key(model)
     if mkey is None:
         return None
@@ -53,11 +53,9 @@ def calibration_key(
 ) -> str | None:
     """Identity of one coefficient fit: reference config + sample solves.
 
-    It keys the execution plan's CalibrationNode, and
-    :func:`calibration_fit_key` derives the fit's result-cache entry from
-    it.  ``sample_keys`` are the reference
-    solve keys at the calibration samples, in sample order; any missing
-    piece (unpicklable model) disables the identity.
+    It keys the execution plan's CalibrationNode.  ``sample_keys`` are
+    the reference solve keys at the calibration samples, in sample order;
+    any missing piece (unpicklable model) disables the identity.
     """
     if reference_key is None:
         return None
@@ -66,14 +64,3 @@ def calibration_key(
         return None
     return content_key("calibration/v1", reference_key, sample_keys, name)
 
-
-def calibration_fit_key(cal_key: str | None) -> str | None:
-    """Result-cache key of a finished coefficient fit.
-
-    Derived from (not equal to) the calibration identity so a cached
-    :class:`~repro.calibration.fit.CalibrationResult` can never collide
-    with a plan-node result stored under the identity itself.
-    """
-    if cal_key is None:
-        return None
-    return content_key("calibration_fit/v1", cal_key)

@@ -5,8 +5,9 @@
 whose nodes are the individual units of work a scenario decomposes into:
 
 * :class:`SolveNode` — one model solved at one (stack, via, power) point,
-  keyed by :func:`repro.perf.solve_key` (the same content key the result
-  cache uses, so plan identity and cache identity coincide);
+  keyed by :func:`repro.perf.solve_key` (the same content key the run
+  store's point space uses, so plan identity and point identity
+  coincide);
 * :class:`CalibrationNode` — a k1/k2 coefficient fit against reference
   rises, depending on the reference :class:`SolveNode`\\ s at its sample
   points (which are shared with the sweep itself);
@@ -60,9 +61,9 @@ def is_content_key(key: str) -> bool:
     """Whether ``key`` is a stable content address.
 
     ``opaque:`` fallback keys (unpicklable work) are unique per compile —
-    they must never be used as result-cache keys, persisted to the point
-    store, or folded into derived content keys, or two unrelated nodes
-    could alias across compiles.
+    they must never be persisted to the point store or folded into
+    derived content keys, or two unrelated nodes could alias across
+    compiles.
     """
     return not key.startswith("opaque:")
 

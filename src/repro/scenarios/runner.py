@@ -91,7 +91,7 @@ class BatchRun:
 
     ``stats`` merges the compiler's node counts (``nodes_total``,
     ``nodes_deduped``, per-kind counts) with the scheduler's satisfaction
-    counts (``solved`` / ``cache`` / ``store`` / ``failed``) and
+    counts (``solved`` / ``store`` / ``failed``) and
     ``run_store_hits``.  ``failures`` is the batch-wide quarantine
     ledger — one record per failed plan node, deduplicated across the
     scenarios that share it.

@@ -5,14 +5,12 @@
 
 * **The walk** (:func:`execute_plan`).  A node is ready once its
   dependencies land.  Ready dispatch nodes (solve, transient, nonlinear)
-  are looked up in the result cache, then (``resume=True``) in the
-  store's point space; the rest of the wave is formed into units and
-  streamed over the executor's
+  are looked up (``resume=True``) in the store's point space; the rest
+  of the wave is formed into units and streamed over the executor's
   :meth:`~repro.perf.SweepExecutor.submit_stream` as completed.  A
   nonlinear node's k(T) chain is seeded with its landed linear baseline.
   Calibrations and case studies run in this process between
-  completions, so calibrated solves dispatch in the next wave; fits are
-  memoized under :func:`repro.perf.calibration_fit_key`.
+  completions, so calibrated solves dispatch in the next wave.
 * **Unit formation** (:func:`form_units`, pure).  Solve nodes sharing a
   ``batch_class_key`` (congruent systems), or for models without one an
   ``assembly_key`` (one matrix), become one
@@ -41,14 +39,13 @@ With ``claims`` the walk is one member of a fleet
 see :func:`execute_plan`.
 
 Solves are deterministic and batched solves are bit-identical to
-per-point solves, so cache hits, store hits, fresh solves and unit
-membership are interchangeable.  Counters land in
+per-point solves, so store hits, fresh solves and unit membership are
+interchangeable.  Counters land in
 :func:`repro.perf.stats`: ``plan_point_solves``,
 ``plan_transient_solves`` / ``plan_nonlinear_solves``,
 ``plan_stacked_batches`` / ``plan_stacked_solves``,
-``plan_calibrations``, ``calibration_fit_hits`` / ``_misses``,
-``point_store_hits`` / ``point_store_misses``, ``plan_retries``,
-``plan_group_degradations``, ``plan_quarantined``,
+``plan_calibrations``, ``point_store_hits`` / ``point_store_misses``,
+``plan_retries``, ``plan_group_degradations``, ``plan_quarantined``,
 ``plan_failures_adopted``, ``plan_poison_degradations`` and
 ``plan_poison_quarantined``.
 """
@@ -75,11 +72,8 @@ from ..perf import (
     StackedBatchTask,
     SweepExecutor,
     SweepTask,
-    calibration_fit_key,
     content_key,
     increment,
-    result_cache,
-    solve_key,
 )
 from ..perf.retry import (
     DEFAULT_RETRY,
@@ -109,7 +103,7 @@ from .store import RunStore
 
 #: progress callback: one event dict per completed node
 #: ``{"done", "total", "key", "kind", "source", "elapsed_s"}`` with source
-#: in ``{"solved", "cache", "store"}``; ``elapsed_s`` is the wall-clock
+#: in ``{"solved", "store"}``; ``elapsed_s`` is the wall-clock
 #: time since the previous completion (the stream's per-node cadence).
 #: Freshly solved nodes additionally carry ``"dispatch"`` — how the solve
 #: was dispatched: ``"point"`` (solo/per-point bucket) or ``"stacked"``
@@ -118,8 +112,8 @@ ProgressFn = Callable[[dict[str, Any]], None]
 
 #: audit hook for the chaos harness: when this names a directory, every
 #: *fresh* point commit (a solve landed under this process's own lease —
-#: not cache republishes, not store read-backs) appends its node key to
-#: ``<dir>/<pid>.solves``.  The append happens after ``put_point``
+#: not a parent node's commit, not a store read-back) appends its node
+#: key to ``<dir>/<pid>.solves``.  The append happens after ``put_point``
 #: succeeds and before the lease is released, so a kill at any instant
 #: can only under-record, never attribute a commit that did not happen —
 #: which is what lets ``scripts/chaos_soak.py`` assert *zero
@@ -146,9 +140,8 @@ def _record_solve(key: str) -> None:
 #: each scenario as soon as its last node lands)
 OnNodeFn = Callable[[str, Any], None]
 
-#: a dispatchable node with the model it solves with and its result-cache
-#: key (None: never cached)
-Entry = tuple[Any, Any, str | None]
+#: a dispatchable node with the model it solves with
+Entry = tuple[Any, Any]
 
 
 @dataclass
@@ -163,7 +156,7 @@ class ScheduleOutcome:
 
     results: dict[str, Any]
     counts: dict[str, int] = field(
-        default_factory=lambda: {"solved": 0, "cache": 0, "store": 0}
+        default_factory=lambda: {"solved": 0, "store": 0}
     )
     failures: dict[str, NodeFailure] = field(default_factory=dict)
 
@@ -208,7 +201,7 @@ def _unit_keys() -> Callable[[Entry], str | None]:
     by_assembly: dict[str, str | None] = {}
 
     def unit_key(entry: Entry) -> str | None:
-        node, model, _ = entry
+        node, model = entry
         if not isinstance(node, SolveNode):
             return None
         assembly = node.assembly_key
@@ -231,7 +224,7 @@ def form_units(
     *,
     stack_batches: bool,
 ) -> DispatchUnits:
-    """Form one wave's dispatch units from its uncached, unstored entries.
+    """Form one wave's dispatch units from its unstored entries.
 
     Pure: no I/O and no counters.  ``blame`` is the fleet-wide crash
     count per node key: at ``retry.poison_quarantine_after`` an entry is
@@ -318,19 +311,19 @@ def _tasks(
                 index=i,
                 members=tuple(
                     (model, node.stack, node.via, node.power)
-                    for node, model, _ in members
+                    for node, model in members
                 ),
             )
         )
     for i, bucket in enumerate(buckets):
-        node, _, _ = next(iter(bucket.values()))
+        node, _ = next(iter(bucket.values()))
         tasks.append(
             PointTask(
                 index=i,
                 stack=node.stack,
                 via=node.via,
                 power=node.power,
-                models=tuple(model for _, model, _ in bucket.values()),
+                models=tuple(model for _, model in bucket.values()),
                 # retries draw fresh fault-injection decisions
                 attempt=attempts.get(node.key, 0) if len(bucket) == 1 else 0,
             )
@@ -403,8 +396,8 @@ class Committer:
     def _stored(self, node: Any) -> bool:
         return self.store is not None and is_content_key(node.key)
 
-    def read(self, node: Any, cache_key: str | None, *, peer: bool = False) -> Any:
-        """The node's stored result (also cached under ``cache_key``), or None.
+    def read(self, node: Any, *, peer: bool = False) -> Any:
+        """The node's stored result, or None.
 
         A resume read happens only when the run resumes; a ``peer`` read
         (a cooperating worker's commit) happens either way.  A point of
@@ -417,27 +410,18 @@ class Committer:
         if payload is None:
             return None
         try:
-            result = _decode(node, payload)
+            return _decode(node, payload)
         except (KeyError, TypeError, ValueError, ExperimentError):
             self.store.heal_point(node.key)
             return None
-        if cache_key is not None:
-            result_cache.put(cache_key, result)
-        return result
 
-    def commit(
-        self, node: Any, result: Any, cache_key: str | None, *, fresh: bool
-    ) -> None:
+    def commit(self, node: Any, result: Any, *, fresh: bool) -> None:
         """Write ``result`` as the node's point.
 
-        A ``fresh`` solve (landed under this worker's lease) is cached,
-        fenced, written, appended to the solve ledger, absolved of its
-        blame and only then released.  Cache republishes and parent
-        nodes are only written, so resume never depends on the in-memory
-        cache of a killed process.
+        A ``fresh`` solve (landed under this worker's lease) is fenced,
+        written, appended to the solve ledger, absolved of its blame and
+        only then released.  Parent nodes are only written.
         """
-        if fresh and cache_key is not None:
-            result_cache.put(cache_key, result)
         if not self._stored(node):
             return
         if fresh and self.claims is not None:
@@ -488,18 +472,6 @@ class _Stopwatch:
         return elapsed
 
 
-def _node_cache_key(node: Any, model: Any) -> str | None:
-    """The result-cache key for a dispatchable node, or None (never cache).
-
-    For concrete picklable models the plan key IS the cache key; opaque
-    plan keys are compile-local and must not reach the cache.  Calibrated
-    models get their key only now that the fitted coefficients exist.
-    """
-    if isinstance(node, SolveNode) and node.model is None:
-        return solve_key(model, node.stack, node.via, node.power)
-    return node.key if is_content_key(node.key) else None
-
-
 def _node_model(node: Any, results: dict[str, Any]) -> Any:
     """The dispatchable model instance a ready node solves with.
 
@@ -516,31 +488,13 @@ def _node_model(node: Any, results: dict[str, Any]) -> Any:
     return node.model
 
 
-def _fit_calibration(
-    node: CalibrationNode, results: dict[str, Any]
-) -> tuple[Any, bool]:
-    """``(fit, from_cache)`` for a calibration node whose samples landed.
-
-    The node key IS the fit identity (reference config + sample solve
-    keys), so the finished fit (the full ``CalibrationResult``) is kept in
-    the result cache under a key derived from it, and repeated in-process
-    batches skip the least-squares fit too (``calibration_fit_hits`` /
-    ``_misses``).  The fit is deterministic, so a hit returns identical
-    coefficients.
-    """
-    fit_key = calibration_fit_key(node.key) if is_content_key(node.key) else None
-    fit = result_cache.get(fit_key) if fit_key is not None else None
-    if fit is not None:
-        increment("calibration_fit_hits")
-        return fit, True
-    if fit_key is not None:
-        increment("calibration_fit_misses")
+def _fit_calibration(node: CalibrationNode, results: dict[str, Any]) -> Any:
+    """The fit (a ``CalibrationResult``) of a calibration node whose
+    samples landed."""
     targets = [results[k].max_rise for k in node.sample_keys]
     fit = fit_coefficients(list(node.samples), None, targets=targets)
     increment("plan_calibrations")
-    if fit_key is not None:
-        result_cache.put(fit_key, fit)
-    return fit, False
+    return fit
 
 
 def execute_plan(
@@ -704,9 +658,9 @@ def execute_plan(
             failure.traceback_digest,
         )
 
-    def finish_stored(node: Any, cache_key: str | None, *, peer: bool = False) -> bool:
+    def finish_stored(node: Any, *, peer: bool = False) -> bool:
         """Finish ``node`` from its stored point; False on a miss."""
-        stored = committer.read(node, cache_key, peer=peer)
+        stored = committer.read(node, peer=peer)
         if stored is not None:
             finish(node, stored, "store")
         return stored is not None
@@ -717,22 +671,22 @@ def execute_plan(
         Parent-side nodes get no retries: a deterministic run that failed
         once fails again, so a failure goes straight to the ledger.
         """
-        if finish_stored(node, None):
+        if finish_stored(node):
             return
         try:
             if isinstance(node, CalibrationNode):
-                solved, from_cache = _fit_calibration(node, results)
+                solved = _fit_calibration(node, results)
             else:
-                solved, from_cache = run_case_study_spec(node.spec), False
+                solved = run_case_study_spec(node.spec)
         except PROPAGATE_TYPES:
             raise
         except Exception as exc:
             quarantine_task(node, failure_from_exception(exc), 1)
             return
-        committer.commit(node, solved, None, fresh=False)
+        committer.commit(node, solved, fresh=False)
         if isinstance(node, CalibrationNode):
             solved = solved.coefficients
-        finish(node, solved, "cache" if from_cache else "solved")
+        finish(node, solved, "solved")
 
     def run_parent_nodes() -> bool:
         ran = bool(ready_other)
@@ -763,24 +717,25 @@ def execute_plan(
     def claim_entry(entry: Entry) -> bool:
         """Secure ``entry`` for local dispatch; False removes it.
 
-        False means the node left this worker's hands: a peer holds its
-        lease (deferred — its result will be read back), a peer already
-        quarantined it (adopted), or a peer's result landed between our
-        store check and our claim (finished from store).  Nodes without
-        a content key cannot be shared through the store at all, so
-        every worker simply computes them locally.
+        False means the node left this worker's hands: a peer already
+        committed it (finished from store, with no lease taken), a peer
+        already quarantined it (adopted), a peer holds its lease
+        (deferred — its result will be read back), or a peer's result
+        landed between our store read and our claim (finished from
+        store).  Nodes without a content key cannot be shared through
+        the store at all, so every worker simply computes them locally.
         """
-        node, _, cache_key = entry
+        node, _ = entry
         if not is_content_key(node.key):
             return True
-        if adopt_peer_failure(node):
+        if finish_stored(node, peer=True) or adopt_peer_failure(node):
             return False
         if not claims.acquire(node.key):
             deferred[node.key] = entry
             return False
         # the claim is ours, but a peer may have completed-and-released
-        # this node since our resume check: the store is the arbiter
-        if finish_stored(node, cache_key, peer=True):
+        # this node since the read above: the store is the arbiter
+        if finish_stored(node, peer=True):
             claims.release(node.key)
             return False
         return True
@@ -795,8 +750,8 @@ def execute_plan(
         ready set.
         """
         progressed = False
-        for key, (node, _, cache_key) in list(deferred.items()):
-            if finish_stored(node, cache_key, peer=True) or adopt_peer_failure(node):
+        for key, (node, _) in list(deferred.items()):
+            if finish_stored(node, peer=True) or adopt_peer_failure(node):
                 del deferred[key]
                 progressed = True
             elif claims.acquire(key):
@@ -823,11 +778,11 @@ def execute_plan(
                 claims.release_all()
             raise DrainError(drain.requested)
 
-    def land(node: Any, cache_key: str | None, result: Any, dispatch: str) -> None:
+    def land(node: Any, result: Any, dispatch: str) -> None:
         increment("plan_point_solves")
         if isinstance(node, (TransientNode, NonlinearNode)):
             increment(f"plan_{node.kind}_solves")
-        committer.commit(node, result, cache_key, fresh=True)
+        committer.commit(node, result, fresh=True)
         finish(node, result, "solved", dispatch)
 
     def handle_failure(members: list[Entry], failure: TaskFailure) -> None:
@@ -838,7 +793,7 @@ def execute_plan(
             # attempt, so innocents complete and the culprit identifies
             # itself on its own retry
             increment("plan_group_degradations")
-            for node, _, _ in members:
+            for node, _ in members:
                 solo.add(node.key)
                 ready_solve.append(node)
             return
@@ -883,11 +838,11 @@ def execute_plan(
             if isinstance(solved, TaskFailure):
                 handle_failure(members, solved)
             elif isinstance(task, PointTask):
-                for node, _, cache_key in members:
-                    land(node, cache_key, solved[node.model_name], "point")
+                for node, _ in members:
+                    land(node, solved[node.model_name], "point")
             else:
-                for (node, _, cache_key), result in zip(members, solved):
-                    land(node, cache_key, result, "stacked")
+                for (node, _), result in zip(members, solved):
+                    land(node, result, "stacked")
             # calibrations whose samples just landed run immediately,
             # unlocking their calibrated solves for the next wave
             run_parent_nodes()
@@ -911,17 +866,11 @@ def execute_plan(
 
         batch = list(ready_solve)
         ready_solve.clear()
-        entries: list[Entry] = []
-        for node in batch:
-            model = _node_model(node, results)
-            cache_key = _node_cache_key(node, model)
-            cached = result_cache.get(cache_key) if cache_key is not None else None
-            if cached is not None:
-                committer.commit(node, cached, cache_key, fresh=False)
-                finish(node, cached, "cache")
-                continue
-            if not finish_stored(node, cache_key):
-                entries.append((node, model, cache_key))
+        entries: list[Entry] = [
+            (node, _node_model(node, results))
+            for node in batch
+            if not finish_stored(node)
+        ]
 
         # poison-unit isolation: consult the store's fleet-wide blame
         # ledger (every worker, every supervisor respawn) before forming
@@ -935,7 +884,7 @@ def execute_plan(
             retry,
             stack_batches=stack_batches,
         )
-        for (node, _, _), count in units.poisoned:
+        for (node, _), count in units.poisoned:
             increment("plan_poison_quarantined")
             quarantine(
                 node,

@@ -11,9 +11,9 @@ arbitrary new workloads are JSON files with the same schema, runnable via
 Every spec has a stable :meth:`~ScenarioSpec.content_hash` over its
 canonical JSON form.  The hash keys the content-addressed
 :class:`~repro.scenarios.store.RunStore` (re-running an unchanged spec is
-a store hit, not a solve) and composes with the :mod:`repro.perf` cache
-keys, which already content-hash the per-point geometry the spec expands
-into.
+a store hit, not a solve) and composes with the :mod:`repro.perf`
+content keys, which already content-hash the per-point geometry the spec
+expands into.
 """
 
 from __future__ import annotations

@@ -93,8 +93,7 @@ def cold_planned(golden_snapshot):
     """Run a builtin (``"<id>/<mode>"``) cold; return its payload.
 
     See ``golden_snapshot.cold_payload``: every plan node must be solved
-    in the run, so neither side of a comparison is served from the
-    other's cache.
+    in the run, from cold caches.
     """
     from repro import perf
 

@@ -198,6 +198,29 @@ class TestClaimGranularity:
         )
         assert claims.held == {}
 
+    def test_a_worker_takes_no_lease_for_a_committed_node(
+        self, tmp_path, monkeypatch
+    ):
+        # a peer's commit is read back before any lease is asked for
+        plan = compile_plan([fleet_spec()])
+        store = RunStore(tmp_path / "store")
+        execute_plan(plan, store=store)  # the peer: every point committed
+        acquired = []
+        real_acquire = LeaseManager.acquire
+
+        def acquire(self, key):
+            acquired.append(key)
+            return real_acquire(self, key)
+
+        monkeypatch.setattr(LeaseManager, "acquire", acquire)
+        perf.reset()
+        outcome = execute_plan(
+            plan, store=store, claims=LeaseManager(store, owner="w1")
+        )
+        assert outcome.counts["store"] == len(plan.nodes)
+        assert counter("plan_point_solves") == 0
+        assert acquired == []
+
 
 class TestFleetCLI:
     def test_cli_fleet_smoke(self, tmp_path, capsys):

@@ -480,27 +480,26 @@ class TestGroupedScheduling:
         assert serial.series == parallel.series  # exact float equality
         assert serial.errors == parallel.errors
 
-    def test_grouped_nodes_land_in_result_cache_and_store(self, tmp_path):
+    def test_grouped_nodes_land_in_store(self, tmp_path):
         from repro.scenarios import RunStore
+        from repro.scenarios.plan import compile_plan
 
         spec = power_scale_spec()
         store = RunStore(tmp_path / "store")
         perf.reset()
         run_scenario(spec, store=store)
         # every node (grouped fem + ungrouped 1d) persisted
-        from repro.scenarios.plan import compile_plan
-
         plan = compile_plan([spec.resolved()])
         assert len(store.point_keys()) == plan.stats["nodes_total"]
-        # a rerun without the run-level artifact is served from the result
-        # cache the grouped solves populated (counters zeroed, caches kept)
-        from repro.perf.stats import reset_counters
-
+        # a resumed rerun without the run-level artifact reads every
+        # grouped solve back from the point space
         for path in (tmp_path / "store" / "objects").glob("**/*.json"):
             path.unlink()
-        reset_counters()
-        run_scenario(spec, store=RunStore(tmp_path / "store"))
-        assert perf.stats()["counters"].get("plan_point_solves", 0) == 0
+        perf.reset()
+        run_scenario(spec, store=RunStore(tmp_path / "store"), resume=True)
+        counters = perf.stats()["counters"]
+        assert counters.get("plan_point_solves", 0) == 0
+        assert counters["point_store_hits"] == plan.stats["nodes_total"]
 
 
 class TestFem3dScenario:
@@ -541,45 +540,6 @@ class TestFem3dScenario:
         # steady-state conduction is linear in the heat load
         ratio = fem[1] / fem[0]
         assert ratio == pytest.approx(values[1] / values[0], rel=1e-9)
-
-
-class TestCalibrationFitCache:
-    def cal_spec(self, scenario_id="fit_cache_sweep"):
-        return power_scale_spec(
-            scenario_id=scenario_id,
-            axis=AxisSpec(parameter="radius_um", values=(3.0, 5.0)),
-            calibrate=True,
-            calibration_samples=2,
-        )
-
-    def test_planned_repeat_skips_fit(self):
-        spec = self.cal_spec()
-        perf.reset()
-        run_scenario(spec)
-        counters = perf.stats()["counters"]
-        assert counters["calibration_fit_misses"] == 1
-        assert counters["plan_calibrations"] == 1
-        run_scenario(spec)
-        counters = perf.stats()["counters"]
-        assert counters["calibration_fit_hits"] == 1
-        assert counters["plan_calibrations"] == 1  # the fit did not rerun
-
-    def test_disabled_result_cache_disables_fit_cache(self, monkeypatch):
-        spec = self.cal_spec("fit_cache_disabled")
-        perf.reset()
-        monkeypatch.setattr(perf.result_cache, "maxsize", 0)
-        run_scenario(spec)
-        run_scenario(spec)
-        assert perf.stats()["counters"]["plan_calibrations"] == 2
-
-    def test_key_helpers_propagate_none(self):
-        from repro.perf import calibration_fit_key, calibration_key
-
-        assert calibration_key(None, ("a",), "m") is None
-        assert calibration_key("ref", ("a", None), "m") is None
-        assert calibration_fit_key(None) is None
-        key = calibration_key("ref", ("a", "b"), "m")
-        assert key is not None and calibration_fit_key(key) != key
 
 
 class TestPowerScaleAxis:

@@ -10,7 +10,7 @@ from repro.network.solve import _solve_cg, solve_sparse
 from repro.perf import (
     FactorizationCache,
     LRUCache,
-    cached_solve,
+    calibration_key,
     content_key,
     matrix_fingerprint,
     solve_key,
@@ -66,6 +66,20 @@ class TestContentKey:
 
     def test_unpicklable_returns_none(self):
         assert content_key(lambda x: x) is None
+
+    def test_model_configuration_is_part_of_the_key(
+        self, block_stack, block_tsv, block_power
+    ):
+        from repro import ModelB
+
+        key_100 = solve_key(ModelB(100), block_stack, block_tsv, block_power)
+        key_500 = solve_key(ModelB(500), block_stack, block_tsv, block_power)
+        assert key_100 != key_500
+
+    def test_calibration_key_propagates_none(self):
+        assert calibration_key(None, ("a",), "m") is None
+        assert calibration_key("ref", ("a", None), "m") is None
+        assert calibration_key("ref", ("a", "b"), "m") is not None
 
 
 class TestFactorizationCache:
@@ -225,51 +239,11 @@ class TestAssemblyMemoization:
         assert grids.conductivity.shape[0] == grids.r_edges.size - 1
 
 
-class TestResultCache:
-    def test_cached_solve_returns_identical_result(
-        self, block_stack, block_tsv, block_power
-    ):
-        from repro import ModelA
-
-        model = ModelA()
-        r1 = cached_solve(model, block_stack, block_tsv, block_power)
-        r2 = cached_solve(model, block_stack, block_tsv, block_power)
-        assert r2 is r1  # the exact cached object comes back
-        assert perf.result_cache.stats()["hits"] == 1
-
-    def test_model_configuration_is_part_of_the_key(
-        self, block_stack, block_tsv, block_power
-    ):
-        from repro import ModelB
-
-        key_100 = solve_key(ModelB(100), block_stack, block_tsv, block_power)
-        key_500 = solve_key(ModelB(500), block_stack, block_tsv, block_power)
-        assert key_100 != key_500
-
-    def test_sweep_reuses_points_across_runs(self, block_sweep):
-        from repro.scenarios import run_scenario
-
-        spec = block_sweep(("a",), (2.0, 5.0))
-        first = run_scenario(spec).result
-        before = perf.result_cache.stats()["hits"]
-        second = run_scenario(spec).result
-        # both models at both points
-        assert perf.result_cache.stats()["hits"] == before + 4
-        assert first.series == second.series
-
-    def test_sweep_cache_opt_out(self, block_sweep, monkeypatch):
-        from repro.scenarios import run_scenario
-
-        monkeypatch.setattr(perf.result_cache, "maxsize", 0)
-        run_scenario(block_sweep(("a",), (2.0,)))
-        assert len(perf.result_cache) == 0
-
-
 class TestStatsAPI:
     def test_snapshot_shape(self):
         snapshot = perf.stats()
         assert "caches" in snapshot and "counters" in snapshot
-        for name in ("assembly_cache", "result_cache", "factor_cache"):
+        for name in ("assembly_cache", "factor_cache"):
             assert name in snapshot["caches"]
 
     def test_reset_clears_everything(self, block_stack, block_tsv, block_power):

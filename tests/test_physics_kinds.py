@@ -777,7 +777,7 @@ class TestCLI:
         assert node_events, "expected one JSON event per completed node"
         for event in node_events:
             assert event["kind"] == "transient"
-            assert event["source"] in ("solved", "cache", "store")
+            assert event["source"] in ("solved", "store")
             assert event["elapsed_s"] >= 0.0
             assert event["total"] >= event["done"] >= 1
         assert events[-1]["event"] == "done"

@@ -157,7 +157,7 @@ class TestScheduling:
         plan = compile_plan([spec.resolved()])
         assert len(events) == plan.stats["nodes_total"]
         assert events[-1]["done"] == events[-1]["total"]
-        assert {e["source"] for e in events} <= {"solved", "cache", "store"}
+        assert {e["source"] for e in events} <= {"solved", "store"}
 
     def test_streaming_parallel_executor_identical(self):
         spec = tiny_spec(models=("1d", "a:paper"), calibrate=True)
@@ -169,6 +169,35 @@ class TestScheduling:
         assert perf.stats()["counters"]["plan_point_solves"] > 0
         assert serial.series == parallel.series  # exact float equality
         assert serial.errors == parallel.errors
+
+
+class TestReusePaths:
+    """Within a run the plan deduplicates; across runs only the store
+    serves a result: a process keeps none between two executions."""
+
+    def test_rerun_without_store_solves_again(self):
+        plan = compile_plan([tiny_spec(calibrate=True).resolved()])
+        perf.reset()
+        execute_plan(plan)
+        first = dict(perf.stats()["counters"])
+        execute_plan(plan)
+        counters = perf.stats()["counters"]
+        assert counters["plan_point_solves"] == 2 * first["plan_point_solves"] > 0
+        assert counters["plan_calibrations"] == 2 * first["plan_calibrations"] == 2
+
+    def test_resumed_rerun_is_served_by_the_store(self, tmp_path):
+        plan = compile_plan([tiny_spec(calibrate=True).resolved()])
+        store = RunStore(tmp_path / "store")
+        perf.reset()
+        execute_plan(plan, store=store, resume=True)
+        first = dict(perf.stats()["counters"])
+        events = []
+        execute_plan(plan, store=store, resume=True, progress=events.append)
+        counters = perf.stats()["counters"]
+        assert counters["plan_point_solves"] == first["plan_point_solves"] > 0
+        assert counters["plan_calibrations"] == first["plan_calibrations"] == 1
+        assert len(events) == plan.stats["nodes_total"]
+        assert {e["source"] for e in events} == {"store"}
 
 
 class TestPlannedEqualsEager:

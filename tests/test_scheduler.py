@@ -34,12 +34,12 @@ def entry(key, *, model_name="a", stack="s", power=1.0, assembly=None, batch_cla
         model=FakeModel(batch_class),
         assembly_key=assembly,
     )
-    return (node, node.model, None)
+    return (node, node.model)
 
 
 def keys(unit):
     members = unit.values() if isinstance(unit, dict) else unit
-    return [node.key for node, _, _ in members]
+    return [node.key for node, _ in members]
 
 
 def form(entries, solo=(), blame=None, **tiers):
@@ -238,18 +238,18 @@ def node(key=KEY):
 class TestCommitter:
     def test_fresh_commit_is_fenced_durable_and_audited_before_release(self, log):
         committer = Committer(FakeStore(log), FakeClaims(log), resume=False)
-        committer.commit(node(), Result(), None, fresh=True)
+        committer.commit(node(), Result(), fresh=True)
         assert log == ["check", "put_point", "ledger", "release"]
 
     def test_a_usurped_worker_publishes_and_releases_nothing(self, log):
         committer = Committer(FakeStore(log), FakeClaims(log, lost=True), resume=False)
-        committer.commit(node(), Result(), None, fresh=True)
+        committer.commit(node(), Result(), fresh=True)
         assert log == ["check"]
 
     def test_blame_is_absolved_before_release(self, log):
         committer = Committer(FakeStore(log), FakeClaims(log), resume=False)
         committer.blame = {KEY: 3}
-        committer.commit(node(), Result(), None, fresh=True)
+        committer.commit(node(), Result(), fresh=True)
         assert log == ["check", "put_point", "ledger", "clear_blame", "release"]
         assert committer.blame == {}
 
@@ -261,24 +261,24 @@ class TestCommitter:
 
     def test_a_republish_never_touches_the_lease_manager(self, log):
         committer = Committer(FakeStore(log), FakeClaims(log), resume=False)
-        committer.commit(node(), Result(), None, fresh=False)
+        committer.commit(node(), Result(), fresh=False)
         assert log == ["put_point"]
 
     def test_compile_local_keys_are_never_written(self, log):
         committer = Committer(FakeStore(log), FakeClaims(log), resume=True)
-        committer.commit(node("opaque:1"), Result(), None, fresh=True)
-        assert committer.read(node("opaque:1"), None) is None
+        committer.commit(node("opaque:1"), Result(), fresh=True)
+        assert committer.read(node("opaque:1")) is None
         assert log == []
 
     def test_only_a_resume_or_a_peer_read_reads(self, log):
         committer = Committer(FakeStore(log), None, resume=False)
-        assert committer.read(node(), None) is None
+        assert committer.read(node()) is None
         assert log == []
-        assert committer.read(node(), None, peer=True) is None
+        assert committer.read(node(), peer=True) is None
         assert log == ["get_point"]
 
     def test_a_wrong_shape_point_heals_to_a_miss(self, log):
         case = CaseStudyNode(key=KEY, spec=None)
         store = FakeStore(log, points={KEY: {"kind": "something_else"}})
-        assert Committer(store, None, resume=True).read(case, None) is None
+        assert Committer(store, None, resume=True).read(case) is None
         assert log == ["get_point", "heal_point"]

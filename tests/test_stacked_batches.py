@@ -458,7 +458,7 @@ class TestStackedScheduling:
         solved = [e for e in events if e["source"] == "solved"]
         assert solved and all("dispatch" in e for e in solved)
         assert {e["dispatch"] for e in solved} >= {"stacked", "point"}
-        # a store/cache-satisfied node was never dispatched: no provenance
+        # a store-satisfied node was never dispatched: no provenance
         for path in (tmp_path / "store" / "objects").glob("**/*.json"):
             path.unlink()
         events.clear()
@@ -466,7 +466,7 @@ class TestStackedScheduling:
             spec, store=RunStore(tmp_path / "store"), resume=True,
             progress=events.append,
         )
-        replayed = [e for e in events if e["source"] in ("cache", "store")]
+        replayed = [e for e in events if e["source"] == "store"]
         assert replayed and all("dispatch" not in e for e in replayed)
 
 
