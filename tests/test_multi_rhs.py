@@ -542,6 +542,26 @@ class TestFem3dScenario:
         assert ratio == pytest.approx(values[1] / values[0], rel=1e-9)
 
 
+class TestCalibrationFitCache:
+    """A calibration fit is reused across runs only through the run store."""
+
+    def test_planned_repeat_skips_fit(self, tmp_path):
+        from repro.scenarios import RunStore
+
+        spec = power_scale_spec(
+            scenario_id="fit_cache_sweep",
+            axis=AxisSpec(parameter="radius_um", values=(3.0, 5.0)),
+            calibrate=True,
+            calibration_samples=2,
+        )
+        store = RunStore(tmp_path / "store")
+        perf.reset()
+        run_scenario(spec, store=store, resume=True)
+        assert perf.stats()["counters"]["plan_calibrations"] == 1
+        run_scenario(spec, store=store, resume=True)
+        assert perf.stats()["counters"]["plan_calibrations"] == 1  # no refit
+
+
 class TestPowerScaleAxis:
     def test_axis_accepts_power_scale(self):
         axis = AxisSpec(parameter="power_scale", values=(0.5, 1.0))

@@ -239,6 +239,24 @@ class TestAssemblyMemoization:
         assert grids.conductivity.shape[0] == grids.r_edges.size - 1
 
 
+class TestResultCache:
+    """Finished results outlive a run only in the run store; the process
+    keeps no result cache of its own."""
+
+    def test_sweep_reuses_points_across_runs(self, block_sweep, tmp_path):
+        from repro.scenarios import RunStore, run_scenario
+
+        spec = block_sweep(("a",), (2.0, 5.0))
+        store = RunStore(tmp_path / "store")
+        first = run_scenario(spec, store=store).result
+        solves = perf.counter("plan_point_solves")
+        assert solves == 4  # both models at both points
+        second = run_scenario(spec, store=store).result
+        assert perf.counter("plan_point_solves") == solves
+        assert perf.counter("run_store_hits") == 1
+        assert first.series == second.series
+
+
 class TestStatsAPI:
     def test_snapshot_shape(self):
         snapshot = perf.stats()
