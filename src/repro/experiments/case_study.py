@@ -102,10 +102,20 @@ def run(
             for r in (system.via.radius * 0.7, system.via.radius, system.via.radius * 1.3)
         ]
         start = time.perf_counter()
+        # every sample has the stack and power of the report's FEM solve,
+        # so the radius x 1.0 sample is that solve: reuse its rise
+        reference = FEMReference(fem_resolution)
+        solved = report.results[reference.name]
         fit = fit_coefficients(
             samples,
-            FEMReference(fem_resolution),
+            reference,
             initial=FittingCoefficients.paper_case_study(),
+            targets=[
+                solved.max_rise
+                if via == system.via
+                else reference.solve(stack, via, power).max_rise
+                for stack, via, power in samples
+            ],
         )
         calibration_time = time.perf_counter() - start
         # apply the fitted k1/k2 with the physical bond factor back on the

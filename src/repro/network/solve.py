@@ -4,17 +4,15 @@ Small systems (Model A: a handful of nodes) use a dense LAPACK solve;
 large systems (Model B with hundreds of π-segments, FVM grids) use
 scipy.sparse.  :func:`solve_linear_system` picks automatically.
 
-The sparse direct path factorises through the global
-:data:`repro.perf.factor_cache`: solving the same matrix again (transient
-stepping, duplicated sweep points) reuses the factor and pays only the
-triangular solves.  Every conductance matrix here is symmetric positive
-definite, so the default factor is a banded Cholesky (reverse
-Cuthill–McKee ordering, LAPACK ``dpbtrf``); a matrix that is not
-symmetric, or not positive definite, falls back to symmetric-mode
-SuperLU (see :class:`~repro.perf.cache.FactorizationCache`).
-Factorisation is deterministic, so cached and fresh solves produce
-identical results.  :func:`factorized_solver` exposes the same machinery
-for callers that solve one matrix against many right-hand sides.
+The sparse direct path factorises through :func:`factorize`.  Every
+conductance matrix here is symmetric positive definite, so the default
+factor is a banded Cholesky (reverse Cuthill–McKee ordering, LAPACK
+``dpbtrf``); a matrix that is not symmetric, or not positive definite,
+falls back to symmetric-mode SuperLU.  No factor is cached: each one
+lives as long as the solve that needs it, and a caller that solves one
+matrix many times holds the factor itself (:func:`factorized_solver`
+for transient stepping, the multi-RHS entry points below for a
+shared-matrix set).
 
 Multi-RHS entry points (:func:`solve_sparse_multi`,
 :func:`solve_dense_multi`, :func:`solve_linear_system_multi`) solve one
@@ -40,13 +38,15 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Callable, Sequence
+from typing import Any
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ..errors import SingularNetworkError, SolverError
-from ..perf import factor_cache, increment
+from ..perf import increment
 from .circuit import DENSE_CUTOFF
 
 
@@ -67,6 +67,137 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 ITERATIVE_CUTOFF = 150_000
 
 
+#: ``splu`` arguments of the fallback for default-ordered sparse matrices
+#: that are not symmetric positive definite: minimum-degree ordering on
+#: ``A + Aᵀ`` with symmetric-mode SuperLU (see :func:`factorize`)
+SYMMETRIC_SPLU: dict[str, Any] = {
+    "permc_spec": "MMD_AT_PLUS_A",
+    "options": {"SymmetricMode": True},
+}
+
+
+class BandedCholesky:
+    """``P A Pᵀ = Uᵀ U`` of a sparse SPD matrix, ``U`` in LAPACK band storage.
+
+    ``perm`` is the reverse Cuthill–McKee order ``P`` and ``factor`` the
+    ``(bw + 1, n)`` upper band that ``dpbtrf`` wrote.  Like ``SuperLU`` it
+    exposes ``nnz`` (the band entries it stores) and ``solve``.
+    """
+
+    __slots__ = ("perm", "factor")
+
+    def __init__(self, perm: np.ndarray, factor: np.ndarray) -> None:
+        self.perm = perm
+        self.factor = factor
+
+    @property
+    def nnz(self) -> int:
+        return self.factor.size
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve for a vector or, column by column, an ``(n, k)`` block.
+
+        Every column goes through its own ``dpbtrs`` call, so column ``j``
+        of a block is bit-for-bit the solve of that column alone.
+        """
+        b = np.asarray(rhs, dtype=float)
+        x = np.empty_like(b)
+        if b.ndim == 1:
+            x[self.perm] = la.lapack.dpbtrs(self.factor, b[self.perm])[0]
+        else:
+            for j in range(b.shape[1]):
+                x[self.perm, j] = la.lapack.dpbtrs(self.factor, b[self.perm, j])[0]
+        return x
+
+
+def banded_cholesky(matrix: Any) -> BandedCholesky | None:
+    """Banded Cholesky of a sparse matrix, or None if it is not SPD.
+
+    None means the matrix is not exactly symmetric (in values and in
+    stored structure) or LAPACK found a leading minor that is not
+    positive definite (a floating block, say).
+    """
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    csr = matrix.tocsr()
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    transposed = csr.tocsc()  # its arrays are the canonical CSR of Aᵀ
+    for mine, theirs in (
+        (csr.indptr, transposed.indptr),
+        (csr.indices, transposed.indices),
+        (csr.data, transposed.data),
+    ):
+        if not np.array_equal(mine, theirs):
+            return None
+    perm = reverse_cuthill_mckee(csr, symmetric_mode=True)
+    inverse = np.empty_like(perm)
+    inverse[perm] = np.arange(perm.size, dtype=perm.dtype)
+    entries = csr.tocoo()
+    row, col = inverse[entries.row], inverse[entries.col]
+    upper = row <= col
+    offset = (col - row)[upper]
+    bw = int(offset.max(initial=0))
+    band = np.zeros((bw + 1, perm.size), order="F")
+    band[bw - offset, col[upper]] = entries.data[upper]
+    try:
+        factor = la.cholesky_banded(
+            band, overwrite_ab=True, lower=False, check_finite=False
+        )
+    except la.LinAlgError:
+        return None
+    return BandedCholesky(perm, factor)
+
+
+def factorize(
+    matrix: Any, permc_spec: str | None = None
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor ``matrix`` once and return its ``solve(rhs) -> x``.
+
+    A sparse matrix gets a :func:`banded_cholesky`; one that is not
+    exactly symmetric, or that LAPACK rejects as not positive definite,
+    falls back to SuperLU in symmetric mode with a minimum-degree
+    ordering on ``A + Aᵀ`` (:data:`SYMMETRIC_SPLU`), so a singular system
+    still raises SuperLU's ``RuntimeError``.  A ``permc_spec`` asks for a
+    SuperLU factor with that column ordering instead (the stacked FEM
+    tier needs ``"NATURAL"`` for its batch-size-invariance guarantee).
+    A dense matrix gets a LAPACK LU and ignores the ordering.
+
+    Each sparse factorisation bumps the ``sparse_factorizations`` and
+    ``sparse_factor_nnz`` (the entries the factor stores: the band, or
+    SuperLU's ``L`` and ``U``) counters of :func:`repro.perf.stats`;
+    ``sparse_factor_fallbacks`` counts the default-ordered matrices that
+    went to SuperLU.  The factor is referenced only by the returned
+    callable, so it is freed with it.
+    """
+    if sp.issparse(matrix):
+        if permc_spec is not None:
+            lu = spla.splu(matrix.tocsc(), permc_spec=permc_spec)
+        else:
+            lu = banded_cholesky(matrix)
+            if lu is None:
+                increment("sparse_factor_fallbacks")
+                lu = spla.splu(matrix.tocsc(), **SYMMETRIC_SPLU)
+        increment("sparse_factorizations")
+        # the factor's own count of its stored entries; reading
+        # lu.L / lu.U of a SuperLU instead would copy the whole factor
+        increment("sparse_factor_nnz", lu.nnz)
+        return lu.solve
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", la.LinAlgWarning)
+        lu, piv = la.lu_factor(np.asarray(matrix, dtype=float))
+    if np.any(np.diag(lu) == 0.0):
+        # LAPACK getrf only warns on exact singularity; raise the same
+        # RuntimeError SuperLU uses so callers translate it uniformly
+        raise RuntimeError("dense factorization is exactly singular")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return la.lu_solve((lu, piv), rhs)
+
+    return solve
+
+
 def _as_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
     """CSR view of a sparse matrix without copying when already CSR."""
     if isinstance(matrix, sp.csr_matrix):
@@ -79,15 +210,15 @@ def solve_sparse(
 ) -> np.ndarray:
     """Solve a sparse SPD system.
 
-    Direct factorisation (cached) up to :data:`ITERATIVE_CUTOFF`
+    Direct factorisation up to :data:`ITERATIVE_CUTOFF`
     unknowns; beyond that, conjugate gradients with an incomplete-LU
     preconditioner — the conductance matrices here are symmetric positive
     definite, for which CG is the method of choice and avoids 3-D fill-in
     blow-up.
 
     The default (``permc_spec=None``) direct factor is the banded
-    Cholesky of :class:`~repro.perf.cache.FactorizationCache`, with
-    symmetric-mode SuperLU as its fallback; a singular matrix raises
+    Cholesky of :func:`factorize`, with symmetric-mode SuperLU as its
+    fallback; a singular matrix raises
     :class:`~repro.errors.SingularNetworkError` either way.  A
     ``permc_spec`` asks for a SuperLU factor with that column ordering.
     Callers whose solves must slot bit-for-bit into the block-diagonal
@@ -101,7 +232,7 @@ def solve_sparse(
         if solution is not None:
             return solution
     try:
-        solution = factor_cache.solver(csr, permc_spec)(rhs)
+        solution = factorize(csr, permc_spec)(rhs)
     except RuntimeError as exc:  # superlu signals singularity this way
         raise SingularNetworkError(
             "sparse conductance matrix is singular — some node has no path to ground"
@@ -318,8 +449,7 @@ def solve_sparse_multi(
 ) -> np.ndarray:
     """Solve a sparse SPD system against an ``(n, k)`` RHS block.
 
-    One factorisation (through the global factor cache) plus one
-    back-substitution per column; column ``j`` of the result is bit-for-bit
+    One factorisation plus one back-substitution per column; column ``j`` of the result is bit-for-bit
     identical to ``solve_sparse(matrix, rhs_block[:, j])`` under the same
     ``permc_spec`` (see :func:`solve_sparse`).  Above
     :data:`ITERATIVE_CUTOFF` unknowns the ILU preconditioner is built once
@@ -340,7 +470,7 @@ def solve_sparse_multi(
                 columns[j] = _cg_iterate(csr, block[:, j], preconditioner)
     if any(c is None for c in columns):
         try:
-            solve = factor_cache.solver(csr, permc_spec)
+            solve = factorize(csr, permc_spec)
         except RuntimeError as exc:
             raise SingularNetworkError(
                 "sparse conductance matrix is singular — some node has no "
@@ -355,21 +485,21 @@ def solve_sparse_multi(
 def solve_dense_multi(matrix: np.ndarray, rhs_block: np.ndarray) -> np.ndarray:
     """Solve a dense system against an ``(n, k)`` RHS block.
 
-    One LAPACK LU factorisation (through the global factor cache) plus one
-    per-column back-substitution.  ``getrf``+``getrs`` on a single column
+    One LAPACK LU factorisation plus one per-column back-substitution.  ``getrf``+``getrs`` on a single column
     is the same computation :func:`solve_dense` performs via
     ``numpy.linalg.solve`` (``gesv``), so columns match their single-RHS
     solves bit-for-bit when numpy and scipy resolve to the same LAPACK
     build (asserted by the identity tests on this environment; on split
     BLAS installs the columns may differ in the last ulp).  The sparse
     path — the one FEM shared-matrix sets actually use — carries the
-    unconditional guarantee: both sides share one cached sparse factor.
+    unconditional guarantee: both sides use the same deterministic sparse
+    factor.
     """
     block = _as_rhs_block(rhs_block)
     if block.shape[1] == 0:
         return block.copy()
     try:
-        solve = factor_cache.solver(np.asarray(matrix, dtype=float))
+        solve = factorize(np.asarray(matrix, dtype=float))
     except RuntimeError as exc:
         raise SingularNetworkError(
             "conductance matrix is singular — some node has no path to ground"
@@ -396,9 +526,9 @@ def factorized_solver(matrix) -> Callable[[np.ndarray], np.ndarray]:
 
     Dispatches like :func:`solve_linear_system` (dense LAPACK LU below
     :data:`DENSE_CUTOFF` unknowns, the sparse factor above) but
-    factorises exactly once, through the global factor cache.  Transient
-    stepping uses this to turn n_steps full solves into one factorisation
-    plus n_steps back-substitutions.
+    factorises exactly once; the factor lives as long as the returned
+    callable.  Transient stepping uses this to turn n_steps full solves
+    into one factorisation plus n_steps back-substitutions.
 
     The returned solve also accepts an ``(n, k)`` RHS block; the dense LU
     and a SuperLU fallback back-substitute blocks natively, and blocked
@@ -417,11 +547,11 @@ def factorized_solver(matrix) -> Callable[[np.ndarray], np.ndarray]:
     try:
         if sp.issparse(matrix):
             if n <= DENSE_CUTOFF:
-                solve = factor_cache.solver(matrix.toarray())
+                solve = factorize(matrix.toarray())
             else:
-                solve = factor_cache.solver(_as_csr(matrix))
+                solve = factorize(_as_csr(matrix))
         else:
-            solve = factor_cache.solver(np.asarray(matrix, dtype=float))
+            solve = factorize(np.asarray(matrix, dtype=float))
     except RuntimeError as exc:
         raise SingularNetworkError(
             "matrix is singular — some node has no path to ground"

@@ -30,8 +30,8 @@ def transient_lhs(circuit: ThermalCircuit, dt: float) -> sp.csr_matrix:
     """The backward-Euler left-hand matrix C/dt + G of a circuit.
 
     Power sources only enter the right-hand side, so this matrix — and
-    hence its factorization — is shared by every drive level of one
-    network: the factor cache computes it once per process.
+    hence its factorization — is the same at every drive level of one
+    network.
     """
     require_positive("dt", dt)
     g = circuit.conductance_matrix(sparse=True)
@@ -84,12 +84,12 @@ def step_response(
     correct differential-algebraic limit.
 
     The left-hand matrix is constant across steps, so it is factorised
-    exactly once (through the global factor cache); every step then costs
-    only the triangular back-substitutions.  Callers integrating several
-    drive levels of one network pass a precomputed ``step_solver``
-    (``factorized_solver(transient_lhs(circuit, dt))``) so even the single
-    factorization is shared — factorization is deterministic, so the
-    trajectory is bit-identical either way.
+    exactly once (:func:`~repro.network.solve.factorized_solver`); every
+    step then costs only the triangular back-substitutions.  Callers
+    integrating several drive levels of one network pass a precomputed
+    ``step_solver`` (``factorized_solver(transient_lhs(circuit, dt))``)
+    so even the single factorization is shared — factorization is
+    deterministic, so the trajectory is bit-identical either way.
 
     ``drive`` optionally shapes the sources in time: an ``(n_steps,)``
     array of non-negative scales, where step ``k`` integrates with

@@ -2,9 +2,10 @@
 
 Public surface:
 
-* :func:`stats` / :func:`reset` — hit/miss counters for every cache plus
-  free-standing counters (e.g. CG→direct fallbacks), and the cold-start
-  reset that tests and timings use between runs;
+* :func:`stats` / :func:`reset` — hit/miss counters for the assembly
+  cache plus free-standing counters (e.g. CG→direct fallbacks, sparse
+  factorizations), and the cold-start reset that tests and timings use
+  between runs;
 * :class:`SerialExecutor` / :class:`ParallelExecutor` /
   :func:`get_executor` — the sweep execution strategies behind ``--jobs``;
 * :class:`PointTask` / :class:`StackedBatchTask` — the two dispatch
@@ -12,7 +13,9 @@ Public surface:
   once, congruent systems in one batched solve);
 * :func:`calibration_key` — the identity of a coefficient fit (its plan
   node key);
-* :class:`FactorizationCache` — reusable matrix factorizations.
+* :class:`LRUCache` / :data:`assembly_cache` — the voxelisation cache.
+  Matrix factors are not cached: a caller that solves one matrix many
+  times holds its own factor (:mod:`repro.network.solve`).
 
 Speed is measured outside the package: ``perfbench/`` end to end and
 ``scripts/same_run_gate.py`` as same-run paired ratios.
@@ -28,11 +31,8 @@ __getattr__, __dir__ = lazy_exports(
     globals(),
     {
         ".cache": (
-            "FactorizationCache",
             "LRUCache",
             "assembly_cache",
-            "factor_cache",
-            "matrix_fingerprint",
             "reset",
         ),
         ".executors": (
@@ -65,7 +65,6 @@ __getattr__, __dir__ = lazy_exports(
 
 __all__ = [
     "DEFAULT_RETRY",
-    "FactorizationCache",
     "LRUCache",
     "NodeFailure",
     "ParallelExecutor",
@@ -80,12 +79,10 @@ __all__ = [
     "calibration_key",
     "content_key",
     "counter",
-    "factor_cache",
     "failure_from_exception",
     "get_executor",
     "node_deadline",
     "increment",
-    "matrix_fingerprint",
     "model_key",
     "reset",
     "solve_key",

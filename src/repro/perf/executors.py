@@ -228,9 +228,8 @@ class ParallelExecutor(SweepExecutor):
         sub-units — just enough to fill the idle workers.  When the task
         list already saturates the pool, nothing is split: a sub-unit
         that cuts a shared-matrix set costs a redundant factorization in
-        its worker (sub-units land on different processes with cold
-        factor caches), which only pays off while workers would
-        otherwise sit idle.  A unit whose members all share one matrix
+        its worker (each sub-unit factors its own copy of the matrix),
+        which only pays off while workers would otherwise sit idle.  A unit whose members all share one matrix
         stays whole: the factorization, not the per-member
         back-substitution, dominates it, so every split would only add
         one.  Splitting is deterministic and each sub-unit carries its

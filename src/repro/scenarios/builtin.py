@@ -170,8 +170,8 @@ def transient_spike() -> ScenarioSpec:
     (plane-lumped thermal mass), answering how fast — and how far — the
     planes heat up when the workload steps to four times its steady
     power.  All three trajectories share nothing but their time grid
-    (the radius changes the network), but repeated drive levels of one
-    network would share one factor through the factor cache.
+    (the radius changes the network); each trajectory factors its
+    network once and reuses the factor for every step.
     """
     return ScenarioSpec(
         scenario_id="transient_spike",

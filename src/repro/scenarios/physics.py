@@ -11,9 +11,9 @@ steady-state sweeps use:
   integrates);
 * :class:`TransientModel` — a model-shaped adapter around one network +
   time grid.  It dispatches through the ordinary
-  :class:`~repro.perf.PointTask` machinery; because the backward-Euler
-  left-hand matrix C/dt + G is power-independent, trajectories sharing a
-  network share its factor through :data:`repro.perf.factor_cache`;
+  :class:`~repro.perf.PointTask` machinery; each trajectory factors its
+  backward-Euler left-hand matrix C/dt + G once and reuses that factor
+  for every step;
 * :class:`NonlinearModel` — the k(T) fixed-point chain around any inner
   model, seeded with a precomputed linear baseline (a plain
   :class:`~repro.scenarios.plan.SolveNode` shared — and deduplicated —
@@ -139,10 +139,10 @@ class TransientModel:
     observed nodes, pulse-train parameters — never the drive *level*:
     the plan bakes ``power_scale`` into each node's power, and the drive
     shape only rescales the per-step sources, so the left-hand matrix
-    C/dt + G is shared across drive levels: in one process its factor is
-    computed once and every further trajectory of the network hits
-    :data:`repro.perf.factor_cache` (factorization is deterministic, so
-    the results are bit-identical either way).
+    C/dt + G is the same at every drive level.  Each trajectory factors
+    it once (:func:`repro.network.solve.factorized_solver`) and frees the
+    factor when it ends; factorization is deterministic, so trajectories
+    at different drive levels integrate bit-identical factors.
     """
 
     def __init__(

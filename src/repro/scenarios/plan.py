@@ -212,10 +212,9 @@ class TransientNode:
     """One backward-Euler trajectory: a network + time grid + drive power.
 
     ``model`` is a :class:`~repro.scenarios.physics.TransientModel`
-    adapter; the node dispatches as a point task.  Same-network
-    trajectories at different drive levels share the power-independent
-    left-hand matrix C/dt + G, whose factor the factor cache computes
-    once per process.
+    adapter; the node dispatches as a point task.  The trajectory
+    factors its power-independent left-hand matrix C/dt + G once and
+    reuses the factor for every step.
     """
 
     key: str
@@ -497,9 +496,8 @@ def _compile_transient(
 ) -> None:
     """Lower a transient spec: one trajectory node per (model, point).
 
-    Same-network trajectories share the drive-independent C/dt + G
-    matrix, so a multi-drive scenario — or several scenarios over one
-    geometry — factorises it once per process through the factor cache.
+    Each trajectory factorises its drive-independent C/dt + G matrix
+    once, and frees the factor when it ends.
     """
     params = spec.transient
     assert params is not None  # guaranteed by ScenarioSpec validation

@@ -55,6 +55,27 @@ def paper_fit() -> FittingCoefficients:
 
 
 @pytest.fixture()
+def factorizations(monkeypatch) -> list[int]:
+    """The unknown count of every matrix the solvers factor, in order.
+
+    Wraps :func:`repro.network.solve.factorize`, the one place the
+    network solvers factor a matrix (dense or sparse), for this process;
+    work done in forked pool workers is not seen.
+    """
+    from repro.network import solve as solve_module
+
+    calls: list[int] = []
+    real = solve_module.factorize
+
+    def recording(matrix, permc_spec=None):
+        calls.append(matrix.shape[0])
+        return real(matrix, permc_spec)
+
+    monkeypatch.setattr(solve_module, "factorize", recording)
+    return calls
+
+
+@pytest.fixture()
 def block_sweep():
     """Make an uncalibrated radius sweep (values in um) on the Fig. 5 block.
 

@@ -1,9 +1,8 @@
 """The default sparse factor: symmetric inputs, banded Cholesky, counters.
 
-Every sparse factorisation goes through
-:meth:`repro.perf.cache.FactorizationCache._factorize`.  Wrapping it while
-the fast builtins plus one 3-D (``fem3d:16x16x32``) and one 2-D
-(``fem:fine``) Fig. 7 point run checks that
+Every factorisation goes through :func:`repro.network.solve.factorize`.
+Wrapping it while the fast builtins plus one 3-D (``fem3d:16x16x32``)
+and one 2-D (``fem:fine``) Fig. 7 point run checks that
 
 * every matrix factored with the default ordering is exactly symmetric —
   the premise of its Cholesky factor;
@@ -28,12 +27,18 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro import perf
-from repro.perf.cache import SYMMETRIC_SPLU, BandedCholesky, FactorizationCache
+from repro.network import solve as solve_module
+from repro.network.solve import SYMMETRIC_SPLU, BandedCholesky
 from repro.scenarios import SCENARIOS, run_scenario
 from repro.scenarios.spec import AxisSpec
 
-#: sparse factorisations of a cold in-process run of the 9 fast builtins
-BUILTIN_SPARSE_FACTORIZATIONS = 40
+#: sparse factorisations of a cold in-process run of the 9 fast builtins:
+#: 40 distinct matrices, and table1 factors 9 of fig5's Model B ladders
+#: again (no factor outlives its solve)
+BUILTIN_SPARSE_FACTORIZATIONS = 49
+#: sparse factorisations of the two Fig. 7 points: the two FEM matrices
+#: and the 421-unknown Model B ladder of the 3-D point's models
+FIG7_POINT_SPARSE_FACTORIZATIONS = 3
 #: unknowns of the Fig. 7 block on a 16x16x32 voxel mesh (17 x 17 x 49)
 FIG7_3D_UNKNOWNS = 14_161
 #: unknowns of the Fig. 7 block on the 2-D ``fine`` mesh
@@ -80,7 +85,7 @@ def _fig7_points():
 def factored():
     """Every factorisation of the run, plus the counters it left behind."""
     calls: list[Factored] = []
-    original = FactorizationCache._factorize
+    original = solve_module.factorize
 
     def recording(matrix, permc_spec=None):
         solve = original(matrix, permc_spec)
@@ -101,7 +106,7 @@ def factored():
 
     perf.reset()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FactorizationCache, "_factorize", staticmethod(recording))
+        mp.setattr(solve_module, "factorize", recording)
         for scenario_id in SCENARIOS.ids():
             run_scenario(scenario_id, fast=True)
         n_builtin = len(calls)
@@ -135,7 +140,9 @@ def test_fill_counters_count_every_sparse_factor_exactly(factored):
     assert len([c for c in calls[:n_builtin] if sp.issparse(c.matrix)]) == (
         BUILTIN_SPARSE_FACTORIZATIONS
     )
-    assert counters["sparse_factorizations"] == BUILTIN_SPARSE_FACTORIZATIONS + 2
+    assert counters["sparse_factorizations"] == (
+        BUILTIN_SPARSE_FACTORIZATIONS + FIG7_POINT_SPARSE_FACTORIZATIONS
+    )
     assert counters["sparse_factorizations"] == len(sparse_calls)
     assert counters["sparse_factor_nnz"] == sum(c.stored_nnz for c in sparse_calls)
     # every default-ordered matrix of the run is SPD: none fell back

@@ -290,7 +290,7 @@ class TestNameShadowing:
             "snapshot = perf.stats()\n"
             "assert set(snapshot) == {'caches', 'counters'}, snapshot\n"
             "assert set(snapshot['caches']) == "
-            "{'assembly_cache', 'factor_cache'}, snapshot\n"
+            "{'assembly_cache'}, snapshot\n"
             "for info in snapshot['caches'].values():\n"
             "    assert set(info) == "
             "{'evictions', 'hit_rate', 'hits', 'maxsize', 'misses', 'size'}, info\n"

@@ -24,13 +24,14 @@ from repro.fem import (
 from repro.fem.axisym import _permc_spec
 from repro.geometry import PowerSpec, TSVCluster
 from repro.network.solve import (
+    BandedCholesky,
+    factorize,
     solve_linear_system,
     solve_linear_system_multi,
     solve_sparse,
     solve_sparse_multi,
 )
 from repro.perf import ParallelExecutor, SerialExecutor, StackedBatchTask, solve_work
-from repro.perf.cache import BandedCholesky
 from repro.scenarios import SCENARIOS, AxisSpec, ScenarioSpec, run_scenario
 from repro.scenarios.plan import _configurator
 
@@ -66,7 +67,7 @@ class TestSolveMulti:
         for j in range(block.shape[1]):
             assert np.array_equal(multi[:, j], solve_sparse(matrix, block[:, j]))
         # the identity holds for the default factor, a banded Cholesky
-        assert isinstance(perf.factor_cache.solver(matrix).__self__, BandedCholesky)
+        assert isinstance(factorize(matrix).__self__, BandedCholesky)
 
     def test_dense_columns_bitwise_equal_single_solves(self):
         rng = np.random.RandomState(2)
@@ -98,12 +99,12 @@ class TestSolveMulti:
         for j in range(block.shape[1]):
             assert np.array_equal(multi[:, j], solve_sparse(matrix, block[:, j]))
 
-    def test_factorizes_once(self):
+    def test_factorizes_once(self, factorizations):
         perf.reset()
         matrix = _spd_sparse(400)
         solve_sparse_multi(matrix, _rhs_block(400, 6))
-        stats = perf.factor_cache.stats()
-        assert stats["misses"] == 1  # one factorization for six columns
+        assert factorizations == [400]  # one factorization for six columns
+        assert perf.counter("sparse_factorizations") == 1
 
     def test_singular_matrix_raises(self):
         from repro.errors import SingularNetworkError
@@ -115,16 +116,15 @@ class TestSolveMulti:
     def test_nonfinite_guard_names_columns(self, monkeypatch):
         import repro.network.solve as solve_mod
 
-        class BadFactorCache:
-            def solver(self, matrix, permc_spec=None):
-                def solve(rhs):
-                    out = np.zeros(rhs.shape[0])
-                    out[0] = np.inf
-                    return out
+        def bad_factorize(matrix, permc_spec=None):
+            def solve(rhs):
+                out = np.zeros(rhs.shape[0])
+                out[0] = np.inf
+                return out
 
-                return solve
+            return solve
 
-        monkeypatch.setattr(solve_mod, "factor_cache", BadFactorCache())
+        monkeypatch.setattr(solve_mod, "factorize", bad_factorize)
         with pytest.raises(SolverError, match=r"column\(s\) \[0, 1\]"):
             solve_sparse_multi(_spd_sparse(300), _rhs_block(300, 2))
 
@@ -400,18 +400,18 @@ class TestMatrixGroupTask:
 
 
 class TestGroupedScheduling:
-    def test_grouping_counters(self):
+    def test_grouping_counters(self, factorizations):
         spec = power_scale_spec(values=(0.5, 1.0, 1.5, 2.0))
         perf.reset()
         run_scenario(spec)
         counters = perf.stats()["counters"]
         # the four fem reference solves share one matrix: one stacked
-        # unit, one factor, no factor-cache hit; the 1d solves stay points
+        # unit, one factor; the 1d solves stay points
         assert counters["plan_stacked_batches"] == 1
         assert counters["plan_stacked_solves"] == 4
         assert counters["plan_point_solves"] == 8
         assert counters["sparse_factorizations"] == 1
-        assert perf.factor_cache.stats()["hits"] == 0
+        assert len(factorizations) == 1
 
     def test_no_grouping_when_disabled(self):
         perf.reset()
@@ -419,7 +419,7 @@ class TestGroupedScheduling:
         counters = perf.stats()["counters"]
         assert counters.get("plan_stacked_batches", 0) == 0
 
-    def test_geometry_sweep_has_no_groups(self):
+    def test_geometry_sweep_has_no_groups(self, factorizations):
         from repro.scenarios.plan import compile_plan
 
         spec = power_scale_spec(
@@ -435,7 +435,10 @@ class TestGroupedScheduling:
         assert len({node.assembly_key for node in fem}) == 2
         perf.reset()
         run_scenario(spec)
-        assert perf.factor_cache.stats()["hits"] == 0
+        # the two matrices stack block-diagonally into one SuperLU: no
+        # shared-matrix factor is made
+        assert perf.counter("plan_stacked_solves") == 2
+        assert factorizations == []
 
     @staticmethod
     def _strip_wallclock(payload):
@@ -509,10 +512,10 @@ class TestFem3dScenario:
         assert spec.reference.startswith("fem3d:")
         assert spec.axis.parameter == "power_scale"
 
-    def test_sweep_is_one_stacked_unit_with_one_factor(self):
+    def test_sweep_is_one_stacked_unit_with_one_factor(self, factorizations):
         # both fem3d nodes of `run fem3d_power --fast` dispatch as one
-        # stacked unit, whose shared matrix is factored once and never
-        # looked up again (a per-point solve would hit the factor cache)
+        # stacked unit, whose shared matrix is factored once (per-point
+        # solves would factor it once per point)
         from repro.scenarios.plan import compile_plan
 
         spec = SCENARIOS.get("fem3d_power").resolved(fast=True)
@@ -531,7 +534,7 @@ class TestFem3dScenario:
         assert counters["plan_stacked_batches"] > 0
         # the only sparse matrix: the network models solve dense
         assert counters["sparse_factorizations"] == 1
-        assert perf.factor_cache.stats()["hits"] == 0
+        assert len(factorizations) == 1
 
     def test_power_scale_series_scales_linearly(self):
         run = run_scenario("fem3d_power", fast=True)

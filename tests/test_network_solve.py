@@ -10,12 +10,13 @@ from repro.errors import SingularNetworkError, SolverError
 from repro.network import solve as solve_module
 from repro.network.solve import (
     DENSE_CUTOFF,
+    BandedCholesky,
+    factorize,
     factorized_solver,
     solve_dense,
     solve_linear_system,
     solve_sparse,
 )
-from repro.perf.cache import BandedCholesky
 
 
 def laplacian_chain(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,7 +82,7 @@ class TestSparseFactor:
     def test_spd_matrix_gets_a_banded_cholesky(self):
         g, rhs = laplacian_chain(DENSE_CUTOFF + 60)
         before = perf.counter("sparse_factor_fallbacks")
-        solve = perf.factor_cache.solver(sp.csr_matrix(g))
+        solve = factorize(sp.csr_matrix(g))
         assert isinstance(solve.__self__, BandedCholesky)
         assert solve.__self__.nnz == 2 * g.shape[0]  # bandwidth 1
         assert np.allclose(solve(rhs), solve_dense(g, rhs))
@@ -93,9 +94,7 @@ class TestSparseFactor:
         before = perf.counter("sparse_factor_fallbacks")
         out = solve_sparse(sp.csr_matrix(g), rhs)
         assert perf.counter("sparse_factor_fallbacks") == before + 1
-        assert isinstance(
-            perf.factor_cache.solver(sp.csr_matrix(g)).__self__, spla.SuperLU
-        )
+        assert isinstance(factorize(sp.csr_matrix(g)).__self__, spla.SuperLU)
         np.testing.assert_allclose(out, np.linalg.solve(g, rhs), rtol=1e-10)
 
     def test_indefinite_symmetric_matrix_falls_back_to_superlu(self):
@@ -168,12 +167,10 @@ class TestFactorizedSolver:
         # (transient stepping reuses the returned solve for every step)
         g, rhs = laplacian_chain(5)
 
-        def degenerate_factor(matrix):
+        def degenerate_factor(matrix, permc_spec=None):
             return lambda r: np.full(r.shape, np.inf)
 
-        monkeypatch.setattr(
-            solve_module.factor_cache, "solver", degenerate_factor
-        )
+        monkeypatch.setattr(solve_module, "factorize", degenerate_factor)
         solve = factorized_solver(g)
         with pytest.raises(SolverError):
             solve(rhs)

@@ -1,4 +1,4 @@
-"""The perf caches: LRU semantics, content keys, factorization reuse."""
+"""The perf caches: LRU semantics, content keys; the uncached factor."""
 
 import numpy as np
 import pytest
@@ -6,15 +6,8 @@ import scipy.sparse as sp
 
 from repro import paper_stack, perf
 from repro.fem import build_axisym_grids
-from repro.network.solve import _solve_cg, solve_sparse
-from repro.perf import (
-    FactorizationCache,
-    LRUCache,
-    calibration_key,
-    content_key,
-    matrix_fingerprint,
-    solve_key,
-)
+from repro.network.solve import _solve_cg, factorize, solve_sparse
+from repro.perf import LRUCache, calibration_key, content_key, solve_key
 from repro.units import um
 
 
@@ -82,92 +75,41 @@ class TestContentKey:
         assert calibration_key("ref", ("a", "b"), "m") is not None
 
 
-class TestFactorizationCache:
-    def _system(self, scale=1.0):
+class TestFactorize:
+    def test_solves_correctly(self):
         g = sp.csr_matrix(
             np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-            * scale
         )
-        return g, np.array([1.0, 0.0, 1.0])
-
-    def test_reuse_and_correctness(self):
-        cache = FactorizationCache("t_factor", 4)
-        g, rhs = self._system()
-        x1 = cache.solver(g)(rhs)
-        x2 = cache.solver(g)(rhs)
-        assert cache.stats()["hits"] == 1
-        expected = np.linalg.solve(g.toarray(), rhs)
-        assert np.allclose(x1, expected)
-        assert np.array_equal(x1, x2)
-
-    def test_mutated_matrix_is_a_fresh_entry(self):
-        """Same sparsity pattern, different values -> different factor."""
-        cache = FactorizationCache("t_mutate", 4)
-        g, rhs = self._system()
-        x1 = cache.solver(g)(rhs)
-        g2 = g.copy()
-        g2.data = g2.data * 2.0  # mutate values, keep the pattern
-        x2 = cache.solver(g2)(rhs)
-        assert cache.stats()["hits"] == 0 and cache.stats()["misses"] == 2
-        assert np.allclose(x2, np.linalg.solve(g2.toarray(), rhs))
-        assert not np.allclose(x1, x2)
-
-    def test_fingerprint_tracks_values_and_pattern(self):
-        g, _ = self._system()
-        same = sp.csr_matrix(g.toarray())
-        assert matrix_fingerprint(g) == matrix_fingerprint(same)
-        other = g.copy()
-        other.data = other.data + 1e-12
-        assert matrix_fingerprint(g) != matrix_fingerprint(other)
-
-    def test_eviction_keeps_solves_correct(self):
-        cache = FactorizationCache("t_evict", 2)
-        systems = [self._system(scale) for scale in (1.0, 2.0, 3.0)]
-        for _ in range(2):  # cycle so the oldest entry is always evicted
-            for g, rhs in systems:
-                x = cache.solver(g)(rhs)
-                assert np.allclose(x, np.linalg.solve(g.toarray(), rhs))
-        assert cache.stats()["evictions"] > 0
+        rhs = np.array([1.0, 0.0, 1.0])
+        x = factorize(g)(rhs)
+        assert np.allclose(x, np.linalg.solve(g.toarray(), rhs))
+        assert perf.counter("sparse_factorizations") == 1
 
     def test_dense_path(self):
-        cache = FactorizationCache("t_dense", 2)
         a = np.array([[4.0, 1.0], [1.0, 3.0]])
         rhs = np.array([1.0, 2.0])
-        x = cache.solver(a)(rhs)
+        x = factorize(a)(rhs)
         assert np.allclose(x, np.linalg.solve(a, rhs))
-        cache.solver(a)
-        assert cache.stats()["hits"] == 1
+        # a dense LU is not a sparse factor
+        assert perf.counter("sparse_factorizations") == 0
 
-    def test_dense_singular_raises_and_is_not_cached(self):
-        cache = FactorizationCache("t_dense_singular", 2)
-        singular = np.diag([1.0, 0.0, 1.0])
+    def test_dense_singular_raises(self):
         with pytest.raises(RuntimeError):
-            cache.solver(singular)
-        assert len(cache) == 0
-
-    def test_oversized_matrices_solve_but_never_cache(self):
-        cache = FactorizationCache("t_cap", 4, max_unknowns=10)
-        n = 20
-        g = sp.diags(
-            [2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1]
-        ).tocsr()
-        rhs = np.ones(n)
-        x = cache.solver(g)(rhs)
-        assert np.allclose(g @ x, rhs)
-        assert len(cache) == 0  # factor computed, deliberately not pinned
+            factorize(np.diag([1.0, 0.0, 1.0]))
 
 
 class TestSolveSparseReuse:
-    def test_repeated_identical_solves_hit_global_cache(self):
+    def test_repeated_identical_solves_factor_again(self, factorizations):
         n = 300  # above DENSE_CUTOFF so the sparse path is taken
         g = sp.diags(
             [2.0 * np.ones(n), -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1]
         ).tocsr()
         rhs = np.ones(n)
         x1 = solve_sparse(g, rhs)
-        before = perf.factor_cache.stats()["hits"]
         x2 = solve_sparse(g, rhs)
-        assert perf.factor_cache.stats()["hits"] == before + 1
+        # no factor outlives its solve, and factoring is deterministic
+        assert factorizations == [n, n]
+        assert perf.counter("sparse_factorizations") == 2
         assert np.array_equal(x1, x2)
 
     def test_singular_still_raises(self):
@@ -191,6 +133,37 @@ class TestSolveSparseReuse:
             out = _solve_cg(singular, np.ones(3))
         assert out is None
         assert perf.counter("cg_ilu_fallbacks") == 1
+
+
+class TestFactorLifetime:
+    def test_no_factor_outlives_its_solve(self, monkeypatch):
+        """A shared-matrix set holds one factor for all its points, and
+        nothing in the process keeps a factor once the plan has run."""
+        import gc
+        import weakref
+
+        from repro.network import solve as solve_module
+        from repro.scenarios import SCENARIOS
+        from repro.scenarios.plan import compile_plan
+        from repro.scenarios.scheduler import execute_plan
+
+        refs = []
+        real = solve_module.banded_cholesky
+
+        def tracking(matrix):
+            lu = real(matrix)
+            if lu is not None:
+                refs.append(weakref.ref(lu.factor))
+            return lu
+
+        monkeypatch.setattr(solve_module, "banded_cholesky", tracking)
+        # a 3-D FEM power sweep: its points share one matrix
+        spec = SCENARIOS.get("fem3d_power").resolved(fast=True)
+        run = execute_plan(compile_plan([spec]))
+        assert len(run.results) == len(compile_plan([spec]).nodes)
+        assert len(refs) == 1  # one banded factor for both fem3d points
+        gc.collect()
+        assert [ref() for ref in refs] == [None]
 
 
 class TestAssemblyMemoization:
@@ -261,8 +234,8 @@ class TestStatsAPI:
     def test_snapshot_shape(self):
         snapshot = perf.stats()
         assert "caches" in snapshot and "counters" in snapshot
-        for name in ("assembly_cache", "factor_cache"):
-            assert name in snapshot["caches"]
+        assert "assembly_cache" in snapshot["caches"]
+        assert "factor_cache" not in snapshot["caches"]  # factors are not kept
 
     def test_reset_clears_everything(self, block_stack, block_tsv, block_power):
         build_axisym_grids(block_stack, block_tsv, block_power)

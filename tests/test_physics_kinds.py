@@ -211,13 +211,15 @@ class TestSpecRoundTrip:
         assert SCENARIOS.get("nonlinear_hotspot").kind == "nonlinear"
 
 
-def assert_shared_factor_identical(specs):
-    """Same-network drive levels share one C/dt + G factor through the
-    factor cache, and their trajectories equal cold per-drive runs."""
+def assert_shared_network_identical(specs, factorizations):
+    """Same-network drive levels in one plan factor their C/dt + G once
+    per trajectory, and their trajectories equal cold per-drive runs."""
     perf.reset()
     shared = execute_plan(compile_plan(specs))
-    assert perf.factor_cache.stats()["misses"] == 1
-    assert perf.factor_cache.stats()["hits"] == len(specs) - 1
+    # one factor per trajectory, never one per step, and none kept for
+    # the next trajectory of the same network
+    assert len(factorizations) == len(specs)
+    assert len(set(factorizations)) == 1
     alone = {}
     for spec in specs:
         perf.reset()
@@ -229,12 +231,23 @@ def assert_shared_factor_identical(specs):
         )
 
 
+def matrix_content(matrix):
+    """A sparse matrix's exact shape, pattern and values, hashable."""
+    csr = matrix.tocsr()
+    return (
+        csr.shape,
+        csr.indptr.tobytes(),
+        csr.indices.tobytes(),
+        csr.data.tobytes(),
+    )
+
+
 def transient_lhs_count(nodes, params):
     """How many distinct C/dt + G matrices the trajectories integrate."""
     dt = params.t_end_s / params.n_steps
     return len(
         {
-            perf.matrix_fingerprint(
+            matrix_content(
                 transient_lhs(n.model._circuit(n.stack, n.via, n.power), dt)
             )
             for n in nodes
@@ -329,7 +342,7 @@ class TestDriveShapes:
         run = run_scenario(spec)
         assert run.result.to_payload() == direct.to_payload()
 
-    def test_pulse_grouped_and_ungrouped_identical(self):
+    def test_pulse_grouped_and_ungrouped_identical(self, factorizations):
         specs = [
             transient_spec(
                 scenario_id=f"pulse_g_{s}",
@@ -337,7 +350,7 @@ class TestDriveShapes:
             ).resolved()
             for s in (1.0, 2.0)
         ]
-        assert_shared_factor_identical(specs)
+        assert_shared_network_identical(specs, factorizations)
 
     def test_off_phase_cools_and_peak_stays_below_step(self):
         # 40 steps of 25µs; period 200µs, duty 0.5 → 4 steps on, 4 off
@@ -539,13 +552,13 @@ class TestExecution:
             run.result.to_payload()
         ) == nonlinear_payload_content(direct.to_payload())
 
-    def test_transient_factors_once_per_trajectory(self):
+    def test_transient_factors_once_per_trajectory(self, factorizations):
         # one LHS factor per trajectory, never one per backward-Euler step
         spec = SCENARIOS.get("transient_spike").resolved()  # 3 trajectories
         trajectories = len(spec.axis.values) * len(spec.models)
         perf.reset()
         run_scenario(spec)
-        assert perf.factor_cache.stats()["misses"] == trajectories
+        assert len(factorizations) == trajectories
         assert perf.stats()["counters"]["plan_transient_solves"] == trajectories
 
     def test_transient_resume_with_every_point_stored_solves_nothing(
@@ -565,7 +578,7 @@ class TestExecution:
         )
         assert resumed.result.to_payload() == cold.result.to_payload()
 
-    def test_grouped_and_ungrouped_transient_identical(self):
+    def test_grouped_and_ungrouped_transient_identical(self, factorizations):
         specs = [
             transient_spec(
                 scenario_id=f"g_{s}",
@@ -573,7 +586,7 @@ class TestExecution:
             ).resolved()
             for s in (1.0, 2.0, 3.0)
         ]
-        assert_shared_factor_identical(specs)
+        assert_shared_network_identical(specs, factorizations)
 
     def test_parallel_dispatch_identical(self):
         from repro.perf import ParallelExecutor

@@ -89,7 +89,7 @@ class TestCompile:
         assert plan.stats["nodes_deduped"] == 5
         assert len(plan.scenarios) == 2
 
-    def test_solve_keys_match_result_cache_keys(self):
+    def test_node_keys_are_the_solve_keys(self):
         from repro.core.factory import make_model
         from repro.perf import solve_key
         from repro.scenarios.plan import _configurator

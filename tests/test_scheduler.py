@@ -259,7 +259,7 @@ class TestCommitter:
         committer.quarantine(node(), failure)
         assert log == ["put_failure", "release"]
 
-    def test_a_republish_never_touches_the_lease_manager(self, log):
+    def test_a_non_fresh_commit_never_touches_the_lease_manager(self, log):
         committer = Committer(FakeStore(log), FakeClaims(log), resume=False)
         committer.commit(node(), Result(), fresh=False)
         assert log == ["put_point"]

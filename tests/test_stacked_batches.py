@@ -418,10 +418,10 @@ class TestStackedScheduling:
         run_scenario(geometry_spec(), stack_batches=False)
         assert perf.stats()["counters"].get("plan_stacked_batches", 0) == 0
 
-    def test_power_sweep_prefers_matrix_groups(self):
+    def test_power_sweep_prefers_matrix_groups(self, factorizations):
         # points that share a matrix form a shared-matrix set of their
         # stacked unit: the dense Model B ladder and the sparse FEM matrix
-        # are each factored once and never looked up again
+        # are each factored once for all three points
         spec = geometry_spec(
             scenario_id="ps_sweep",
             axis=AxisSpec(parameter="power_scale", values=(0.5, 1.0, 1.5)),
@@ -433,8 +433,7 @@ class TestStackedScheduling:
         assert counters["plan_stacked_batches"] == 2
         assert counters["plan_stacked_solves"] == 6
         assert counters["sparse_factorizations"] == 1
-        factors = perf.factor_cache.stats()
-        assert (factors["misses"], factors["hits"]) == (2, 0)
+        assert len(factorizations) == 2
 
     def test_stacked_dispatch_under_jobs_identical(self):
         spec = geometry_spec(values=(2.0, 3.0, 4.0, 5.0, 6.0))
