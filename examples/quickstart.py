@@ -50,17 +50,14 @@ def main() -> None:
         print(f"{name:>13}: {err:+.1f} % vs FEM")
     print()
 
-    # 4. performance: a repeated FEM solve reuses the voxelised grids from
-    #    the assembly cache but factors its matrix again; no factor outlives
-    #    its solve (sweeps add process-parallelism via
+    # 4. performance: a repeated FEM solve voxelises and factors its
+    #    matrix again; the process keeps no grid or factor between solves
+    #    (sweeps add process-parallelism via
     #    `python -m repro run fig7 --jobs 4`; the README's Performance
     #    sections say how speed is measured)
     FEMReference("medium").solve(stack, via, power)
-    snapshot = perf.stats()
-    grids = snapshot["caches"]["assembly_cache"]
-    factors = snapshot["counters"].get("sparse_factorizations", 0)
+    factors = perf.stats()["counters"].get("sparse_factorizations", 0)
     print("after a repeated FEM solve:")
-    print(f"  assembly_cache: {grids['hits']} hits / {grids['misses']} misses")
     print(f"  sparse factorizations: {factors}")
 
 if __name__ == "__main__":

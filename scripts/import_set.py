@@ -34,7 +34,6 @@ HEAVY_MODULES = (
     "scipy",
     "repro.fem",
     "repro.calibration",
-    "repro.perf.cache",
     "repro.network.solve",
     "repro.network.circuit",
     "repro.scenarios.plan",

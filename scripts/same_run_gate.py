@@ -108,7 +108,7 @@ def paired_times(a: Side, b: Side, pairs: int) -> list[tuple[float, float]]:
 def _plan_sides(
     plan, *, stack_batches: bool, make_executor: Callable[[], object] = lambda: None
 ) -> tuple[Side, Side]:
-    """``plan`` from cold caches per point (A) and at ``stack_batches`` (B)."""
+    """``plan`` per point (A) and at ``stack_batches`` (B), counters zeroed."""
     from repro import perf
     from repro.scenarios.scheduler import execute_plan
 

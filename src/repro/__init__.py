@@ -74,6 +74,6 @@ __all__ = [
     "Material",
     "FittingCoefficients",
     "compute_model_a_resistances",
-    # performance subsystem (executors, caches, counters)
+    # performance subsystem (executors, counters)
     "perf",
 ]

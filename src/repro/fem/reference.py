@@ -50,6 +50,7 @@ from .axisym import (
 )
 from .cartesian import CartesianField, assemble_cartesian
 from .voxelize import (
+    axisym_mesh_edges,
     axisym_source_density,
     build_axisym_geometry,
     build_cartesian_geometry,
@@ -157,8 +158,9 @@ class FEMReference(ThermalTSVModel):
         :data:`~repro.fem.axisym.NATURAL_ORDERING_CUTOFF` unknowns (the
         ``medium`` preset and up) opt out and batch by
         :meth:`assembly_key` alone, as does the Cartesian back-end (3-D
-        fill-in).  The mesh frame comes from the voxel-frame cache, so
-        repeated key probes cost a cache hit, not a meshing pass.
+        fill-in).  The probe meshes the cell but stamps no conductivity:
+        the voxelisation itself runs once, when the point's shared-matrix
+        set is assembled.
         """
         if self.solver != "axisym":
             return None
@@ -166,7 +168,7 @@ class FEMReference(ThermalTSVModel):
             cluster = as_cluster(via)
             validate_tsv_in_stack(stack, cluster.member)
             nr, nz = self.resolution
-            geometry = build_axisym_geometry(
+            r_edges, z_edges = axisym_mesh_edges(
                 stack,
                 cluster.member,
                 cell_area=stack.footprint_area / cluster.count,
@@ -175,7 +177,7 @@ class FEMReference(ThermalTSVModel):
             )
         except ValidationError:
             return None
-        shape = (geometry.r_edges.size - 1, geometry.z_edges.size - 1)
+        shape = (r_edges.size - 1, z_edges.size - 1)
         if shape[0] * shape[1] > NATURAL_ORDERING_CUTOFF:
             return None
         return content_key("stacked_class/fem_axisym/v1", shape)

@@ -17,45 +17,26 @@ feeds: the *geometry* half (mesh + per-cell conductivity — everything the
 system matrix depends on) is independent of the power specification, and
 the *source* half (per-cell heat density — the right-hand side) is a cheap
 deposition on a finished mesh.  :func:`build_axisym_geometry` /
-:func:`build_cartesian_geometry` expose the power-independent half with
-their own cache keys, so a shared-matrix set of the stacked tier (e.g. a
-power sweep) is voxelised exactly once and only re-deposits sources per
-point.  All hot loops are numpy-broadcast — identical
-floating-point operations per cell as the historical per-cell loops, so
-the arrays are bit-for-bit unchanged.
-
-Both full-grid builders are memoized on the *content* of (stack, via,
-power) plus their keyword arguments through
-:data:`repro.perf.assembly_cache`: sweep points that share a
-sub-configuration (and repeated sweeps under multi-scenario traffic) skip
-the voxelisation entirely.  Grid building is deterministic, so a cache hit
-returns arrays identical to a fresh build.
-
-The geometry half splits once more, along the conductivity boundary: the
-*frame* (mesh edges, via coverage fractions, plane bands) depends only on
-geometric dimensions — thicknesses, radii, positions — never on any
-material's conductivity.  Frames are cached under conductivity-*neutralised*
-(stack, via) keys, so the k(T) fixed-point loop of
-:class:`~repro.core.nonlinear.NonlinearSolver` around an FEM model — which
-re-evaluates every layer's conductivity each iteration but never moves an
-interface — rebuilds only the cheap conductivity stamping and reuses the
-frame (including the expensive Cartesian coverage loops) across all
-iterations.  ``voxel_frame_hits`` / ``voxel_frame_misses`` in
-:func:`repro.perf.stats` count the reuse.
+:func:`build_cartesian_geometry` build the power-independent half, so
+a shared-matrix set of the stacked tier (e.g. a power sweep) is
+voxelised exactly once and only re-deposits sources per point.  Nothing
+is kept between builds: a voxelisation lives as long as the set that
+needs it (:meth:`repro.fem.reference.FEMReference.assemble_batch`).  All
+hot loops are numpy-broadcast — identical floating-point operations per
+cell as the historical per-cell loops, so the arrays are bit-for-bit
+unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import GeometryError
 from ..geometry import PowerSpec, Stack3D, TSV
 from ..geometry.stack import LayerInterval
-from ..materials import Material
-from ..perf import assembly_cache, content_key, increment
 from .mesh import centers, layered_mesh
 
 
@@ -111,74 +92,6 @@ class CartesianGeometry:
     conductivity: np.ndarray
     outer_frac: np.ndarray
     plane_bands: list[tuple[float, float]]
-
-
-@dataclass(frozen=True)
-class AxisymFrame:
-    """The conductivity-free half of :class:`AxisymGeometry`.
-
-    Mesh edges and plane bands depend only on geometric dimensions, so two
-    stacks differing solely in material conductivities — successive k(T)
-    fixed-point iterates, say — share one frame bit-for-bit.
-    """
-
-    r_edges: np.ndarray
-    z_edges: np.ndarray
-    plane_bands: list[tuple[float, float]]
-
-
-@dataclass(frozen=True)
-class CartesianFrame:
-    """The conductivity-free half of :class:`CartesianGeometry`.
-
-    Carries the per-cell via coverage fractions — the expensive part of
-    the 3-D voxelisation — which are pure functions of mesh and via
-    placement.
-    """
-
-    x_edges: np.ndarray
-    y_edges: np.ndarray
-    z_edges: np.ndarray
-    metal_frac: np.ndarray
-    outer_frac: np.ndarray
-    plane_bands: list[tuple[float, float]]
-
-
-def _neutral_material(material: Material) -> Material:
-    """The material with its conductivity data wiped (frame-key helper)."""
-    return replace(material, thermal_conductivity=1.0, conductivity_slope=0.0)
-
-
-def _conductivity_free(stack: Stack3D, via: TSV) -> tuple[Stack3D, TSV]:
-    """(stack, via) with every material conductivity neutralised.
-
-    Keys the frame caches: the frame is a pure function of this pair plus
-    the mesh targets, so any two inputs that agree here — no matter how
-    their conductivities differ — may share a cached frame.  Densities and
-    specific heats are left alone; they never change within a solve.
-    """
-    planes = tuple(
-        replace(
-            plane,
-            substrate=replace(
-                plane.substrate,
-                material=_neutral_material(plane.substrate.material),
-            ),
-            ild=replace(
-                plane.ild, material=_neutral_material(plane.ild.material)
-            ),
-        )
-        for plane in stack.planes
-    )
-    bonds = tuple(
-        replace(bond, material=_neutral_material(bond.material))
-        for bond in stack.bonds
-    )
-    neutral_stack = replace(stack, planes=planes, bonds=bonds)
-    neutral_via = replace(
-        via, fill=_neutral_material(via.fill), liner=_neutral_material(via.liner)
-    )
-    return neutral_stack, neutral_via
 
 
 def _z_breakpoints(stack: Stack3D, via: TSV) -> list[float]:
@@ -274,21 +187,10 @@ def build_axisym_grids(
     nr, nz:
         Target radial/axial cell counts.
     """
-    key = content_key(
-        "axisym", stack, via, power, cell_area, power_scale, nr, nz
-    )
-    if key is not None:
-        cached = assembly_cache.get(key)
-        if cached is not None:
-            return cached
-    # through the cached geometry builder: a per-point power sweep misses
-    # the power-keyed grids cache every point but shares the power-free
-    # geometry (mesh + conductivity) with earlier points — and with any
-    # shared-matrix set that already built it
     geometry = build_axisym_geometry(
         stack, via, cell_area=cell_area, nr=nr, nz=nz
     )
-    grids = AxisymGrids(
+    return AxisymGrids(
         r_edges=geometry.r_edges,
         z_edges=geometry.z_edges,
         conductivity=geometry.conductivity,
@@ -297,9 +199,33 @@ def build_axisym_grids(
         ),
         plane_bands=geometry.plane_bands,
     )
-    if key is not None:
-        assembly_cache.put(key, grids)
-    return grids
+
+
+def axisym_mesh_edges(
+    stack: Stack3D,
+    via: TSV,
+    *,
+    cell_area: float | None = None,
+    nr: int = 36,
+    nz: int = 90,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(r_edges, z_edges) of the axisymmetric cell: the mesh alone.
+
+    The edges depend only on geometric dimensions (radii, thicknesses,
+    the cell area), never on a conductivity, so the mesh shape can be
+    read without stamping the cell.
+    """
+    area = cell_area if cell_area is not None else stack.footprint_area
+    if via.occupied_area >= area:
+        raise GeometryError("via (incl. liner) does not fit the unit cell")
+    r_edges = layered_mesh(
+        [0.0, via.radius, via.outer_radius, math.sqrt(area / math.pi)],
+        nr,
+        min_per_layer=3,
+        weights=[0.25, 0.15, 0.6],
+    )
+    z_edges = layered_mesh(_z_breakpoints(stack, via), nz, min_per_layer=2)
+    return r_edges, z_edges
 
 
 def build_axisym_geometry(
@@ -312,62 +238,12 @@ def build_axisym_geometry(
 ) -> AxisymGeometry:
     """The power-independent mesh + conductivity of the axisymmetric cell.
 
-    Cached under its own (power-free) key, so a shared-matrix set — many
-    right-hand sides against one system — voxelises exactly once.
+    A shared-matrix set builds it once for all its right-hand sides.
     """
-    key = content_key("axisym_geom", stack, via, cell_area, nr, nz)
-    if key is not None:
-        cached = assembly_cache.get(key)
-        if cached is not None:
-            return cached
-    geometry = _build_axisym_geometry(
+    r_edges, z_edges = axisym_mesh_edges(
         stack, via, cell_area=cell_area, nr=nr, nz=nz
     )
-    if key is not None:
-        assembly_cache.put(key, geometry)
-    return geometry
-
-
-def _axisym_frame(
-    stack: Stack3D, via: TSV, *, area: float, nr: int, nz: int
-) -> AxisymFrame:
-    """The cached conductivity-free axisymmetric mesh (see module docs)."""
-    neutral_stack, neutral_via = _conductivity_free(stack, via)
-    key = content_key("axisym_frame", neutral_stack, neutral_via, area, nr, nz)
-    if key is not None:
-        cached = assembly_cache.get(key)
-        if cached is not None:
-            increment("voxel_frame_hits")
-            return cached
-        increment("voxel_frame_misses")
-    r_edges = layered_mesh(
-        [0.0, via.radius, via.outer_radius, math.sqrt(area / math.pi)],
-        nr,
-        min_per_layer=3,
-        weights=[0.25, 0.15, 0.6],
-    )
-    z_edges = layered_mesh(_z_breakpoints(stack, via), nz, min_per_layer=2)
-    frame = AxisymFrame(
-        r_edges=r_edges, z_edges=z_edges, plane_bands=_plane_bands(stack)
-    )
-    if key is not None:
-        assembly_cache.put(key, frame)
-    return frame
-
-
-def _build_axisym_geometry(
-    stack: Stack3D,
-    via: TSV,
-    *,
-    cell_area: float | None,
-    nr: int,
-    nz: int,
-) -> AxisymGeometry:
-    area = cell_area if cell_area is not None else stack.footprint_area
-    if via.occupied_area >= area:
-        raise GeometryError("via (incl. liner) does not fit the unit cell")
-    frame = _axisym_frame(stack, via, area=area, nr=nr, nz=nz)
-    rc, zc = centers(frame.r_edges), centers(frame.z_edges)
+    rc, zc = centers(r_edges), centers(z_edges)
 
     z_bottom, z_top = stack.tsv_span(via.extension)
     # layer conductivity broadcast down each column, via/liner masks on top
@@ -379,10 +255,10 @@ def _build_axisym_geometry(
     inside_liner = (rc >= via.radius) & (rc < via.outer_radius)
     conductivity[np.ix_(inside_liner, span)] = via.liner.thermal_conductivity
     return AxisymGeometry(
-        r_edges=frame.r_edges,
-        z_edges=frame.z_edges,
+        r_edges=r_edges,
+        z_edges=z_edges,
         conductivity=conductivity,
-        plane_bands=frame.plane_bands,
+        plane_bands=_plane_bands(stack),
     )
 
 
@@ -520,22 +396,11 @@ def build_cartesian_grids(
       *arithmetically*, which overestimates lateral conductance through
       the liner; kept as an ablation of that discretisation error.
     """
-    key = content_key(
-        "cartesian", stack, via, power,
-        tuple(via_positions) if via_positions is not None else None,
-        nx, ny, nz, via_style,
-    )
-    if key is not None:
-        cached = assembly_cache.get(key)
-        if cached is not None:
-            return cached
-    # cached geometry builder: shares the expensive 3-D voxelization with
-    # other powers at this geometry and with shared-matrix sets
     geometry = build_cartesian_geometry(
         stack, via,
         via_positions=via_positions, nx=nx, ny=ny, nz=nz, via_style=via_style,
     )
-    grids = CartesianGrids(
+    return CartesianGrids(
         x_edges=geometry.x_edges,
         y_edges=geometry.y_edges,
         z_edges=geometry.z_edges,
@@ -547,9 +412,6 @@ def build_cartesian_grids(
         ),
         plane_bands=geometry.plane_bands,
     )
-    if key is not None:
-        assembly_cache.put(key, grids)
-    return grids
 
 
 def build_cartesian_geometry(
@@ -564,51 +426,11 @@ def build_cartesian_geometry(
 ) -> CartesianGeometry:
     """The power-independent mesh + conductivity of the Cartesian block.
 
-    Cached under its own (power-free) key; the expensive 3-D voxelisation
-    of a shared-matrix set runs once no matter how many right-hand sides
-    it serves.
+    A shared-matrix set builds it once for all its right-hand sides, so
+    the 3-D voxelisation runs once however many points the set serves.
     """
-    key = content_key(
-        "cartesian_geom", stack, via,
-        tuple(via_positions) if via_positions is not None else None,
-        nx, ny, nz, via_style,
-    )
-    if key is not None:
-        cached = assembly_cache.get(key)
-        if cached is not None:
-            return cached
-    geometry = _build_cartesian_geometry(
-        stack, via,
-        via_positions=via_positions, nx=nx, ny=ny, nz=nz, via_style=via_style,
-    )
-    if key is not None:
-        assembly_cache.put(key, geometry)
-    return geometry
-
-
-def _cartesian_frame(
-    stack: Stack3D,
-    via: TSV,
-    *,
-    via_positions: list[tuple[float, float]] | None,
-    nx: int,
-    ny: int,
-    nz: int,
-    via_style: str,
-) -> CartesianFrame:
-    """The cached conductivity-free Cartesian mesh + coverage fractions."""
-    neutral_stack, neutral_via = _conductivity_free(stack, via)
-    key = content_key(
-        "cartesian_frame", neutral_stack, neutral_via,
-        tuple(via_positions) if via_positions is not None else None,
-        nx, ny, nz, via_style,
-    )
-    if key is not None:
-        cached = assembly_cache.get(key)
-        if cached is not None:
-            increment("voxel_frame_hits")
-            return cached
-        increment("voxel_frame_misses")
+    if via_style not in ("squared", "round"):
+        raise GeometryError(f"via_style must be 'squared' or 'round', got {via_style!r}")
     side = stack.footprint_side
     positions = via_positions or [(side / 2.0, side / 2.0)]
     if via_style == "squared":
@@ -642,45 +464,15 @@ def _cartesian_frame(
         else:
             metal_frac += _coverage(x_edges, y_edges, cx, cy, half_metal)
             outer_frac += _coverage(x_edges, y_edges, cx, cy, half_outer)
-    frame = CartesianFrame(
-        x_edges=x_edges,
-        y_edges=y_edges,
-        z_edges=z_edges,
-        metal_frac=np.clip(metal_frac, 0.0, 1.0),
-        outer_frac=np.clip(outer_frac, 0.0, 1.0),
-        plane_bands=_plane_bands(stack),
-    )
-    if key is not None:
-        assembly_cache.put(key, frame)
-    return frame
-
-
-def _build_cartesian_geometry(
-    stack: Stack3D,
-    via: TSV,
-    *,
-    via_positions: list[tuple[float, float]] | None,
-    nx: int,
-    ny: int,
-    nz: int,
-    via_style: str,
-) -> CartesianGeometry:
-    if via_style not in ("squared", "round"):
-        raise GeometryError(f"via_style must be 'squared' or 'round', got {via_style!r}")
-    frame = _cartesian_frame(
-        stack, via,
-        via_positions=via_positions, nx=nx, ny=ny, nz=nz, via_style=via_style,
-    )
-    zc = centers(frame.z_edges)
-    n_x, n_y = frame.metal_frac.shape
-    n_z = zc.size
-    metal_frac, outer_frac = frame.metal_frac, frame.outer_frac
+    metal_frac = np.clip(metal_frac, 0.0, 1.0)
+    outer_frac = np.clip(outer_frac, 0.0, 1.0)
     liner_frac = np.clip(outer_frac - metal_frac, 0.0, 1.0)
 
+    zc = centers(z_edges)
     z_bottom, z_top = stack.tsv_span(via.extension)
     k_z = _layer_conductivities(stack, zc)
     # bulk conductivity everywhere, the anti-aliased via mix on the span
-    conductivity = np.broadcast_to(k_z[None, None, :], (n_x, n_y, n_z)).copy()
+    conductivity = np.broadcast_to(k_z[None, None, :], (n_x, n_y, zc.size)).copy()
     span = (zc > z_bottom) & (zc < z_top)
     via_mix = (
         metal_frac * via.fill.thermal_conductivity
@@ -690,12 +482,12 @@ def _build_cartesian_geometry(
         via_mix[:, :, None] + (1.0 - outer_frac)[:, :, None] * k_z[span][None, None, :]
     )
     return CartesianGeometry(
-        x_edges=frame.x_edges,
-        y_edges=frame.y_edges,
-        z_edges=frame.z_edges,
+        x_edges=x_edges,
+        y_edges=y_edges,
+        z_edges=z_edges,
         conductivity=conductivity,
         outer_frac=outer_frac,
-        plane_bands=frame.plane_bands,
+        plane_bands=_plane_bands(stack),
     )
 
 

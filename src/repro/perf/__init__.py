@@ -1,21 +1,21 @@
-"""Performance subsystem: executors, caches and counters.
+"""Performance subsystem: executors and counters.
 
 Public surface:
 
-* :func:`stats` / :func:`reset` — hit/miss counters for the assembly
-  cache plus free-standing counters (e.g. CG→direct fallbacks, sparse
-  factorizations), and the cold-start reset that tests and timings use
-  between runs;
+* :func:`stats` / :func:`reset` — the process's named counters (e.g.
+  CG→direct fallbacks, sparse factorizations, plan point solves), and
+  the reset that tests and timings use between runs;
 * :class:`SerialExecutor` / :class:`ParallelExecutor` /
   :func:`get_executor` — the sweep execution strategies behind ``--jobs``;
 * :class:`PointTask` / :class:`StackedBatchTask` — the two dispatch
   shapes: per-point solves and stacked units (shared matrices factored
   once, congruent systems in one batched solve);
 * :func:`calibration_key` — the identity of a coefficient fit (its plan
-  node key);
-* :class:`LRUCache` / :data:`assembly_cache` — the voxelisation cache.
-  Matrix factors are not cached: a caller that solves one matrix many
-  times holds its own factor (:mod:`repro.network.solve`).
+  node key).
+
+The process keeps no cache: a voxelisation or a matrix factor lives as
+long as the solve (or shared-matrix set) that needs it, and finished
+results outlive a run only in the run store.
 
 Speed is measured outside the package: ``perfbench/`` end to end and
 ``scripts/same_run_gate.py`` as same-run paired ratios.
@@ -24,17 +24,12 @@ Speed is measured outside the package: ``perfbench/`` end to end and
 from .._lazy import lazy_exports
 
 # eager: the ``stats`` function shares its submodule's name (see repro._lazy)
-from .stats import counter, increment, stats
+from .stats import counter, increment, reset, stats
 
 __getattr__, __dir__ = lazy_exports(
     __name__,
     globals(),
     {
-        ".cache": (
-            "LRUCache",
-            "assembly_cache",
-            "reset",
-        ),
         ".executors": (
             "ParallelExecutor",
             "PointTask",
@@ -65,7 +60,6 @@ __getattr__, __dir__ = lazy_exports(
 
 __all__ = [
     "DEFAULT_RETRY",
-    "LRUCache",
     "NodeFailure",
     "ParallelExecutor",
     "PointTask",
@@ -75,7 +69,6 @@ __all__ = [
     "SweepExecutor",
     "SweepTask",
     "TaskFailure",
-    "assembly_cache",
     "calibration_key",
     "content_key",
     "counter",

@@ -63,7 +63,7 @@ class PointTask:
 
     ``index`` is the task's position in the scheduler's unit list (used to
     map results back to plan nodes); ``models`` holds only the models
-    whose results were not already cached.  ``attempt`` is the retry
+    whose results were not already stored.  ``attempt`` is the retry
     round that dispatched this task — it does not affect the solve, but
     gives every retry an independent fault-injection draw (see
     :mod:`repro.faults`).

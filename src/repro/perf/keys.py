@@ -20,9 +20,9 @@ def content_key(*parts: Any) -> str | None:
 
     Geometry objects are frozen dataclasses of floats/tuples, so their
     pickle bytes are deterministic within a process; the blake2b digest of
-    those bytes keys the assembly cache, the plan's nodes and the store's
-    points.  Anything unpicklable (open handles, closures) returns ``None``
-    and the caller leaves the value unkeyed.
+    those bytes keys the plan's nodes and the store's points.  Anything
+    unpicklable (open handles, closures) returns ``None`` and the caller
+    leaves the value unkeyed.
     """
     try:
         payload = pickle.dumps(parts, protocol=4)

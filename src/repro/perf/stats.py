@@ -1,21 +1,18 @@
 """Global performance counters and the ``perf.stats()`` snapshot.
 
-Every cache in :mod:`repro.perf.cache` registers itself here so one call
-exposes hit/miss/eviction rates for the whole process; tier-1 tests
-assert on them and ``perfbench/`` reports them per layer.  Free-standing
-counters (e.g. the CG→direct fallback in :mod:`repro.network.solve`) use
-:func:`increment`.
+Code anywhere in the package bumps a named counter with
+:func:`increment` (e.g. the CG→direct fallback in
+:mod:`repro.network.solve`); tier-1 tests assert on the counters and
+``perfbench/`` reports them per layer.  :func:`reset` zeroes them all.
 """
 
 from __future__ import annotations
 
 import threading
-from collections.abc import Callable
 from typing import Any
 
 _lock = threading.Lock()
 _counters: dict[str, int] = {}
-_providers: dict[str, Callable[[], dict[str, Any]]] = {}
 
 
 def increment(name: str, amount: int = 1) -> None:
@@ -30,26 +27,13 @@ def counter(name: str) -> int:
         return _counters.get(name, 0)
 
 
-def register_provider(name: str, provider: Callable[[], dict[str, Any]]) -> None:
-    """Attach a stats provider (normally a cache) under ``name``."""
-    with _lock:
-        _providers[name] = provider
-
-
 def stats() -> dict[str, Any]:
-    """Snapshot of every cache and counter in the process."""
-    from . import cache  # noqa: F401  (the caches register as it loads)
-
+    """Snapshot of every counter in the process."""
     with _lock:
-        providers = dict(_providers)
-        counters = dict(_counters)
-    return {
-        "caches": {name: provider() for name, provider in providers.items()},
-        "counters": counters,
-    }
+        return {"counters": dict(_counters)}
 
 
-def reset_counters() -> None:
-    """Zero the free-standing counters (caches clear themselves)."""
+def reset() -> None:
+    """Zero every counter (cold-start state)."""
     with _lock:
         _counters.clear()

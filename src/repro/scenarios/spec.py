@@ -567,7 +567,7 @@ class ScenarioSpec:
 
         Two specs hash equal iff they describe the same experiment; the
         hash keys the :class:`~repro.scenarios.store.RunStore` and is safe
-        to combine with :func:`repro.perf.content_key` cache keys.
+        to combine with :func:`repro.perf.content_key` keys.
         """
         canonical = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False

@@ -114,7 +114,7 @@ def cold_planned(golden_snapshot):
     """Run a builtin (``"<id>/<mode>"``) cold; return its payload.
 
     See ``golden_snapshot.cold_payload``: every plan node must be solved
-    in the run, from cold caches.
+    in the run, with the counters zeroed first.
     """
     from repro import perf
 

@@ -288,12 +288,7 @@ class TestNameShadowing:
         code = (
             "from repro import perf\n"
             "snapshot = perf.stats()\n"
-            "assert set(snapshot) == {'caches', 'counters'}, snapshot\n"
-            "assert set(snapshot['caches']) == "
-            "{'assembly_cache'}, snapshot\n"
-            "for info in snapshot['caches'].values():\n"
-            "    assert set(info) == "
-            "{'evictions', 'hit_rate', 'hits', 'maxsize', 'misses', 'size'}, info\n"
+            "assert snapshot == {'counters': {}}, snapshot\n"
         )
         _modules_after(code)
 

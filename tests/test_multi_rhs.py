@@ -545,7 +545,7 @@ class TestFem3dScenario:
         assert ratio == pytest.approx(values[1] / values[0], rel=1e-9)
 
 
-class TestCalibrationFitCache:
+class TestCalibrationReuse:
     """A calibration fit is reused across runs only through the run store."""
 
     def test_planned_repeat_skips_fit(self, tmp_path):

@@ -1,48 +1,21 @@
-"""The perf caches: LRU semantics, content keys; the uncached factor."""
+"""The perf layer: content keys, the uncached factor, the counters."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from repro import paper_stack, perf
-from repro.fem import build_axisym_grids
 from repro.network.solve import _solve_cg, factorize, solve_sparse
-from repro.perf import LRUCache, calibration_key, content_key, solve_key
+from repro.perf import calibration_key, content_key, solve_key
 from repro.units import um
 
 
 @pytest.fixture(autouse=True)
-def _clean_caches():
-    """Every test starts and ends with cold caches."""
+def _clean_counters():
+    """Every test starts and ends with zeroed counters."""
     perf.reset()
     yield
     perf.reset()
-
-
-class TestLRUCache:
-    def test_hit_miss_counters(self):
-        cache = LRUCache("t_hits", 4)
-        assert cache.get("a") is None
-        cache.put("a", 1)
-        assert cache.get("a") == 1
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
-    def test_eviction_is_lru(self):
-        cache = LRUCache("t_lru", 2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh a; b becomes LRU
-        cache.put("c", 3)
-        assert cache.get("b") is None
-        assert cache.get("a") == 1 and cache.get("c") == 3
-        assert cache.stats()["evictions"] == 1
-
-    def test_zero_size_disables(self):
-        cache = LRUCache("t_off", 0)
-        cache.put("a", 1)
-        assert cache.get("a") is None
-        assert len(cache) == 0
 
 
 class TestContentKey:
@@ -166,53 +139,7 @@ class TestFactorLifetime:
         assert [ref() for ref in refs] == [None]
 
 
-class TestAssemblyMemoization:
-    def test_identical_build_hits(self, block_stack, block_tsv, block_power):
-        g1 = build_axisym_grids(block_stack, block_tsv, block_power)
-        before = perf.assembly_cache.stats()
-        g2 = build_axisym_grids(block_stack, block_tsv, block_power)
-        after = perf.assembly_cache.stats()
-        assert after["hits"] == before["hits"] + 1
-        assert np.array_equal(g1.conductivity, g2.conductivity)
-        assert np.array_equal(g1.source_density, g2.source_density)
-
-    def test_changed_kwargs_miss(self, block_stack, block_tsv, block_power):
-        build_axisym_grids(block_stack, block_tsv, block_power, nr=20, nz=40)
-        before = perf.assembly_cache.stats()
-        build_axisym_grids(block_stack, block_tsv, block_power, nr=22, nz=40)
-        after = perf.assembly_cache.stats()
-        # a changed mesh misses all three cache levels (full grids, the
-        # power-free geometry half, the conductivity-free frame) and
-        # hits none
-        assert after["misses"] == before["misses"] + 3
-        assert after["hits"] == before["hits"]
-
-    def test_changed_power_shares_geometry(
-        self, block_stack, block_tsv, block_power
-    ):
-        from dataclasses import replace
-
-        build_axisym_grids(block_stack, block_tsv, block_power, nr=20, nz=40)
-        before = perf.assembly_cache.stats()
-        hotter = replace(
-            block_power, device_power_density=block_power.device_power_density * 2
-        )
-        build_axisym_grids(block_stack, block_tsv, hotter, nr=20, nz=40)
-        after = perf.assembly_cache.stats()
-        # a changed power misses the power-keyed grids cache but reuses
-        # the power-free geometry (mesh + conductivity) built before
-        assert after["misses"] == before["misses"] + 1
-        assert after["hits"] == before["hits"] + 1
-
-    def test_disabled_cache_still_builds(
-        self, block_stack, block_tsv, block_power, monkeypatch
-    ):
-        monkeypatch.setattr(perf.assembly_cache, "maxsize", 0)
-        grids = build_axisym_grids(block_stack, block_tsv, block_power)
-        assert grids.conductivity.shape[0] == grids.r_edges.size - 1
-
-
-class TestResultCache:
+class TestCrossRunReuse:
     """Finished results outlive a run only in the run store; the process
     keeps no result cache of its own."""
 
@@ -232,14 +159,12 @@ class TestResultCache:
 
 class TestStatsAPI:
     def test_snapshot_shape(self):
-        snapshot = perf.stats()
-        assert "caches" in snapshot and "counters" in snapshot
-        assert "assembly_cache" in snapshot["caches"]
-        assert "factor_cache" not in snapshot["caches"]  # factors are not kept
+        perf.increment("probe", 2)
+        # counters only: the process keeps no cache to report
+        assert perf.stats() == {"counters": {"probe": 2}}
 
-    def test_reset_clears_everything(self, block_stack, block_tsv, block_power):
-        build_axisym_grids(block_stack, block_tsv, block_power)
+    def test_reset_clears_everything(self):
         perf.increment("probe")
         perf.reset()
-        assert perf.assembly_cache.stats()["misses"] == 0
         assert perf.counter("probe") == 0
+        assert perf.stats() == {"counters": {}}

@@ -243,7 +243,7 @@ class TestResume:
         # simulate a batch killed after solving everything but before the
         # run-level artifacts landed: point space survives, runs don't
         self._wipe_run_level(tmp_path / "store")
-        perf.reset()  # cold caches, as in a fresh process
+        perf.reset()  # zeroed counters, as in a fresh process
         resumed = run_batch(specs, store=RunStore(tmp_path / "store"), resume=True)
         counters = perf.stats()["counters"]
         assert counters.get("plan_point_solves", 0) == 0

@@ -513,54 +513,81 @@ class TestBuiltinByteIdentity:
 
 
 class TestVoxelFrameCache:
+    """The voxel frame (mesh edges, plane bands) is a pure function of the
+    geometry; the process keeps no frame between builds."""
+
     def test_frames_shared_across_conductivity_changes(self):
         from repro.core.nonlinear import _stack_at_temperatures
         from repro.fem.voxelize import build_axisym_grids, build_cartesian_grids
 
         cfg = fig5_config(1.0)
         hot = _stack_at_temperatures(cfg.stack, (5.0, 8.0, 11.0))
-        perf.reset()
         cold = build_axisym_grids(cfg.stack, cfg.via, cfg.power, nr=12, nz=30)
         warm = build_axisym_grids(hot, cfg.via, cfg.power, nr=12, nz=30)
-        counters = perf.stats()["counters"]
-        assert counters["voxel_frame_hits"] == 1
-        assert counters["voxel_frame_misses"] == 1
         # mesh and sources identical, conductivity re-stamped
         assert np.array_equal(cold.r_edges, warm.r_edges)
         assert np.array_equal(cold.z_edges, warm.z_edges)
         assert np.array_equal(cold.source_density, warm.source_density)
         assert not np.array_equal(cold.conductivity, warm.conductivity)
 
-        perf.reset()
         c_cold = build_cartesian_grids(
             cfg.stack, cfg.via, cfg.power, nx=10, ny=10, nz=20
         )
         c_warm = build_cartesian_grids(hot, cfg.via, cfg.power, nx=10, ny=10, nz=20)
-        counters = perf.stats()["counters"]
-        assert counters["voxel_frame_hits"] == 1
         assert np.array_equal(c_cold.x_edges, c_warm.x_edges)
         assert not np.array_equal(c_cold.conductivity, c_warm.conductivity)
 
-    def test_nonlinear_fem_iterations_hit_frame_cache(self):
-        from repro.core.nonlinear import NonlinearSolver
 
-        cfg = fig5_config(1.0)
-        perf.reset()
-        solver = NonlinearSolver(FEMReference((10, 24)), tolerance=1e-5)
-        result = solver.solve(cfg.stack, cfg.via, cfg.power)
-        counters = perf.stats()["counters"]
-        # the linear baseline misses once; every k(T) iterate re-stamps
-        # conductivity on the cached frame
-        assert counters["voxel_frame_misses"] == 1
-        assert counters["voxel_frame_hits"] >= result.iterations
+class TestVoxelisation:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SCENARIOS.get("fem3d_power").resolved(fast=True),
+            ScenarioSpec(
+                scenario_id="fem_power_sweep",
+                title="axisymmetric FEM power sweep",
+                axis=AxisSpec(parameter="power_scale", values=(0.5, 1.0, 1.5)),
+                models=("1d",),
+                reference="fem:coarse",
+                calibrate=False,
+            ),
+        ],
+        ids=["fem3d_power", "fem_power_sweep"],
+    )
+    def test_once_per_shared_matrix_set(self, spec, monkeypatch):
+        """A shared-matrix set voxelises once; planning voxelises nothing."""
+        from repro.fem import reference, voxelize
+        from repro.scenarios.plan import SolveNode, compile_plan
+        from repro.scenarios.scheduler import execute_plan
 
-    def test_geometry_change_misses(self):
-        from repro.fem.voxelize import build_axisym_geometry
+        builds = []
+        for name in ("build_axisym_geometry", "build_cartesian_geometry"):
+            real = getattr(voxelize, name)
 
-        cfg1, cfg2 = fig5_config(1.0), fig5_config(2.0)
-        perf.reset()
-        build_axisym_geometry(cfg1.stack, cfg1.via, nr=12, nz=30)
-        build_axisym_geometry(cfg2.stack, cfg2.via, nr=12, nz=30)
-        counters = perf.stats()["counters"]
-        assert counters["voxel_frame_misses"] == 2
-        assert counters.get("voxel_frame_hits", 0) == 0
+            def counting(*args, _real=real, **kwargs):
+                builds.append(_real)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(voxelize, name, counting)
+            monkeypatch.setattr(reference, name, counting)
+        real_probe = FEMReference.batch_class_key
+
+        def probe(self, stack, via):
+            before = len(builds)
+            key = real_probe(self, stack, via)
+            assert len(builds) == before  # the probe only meshes
+            return key
+
+        monkeypatch.setattr(FEMReference, "batch_class_key", probe)
+        plan = compile_plan([spec])
+        assert builds == []
+        fem_points = [
+            node
+            for node in plan.nodes.values()
+            if isinstance(node, SolveNode) and isinstance(node.model, FEMReference)
+        ]
+        assert len(fem_points) == len(spec.axis.values) >= 2
+        # a power sweep: every FEM point shares one matrix
+        assert len({node.assembly_key for node in fem_points}) == 1
+        execute_plan(plan)
+        assert len(builds) == 1
