@@ -3,10 +3,10 @@
 Besides :meth:`ThermalTSVModel.solve`, a model may join the one batching
 contract of the execution plan: :meth:`~ThermalTSVModel.assembly_key`
 and :meth:`~ThermalTSVModel.batch_class_key` say which points share a
-matrix or a structure, and :meth:`~ThermalTSVModel.assemble_system` /
+matrix or a dense structure, and :meth:`~ThermalTSVModel.assemble_system` /
 :meth:`~ThermalTSVModel.assemble_batch` lift their systems out, so
-:func:`solve_stacked` can factor each shared matrix once and stack the
-rest into one batched solve.
+:func:`solve_stacked` can factor each distinct matrix once and stack the
+remaining dense ones into one batched solve.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ class AssembledSystem:
 
     ``matrix`` (``(n, n)`` — dense ndarray or scipy.sparse) and ``rhs``
     (``(n,)``) are exactly what the model's own solve would pass to the
-    matching back-end, and ``permc_spec`` is the SuperLU column ordering
-    that solve factors a sparse matrix with (None: the default factor);
-    ``finish`` turns the solved temperature vector back into the model's
-    :class:`~repro.core.result.ModelResult`, bit-identical to a solo
+    matching back-end; ``finish`` turns the solved temperature vector
+    back into the model's :class:`~repro.core.result.ModelResult`,
+    bit-identical to a solo
     :meth:`ThermalTSVModel.solve` (wall-clock ``solve_time`` excepted).
     Systems of one batch that hold the *same* matrix object form a
     shared-matrix set (see :func:`solve_stacked`).
@@ -41,7 +40,6 @@ class AssembledSystem:
     matrix: Any
     rhs: np.ndarray
     finish: Callable[[np.ndarray], ModelResult]
-    permc_spec: str | None = None
 
 
 class ThermalTSVModel(abc.ABC):
@@ -96,15 +94,12 @@ class ThermalTSVModel(abc.ABC):
         Coarser than :meth:`assembly_key`: two points returning the same
         non-None key assemble systems with the same node count and
         topology — possibly with entirely different coefficient values —
-        and may be *stacked* into one batched solve via
-        :meth:`assemble_batch`: one batched dense LAPACK call
-        (:func:`repro.network.solve.solve_dense_stacked`) for dense
-        systems, one block-diagonal natural-ordering factorisation
-        (:func:`repro.network.solve.solve_sparse_stacked`) for sparse
-        ones.  A class must be homogeneous — all its members assemble
-        dense or all sparse.  The default ``None`` opts the model out of
-        cross-matrix stacking (models too large for either back-end then
-        batch only by :meth:`assembly_key`).
+        and may be *stacked* into one batched dense LAPACK call
+        (:func:`repro.network.solve.solve_dense_stacked`) via
+        :meth:`assemble_batch`, so only models whose systems are dense
+        declare one.  The default ``None`` opts the model out of
+        cross-matrix stacking: its points batch only by
+        :meth:`assembly_key`.
         """
         return None
 
@@ -191,30 +186,25 @@ def shared_matrix_sets(members: Sequence[StackedMember]) -> list[list[int]]:
 
 
 def solve_stacked(members: Sequence[StackedMember]) -> list[ModelResult]:
-    """Solve one stacked unit: shared matrices once, the rest as a stack.
+    """Solve one stacked unit: each matrix factored once, dense rest stacked.
 
     The first member's model assembles every member's system
     (:meth:`ThermalTSVModel.assemble_batch`).  Systems holding one matrix
     object form a *shared-matrix set*: the matrix is factored once and
     the set's right-hand sides are back-substituted as the columns of
-    one block (:func:`repro.network.solve.solve_sparse_multi` under the
-    system's own ``permc_spec``, or
-    :func:`repro.network.solve.solve_dense_multi`).  The remaining
-    systems, whose matrices differ, stack: all-dense into one
-    :func:`repro.network.solve.solve_dense_stacked` call, all-sparse
-    (small FEM meshes) into one block-diagonal
-    :func:`repro.network.solve.solve_sparse_stacked` factorisation.  That
-    factor uses natural ordering, so a sparse system whose solo solve
-    orders otherwise is solved as a set of one instead.
-    Each member's ``finish`` rebuilds its :class:`ModelResult`; results
-    are positionally aligned with ``members`` and bit-identical to
-    per-member ``model.solve`` calls (wall-clock ``solve_time``
-    excepted).
+    one block (:func:`repro.network.solve.solve_sparse_multi` or
+    :func:`repro.network.solve.solve_dense_multi`).  Every sparse matrix
+    is such a set, of one member if need be, so it gets the banded
+    factor its solo solve uses.  A dense matrix of its own joins one
+    :func:`repro.network.solve.solve_dense_stacked` call, per item the
+    same ``gesv`` as a solo solve.  Each member's ``finish`` rebuilds its
+    :class:`ModelResult`; results are positionally aligned with
+    ``members`` and bit-identical to per-member ``model.solve`` calls
+    (wall-clock ``solve_time`` excepted).
 
     A batch that declines to assemble (``assemble_batch`` returning
-    None), or whose unshared systems mix dense and sparse (which a
-    single :meth:`~ThermalTSVModel.batch_class_key` never produces),
-    drops back to per-member solo solves: a safety net, not a hot path.
+    None) drops back to per-member solo solves: a safety net, not a hot
+    path.
     """
     import scipy.sparse as sp
 
@@ -222,7 +212,6 @@ def solve_stacked(members: Sequence[StackedMember]) -> list[ModelResult]:
         solve_dense_multi,
         solve_dense_stacked,
         solve_sparse_multi,
-        solve_sparse_stacked,
     )
 
     if not members:
@@ -235,44 +224,28 @@ def solve_stacked(members: Sequence[StackedMember]) -> list[ModelResult]:
     by_matrix: dict[int, list[int]] = {}
     for i, system in enumerate(systems):
         by_matrix.setdefault(id(system.matrix), []).append(i)
-    # a matrix of its own joins the stack only where the stack factors it
-    # as its solo solve does: dense (gesv), or sparse under natural ordering
     rest: list[int] = []
     sets: list[list[int]] = []
     for indices in by_matrix.values():
-        own = systems[indices[0]]
-        if len(indices) == 1 and (
-            not sp.issparse(own.matrix) or own.permc_spec == "NATURAL"
-        ):
+        if len(indices) == 1 and not sp.issparse(systems[indices[0]].matrix):
             rest.append(indices[0])
         else:
             sets.append(indices)
-    sparse_count = sum(sp.issparse(systems[i].matrix) for i in rest)
-    if 0 < sparse_count < len(rest):
-        return [
-            model.solve(stack, via, power) for model, stack, via, power in members
-        ]
     temps: list[Any] = [None] * len(systems)
     for indices in sets:
         first = systems[indices[0]]
         block = np.column_stack([systems[i].rhs for i in indices])
         if sp.issparse(first.matrix):
-            solved = solve_sparse_multi(
-                first.matrix, block, permc_spec=first.permc_spec
-            )
+            solved = solve_sparse_multi(first.matrix, block)
         else:
             solved = solve_dense_multi(first.matrix, block)
         for j, i in enumerate(indices):
             temps[i] = solved[:, j]
-    if sparse_count:
-        stacked = solve_sparse_stacked(
-            [systems[i].matrix for i in rest], [systems[i].rhs for i in rest]
-        )
-    elif rest:
+    if rest:
         stacked = solve_dense_stacked(
             np.stack([systems[i].matrix for i in rest]),
             np.stack([systems[i].rhs for i in rest]),
         )
-    for j, i in enumerate(rest):
-        temps[i] = stacked[j]
+        for j, i in enumerate(rest):
+            temps[i] = stacked[j]
     return [system.finish(t) for system, t in zip(systems, temps)]

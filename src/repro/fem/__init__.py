@@ -1,11 +1,6 @@
 """Finite-volume heat solvers — the library's COMSOL substitute."""
 
-from .axisym import (
-    NATURAL_ORDERING_CUTOFF,
-    AxisymField,
-    assemble_axisymmetric,
-    solve_axisymmetric,
-)
+from .axisym import AxisymField, assemble_axisymmetric, solve_axisymmetric
 from .cartesian import CartesianField, assemble_cartesian, solve_cartesian
 from .mesh import centers, graded_mesh, layered_mesh, refine, unique_breakpoints
 from .reference import AXISYM_PRESETS, CARTESIAN_PRESETS, FEMReference
@@ -24,7 +19,6 @@ from .voxelize import (
 )
 
 __all__ = [
-    "NATURAL_ORDERING_CUTOFF",
     "assemble_axisymmetric",
     "solve_axisymmetric",
     "AxisymField",

@@ -12,16 +12,9 @@ harmonic mean, which is exact for piecewise-constant k in 1-D and makes
 the scheme conservative across material interfaces (silicon/liner/copper).
 
 The solver knows nothing about stacks or vias; :mod:`repro.fem.reference`
-builds the conductivity/source grids from the geometry layer.
-
-Systems up to :data:`NATURAL_ORDERING_CUTOFF` unknowns factorise with
-SuperLU's *natural* column ordering instead of the default banded
-Cholesky.
-Natural ordering is what makes a solo solve bit-for-bit identical to its
-slice of a block-diagonal stacked solve
-(:func:`repro.network.solve.solve_sparse_stacked`), which is how coarse
-FEM geometry sweeps ride the cross-matrix stacked tier; the cutoff keeps
-the fill-in premium confined to meshes small enough not to care.
+builds the conductivity/source grids from the geometry layer.  Every
+mesh, coarse or fine, factorises through the banded Cholesky of
+:func:`repro.network.solve.solve_sparse`.
 """
 
 from __future__ import annotations
@@ -34,18 +27,6 @@ import scipy.sparse as sp
 
 from ..errors import SolverError, ValidationError
 from ..network.solve import solve_sparse
-
-#: up to this many unknowns the axisymmetric factorisation uses SuperLU
-#: with natural ordering (batch-size invariant, hence stackable); the
-#: coarse preset (24×60 = 1440) is under it, medium (36×90 = 3240) and
-#: above keep the faster default banded Cholesky
-NATURAL_ORDERING_CUTOFF = 2048
-
-
-def _permc_spec(n_unknowns: int) -> str | None:
-    """Column ordering for an axisymmetric system of ``n_unknowns``."""
-    return "NATURAL" if n_unknowns <= NATURAL_ORDERING_CUTOFF else None
-
 
 @dataclass(frozen=True)
 class AxisymField:
@@ -191,9 +172,7 @@ def solve_axisymmetric(
     start = time.perf_counter()
     matrix, volume = _assemble_axisym_system(r_edges, z_edges, k)
     rhs = (q * volume).ravel()
-    temps = solve_sparse(matrix, rhs, permc_spec=_permc_spec(rhs.size)).reshape(
-        nr, nz
-    )
+    temps = solve_sparse(matrix, rhs).reshape(nr, nz)
     elapsed = time.perf_counter() - start
     return AxisymField(
         r_edges=r_edges,
@@ -213,8 +192,7 @@ def assemble_axisymmetric(
     :func:`solve_axisymmetric` would build internally — the RHS of a
     source grid ``q`` is ``(q * volume).ravel()``.
     :class:`~repro.fem.reference.FEMReference` assembles through it, so
-    the stacked tier can factor one matrix for many source grids or
-    stack many same-topology systems into one block-diagonal factor.
+    the stacked tier can factor one matrix for many source grids.
     """
     r_edges, z_edges, k = _check_axisym_inputs(r_edges, z_edges, conductivity)
     return _assemble_axisym_system(r_edges, z_edges, k)

@@ -19,14 +19,11 @@ identity, and :meth:`FEMReference.assemble_batch` exploits it: the points
 of a stacked unit that share one geometry are voxelised and assembled
 once, and :func:`~repro.core.base.solve_stacked` factors their matrix
 once and back-substitutes per point, bit-for-bit identical to per-point
-solves.
-
-:meth:`FEMReference.batch_class_key` also declares small axisymmetric
-meshes *stackable*: points whose matrices differ (geometry sweeps) but
-share a mesh topology solve as one block-diagonal natural-ordering
-factorisation — see :func:`repro.network.solve.solve_sparse_stacked`.
-A solo :meth:`~FEMReference.solve` is the one-member case of the same
-assembly.
+solves.  Points whose matrices differ (geometry sweeps) are separate
+shared-matrix sets, each with its own banded factor: the model declares
+no batch class, because a sparse system has no cross-matrix stacked
+factor.  A solo :meth:`~FEMReference.solve` is the one-member case of
+the same assembly.
 """
 
 from __future__ import annotations
@@ -42,15 +39,9 @@ from ..geometry import PowerSpec, Stack3D, TSV, TSVCluster, validate_tsv_in_stac
 from ..geometry.tsv import as_cluster
 from ..perf import content_key, model_key
 from ..network.solve import solve_sparse
-from .axisym import (
-    NATURAL_ORDERING_CUTOFF,
-    AxisymField,
-    _permc_spec,
-    assemble_axisymmetric,
-)
+from .axisym import AxisymField, assemble_axisymmetric
 from .cartesian import CartesianField, assemble_cartesian
 from .voxelize import (
-    axisym_mesh_edges,
     axisym_source_density,
     build_axisym_geometry,
     build_cartesian_geometry,
@@ -121,9 +112,7 @@ class FEMReference(ThermalTSVModel):
         self, stack: Stack3D, via: TSVCluster, power: PowerSpec
     ) -> ModelResult:
         (system,) = self._assemble_set(stack, via, [power])
-        return system.finish(
-            solve_sparse(system.matrix, system.rhs, permc_spec=system.permc_spec)
-        )
+        return system.finish(solve_sparse(system.matrix, system.rhs))
 
     # ------------------------------------------------------------------
     # the stacked-tier interface
@@ -142,46 +131,6 @@ class FEMReference(ThermalTSVModel):
             "fem_assembly/v1", model_key(self), stack, as_cluster(via)
         )
 
-    def batch_class_key(
-        self, stack: Stack3D, via: TSV | TSVCluster
-    ) -> str | None:
-        """Stack axisymmetric meshes of identical topology.
-
-        The finite-volume matrix's sparsity pattern is fixed by the cell
-        counts alone — geometry and materials only change the coefficient
-        values — so points whose *voxelised* meshes (which refine past
-        the nominal resolution to honour layer breakpoints) end up with
-        the same (nr, nz) share a structure and may ride the
-        block-diagonal stacked sparse tier.  That tier factorises with
-        natural ordering, whose fill-in premium is only acceptable on
-        small meshes: systems past
-        :data:`~repro.fem.axisym.NATURAL_ORDERING_CUTOFF` unknowns (the
-        ``medium`` preset and up) opt out and batch by
-        :meth:`assembly_key` alone, as does the Cartesian back-end (3-D
-        fill-in).  The probe meshes the cell but stamps no conductivity:
-        the voxelisation itself runs once, when the point's shared-matrix
-        set is assembled.
-        """
-        if self.solver != "axisym":
-            return None
-        try:
-            cluster = as_cluster(via)
-            validate_tsv_in_stack(stack, cluster.member)
-            nr, nz = self.resolution
-            r_edges, z_edges = axisym_mesh_edges(
-                stack,
-                cluster.member,
-                cell_area=stack.footprint_area / cluster.count,
-                nr=nr,
-                nz=nz,
-            )
-        except ValidationError:
-            return None
-        shape = (r_edges.size - 1, z_edges.size - 1)
-        if shape[0] * shape[1] > NATURAL_ORDERING_CUTOFF:
-            return None
-        return content_key("stacked_class/fem_axisym/v1", shape)
-
     def assemble_system(
         self, stack: Stack3D, via: TSV | TSVCluster, power: PowerSpec
     ) -> AssembledSystem:
@@ -199,8 +148,8 @@ class FEMReference(ThermalTSVModel):
         matrix assembled once, each member adds only its own source
         density, and the set's systems hold one matrix object, which
         :func:`~repro.core.base.solve_stacked` factors once.  Every system
-        is the one :meth:`solve` assembles (same ``permc_spec`` too), so
-        ``finish`` reproduces the solo result bit-for-bit.
+        is the one :meth:`solve` assembles, so ``finish`` reproduces the
+        solo result bit-for-bit.
         """
         if not all(isinstance(model, FEMReference) for model, *_ in members):
             return super().assemble_batch(members)
@@ -275,7 +224,6 @@ class FEMReference(ThermalTSVModel):
             )
             return self._axisym_result(stack, n, field, geometry.plane_bands)
 
-        permc_spec = _permc_spec(volume.size)
         return [
             AssembledSystem(
                 matrix=matrix,
@@ -287,7 +235,6 @@ class FEMReference(ThermalTSVModel):
                     * volume
                 ).ravel(),
                 finish=finish,
-                permc_spec=permc_spec,
             )
             for power in powers
         ]

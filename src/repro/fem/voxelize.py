@@ -201,33 +201,6 @@ def build_axisym_grids(
     )
 
 
-def axisym_mesh_edges(
-    stack: Stack3D,
-    via: TSV,
-    *,
-    cell_area: float | None = None,
-    nr: int = 36,
-    nz: int = 90,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(r_edges, z_edges) of the axisymmetric cell: the mesh alone.
-
-    The edges depend only on geometric dimensions (radii, thicknesses,
-    the cell area), never on a conductivity, so the mesh shape can be
-    read without stamping the cell.
-    """
-    area = cell_area if cell_area is not None else stack.footprint_area
-    if via.occupied_area >= area:
-        raise GeometryError("via (incl. liner) does not fit the unit cell")
-    r_edges = layered_mesh(
-        [0.0, via.radius, via.outer_radius, math.sqrt(area / math.pi)],
-        nr,
-        min_per_layer=3,
-        weights=[0.25, 0.15, 0.6],
-    )
-    z_edges = layered_mesh(_z_breakpoints(stack, via), nz, min_per_layer=2)
-    return r_edges, z_edges
-
-
 def build_axisym_geometry(
     stack: Stack3D,
     via: TSV,
@@ -240,9 +213,16 @@ def build_axisym_geometry(
 
     A shared-matrix set builds it once for all its right-hand sides.
     """
-    r_edges, z_edges = axisym_mesh_edges(
-        stack, via, cell_area=cell_area, nr=nr, nz=nz
+    area = cell_area if cell_area is not None else stack.footprint_area
+    if via.occupied_area >= area:
+        raise GeometryError("via (incl. liner) does not fit the unit cell")
+    r_edges = layered_mesh(
+        [0.0, via.radius, via.outer_radius, math.sqrt(area / math.pi)],
+        nr,
+        min_per_layer=3,
+        weights=[0.25, 0.15, 0.6],
     )
+    z_edges = layered_mesh(_z_breakpoints(stack, via), nz, min_per_layer=2)
     rc, zc = centers(r_edges), centers(z_edges)
 
     z_bottom, z_top = stack.tsv_span(via.extension)

@@ -25,13 +25,14 @@ of a batched solve to be bit-for-bit identical to the corresponding
 single-RHS solve.  The finite-temperature guard is applied column-wise,
 naming the offending columns.
 
-Stacked entry points (:func:`solve_dense_stacked`,
-:func:`solve_sparse_stacked`) solve *many independent systems* at once —
-the tier below multi-RHS: ``m`` different matrices with one RHS each,
-hoisted into a single ``(m, n, n)`` batched LAPACK call (dense) or one
-block-diagonal SuperLU factorisation with natural ordering (sparse).
-The dense path is bit-for-bit identical per item to :func:`solve_dense`;
-guards name the offending stacked item.
+:func:`solve_dense_stacked` solves *many independent dense systems* at
+once — the tier below multi-RHS: ``m`` different matrices with one RHS
+each, hoisted into a single ``(m, n, n)`` batched LAPACK call,
+bit-for-bit identical per item to :func:`solve_dense`.  Sparse systems
+have no stacked factor: each distinct matrix gets its own banded
+factor, which is batch-size invariant by construction
+(:func:`solve_sparse_stacked` keeps that per-item loop under its old
+name).  Guards name the offending stacked item.
 """
 
 from __future__ import annotations
@@ -150,35 +151,28 @@ def banded_cholesky(matrix: Any) -> BandedCholesky | None:
     return BandedCholesky(perm, factor)
 
 
-def factorize(
-    matrix: Any, permc_spec: str | None = None
-) -> Callable[[np.ndarray], np.ndarray]:
+def factorize(matrix: Any) -> Callable[[np.ndarray], np.ndarray]:
     """Factor ``matrix`` once and return its ``solve(rhs) -> x``.
 
     A sparse matrix gets a :func:`banded_cholesky`; one that is not
     exactly symmetric, or that LAPACK rejects as not positive definite,
     falls back to SuperLU in symmetric mode with a minimum-degree
     ordering on ``A + Aᵀ`` (:data:`SYMMETRIC_SPLU`), so a singular system
-    still raises SuperLU's ``RuntimeError``.  A ``permc_spec`` asks for a
-    SuperLU factor with that column ordering instead (the stacked FEM
-    tier needs ``"NATURAL"`` for its batch-size-invariance guarantee).
-    A dense matrix gets a LAPACK LU and ignores the ordering.
+    still raises SuperLU's ``RuntimeError``.  A dense matrix gets a
+    LAPACK LU.
 
     Each sparse factorisation bumps the ``sparse_factorizations`` and
     ``sparse_factor_nnz`` (the entries the factor stores: the band, or
     SuperLU's ``L`` and ``U``) counters of :func:`repro.perf.stats`;
-    ``sparse_factor_fallbacks`` counts the default-ordered matrices that
-    went to SuperLU.  The factor is referenced only by the returned
+    ``sparse_factor_fallbacks`` counts the matrices that went to
+    SuperLU.  The factor is referenced only by the returned
     callable, so it is freed with it.
     """
     if sp.issparse(matrix):
-        if permc_spec is not None:
-            lu = spla.splu(matrix.tocsc(), permc_spec=permc_spec)
-        else:
-            lu = banded_cholesky(matrix)
-            if lu is None:
-                increment("sparse_factor_fallbacks")
-                lu = spla.splu(matrix.tocsc(), **SYMMETRIC_SPLU)
+        lu = banded_cholesky(matrix)
+        if lu is None:
+            increment("sparse_factor_fallbacks")
+            lu = spla.splu(matrix.tocsc(), **SYMMETRIC_SPLU)
         increment("sparse_factorizations")
         # the factor's own count of its stored entries; reading
         # lu.L / lu.U of a SuperLU instead would copy the whole factor
@@ -205,9 +199,7 @@ def _as_csr(matrix: sp.spmatrix) -> sp.csr_matrix:
     return matrix.tocsr()
 
 
-def solve_sparse(
-    matrix: sp.spmatrix, rhs: np.ndarray, *, permc_spec: str | None = None
-) -> np.ndarray:
+def solve_sparse(matrix: sp.spmatrix, rhs: np.ndarray) -> np.ndarray:
     """Solve a sparse SPD system.
 
     Direct factorisation up to :data:`ITERATIVE_CUTOFF`
@@ -216,14 +208,9 @@ def solve_sparse(
     definite, for which CG is the method of choice and avoids 3-D fill-in
     blow-up.
 
-    The default (``permc_spec=None``) direct factor is the banded
-    Cholesky of :func:`factorize`, with symmetric-mode SuperLU as its
-    fallback; a singular matrix raises
-    :class:`~repro.errors.SingularNetworkError` either way.  A
-    ``permc_spec`` asks for a SuperLU factor with that column ordering.
-    Callers whose solves must slot bit-for-bit into the block-diagonal
-    stacked tier (:func:`solve_sparse_stacked`) pass ``"NATURAL"`` so solo
-    and stacked factors agree exactly.
+    The direct factor is the banded Cholesky of :func:`factorize`, with
+    symmetric-mode SuperLU as its fallback; a singular matrix raises
+    :class:`~repro.errors.SingularNetworkError` either way.
     """
     csr = _as_csr(matrix)
     n = rhs.shape[0]
@@ -232,7 +219,7 @@ def solve_sparse(
         if solution is not None:
             return solution
     try:
-        solution = factorize(csr, permc_spec)(rhs)
+        solution = factorize(csr)(rhs)
     except RuntimeError as exc:  # superlu signals singularity this way
         raise SingularNetworkError(
             "sparse conductance matrix is singular — some node has no path to ground"
@@ -372,22 +359,14 @@ def solve_dense_stacked(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def solve_sparse_stacked(
     matrices: Sequence[sp.spmatrix], rhs_list: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
-    """Solve independent sparse systems through one block-diagonal factor.
+    """Solve independent sparse systems, one :func:`solve_sparse` each.
 
-    The systems are assembled into one ``scipy.sparse.block_diag`` matrix
-    and factorised by a single SuperLU call with *natural* ordering
-    (``permc_spec="NATURAL"``): the block-diagonal structure makes natural
-    ordering batch-size invariant — item ``i``'s slice of the solution is
-    identical whether it is factorised alone or inside any batch — which
-    the identity tests assert.  (The default banded Cholesky is *not*
-    batch-size invariant, and natural ordering differs from
-    :func:`solve_sparse`'s default factor in the last ulps, so this path
-    trades exact equality with the solo sparse path for batch-size
-    invariance; use it where the batch itself is the reference.)
-
-    A singular item fails the combined factorisation, so on failure each
-    item is factorised individually to name the singular point(s); the
-    finite-temperature guard likewise names bad items.
+    Item ``i`` of the result is bit-for-bit ``solve_sparse(matrices[i],
+    rhs_list[i])``: each matrix gets its own banded factor, so a batch
+    changes nothing.  No code in the package calls this any more — the
+    stacked tier solves each distinct sparse matrix as a shared-matrix
+    set — but the name stays because ``perfbench/tracer.py`` patches it.
+    A singular or non-finite item is named by its index.
     """
     mats = [_as_csr(m) for m in matrices]
     if len(mats) != len(rhs_list):
@@ -395,40 +374,26 @@ def solve_sparse_stacked(
             f"stacked sparse solves need matching matrices and RHS lists, "
             f"got {len(mats)} matrices against {len(rhs_list)} RHS"
         )
-    if not mats:
-        return []
-    sizes = [m.shape[0] for m in mats]
     for i, (m, b) in enumerate(zip(mats, rhs_list)):
         if m.shape[0] != m.shape[1] or np.shape(b) != (m.shape[0],):
             raise SolverError(
                 f"stacked item {i} is not a square system with a matching "
                 f"RHS: matrix {m.shape}, rhs {np.shape(b)}"
             )
-    block = sp.block_diag(mats, format="csc")
-    try:
-        lu = spla.splu(block, permc_spec="NATURAL")
-    except RuntimeError as exc:
-        bad = []
-        for i, m in enumerate(mats):
-            try:
-                spla.splu(m.tocsc(), permc_spec="NATURAL")
-            except RuntimeError:
-                bad.append(i)
-        raise SingularNetworkError(
-            f"sparse conductance matrix is singular in stacked item(s) "
-            f"{bad} — some node has no path to ground"
-        ) from exc
-    joined = lu.solve(np.concatenate([np.asarray(b, dtype=float) for b in rhs_list]))
-    offsets = np.cumsum([0] + sizes)
     out = []
-    for i in range(len(mats)):
-        piece = np.asarray(joined[offsets[i] : offsets[i + 1]], dtype=float)
-        if not np.all(np.isfinite(piece)):
+    for i, (m, b) in enumerate(zip(mats, rhs_list)):
+        try:
+            out.append(solve_sparse(m, np.asarray(b, dtype=float)))
+        except SingularNetworkError as exc:
+            raise SingularNetworkError(
+                f"sparse conductance matrix is singular in stacked item(s) "
+                f"[{i}] — some node has no path to ground"
+            ) from exc
+        except SolverError as exc:
             raise SolverError(
                 f"stacked sparse solve produced non-finite temperatures in "
                 f"stacked item(s) [{i}]"
-            )
-        out.append(piece)
+            ) from exc
     return out
 
 
@@ -441,17 +406,12 @@ def _as_rhs_block(rhs_block: np.ndarray) -> np.ndarray:
     return block
 
 
-def solve_sparse_multi(
-    matrix: sp.spmatrix,
-    rhs_block: np.ndarray,
-    *,
-    permc_spec: str | None = None,
-) -> np.ndarray:
+def solve_sparse_multi(matrix: sp.spmatrix, rhs_block: np.ndarray) -> np.ndarray:
     """Solve a sparse SPD system against an ``(n, k)`` RHS block.
 
-    One factorisation plus one back-substitution per column; column ``j`` of the result is bit-for-bit
-    identical to ``solve_sparse(matrix, rhs_block[:, j])`` under the same
-    ``permc_spec`` (see :func:`solve_sparse`).  Above
+    One factorisation plus one back-substitution per column; column
+    ``j`` of the result is bit-for-bit identical to
+    ``solve_sparse(matrix, rhs_block[:, j])``.  Above
     :data:`ITERATIVE_CUTOFF` unknowns the ILU preconditioner is built once
     and shared across the per-column CG solves (identical iterates);
     columns that fail to converge fall back to the shared direct factor,
@@ -470,7 +430,7 @@ def solve_sparse_multi(
                 columns[j] = _cg_iterate(csr, block[:, j], preconditioner)
     if any(c is None for c in columns):
         try:
-            solve = factorize(csr, permc_spec)
+            solve = factorize(csr)
         except RuntimeError as exc:
             raise SingularNetworkError(
                 "sparse conductance matrix is singular — some node has no "

@@ -8,14 +8,15 @@ exist:
 * :class:`PointTask` — one sweep point's worth of solves (one geometry,
   several models);
 * :class:`StackedBatchTask` — one *stacked unit*: many points that share
-  a structure (:meth:`repro.core.base.ThermalTSVModel.batch_class_key`)
-  or a whole matrix
-  (:meth:`repro.core.base.ThermalTSVModel.assembly_key`), solved by
-  :func:`repro.core.base.solve_stacked` — each shared matrix factored
-  once with one right-hand side per point, the remaining matrices in one
-  batched ``(m, n, n)`` LAPACK call — instead of m Python-level
-  round-trips; under parallel dispatch the unit's payload is pickled
-  once per (sub-)unit instead of once per point.
+  a dense structure
+  (:meth:`repro.core.base.ThermalTSVModel.batch_class_key`) or a whole
+  matrix (:meth:`repro.core.base.ThermalTSVModel.assembly_key`, the only
+  key FEM points batch by), solved by
+  :func:`repro.core.base.solve_stacked` — each distinct sparse or shared
+  matrix factored once with one right-hand side per point, the remaining
+  dense matrices in one batched ``(m, n, n)`` LAPACK call — instead of m
+  Python-level round-trips; under parallel dispatch the unit's payload
+  is pickled once per (sub-)unit instead of once per point.
 
 :class:`SerialExecutor` is the default and solves tasks in order in this
 process; :class:`ParallelExecutor` fans them out over a
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import abc
 import math
+import multiprocessing
 import os
 import pickle
 import warnings
@@ -83,11 +85,11 @@ class StackedBatchTask:
 
     Members share a
     :meth:`~repro.core.base.ThermalTSVModel.batch_class_key` — same node
-    count and topology — or, for models without one, an
+    count and topology of a dense system — or, for models without one, an
     :meth:`~repro.core.base.ThermalTSVModel.assembly_key`.  Inside the
-    unit, members with one matrix are factored once and back-substituted
-    per member; the rest are assembled and solved by one batched call
-    (:func:`repro.core.base.solve_stacked`).  ``members`` holds
+    unit, each matrix is factored once and back-substituted per member
+    that holds it; the remaining dense systems are solved by one batched
+    call (:func:`repro.core.base.solve_stacked`).  ``members`` holds
     ``(model, stack, via, power)`` tuples in member order starting at
     ``offset`` (non-zero when :class:`ParallelExecutor` splits a large
     unit across workers).  Results align positionally with ``members``
@@ -190,14 +192,46 @@ CHUNKS_PER_WORKER = 2
 MAX_POOL_REBUILDS = 3
 
 
+def place_on_cpu(rank: int) -> None:
+    """Move this process to CPU ``rank`` of its mask without pinning it.
+
+    A one-CPU mask migrates the process there; the full mask, restored at
+    once, leaves it free to move, but the scheduler has no reason to.
+    Without this, the workers of a pool or fleet can all stay on the CPU
+    their parent forked them on and take turns on it.  A no-op where
+    ``os.sched_setaffinity`` does not exist or the kernel refuses it.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    cpus = sorted(os.sched_getaffinity(0))
+    try:
+        os.sched_setaffinity(0, {cpus[rank % len(cpus)]})
+    except OSError:
+        return
+    os.sched_setaffinity(0, cpus)
+
+
+def _place_pool_worker(ranks: Any) -> None:
+    """Pool initializer: take the pool's next rank and place on its CPU."""
+    with ranks.get_lock():
+        rank = ranks.value
+        ranks.value += 1
+    place_on_cpu(rank)
+
+
 def _pool(workers: int) -> ProcessPoolExecutor:
     """A process pool whose forked workers inherit the solver stack.
 
     The parent imports the stack once before the fork; otherwise every
-    worker would import it again on its first task.
+    worker would import it again on its first task.  Each worker takes
+    its own rank from a counter shared by the pool and places itself on
+    that CPU (:func:`place_on_cpu`).
     """
     import_solver_stack()
-    return ProcessPoolExecutor(max_workers=workers)
+    ranks = multiprocessing.get_context().Value("i", 0)
+    return ProcessPoolExecutor(
+        max_workers=workers, initializer=_place_pool_worker, initargs=(ranks,)
+    )
 
 
 class ParallelExecutor(SweepExecutor):

@@ -57,6 +57,7 @@ from typing import Any, Mapping
 from .. import faults, fsshim, perf
 from .._lazy import import_solver_stack
 from ..errors import DrainError, ValidationError
+from ..perf.executors import place_on_cpu
 from ..perf.retry import DEFAULT_RETRY, RetryPolicy
 from .drain import DrainGuard, drain_exit_code
 from .lease import DEFAULT_TTL_S, LeaseManager
@@ -186,6 +187,7 @@ def _worker_main(
     space on every plan completion, so the supervisor can tell a slow
     worker from a dead or hung one.
     """
+    place_on_cpu(rank)  # by rank, so a respawn lands on the same CPU
     if env:
         os.environ.update(env)
     # honour an inherited laggy-filesystem shim (chaos soak arms it

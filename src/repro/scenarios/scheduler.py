@@ -121,6 +121,10 @@ ProgressFn = Callable[[dict[str, Any]], None]
 #: solve per key fleet-wide, and the union of ledgers proves it.
 SOLVE_LEDGER_ENV = "REPRO_SOLVE_LEDGER"
 
+#: first sleep of a fleet worker whose remaining nodes are all in a
+#: peer's hands; each further idle poll doubles it, up to ``poll_s``
+PEER_WAIT_FIRST_S = 0.001
+
 
 def _record_solve(key: str) -> None:
     ledger_dir = os.environ.get(SOLVE_LEDGER_ENV)
@@ -536,7 +540,8 @@ def execute_plan(
     unit or point bucket) still claims whole, so the batch tiers survive
     distribution.  Nodes claimed by a peer are
     *deferred* — their results are read back from the store when the
-    peer commits them (``poll_s`` paces that wait), a dead peer's claims
+    peer commits them (the wait starts at :data:`PEER_WAIT_FIRST_S`,
+    doubles up to ``poll_s`` and resets on progress), a dead peer's claims
     expire and its nodes are stolen, and results are committed
     put-before-release with a fencing check so a worker that lost its
     lease mid-solve never publishes over its usurper.  Requires
@@ -847,20 +852,25 @@ def execute_plan(
             # unlocking their calibrated solves for the next wave
             run_parent_nodes()
 
+    peer_wait_s = PEER_WAIT_FIRST_S
     while len(results) + len(failures) < len(nodes):
         check_drain()
         progressed = run_parent_nodes()
         if claims is not None and deferred:
             progressed = poll_deferred() or progressed
+        if progressed or ready_solve:
+            peer_wait_s = PEER_WAIT_FIRST_S
         if not ready_solve:
             if progressed:
                 continue
             if claims is not None and deferred:
                 # every remaining node is in a peer's hands: wait for
-                # results (or expired claims) instead of busy-spinning
+                # results (or expired claims) instead of busy-spinning,
+                # briefly at first, since a peer's unit may be about to land
                 check_drain()
                 maybe_renew()
-                time.sleep(poll_s)
+                time.sleep(min(peer_wait_s, poll_s))
+                peer_wait_s = min(2.0 * peer_wait_s, poll_s)
                 continue
             raise ExperimentError("execution plan has a dependency cycle")
 

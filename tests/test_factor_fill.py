@@ -4,8 +4,8 @@ Every factorisation goes through :func:`repro.network.solve.factorize`.
 Wrapping it while the fast builtins plus one 3-D (``fem3d:16x16x32``)
 and one 2-D (``fem:fine``) Fig. 7 point run checks that
 
-* every matrix factored with the default ordering is exactly symmetric —
-  the premise of its Cholesky factor;
+* every sparse matrix factored is exactly symmetric — the premise of
+  its Cholesky factor;
 * on the two FEM matrices the default factor is the banded Cholesky (no
   SuperLU fallback), its solutions agree with scipy's COLAMD ``splu`` to
   ``rtol=1e-10``, and its band stores at most 1.75x the entries of the
@@ -51,7 +51,6 @@ MAX_BAND_TO_SUPERLU_NNZ = 1.75
 @dataclass
 class Factored:
     matrix: object
-    permc_spec: str | None
     banded: bool  # a BandedCholesky, not a SuperLU (or dense) factor
     #: entries the factor stores: the size of the band array for a
     #: BandedCholesky, ``SuperLU.nnz``; None for a dense factor
@@ -87,8 +86,8 @@ def factored():
     calls: list[Factored] = []
     original = solve_module.factorize
 
-    def recording(matrix, permc_spec=None):
-        solve = original(matrix, permc_spec)
+    def recording(matrix):
+        solve = original(matrix)
         lu = getattr(solve, "__self__", None)  # sparse solves are bound
         banded = isinstance(lu, BandedCholesky)
         if banded:
@@ -97,11 +96,7 @@ def factored():
             stored = lu.nnz
         else:
             stored = None
-        calls.append(
-            Factored(
-                matrix, permc_spec, banded, stored, solve(_rhs(matrix.shape[0]))
-            )
-        )
+        calls.append(Factored(matrix, banded, stored, solve(_rhs(matrix.shape[0]))))
         return solve
 
     perf.reset()
@@ -128,7 +123,7 @@ def _only(calls, n_unknowns):
 
 def test_default_ordered_matrices_are_exactly_symmetric(factored):
     calls, _, _ = factored
-    default = [c for c in _sparse(calls) if c.permc_spec is None]
+    default = _sparse(calls)
     assert len(default) > 2
     for call in default:
         assert (call.matrix != call.matrix.T).nnz == 0, call.matrix.shape
@@ -145,10 +140,9 @@ def test_fill_counters_count_every_sparse_factor_exactly(factored):
     )
     assert counters["sparse_factorizations"] == len(sparse_calls)
     assert counters["sparse_factor_nnz"] == sum(c.stored_nnz for c in sparse_calls)
-    # every default-ordered matrix of the run is SPD: none fell back
+    # every sparse matrix of the run is SPD: none fell back
     assert "sparse_factor_fallbacks" not in counters
-    assert all(c.banded for c in sparse_calls if c.permc_spec is None)
-    assert not any(c.banded for c in sparse_calls if c.permc_spec is not None)
+    assert all(c.banded for c in sparse_calls)
 
 
 @pytest.mark.parametrize(
@@ -159,7 +153,6 @@ def test_fill_counters_count_every_sparse_factor_exactly(factored):
 def test_fem_default_factor_is_banded_cholesky(factored, n_unknowns):
     calls, _, _ = factored
     call = _only(calls, n_unknowns)
-    assert call.permc_spec is None
     assert call.banded
     colamd = spla.splu(call.matrix.tocsc())  # scipy's default ordering
     np.testing.assert_allclose(

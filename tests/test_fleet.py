@@ -222,6 +222,57 @@ class TestClaimGranularity:
         assert acquired == []
 
 
+class TestPeerWait:
+    def test_the_wait_backs_off_and_resets_on_progress(
+        self, tmp_path, monkeypatch
+    ):
+        import time
+
+        from repro.scenarios.plan import SolveNode
+
+        plan = compile_plan([fleet_spec()])
+        store = RunStore(tmp_path / "store")
+        peer = LeaseManager(store, owner="peer")
+        keys = [k for k, n in plan.nodes.items() if isinstance(n, SolveNode)]
+        assert len(keys) >= 4 and all(peer.acquire(k) for k in keys)
+        # the peer gives up half its claims at the 8th sleep, the rest at
+        # the 12th; a release is the progress that resets the wait
+        releases = {8: keys[: len(keys) // 2], 12: keys[len(keys) // 2 :]}
+        sleeps = []
+
+        def sleep(seconds):
+            sleeps.append(seconds)
+            for key in releases.get(len(sleeps), ()):
+                peer.release(key)
+
+        monkeypatch.setattr(time, "sleep", sleep)
+        outcome = execute_plan(
+            plan, store=store, claims=LeaseManager(store, owner="w1")
+        )
+        assert outcome.counts["solved"] == len(keys)
+        backoff = [0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.05, 0.05]
+        assert sleeps == pytest.approx(backoff + backoff[:4])
+
+
+class TestPlacement:
+    def test_fleet_workers_place_by_rank(self, tmp_path, monkeypatch):
+        import os
+
+        from repro.scenarios import fleet
+
+        # forked workers inherit the patch and report the rank they took
+        def record(rank):
+            (tmp_path / f"{os.getpid()}.rank").write_text(str(rank))
+
+        monkeypatch.setattr(fleet, "place_on_cpu", record)
+        outcome = run_fleet(
+            [fleet_spec()], store=tmp_path / "fleet", workers=2, deadline_s=300.0
+        )
+        assert outcome.ok
+        ranks = sorted(int(p.read_text()) for p in tmp_path.glob("*.rank"))
+        assert ranks == [0, 1]
+
+
 class TestFleetCLI:
     def test_cli_fleet_smoke(self, tmp_path, capsys):
         spec = fleet_spec()

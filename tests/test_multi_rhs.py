@@ -21,7 +21,6 @@ from repro.fem import (
     solve_axisymmetric,
     solve_cartesian,
 )
-from repro.fem.axisym import _permc_spec
 from repro.geometry import PowerSpec, TSVCluster
 from repro.network.solve import (
     BandedCholesky,
@@ -116,7 +115,7 @@ class TestSolveMulti:
     def test_nonfinite_guard_names_columns(self, monkeypatch):
         import repro.network.solve as solve_mod
 
-        def bad_factorize(matrix, permc_spec=None):
+        def bad_factorize(matrix):
             def solve(rhs):
                 out = np.zeros(rhs.shape[0])
                 out[0] = np.inf
@@ -149,9 +148,7 @@ class TestFEMMultiSolvers:
             grids.r_edges, grids.z_edges, grids.conductivity
         )
         block = np.column_stack([(q * volume).ravel() for q in sources])
-        multi = solve_sparse_multi(
-            matrix, block, permc_spec=_permc_spec(volume.size)
-        )
+        multi = solve_sparse_multi(matrix, block)
         for j, source in enumerate(sources):
             single = solve_axisymmetric(
                 grids.r_edges, grids.z_edges, grids.conductivity, source
@@ -435,10 +432,35 @@ class TestGroupedScheduling:
         assert len({node.assembly_key for node in fem}) == 2
         perf.reset()
         run_scenario(spec)
-        # the two matrices stack block-diagonally into one SuperLU: no
-        # shared-matrix factor is made
-        assert perf.counter("plan_stacked_solves") == 2
-        assert factorizations == []
+        # no cross-matrix sparse stack: one banded factor per matrix
+        assert perf.counter("plan_stacked_solves") == 0
+        assert len(factorizations) == 2
+        assert perf.counter("sparse_factorizations") == 2
+
+    def test_coarse_sweep_factors_each_distinct_matrix_once(self, factorizations):
+        from repro.scenarios import run_batch
+        from repro.scenarios.plan import compile_plan
+
+        specs = [
+            power_scale_spec(
+                scenario_id="radius_sweep",
+                axis=AxisSpec(parameter="radius_um", values=(2.0, 3.0, 5.0, 8.0)),
+            ),
+            power_scale_spec(values=(0.5, 1.0, 2.0)),
+        ]
+        plan = compile_plan([spec.resolved() for spec in specs])
+        distinct = {
+            node.assembly_key
+            for node in plan.nodes.values()
+            if node.model_name == "fem"
+        }
+        assert len(distinct) >= 4
+        perf.reset()
+        run_batch(specs)
+        counters = perf.stats()["counters"]
+        assert counters["sparse_factorizations"] == len(distinct)
+        assert len(factorizations) == len(distinct)
+        assert "sparse_factor_fallbacks" not in counters
 
     @staticmethod
     def _strip_wallclock(payload):

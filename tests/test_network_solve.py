@@ -167,7 +167,7 @@ class TestFactorizedSolver:
         # (transient stepping reuses the returned solve for every step)
         g, rhs = laplacian_chain(5)
 
-        def degenerate_factor(matrix, permc_spec=None):
+        def degenerate_factor(matrix):
             return lambda r: np.full(r.shape, np.inf)
 
         monkeypatch.setattr(solve_module, "factorize", degenerate_factor)

@@ -195,3 +195,65 @@ class TestSweepEngineContract:
         assert run.failed and run.result is None
         assert {f.error_class for f in run.failures} == {"SolverError"}
         assert all("singular system" in f.message for f in run.failures)
+
+
+class TestPlacement:
+    """Each worker starts on its own CPU of the mask and is not pinned."""
+
+    def test_rank_maps_to_cpu_and_the_mask_is_restored(self, monkeypatch):
+        import os
+
+        from repro.perf.executors import place_on_cpu
+
+        calls = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 0, 2})
+        monkeypatch.setattr(
+            os, "sched_setaffinity", lambda pid, cpus: calls.append((pid, cpus))
+        )
+        place_on_cpu(4)  # 4 mod 3 CPUs: the second one, CPU 2
+        assert calls == [(0, {2}), (0, [0, 2, 5])]
+        calls.clear()
+        place_on_cpu(0)
+        assert calls == [(0, {0}), (0, [0, 2, 5])]
+
+    def test_no_op_without_sched_setaffinity(self, monkeypatch):
+        import os
+
+        from repro.perf.executors import place_on_cpu
+
+        def unreachable(pid):
+            raise AssertionError("the mask must not be read")
+
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", unreachable, raising=False)
+        place_on_cpu(1)
+
+    def test_a_refused_mask_leaves_the_process_where_it_is(self, monkeypatch):
+        import os
+
+        from repro.perf.executors import place_on_cpu
+
+        def refuse(pid, cpus):
+            raise PermissionError("sched_setaffinity refused")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        place_on_cpu(1)
+
+    def test_pool_ranks_are_distinct_within_a_pool(self, monkeypatch, tmp_path):
+        import os
+
+        from repro.perf import executors
+
+        # forked workers inherit the patch and report the rank they took
+        def record(rank):
+            (tmp_path / f"{os.getpid()}.rank").write_text(str(rank))
+
+        monkeypatch.setattr(executors, "place_on_cpu", record)
+        for _ in range(2):  # every pool counts from 0
+            with executors._pool(3) as pool:
+                assert pool.submit(abs, -1).result() == 1
+            ranks = sorted(int(p.read_text()) for p in tmp_path.iterdir())
+            assert ranks == [0, 1, 2]
+            for path in tmp_path.iterdir():
+                path.unlink()

@@ -1,4 +1,4 @@
-"""The cross-matrix stacked solve tier: batched dense/block-diagonal
+"""The cross-matrix stacked solve tier: batched dense and per-item sparse
 solvers, model stacking hooks, scheduler regrouping and byte-identity."""
 
 import json
@@ -114,8 +114,8 @@ def _spd_sparse(n: int, seed: int = 0) -> sp.csr_matrix:
 
 class TestSolveSparseStacked:
     def test_batch_size_invariant(self):
-        # natural ordering on a block-diagonal matrix: item i's slice is
-        # identical whether factorised alone or inside any batch
+        # one banded factor per item: item i's solution is identical
+        # whether solved alone or inside any batch
         mats = [_spd_sparse(n, seed=n) for n in (40, 60, 80)]
         rhs = [np.random.RandomState(n).randn(n) for n in (40, 60, 80)]
         full = solve_sparse_stacked(mats, rhs)
@@ -126,16 +126,12 @@ class TestSolveSparseStacked:
         assert np.array_equal(full[0], pair[0])
         assert np.array_equal(full[1], pair[1])
 
-    def test_close_to_solo_sparse_solves(self):
-        # the default symmetric-mode MMD(A+Aᵀ) factor (solve_sparse) vs
-        # natural ordering differ in the last ulps only
+    def test_items_bitwise_equal_solo_sparse_solves(self):
         mats = [_spd_sparse(n, seed=n + 1) for n in (50, 70)]
         rhs = [np.random.RandomState(n).randn(n) for n in (50, 70)]
         stacked = solve_sparse_stacked(mats, rhs)
         for i in range(2):
-            np.testing.assert_allclose(
-                stacked[i], solve_sparse(mats[i], rhs[i]), rtol=1e-12
-            )
+            assert np.array_equal(stacked[i], solve_sparse(mats[i], rhs[i]))
 
     def test_empty_list(self):
         assert solve_sparse_stacked([], []) == []
@@ -203,22 +199,13 @@ class TestBatchClassKey:
         cfg = fig5_config(1.0)
         assert make_model("b:100").batch_class_key(cfg.stack, cfg.via) is None
 
-    def test_fem_coarse_meshes_stack_across_geometry(self):
-        cfg1, cfg2 = fig5_config(0.5), fig5_config(1.5)
-        model = FEMReference("coarse")
-        key = model.batch_class_key(cfg1.stack, cfg1.via)
-        assert key is not None
-        # different liner thickness: different matrix values, same mesh
-        # topology — one stackable class
-        assert key == model.batch_class_key(cfg2.stack, cfg2.via)
-        # a different stack voxelises to a different mesh: different class
-        cfg4 = fig4_config(3.0)
-        assert key != model.batch_class_key(cfg4.stack, cfg4.via)
-
     def test_fem_large_meshes_and_cartesian_and_1d_opt_out(self):
         cfg = fig5_config(1.0)
-        # medium voxelises past the natural-ordering cutoff
-        assert FEMReference("medium").batch_class_key(cfg.stack, cfg.via) is None
+        # sparse systems have no cross-matrix stack: every FEM mesh,
+        # coarse included, batches by its assembly key alone
+        for resolution in ("coarse", "medium"):
+            model = FEMReference(resolution)
+            assert model.batch_class_key(cfg.stack, cfg.via) is None
         assert (
             FEMReference("coarse", solver="cartesian").batch_class_key(
                 cfg.stack, cfg.via
@@ -294,8 +281,7 @@ class TestSolveStacked:
     )
     def test_a_lone_default_ordered_member_solves_like_solo(self, spec):
         # a fleet worker that loses the lease race for all but one member
-        # of a unit dispatches that member alone; its solo solve uses the
-        # default factor, which a natural-ordering block stack would not
+        # of a unit dispatches that member alone, as a set of one
         cfg = fig5_config(1.0)
         model = make_model(spec)
         (result,) = solve_stacked([(model, cfg.stack, cfg.via, cfg.power)])
@@ -314,9 +300,9 @@ class TestSolveStacked:
         for result, (m, stack, via, power) in zip(results, members):
             assert result.max_rise == m.solve(stack, via, power).max_rise
 
-    def test_mixed_dense_sparse_batch_falls_back_to_solo_solves(self):
-        # a batch class is all-dense or all-sparse by construction; a
-        # hand-built mix exercises the safety net
+    def test_mixed_dense_sparse_batch_bitwise_equal_solo(self):
+        # a hand-built mix: the sparse matrix is a set of one, the dense
+        # one joins the dense stack
         cfg = fig5_config(1.0)
         members = [
             (FEMReference("coarse"), cfg.stack, cfg.via, cfg.power),
@@ -407,11 +393,11 @@ class TestStackedScheduling:
         run_scenario(spec)
         counters = perf.stats()["counters"]
         # the four model_a points assemble different matrices but share a
-        # batch class, and so do the four coarse fem reference points
-        # (same mesh topology, different conductivity values): two
-        # stacked batches — one dense, one block-diagonal sparse
-        assert counters["plan_stacked_batches"] == 2
-        assert counters["plan_stacked_solves"] == 8
+        # batch class: one dense stacked batch; the four coarse fem
+        # reference points have four matrices, one banded factor each
+        assert counters["plan_stacked_batches"] == 1
+        assert counters["plan_stacked_solves"] == 4
+        assert counters["sparse_factorizations"] == 4
 
     def test_no_stacking_when_disabled(self):
         perf.reset()
@@ -570,15 +556,6 @@ class TestVoxelisation:
 
             monkeypatch.setattr(voxelize, name, counting)
             monkeypatch.setattr(reference, name, counting)
-        real_probe = FEMReference.batch_class_key
-
-        def probe(self, stack, via):
-            before = len(builds)
-            key = real_probe(self, stack, via)
-            assert len(builds) == before  # the probe only meshes
-            return key
-
-        monkeypatch.setattr(FEMReference, "batch_class_key", probe)
         plan = compile_plan([spec])
         assert builds == []
         fem_points = [
